@@ -1,21 +1,29 @@
 """Finite-order characters of Z_p^* with exact cyclotomic values, and Gauss sums.
 
-A character of conductor p^c is stored by its value table on (Z/p^c)^*.
-The root-of-unity system is the fixed one: zeta_k is the class of X mod
-Phi_k, and zeta_k = zeta_m^(m/k) for k | m.  Gauss sums always pair the
-character against zeta_{p^c} from this system.
+For odd p the group (Z/p^c)^* is cyclic, generated by g = primitive_root(p, c),
+so a character of conductor p^c is stored as three integers: p, c and its
+discrete log k mod phi(p^c), meaning chi(g^t) = zeta_phi^(k t).  The stored c
+is always the exact conductor and k is indexed against the generator mod p^c.
+Order, product, inverse and parity are integer arithmetic on k; values are
+built only on evaluation.  The root-of-unity system is the fixed one: zeta_k
+is the class of X mod Phi_k, and zeta_k = zeta_m^(m/k) for k | m.  Gauss sums
+always pair the character against zeta_{p^c} from this system.
 
-Only odd p is supported for nontrivial characters ((Z/p^c)^* is cyclic).
+Only odd p is supported for nontrivial characters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import CyclotomicElement, zeta_power_sum
 from .rationals import is_prime
+
+
+def _phi(p: int, c: int) -> int:
+    return p ** (c - 1) * (p - 1)
 
 
 @lru_cache(maxsize=None)
@@ -24,7 +32,7 @@ def primitive_root(p: int, c: int) -> int:
     if p == 2:
         raise ValueError("odd p required")
     modulus = p ** c
-    phi = p ** (c - 1) * (p - 1)
+    phi = _phi(p, c)
     prime_factors = set()
     t = phi
     d = 2
@@ -44,16 +52,17 @@ def primitive_root(p: int, c: int) -> int:
     raise RuntimeError("no primitive root found")
 
 
-def _dlog(a: int, p: int, c: int) -> int:
-    """Discrete log base primitive_root(p, c); fine at desk sizes."""
+@lru_cache(maxsize=None)
+def _dlog_table(p: int, c: int) -> dict:
+    """a -> t with a = g^t mod p^c, for g = primitive_root(p, c)."""
     modulus = p ** c
     g = primitive_root(p, c)
+    table = {}
     x = 1
-    for t in range(p ** (c - 1) * (p - 1)):
-        if x == a % modulus:
-            return t
-        x = (x * g) % modulus
-    raise ValueError(f"{a} is not a unit mod {modulus}")
+    for t in range(_phi(p, c)):
+        table[x] = t
+        x = x * g % modulus
+    return table
 
 
 class PCharacter:
@@ -64,108 +73,77 @@ class PCharacter:
     half-integral p-powers or formal Satake symbols.
     """
 
-    __slots__ = ("p", "conductor_exp", "values", "at_p")
+    __slots__ = ("p", "conductor_exp", "log", "at_p")
 
-    def __init__(self, p: int, conductor_exp: int, values: dict, at_p=None):
+    def __init__(self, p: int, conductor_exp: int, log: int, at_p=None):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
+        if conductor_exp < 0:
+            raise ValueError("conductor exponent must be >= 0")
+        c = conductor_exp
+        k = log % _phi(p, c) if c else 0
+        if k and p == 2:
+            raise ValueError("odd p required")
+        # chi is trivial on 1 + p^(c-1) Z_p iff p | k; then it factors through
+        # (Z/p^(c-1))^*, and chi(g') = zeta_phi^(k dlog g') re-indexes k to g'
+        while k and c > 1 and k % p == 0:
+            k = k // p * _dlog_table(p, c)[primitive_root(p, c - 1)] % _phi(p, c - 1)
+            c -= 1
         self.p = p
-        self.conductor_exp = conductor_exp
-        self.values = dict(values)
+        self.conductor_exp = c if k else 0
+        self.log = k
         self.at_p = at_p
-        self._canonicalize()
-
-    def _canonicalize(self):
-        # shrink to the exact conductor
-        while self.conductor_exp > 0:
-            c = self.conductor_exp
-            modulus = self.p ** c
-            sub = self.p ** (c - 1)
-            if c == 1:
-                if all(self.values[a] == 1 for a in self.values):
-                    self.conductor_exp = 0
-                    self.values = {1: CyclotomicElement.from_rational(1)}
-                break
-            # trivial on 1 + p^(c-1) Z / p^c Z?
-            if all(self.values[(1 + sub * t) % modulus] == 1 for t in range(self.p)):
-                new = {}
-                for a in range(1, self.p ** (c - 1)):
-                    if a % self.p:
-                        new[a] = self.values[a % modulus]
-                self.values = new
-                self.conductor_exp = c - 1
-            else:
-                break
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def trivial(cls, p: int) -> "PCharacter":
-        return cls(p, 0, {1: CyclotomicElement.from_rational(1)})
+        return cls(p, 0, 0)
 
     @classmethod
     def from_log(cls, p: int, c: int, k: int, at_p=None) -> "PCharacter":
-        """chi(g^t) = zeta_N^(k t) for the canonical generator g of (Z/p^c)^*."""
-        if c == 0 or k % (p ** (c - 1) * (p - 1)) == 0:
-            return cls.trivial(p)
-        modulus = p ** c
-        phi = p ** (c - 1) * (p - 1)
-        order = phi // gcd(phi, k)
-        g = primitive_root(p, c)
-        values = {}
-        x = 1
-        for t in range(phi):
-            values[x] = CyclotomicElement.zeta(order, (k * t * order // phi) % order)
-            x = (x * g) % modulus
-        return cls(p, c, values, at_p)
+        """chi(g^t) = zeta_phi(p^c)^(k t) for the canonical generator g of (Z/p^c)^*."""
+        return cls(p, c, k, at_p)
 
     @classmethod
     def all_characters(cls, p: int, c: int):
         """All characters of conductor dividing p^c."""
-        phi = p ** (c - 1) * (p - 1)
-        return [cls.from_log(p, c, k) for k in range(phi)]
+        return [cls.from_log(p, c, k) for k in range(_phi(p, c))]
 
     # -- evaluation / group law ----------------------------------------
 
-    def __call__(self, a) -> CyclotomicElement:
+    def exponent(self, a) -> tuple[int, int]:
+        """(order, e) with chi(a) = zeta_order^e, for a p-unit a."""
         if self.conductor_exp == 0:
             if Fraction(a) == 0:
                 raise ValueError("character evaluated at 0")
-            return CyclotomicElement.from_rational(1)
+            return 1, 0
         modulus = self.p ** self.conductor_exp
         a = Fraction(a)
         if gcd(a.numerator, self.p) != 1 or gcd(a.denominator, self.p) != 1:
             raise ValueError(f"{a} is not a p-unit")
         r = (a.numerator * pow(a.denominator, -1, modulus)) % modulus
-        return self.values[r]
+        # chi(g^t) = zeta_phi^(k t) = zeta_order^((k / s) t), s = gcd(phi, k)
+        phi = _phi(self.p, self.conductor_exp)
+        s = gcd(phi, self.log)
+        return phi // s, self.log // s * _dlog_table(self.p, self.conductor_exp)[r] % (phi // s)
+
+    def __call__(self, a) -> CyclotomicElement:
+        return CyclotomicElement.zeta(*self.exponent(a))
 
     def order(self) -> int:
         """Exact multiplicative order of the character."""
         if self.conductor_exp == 0:
             return 1
-        g = primitive_root(self.p, self.conductor_exp)
-        base = self.values[g % self.p ** self.conductor_exp]
-        phi = self.p ** (self.conductor_exp - 1) * (self.p - 1)
-        acc = base
-        order = 1
-        while acc != 1:
-            acc = acc * base
-            order += 1
-            if order > phi:
-                raise ValueError("value table is not a character (no finite order)")
-        return order
+        phi = _phi(self.p, self.conductor_exp)
+        return phi // gcd(phi, self.log)
 
     def is_trivial(self) -> bool:
         return self.conductor_exp == 0
 
     def parity(self) -> int:
-        """chi(-1) as +1 or -1."""
-        v = self(-1)
-        if v == 1:
-            return 1
-        if v == -1:
-            return -1
-        raise AssertionError("chi(-1) must be a square root of 1")
+        """chi(-1) as +1 or -1: -1 = g^(phi/2), so chi(-1) = (-1)^k."""
+        return -1 if self.log % 2 else 1
 
     def __mul__(self, other: "PCharacter") -> "PCharacter":
         if self.p != other.p:
@@ -173,36 +151,31 @@ class PCharacter:
         c = max(self.conductor_exp, other.conductor_exp)
         if c == 0:
             return PCharacter.trivial(self.p)
-        modulus = self.p ** c
-        values = {a: self(a) * other(a) for a in range(1, modulus) if a % self.p}
-        return PCharacter(self.p, c, values)
+        # the log of each factor at depth c is read off its value at the generator
+        g = primitive_root(self.p, c)
+        phi = _phi(self.p, c)
+        log = 0
+        for chi in (self, other):
+            order, e = chi.exponent(g)
+            log += e * (phi // order)
+        return PCharacter(self.p, c, log)
 
     def inverse(self) -> "PCharacter":
-        if self.conductor_exp == 0:
-            return PCharacter.trivial(self.p)
-        modulus = self.p ** self.conductor_exp
-        values = {a: self.values[a].inverse() for a in self.values}
-        return PCharacter(self.p, self.conductor_exp, values)
+        return PCharacter(self.p, self.conductor_exp, -self.log)
 
     def __eq__(self, other):
         return (isinstance(other, PCharacter) and self.p == other.p
-                and self.conductor_exp == other.conductor_exp
-                and all(self.values[a] == other.values[a] for a in self.values))
+                and self.conductor_exp == other.conductor_exp and self.log == other.log)
 
     def __repr__(self):
         return f"PCharacter(p={self.p}, cond=p^{self.conductor_exp}, order={self.order()})"
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "conductor_exp": self.conductor_exp,
-            "values": {str(a): v.to_json() for a, v in self.values.items()},
-        }
+        return {"p": self.p, "conductor_exp": self.conductor_exp, "log": self.log}
 
     @classmethod
     def from_json(cls, data: dict) -> "PCharacter":
-        values = {int(a): CyclotomicElement.from_json(v) for a, v in data["values"].items()}
-        return cls(data["p"], data["conductor_exp"], values)
+        return cls(data["p"], data["conductor_exp"], data["log"])
 
 
 def gauss_sum(chi: PCharacter, h: int | None = None) -> CyclotomicElement:
@@ -220,28 +193,16 @@ def gauss_sum(chi: PCharacter, h: int | None = None) -> CyclotomicElement:
     if h < c:
         raise ValueError("h must be >= conductor exponent")
     root_order = p ** c
-    field_order = _lcm(root_order, chi.order())
+    order = chi.order()
+    field_order = lcm(root_order, order)
     step = field_order // root_order
     weights: dict = {}
     for a in range(1, p ** h):
         if a % p == 0:
             continue
-        val = chi(a)
-        vstep = field_order // val.m
-        mono = val.as_monomial()
-        if mono is not None:
-            # chi(a) is a root of unity; the full summand is one power
-            k, coeff = mono
-            key = (k * vstep + a * step) % field_order
-            weights[key] = weights.get(key, Fraction(0)) + coeff
-        else:
-            for k, coeff in enumerate(val.coeffs):
-                if coeff:
-                    key = (k * vstep + a * step) % field_order
-                    weights[key] = weights.get(key, Fraction(0)) + coeff
+        # the summand chi(a) zeta_{p^c}^a is one power of zeta_field
+        _, e = chi.exponent(a)
+        key = (e * (field_order // order) + a * step) % field_order
+        weights[key] = weights.get(key, 0) + 1
     total = zeta_power_sum(field_order, weights)
     return total * Fraction(1, p ** (h - c))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def _poly_divmod(num, den):
@@ -106,7 +107,7 @@ class CyclotomicElement:
             other = CyclotomicElement.from_rational(other, self.m)
         if self.m == other.m:
             return self, other
-        m = _lcm(self.m, other.m)
+        m = lcm(self.m, other.m)
         return self.embed(m), other.embed(m)
 
     def embed(self, m: int) -> "CyclotomicElement":
@@ -293,12 +294,6 @@ def _poly_sub(a, b):
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def cyclotomic_reduce(coeffs, m: int) -> CyclotomicElement:

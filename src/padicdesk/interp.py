@@ -234,7 +234,7 @@ def epsilon_factor(eta: SmoothCharacter) -> HalfPowerValue:
         raise ValueError("epsilon factor implemented for ramified characters only")
     p = eta.p
     g = gauss_sum(eta.finite.inverse())
-    coeff = g * eta.finite(-1)
+    coeff = g * eta.finite.parity()
     out = HalfPowerValue(p, coeff, -c) * eta.at_p ** c
     return out
 
@@ -242,7 +242,7 @@ def epsilon_factor(eta: SmoothCharacter) -> HalfPowerValue:
 def epsilon_inversion_check(eta: SmoothCharacter) -> bool:
     """epsilon(eta) * epsilon(eta^-1) equals the finite part at -1."""
     prod = epsilon_factor(eta) * epsilon_factor(eta.inverse())
-    return prod == HalfPowerValue(eta.p, eta.finite(-1))
+    return prod == HalfPowerValue(eta.p, eta.finite.parity())
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +264,11 @@ def interpolation_factor(data: SatakeData, chi: list, e, n: int) -> HalfPowerVal
     e0 = e[0]
     out = HalfPowerValue.p_power(p, -2 * e0)
     out = out * (data.alpha(0, n) / data.alpha(0, n - 1)) ** e0
-    out = out * HalfPowerValue(p, chi0.finite(-1))
+    out = out * HalfPowerValue(p, chi0.finite.parity())
     out = out * chi0.at_p ** (-e0)
     out = out * HalfPowerValue(p, gauss_sum(chi0.finite))
     for tau in range(data.d):
-        out = out * HalfPowerValue(p, chi[tau].finite(-1) ** n)
+        out = out * HalfPowerValue(p, chi[tau].finite.parity() ** n)
     denom = data.alpha_p_e(e) * modulus_deltaB(
         [[Fraction(p) ** k for k in row] for row in t_p_e_exponents(n, e)], n, p)
     return out / denom
@@ -285,7 +285,7 @@ def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:
     chi0 = chi[0]
     tail = HalfPowerValue.one(p)
     for tau in range(data.d):
-        tail = tail * HalfPowerValue(p, chi[tau].finite(-1) ** n)
+        tail = tail * HalfPowerValue(p, chi[tau].finite.parity() ** n)
     denom = data.alpha_p_e(e) * modulus_deltaB(
         [[Fraction(p) ** k for k in row] for row in t_p_e_exponents(n, e)], n, p)
     tail = tail / denom
@@ -295,7 +295,7 @@ def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:
     form1 = epsilon_factor(eta1) * tail
     theta_n1 = SmoothCharacter(PCharacter.trivial(p), data.theta_at_p(0, n + 1))
     eta2 = theta_n1 * chi0
-    form2 = HalfPowerValue(p, chi0.finite(-1)) * epsilon_factor(eta2).inverse() * tail
+    form2 = HalfPowerValue(p, chi0.finite.parity()) * epsilon_factor(eta2).inverse() * tail
     return {
         "direct": direct, "epsilon_form": form1, "inverse_epsilon_form": form2,
         "passed": direct == form1 == form2,
@@ -319,5 +319,5 @@ def depletion_eigen_factor(alpha0: HalfPowerValue, alpha1: HalfPowerValue,
     out = out * HalfPowerValue.p_power(p, 2 * beta_prime * kappa_middle)
     out = out * HalfPowerValue(p, Fraction(p - 1, p))
     out = out * chi.at_p ** (-beta_prime)
-    out = out * HalfPowerValue(p, chi.finite(-1) * gauss_sum(chi.finite))
+    out = out * HalfPowerValue(p, chi.finite.parity() * gauss_sum(chi.finite))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, lcm
 
 from .characters import PCharacter, gauss_sum
 from .cyclotomic import CyclotomicElement, zeta_power_sum
@@ -284,25 +284,21 @@ def fourier_expand_fchi(beta: int, beta_prime: int, chi: PCharacter) -> Equality
     chi_inv = chi.inverse()
     gauss_inv = gauss_sum(chi_inv)
     root_order = p ** beta
-    field = _field_order(root_order, chi.order())
+    order = chi.order()
+    field = lcm(root_order, order)
+    step = field // root_order
     scale = Fraction(1, p ** (beta - beta_prime)) / gauss_inv.embed(field)
+    # chi(c)^-1 = zeta_field^base, one power per unit c of Z/p^beta
+    units = [(c, chi_inv.exponent(c)[1] * (field // order))
+             for c in range(1, root_order) if c % p]
     npoints = 0
     for m in range(p ** (2 * beta)):
         a = Fraction(m, p ** beta)
         lhs = _slice_value(chi, beta_prime, a).embed(field)
         weights = {}
-        for c in range(1, root_order):
-            if c % p == 0:
-                continue
-            cv = chi_inv(c)
-            vstep = field // cv.m
-            shift = (c * m) % root_order * (field // root_order)
-            mono = cv.as_monomial()
-            items = [mono] if mono is not None else list(enumerate(cv.coeffs))
-            for k, coeff in items:
-                if coeff:
-                    key = (k * vstep + shift) % field
-                    weights[key] = weights.get(key, Fraction(0)) + coeff
+        for c, base in units:
+            key = (base + (c * m) % root_order * step) % field
+            weights[key] = weights.get(key, 0) + 1
         rhs = zeta_power_sum(field, weights) * scale
         npoints += 1
         if lhs != rhs:
@@ -343,9 +339,3 @@ def fourier_expand_unit_indicator(p: int, beta: int, beta_prime: int, n: int) ->
         if rhs != CyclotomicElement.from_rational(lhs, root_order):
             return EqualityReport(False, npoints, avals, "unit-indicator expansion mismatch")
     return EqualityReport(True, npoints, detail="unit-indicator expansion")
-
-
-def _field_order(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)

@@ -9,7 +9,6 @@ fixed configuration (including the seed).
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from . import branch as branch_mod
@@ -46,7 +45,7 @@ def _check(checks: list, cid: str, description: str, passed: bool, **extra):
     return passed
 
 
-def _report(suite: str, checks: list, started: float) -> dict:
+def _report(suite: str, checks: list) -> dict:
     # no timing fields: identical configurations must give identical bytes
     return {
         "suite": suite,
@@ -59,7 +58,6 @@ def _report(suite: str, checks: list, started: float) -> dict:
 
 
 def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 3)) -> dict:
-    started = time.time()
     checks = []
     rnd = random.Random(seed)
 
@@ -122,7 +120,7 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
                 _check(checks, f"mahler.fourier_indicator.n{n}.b{beta}.bp{bp}",
                        "box indicator equals its root-of-unity expansion",
                        rep.passed, points=rep.npoints)
-    return _report("mahler", checks, started)
+    return _report("mahler", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +128,6 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
 
 def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
                    a_max: int = 5, b_max: int = 5) -> dict:
-    started = time.time()
     checks = []
     rnd = random.Random(seed)
 
@@ -231,7 +228,7 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
     _check(checks, "tate.overconvergence_chain",
            "annihilator-certified stage satisfies the norm interpolation bound",
            ok, annihilator=M, stage=s_half, samples=samples_pass)
-    return _report("tate", checks, started)
+    return _report("tate", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +262,6 @@ def _random_cone_weight(n: int, d: int, rnd, bound: int = 6) -> WeightData:
 
 def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
                   cone_samples: int = 100, dim_cap: int = 500) -> dict:
-    started = time.time()
     checks = []
     rnd = random.Random(seed)
 
@@ -365,7 +361,7 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
             ok = False
     _check(checks, "rep.twisted_restriction",
            "character-twisted restriction equals indicator times plain restriction", ok)
-    return _report("rep", checks, started)
+    return _report("rep", checks)
 
 
 def _random_subgroup_point(n: int, d: int, rnd, spread: int = 2) -> branch_mod.MPoint:
@@ -423,7 +419,6 @@ def _random_unit_box_point(n: int, p: int, beta: int, M: int, rnd) -> list:
 
 
 def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
-    started = time.time()
     checks = []
     rnd = random.Random(seed)
 
@@ -552,7 +547,7 @@ def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
     _check(checks, "uea.branching_operator",
            "determinant-operator image is parallel to the twisted vector, "
            "nonzero constant confirmed by evaluation", ok, constants=constants)
-    return _report("uea", checks, started)
+    return _report("uea", checks)
 
 
 def _random_invertible_levi(n: int, d: int, rnd) -> branch_mod.MPoint:
@@ -581,7 +576,6 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
                       budget: int = 10 ** 6, a_max: int = 5,
                       intersection_samples: int = 200,
                       similitude_samples: int = 500) -> dict:
-    started = time.time()
     checks = []
     from itertools import permutations as iperm
 
@@ -659,7 +653,7 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
     _check(checks, "iwahori.gammahat_simple_form",
            "conjugator factors through the simple form times an integral Borel element",
            r_coset["passed"])
-    return _report("iwahori", checks, started)
+    return _report("iwahori", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +661,6 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
 
 def run_interp_suite(seed: int = 0, primes=(3, 5, 7), beta_max: int = 2,
                      cpr_instances: int = 50) -> dict:
-    started = time.time()
     checks = []
     rnd = random.Random(seed)
 
@@ -769,7 +762,7 @@ def run_interp_suite(seed: int = 0, primes=(3, 5, 7), beta_max: int = 2,
     _check(checks, "interp.depletion_factor",
            "depletion multiplier computed; p-power part matches the bookkeeping",
            val.half_exp == 2 * 1 * 2 + 2, half_exp=val.half_exp)
-    return _report("interp", checks, started)
+    return _report("interp", checks)
 
 
 SUITES = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .artinian import ArtinianElement
 from .matrices import ExactMatrix
@@ -192,12 +192,6 @@ def pattern_poly_of_derivation(pattern: SubsetPattern, base, s: ArtinianElement)
     return out * Fraction(1, denom)
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
 def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
                                   deriv: ShiftDerivation, dmax: int) -> TateSeries:
     """Closed form for the k-th binomial polynomial of the derivation on s X^a Y^b."""
@@ -213,7 +207,7 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
             multinom = factorial(k - r)
             for ln in pattern.blocks:
                 multinom //= factorial(ln)
-            coeff = Fraction(1, multinom) * Fraction(1, _binom(k, r)) * _binom(a, r)
+            coeff = Fraction(1, multinom) * Fraction(1, comb(k, r)) * comb(a, r)
             fs = pattern_poly_of_derivation(pattern, deriv.base, s)
             term = fs * (coeff * lam_pow)
             if not term.is_zero():
