@@ -1,11 +1,11 @@
 """padicdesk: exact p-adic desk calculator.
 
 Modules:
-  rationals   -- rationals with p-adic valuation
+  rationals   -- p-adic valuations, unit parts and residues of rationals
   cyclotomic  -- exact cyclotomic field arithmetic
   artinian    -- truncated nilpotent coefficient rings
-  matrices    -- dense exact matrices and local-ring inversion
-  polynomials -- sparse multivariate polynomials and exact linear algebra
+  matrices    -- exact matrices, row reduction over Q and Z/m, local-ring inversion
+  polynomials -- sparse multivariate polynomials, sparse echelon, nullspace
   mahler      -- binomial calculus, box functions, root-of-unity expansions
   tate        -- nilpotent derivations on truncated Tate algebras
   glrep       -- GL weight combinatorics and irreducible function models

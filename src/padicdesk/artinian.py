@@ -167,10 +167,6 @@ class ArtinianElement:
         """Coefficient of the full monomial T_1...T_a."""
         return self.coefficient(range(self.ngens))
 
-    def substitute_zero(self) -> Fraction:
-        """Residue map T_i -> 0."""
-        return self.constant_term()
-
     def __repr__(self):
         if not self.terms:
             return "0"

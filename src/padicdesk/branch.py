@@ -22,7 +22,6 @@ from itertools import combinations_with_replacement
 from .glrep import GLBlockModel, WeightData, weyl_dimension
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import Poly, nullspace
-from .rationals import valuation, INF
 
 
 class MPoint:
@@ -119,7 +118,8 @@ class BranchModel:
         self.index = []
         self._build_index()
         self.dimension = len(self.index)
-        assert self.dimension == total
+        if self.dimension != total:
+            raise ArithmeticError(f"model index has {self.dimension} entries, expected {total}")
         self.coords = None
         self.eigen_dimension = None
         if solve:
@@ -267,8 +267,7 @@ class BranchModel:
             support = sorted(set().union(*[set(im) for im in images]) if images else [])
             for row_key in support:
                 conditions.append([im.get(row_key, Fraction(0)) for im in images])
-        sol = nullspace(conditions, len(subspace)) if conditions else \
-            [[Fraction(1) if i == k else Fraction(0) for i in range(len(subspace))] for k in range(len(subspace))]
+        sol = nullspace(conditions, len(subspace))
         self.eigen_dimension = len(sol)
         if len(sol) != 1:
             raise ArithmeticError(

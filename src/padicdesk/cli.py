@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from .glrep import WeightData, cone_decompose
+from .rationals import is_prime
 from .suites import SUITES, BudgetExceeded
 
 
@@ -116,14 +117,14 @@ def _run_branch(args) -> int:
     import random
 
     rnd = random.Random(args.seed)
-    from .suites import _random_congruence_unipotent, _random_unit_box_point
+    from .suites import random_congruence_unipotent, random_unit_box_point
 
     p, beta = args.p, args.beta
     M = beta + 2
     samples = []
     for _ in range(5):
-        g = _random_congruence_unipotent(wd.n, wd.d, p, beta, M, rnd)
-        a = _random_unit_box_point(wd.n, p, beta, M, rnd)
+        g = random_congruence_unipotent(wd.n, wd.d, p, beta, M, rnd)
+        a = random_unit_box_point(wd.n, p, beta, M, rnd)
         val = bm.box_restriction_value(g, a)
         samples.append({
             "box_point": [str(x) for x in a],
@@ -287,6 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_input(args) -> str | None:
+    """The first out-of-range global option, described; None if all are valid."""
+    if not is_prime(args.p):
+        return f"--p {args.p} is not prime"
+    if args.beta < 1:
+        return f"--beta {args.beta} must be >= 1"
+    if args.k_max < 0:
+        return f"--k-max {args.k_max} must be >= 0"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -297,6 +309,10 @@ def main(argv=None) -> int:
         args.k_max = 8
     if not hasattr(args, "dmax"):
         args.dmax = 12
+    bad = _bad_input(args)
+    if bad:
+        _emit({"error": "bad input", "message": bad}, args.out)
+        return EXIT_INPUT
     if args.command == "branch":
         if not args.weight and not args.weight_json:
             parser.error("branch requires --weight or --weight-json")

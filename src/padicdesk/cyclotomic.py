@@ -49,7 +49,8 @@ def cyclotomic_polynomial(m: int):
         if d == m:
             continue
         num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-        assert not rem, "cyclotomic division must be exact"
+        if rem:
+            raise ArithmeticError("cyclotomic division must be exact")
     return tuple(num)
 
 
@@ -232,11 +233,6 @@ class CyclotomicElement:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
 
     def __repr__(self):
         terms = []

@@ -19,12 +19,10 @@ by first-order polynomial derivations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product as iproduct
-from math import factorial
+from itertools import permutations
 
 from .matrices import ExactMatrix, rational_inverse
-from .polynomials import Poly, SparseEchelon, nullspace
-from .rationals import valuation, INF
+from .polynomials import Poly, SparseEchelon
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +38,8 @@ def weyl_dimension(weight) -> int:
         for j in range(i + 1, m):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("Weyl dimension formula gave a non-integer")
     return num // den
 
 
@@ -453,9 +452,6 @@ class GLBlockModel:
             else:
                 val = val * _ring_inverse_power(det, self.shift)
         return val
-
-    def evaluate_basis(self, g: ExactMatrix, with_twist: bool = True) -> list:
-        return [self.evaluate(f, g, with_twist) for f in self.basis]
 
 
 def _ring_inverse_power(x, k: int):

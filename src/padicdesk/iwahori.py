@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .artinian import ArtinianElement
-from .matrices import ExactMatrix, rational_inverse, modular_inverse
+from .matrices import ExactMatrix, modular_inverse, rational_inverse, row_reduce
 from .polynomials import Poly
 from .rationals import valuation
 
@@ -329,7 +329,8 @@ def gl2_index_enumeration(p: int, e: int, beta: int) -> int:
             count_e += 1
         if c % modulus == 0:
             count_beta += 1
-    assert count_e % count_beta == 0
+    if count_e % count_beta:
+        raise ArithmeticError("index enumeration is not a multiple of the deeper count")
     return count_e // count_beta
 
 
@@ -367,34 +368,17 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
         y[yi][yj] = 1
         img = _mod_mul(_mod_mul(_mat_mod(gh_inv, p), y, p), _mat_mod(gh, p), p)
         cols.append([img[i][j] % p for (i, j) in lower_pos])
-    # row reduce the transposed system once: solve A x = target for each rep
-    nrows = len(lower_pos)
+    # solve A y = target mod p per representative; A has these images as columns
     ncols = len(y_basis)
-    aug_rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
+    a_rows = list(zip(*cols))
 
     def solve_mod_p(target):
-        mat_a = [row[:] + [t] for row, t in zip(aug_rows, target)]
-        piv_cols = []
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if mat_a[i][c] % p), None)
-            if piv is None:
-                continue
-            mat_a[r], mat_a[piv] = mat_a[piv], mat_a[r]
-            inv = pow(mat_a[r][c], -1, p)
-            mat_a[r] = [(x * inv) % p for x in mat_a[r]]
-            for i in range(nrows):
-                if i != r and mat_a[i][c]:
-                    f = mat_a[i][c]
-                    mat_a[i] = [(x - f * y) % p for x, y in zip(mat_a[i], mat_a[r])]
-            piv_cols.append(c)
-            r += 1
-        for i in range(r, nrows):
-            if mat_a[i][ncols] % p:
-                return None
+        reduced, piv_cols = row_reduce([[*row, t] for row, t in zip(a_rows, target)], p)
+        if piv_cols and piv_cols[-1] == ncols:
+            return None  # a pivot in the target column: inconsistent
         sol = [0] * ncols
-        for i, c in enumerate(piv_cols):
-            sol[c] = mat_a[i][ncols] % p
+        for row, c in zip(reduced, piv_cols):
+            sol[c] = row[ncols]
         return sol
 
     witnesses = []
@@ -413,8 +397,7 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
         x = [[(1 if i == j else 0) for j in range(m)] for i in range(m)]
         for val, (i, j) in zip(target, lower_pos):
             x[i][j] = (x[i][j] + p ** beta * val) % modulus
-        h_mat = ExactMatrix([[Fraction(v) for v in row] for row in h])
-        conj = _mat_mod(gh_inv * h_mat * gh, modulus)
+        conj = _mod_mul(_mod_mul(ghi_res, h, modulus), gh_res, modulus)
         if not iwahori_member(conj, p, beta, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
@@ -484,7 +467,8 @@ def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> di
     for k in range(samples):
         deep = k % 2 == 0
         h = sample_block_subgroup(n, p, beta + 1 if deep else beta, M, rnd)
-        assert subgroup_member(h, n, p, beta, M)
+        if not subgroup_member(h, n, p, beta, M):
+            raise ArithmeticError("sampled element left the depth-beta subgroup")
         conj = _mat_mod(gh_inv * h * gh, modulus)
         lhs = iwahori_member(conj, p, beta + 1, modulus)
         rhs = subgroup_member(h, n, p, beta + 1, M)
@@ -526,27 +510,6 @@ def _strict_lower_coords(mat: ExactMatrix) -> list:
     return [mat.rows[i][j] for i in range(m) for j in range(m) if i > j]
 
 
-def _rank(rows: list) -> int:
-    if not rows:
-        return 0
-    mat = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def orbit_stabilizer_gammahat(n: int) -> dict:
     """Stabilizer dimension of the block pair times Borel at gammahat, one component.
 
@@ -561,7 +524,7 @@ def orbit_stabilizer_gammahat(n: int) -> dict:
         x = ExactMatrix([[Fraction(1) if (r, c) == (i, j) else Fraction(0)
                           for c in range(m)] for r in range(m)])
         rows.append([Fraction(v) for v in _strict_lower_coords(gh_inv * x * gh)])
-    rank = _rank(rows)
+    rank = len(row_reduce(rows)[1])
     dim_h = 2 * n * n
     dim_b = n * (2 * n + 1)
     dim_stab = dim_h - rank
@@ -611,7 +574,7 @@ def orbit_stabilizer_uv(n: int, distinguished: bool = True) -> dict:
         for r in range(n + 1, m):
             cond.append(xv.rows[r][n])
         rows.append([Fraction(val) for val in cond])
-    rank = _rank(rows)
+    rank = len(row_reduce(rows)[1])
     dim_h = len(hpairs)
     dim_stab = dim_h - rank
     if distinguished:

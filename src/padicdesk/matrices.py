@@ -1,14 +1,16 @@
 """Dense exact matrices over Fraction, CyclotomicElement or ArtinianElement.
 
 Sizes in this package stay small (<= 6ish for Artinian coefficients,
-<= 2n <= 6 for group elements), so determinants are computed by expansion
-and inverses by adjugate-free elimination or nilpotent geometric series.
+<= 2n <= 6 for group elements), so determinants are computed by expansion.
+All exact elimination over Q or Z/m (inverses, nullspaces, ranks, solves)
+goes through `row_reduce`; Artinian inverses sum a nilpotent geometric series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from .artinian import ArtinianElement
 
@@ -99,44 +101,66 @@ class ExactMatrix:
         return "ExactMatrix(" + ", ".join(str(r) for r in self.rows) + ")"
 
 
-def rational_inverse(mat: ExactMatrix) -> ExactMatrix:
-    """Inverse of a matrix over Q by Gauss-Jordan elimination."""
-    n = mat.nrows
-    aug = [[Fraction(mat.rows[i][j]) for j in range(n)] +
-           [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def row_reduce(rows, modulus=None):
+    """Reduced row echelon form over Q, or over Z/modulus when one is given.
+
+    Each column takes as pivot its first nonzero entry (over Q) or first unit
+    (mod m) at or below the rows already pivoted; a column without one is
+    skipped.  Returns (reduced rows, pivot columns), pivot rows first.
+    """
+    if modulus is None:
+        mat = [[Fraction(x) for x in r] for r in rows]
+    else:
+        mat = [[int(x) % modulus for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if modulus is None:
+            piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        else:
+            piv = next((i for i in range(r, len(mat)) if gcd(mat[i][c], modulus) == 1), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return ExactMatrix([row[n:] for row in aug])
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        if modulus is None:
+            inv = 1 / mat[r][c]
+            mat[r] = prow = [x * inv for x in mat[r]]
+        else:
+            inv = pow(mat[r][c], -1, modulus)
+            mat[r] = prow = [x * inv % modulus for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                if modulus is None:
+                    mat[i] = [x - f * y for x, y in zip(row, prow)]
+                else:
+                    mat[i] = [(x - f * y) % modulus for x, y in zip(row, prow)]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots
+
+
+def _inverse(mat: ExactMatrix, modulus, message: str) -> ExactMatrix:
+    """Reduce [A | I]; A is invertible iff its columns are the first n pivots."""
+    n = mat.nrows
+    reduced, pivots = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat.rows)],
+        modulus)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError(message)
+    return ExactMatrix([row[n:] for row in reduced])
+
+
+def rational_inverse(mat: ExactMatrix) -> ExactMatrix:
+    """Inverse of a matrix over Q."""
+    return _inverse(mat, None, "singular matrix")
 
 
 def modular_inverse(mat: ExactMatrix, modulus: int) -> ExactMatrix:
     """Inverse of an integer matrix mod m (pivots must be units of Z/m)."""
-    n = mat.nrows
-    aug = [[int(mat.rows[i][j]) % modulus for j in range(n)] +
-           [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    from math import gcd
-
-    for col in range(n):
-        piv = next((r for r in range(col, n) if gcd(aug[r][col], modulus) == 1), None)
-        if piv is None:
-            raise ZeroDivisionError("no unit pivot mod modulus")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, modulus)
-        aug[col] = [(x * inv) % modulus for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % modulus for x, y in zip(aug[r], aug[col])]
-    return ExactMatrix([row[n:] for row in aug])
+    return _inverse(mat, modulus, "no unit pivot mod modulus")
 
 
 def artinian_invert(mat: ExactMatrix) -> ExactMatrix:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .matrices import row_reduce
+
 
 def _mono_mul(m1, m2):
     d = dict(m1)
@@ -158,10 +160,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
-    def leading_key(self):
-        """Canonical pivot monomial (grevlex-ish deterministic order)."""
-        return max(self.terms, key=_mono_key)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -240,32 +238,13 @@ class SparseEchelon:
 
 
 def nullspace(rows: list, ncols: int) -> list:
-    """Exact nullspace basis of a list of dense Fraction rows."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    """Exact nullspace basis over Q of a list of dense rows: one vector per free column."""
+    reduced, pivots = row_reduce(rows)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis

@@ -43,14 +43,6 @@ def valuation(x, p: int = DEFAULT_PRIME):
     return v
 
 
-def is_p_integral(x, p: int = DEFAULT_PRIME) -> bool:
-    return Fraction(x).denominator % p != 0
-
-
-def is_p_unit(x, p: int = DEFAULT_PRIME) -> bool:
-    return valuation(x, p) == 0
-
-
 def unit_part(x, p: int = DEFAULT_PRIME) -> Fraction:
     """Write x = u * p^v with u a p-unit and return u."""
     x = Fraction(x)
@@ -68,98 +60,3 @@ def residue(x, modulus: int) -> int:
     if gcd(x.denominator, modulus) != 1:
         raise ValueError("denominator not invertible mod modulus")
     return (x.numerator * pow(x.denominator, -1, modulus)) % modulus
-
-
-class PadicScalar:
-    """A rational number together with a distinguished prime.
-
-    Thin wrapper over Fraction; arithmetic stays exact, the prime only
-    feeds the valuation / unit predicates.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p: int = DEFAULT_PRIME):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        self.value = Fraction(value)
-        self.p = p
-
-    def _coerce(self, other) -> Fraction:
-        if isinstance(other, PadicScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other.value
-        return Fraction(other)
-
-    def __add__(self, other):
-        return PadicScalar(self.value + self._coerce(other), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return PadicScalar(self.value - self._coerce(other), self.p)
-
-    def __rsub__(self, other):
-        return PadicScalar(self._coerce(other) - self.value, self.p)
-
-    def __mul__(self, other):
-        return PadicScalar(self.value * self._coerce(other), self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return PadicScalar(self.value / self._coerce(other), self.p)
-
-    def __neg__(self):
-        return PadicScalar(-self.value, self.p)
-
-    def __pow__(self, k: int):
-        return PadicScalar(self.value ** k, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PadicScalar):
-            return self.p == other.p and self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def valuation(self):
-        return valuation(self.value, self.p)
-
-    def norm_exponent(self):
-        """|x|_p as exact exponent: |x|_p = p^e with e = -v_p(x); -inf for 0."""
-        v = self.valuation()
-        return -INF if v == INF else -v
-
-    def __repr__(self):
-        return f"PadicScalar({self.value}, p={self.p})"
-
-    def to_json(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
-
-    @classmethod
-    def from_json(cls, s: str, p: int = DEFAULT_PRIME) -> "PadicScalar":
-        return cls(Fraction(s), p)
-
-
-def rational_to_json(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def rational_from_json(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def binom(x, k: int):
-    """binom(x, k) = x(x-1)...(x-k+1)/k! for rational (or ring) x, integer k >= 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    num = Fraction(1)
-    for i in range(k):
-        num = num * (x - i)
-    from math import factorial
-
-    return num / factorial(k)

@@ -17,21 +17,15 @@ from . import mahler
 from . import tate
 from .artinian import ArtinianElement, derivation_from_images
 from .characters import PCharacter, gauss_sum
-from .cyclotomic import CyclotomicElement, cyclotomic_polynomial
-from .glrep import (WeightData, cone_decompose, cone_reconstruct,
-                    pieri_character_check, pieri_decompose)
-from .interp import (HalfPowerValue, SatakeData, SmoothCharacter,
-                     cpr_identity_check, depletion_eigen_factor,
-                     epsilon_factor, epsilon_inversion_check,
-                     interpolation_factor, modulus_deltaB, t_p_e_exponents)
-from .matrices import ExactMatrix, artinian_invert, rational_inverse
-from .polynomials import Poly
+from .cyclotomic import CyclotomicElement
+from .glrep import WeightData, cone_decompose, cone_reconstruct, pieri_character_check
+from .interp import (HalfPowerValue, SatakeData, SmoothCharacter, cpr_identity_check,
+                     depletion_eigen_factor, epsilon_inversion_check, modulus_deltaB)
+from .matrices import ExactMatrix
 from .rationals import INF, valuation
 from .uea import (EquivariantFunction, UEAElement, branching_operator_constant,
-                  commutator_leibniz_check, det_operator_full,
-                  det_operator_skipping, h_eigenfunctions, mu_sigma,
-                  nonvanishing_closed_form, open_orbit_point, pbw_normalize,
-                  uea_act_at)
+                  commutator_leibniz_check, commute_check, h_eigenfunctions, mu_sigma,
+                  nonvanishing_closed_form, open_orbit_point, pbw_normalize, uea_act_at)
 
 
 class BudgetExceeded(Exception):
@@ -314,7 +308,7 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
     ok = True
     for bm in models[:4]:
         for _ in range(5):
-            m = _random_subgroup_point(bm.wd.n, bm.wd.d, rnd)
+            m = random_subgroup_point(bm.wd.n, bm.wd.d, rnd)
             if not bm.eigen_check(m):
                 ok = False
     _check(checks, "rep.group_eigen_property",
@@ -327,8 +321,8 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
     for bm in models:
         n, d = bm.wd.n, bm.wd.d
         for _ in range(6):
-            g = _random_congruence_unipotent(n, d, p, beta, M, rnd)
-            a = _random_unit_box_point(n, p, beta, M, rnd)
+            g = random_congruence_unipotent(n, d, p, beta, M, rnd)
+            a = random_unit_box_point(n, p, beta, M, rnd)
             val = bm.box_restriction_value(g, a)
             if valuation(val - 1, p) < beta:
                 ok = False
@@ -345,8 +339,8 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
     bm = branch_mod.BranchModel(wd, dim_cap)
     ok = True
     for trial in range(10):
-        g = _random_congruence_unipotent(2, 1, p, beta, M, rnd)
-        a = _random_unit_box_point(2, p, beta, M, rnd)
+        g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
+        a = random_unit_box_point(2, p, beta, M, rnd)
         if trial % 3 == 2:
             a[2 - 1] = Fraction(p * rnd.randrange(0, p))  # leave the unit box
         tw = branch_mod.twisted_product_value(fam, wd, [chi], g, a)
@@ -364,7 +358,7 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
     return _report("rep", checks)
 
 
-def _random_subgroup_point(n: int, d: int, rnd, spread: int = 2) -> branch_mod.MPoint:
+def random_subgroup_point(n: int, d: int, rnd, spread: int = 2) -> branch_mod.MPoint:
     def rand_unimod(m):
         mat = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
         for _ in range(2 * m):
@@ -398,7 +392,7 @@ def _random_subgroup_point(n: int, d: int, rnd, spread: int = 2) -> branch_mod.M
                              Fraction(rnd.choice([1, -1, 2, 3])), blocks)
 
 
-def _random_congruence_unipotent(n: int, d: int, p: int, beta: int, M: int, rnd):
+def random_congruence_unipotent(n: int, d: int, p: int, beta: int, M: int, rnd):
     mdim = 2 * n - 1
     blk = [[Fraction(1) if i == j else Fraction(0) for j in range(mdim)] for i in range(mdim)]
     for i in range(mdim):
@@ -408,7 +402,7 @@ def _random_congruence_unipotent(n: int, d: int, p: int, beta: int, M: int, rnd)
                              [ExactMatrix.identity(2 * n) for _ in range(d - 1)])
 
 
-def _random_unit_box_point(n: int, p: int, beta: int, M: int, rnd) -> list:
+def random_unit_box_point(n: int, p: int, beta: int, M: int, rnd) -> list:
     a = [Fraction(rnd.randrange(0, p ** M)) for _ in range(n - 1)]
     a += [Fraction(1 + p ** beta * rnd.randrange(0, p ** (M - beta)))]
     a += [Fraction(p * rnd.randrange(0, p ** (M - 1))) for _ in range(n - 1)]
@@ -439,14 +433,8 @@ def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
            "rewriting is idempotent and a fixpoint for products", ok)
 
     # determinant arrays commute and are order-independent
-    ok = True
-    for n in n_values:
-        arr = [[UEAElement.generator(0, i, j + n) for j in range(n)] for i in range(n)]
-        flat = [g for row in arr for g in row]
-        for x in flat:
-            for y in flat:
-                if not pbw_normalize(x * y - y * x).is_zero():
-                    ok = False
+    ok = all(commute_check([[UEAElement.generator(0, i, j + n) for j in range(n)]
+                            for i in range(n)]) for n in n_values)
     _check(checks, "uea.det_entries_commute",
            "all entries of the determinant arrays pairwise commute", ok)
 

@@ -173,7 +173,7 @@ def commute_check(elem_matrix) -> bool:
     flat = [g for row in elem_matrix for g in row]
     for x in flat:
         for y in flat:
-            if pbw_normalize(x * y - y * x).is_zero() is False:
+            if not pbw_normalize(x * y - y * x).is_zero():
                 return False
     return True
 
@@ -311,8 +311,7 @@ def h_eigenfunctions(model: GLBlockModel, a: int, b: int, nu1: int, nu2: int) ->
                     row = [im[row_idx] for im in images]
                     if any(row):
                         conditions.append(row)
-    sols = nullspace(conditions, len(subspace)) if conditions else \
-        [[Fraction(1) if i == k else Fraction(0) for i in range(len(subspace))] for k in range(len(subspace))]
+    sols = nullspace(conditions, len(subspace))
     out = []
     for sol in sols:
         coords = [Fraction(0)] * model.dimension

@@ -22,8 +22,8 @@ from padicdesk.interp import (HalfPowerValue, SatakeData, SmoothCharacter,
                               cpr_identity_check, epsilon_inversion_check)
 from padicdesk.matrices import ExactMatrix
 from padicdesk.rationals import INF, valuation
-from padicdesk.suites import (_random_congruence_unipotent, _random_invertible_levi,
-                              _random_subgroup_point, _random_unit_box_point)
+from padicdesk.suites import (random_congruence_unipotent, _random_invertible_levi,
+                              random_subgroup_point, random_unit_box_point)
 from padicdesk.uea import (EquivariantFunction, branching_operator_constant,
                            commutator_leibniz_check, h_eigenfunctions, mu_sigma,
                            nonvanishing_closed_form, open_orbit_point, uea_act_at)
@@ -164,7 +164,7 @@ def test_criterion_04_multiplicity_one_and_normalization():
         if bm.pair_value(u, v_basepoint(wd.n, wd.d)) != 1:
             ok = False
         for _ in range(20):
-            if not bm.eigen_check(_random_subgroup_point(wd.n, wd.d, rnd)):
+            if not bm.eigen_check(random_subgroup_point(wd.n, wd.d, rnd)):
                 ok = False
     _report(4, 120, started, ok,
             f"{len(BRANCH_INSTANCES)} instances, eigenspace dim 1, unit normalization, "
@@ -181,8 +181,8 @@ def test_criterion_05_unit_values():
     for beta in (1, 2):
         M = beta + 2
         for _ in range(50):
-            g = _random_congruence_unipotent(2, 1, p, beta, M, rnd)
-            a = _random_unit_box_point(2, p, beta, M, rnd)
+            g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
+            a = random_unit_box_point(2, p, beta, M, rnd)
             val = bm.box_restriction_value(g, a)
             if valuation(val - 1, p) < beta:
                 ok = False

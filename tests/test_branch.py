@@ -11,8 +11,8 @@ from padicdesk.glrep import WeightData
 from padicdesk.mahler import weighted_indicator
 from padicdesk.matrices import ExactMatrix
 from padicdesk.rationals import valuation
-from padicdesk.suites import (_random_congruence_unipotent, _random_subgroup_point,
-                              _random_unit_box_point)
+from padicdesk.suites import (random_congruence_unipotent, random_subgroup_point,
+                              random_unit_box_point)
 
 
 def test_trivial_weight():
@@ -53,7 +53,7 @@ def test_group_eigen_property():
     rnd = random.Random(7)
     bm = BranchModel(WeightData(2, 1, 0, [[3, 2, -2, -3]], [1]))
     for _ in range(20):
-        m = _random_subgroup_point(2, 1, rnd)
+        m = random_subgroup_point(2, 1, rnd)
         assert bm.eigen_check(m)
 
 
@@ -62,7 +62,7 @@ def test_group_eigen_property_two_components():
     wd = WeightData(2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1])
     bm = BranchModel(wd)
     for _ in range(5):
-        assert bm.eigen_check(_random_subgroup_point(2, 2, rnd))
+        assert bm.eigen_check(random_subgroup_point(2, 2, rnd))
 
 
 def test_unit_values_and_column_oracle():
@@ -74,8 +74,8 @@ def test_unit_values_and_column_oracle():
         bm = BranchModel(wd)
         n = wd.n
         for _ in range(8):
-            g = _random_congruence_unipotent(n, wd.d, p, beta, M, rnd)
-            a = _random_unit_box_point(n, p, beta, M, rnd)
+            g = random_congruence_unipotent(n, wd.d, p, beta, M, rnd)
+            a = random_unit_box_point(n, p, beta, M, rnd)
             val = bm.box_restriction_value(g, a)
             assert valuation(val - 1, p) >= beta
             assert val == bm.open_orbit_value(g, column_point(n, a))
@@ -87,8 +87,8 @@ def test_unit_values_beta_two():
     rnd = random.Random(13)
     bm = BranchModel(WeightData(2, 1, 0, [[2, 1, -2, -2]], [0]))
     for _ in range(6):
-        g = _random_congruence_unipotent(2, 1, p, beta, M, rnd)
-        a = _random_unit_box_point(2, p, beta, M, rnd)
+        g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
+        a = random_unit_box_point(2, p, beta, M, rnd)
         val = bm.box_restriction_value(g, a)
         assert valuation(val - 1, p) >= beta
 
@@ -101,7 +101,7 @@ def test_general_unit_value_without_congruence():
     wd = WeightData(2, 1, 0, [[3, 2, -2, -3]], [1])
     bm = BranchModel(wd)
     for unit in (1, 2, 4, 5):
-        g = _random_congruence_unipotent(2, 1, p, beta, M, rnd)
+        g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
         a = [Fraction(rnd.randrange(0, p ** M)), Fraction(unit),
              Fraction(p * rnd.randrange(0, p ** (M - 1)))]
         val = bm.box_restriction_value(g, a)
@@ -135,8 +135,8 @@ def test_generator_product_reassembly_and_twist():
     wd = WeightData(2, 1, 0, [[3, 2, -2, -3]], [1])
     bm = BranchModel(wd)
     for trial in range(10):
-        g = _random_congruence_unipotent(2, 1, p, beta, M, rnd)
-        a = _random_unit_box_point(2, p, beta, M, rnd)
+        g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
+        a = random_unit_box_point(2, p, beta, M, rnd)
         if trial % 3 == 2:
             a[1] = Fraction(p * rnd.randrange(0, p))  # leave the unit box
             assert twisted_product_value(fam, wd, [chi], g, a).is_zero()
@@ -163,6 +163,6 @@ def test_trivial_weight_restriction_constant_one():
     rnd = random.Random(31)
     bm = BranchModel(WeightData(2, 1, 0, [[0, 0, 0, 0]], [0]))
     for _ in range(5):
-        g = _random_congruence_unipotent(2, 1, p, beta, M, rnd)
-        a = _random_unit_box_point(2, p, beta, M, rnd)
+        g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
+        a = random_unit_box_point(2, p, beta, M, rnd)
         assert bm.box_restriction_value(g, a) == 1

@@ -11,7 +11,6 @@ import pytest
 
 from padicdesk import characters
 from padicdesk.characters import PCharacter, gauss_sum
-from padicdesk.cli import main
 from padicdesk.cyclotomic import CyclotomicElement
 from padicdesk.interp import HalfPowerValue, SatakeData, SmoothCharacter, interpolation_factor
 
@@ -159,13 +158,3 @@ def test_interpolation_factor_stays_in_the_gauss_sum_field():
     pinned = "8dcaf4a8fd2e8ee3c894c5fd34e789da49f7211009c06534613f00e79e14b2f3"
     image = json.dumps(value.coeff.embed(2028).to_json()).encode()
     assert hashlib.sha256(image).hexdigest() == pinned
-
-
-@pytest.mark.parametrize("suite, digest", [
-    ("interp", "11a350559ff23ca0e7a395a98bd4e1a79d4222d9b068bd3e42737ad7ef67a30e"),
-    ("mahler", "51464be5468015643cb95c7ee15e5672e937696a1e3b164b00e7834590c8aa5d"),
-], ids=["interp", "mahler"])
-def test_character_suite_reports_pinned(suite, digest, capsys):
-    assert main(["--seed", "7", "verify", "--suite", suite]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest

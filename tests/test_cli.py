@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -134,3 +135,35 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "branch" in proc.stdout and "verify" in proc.stdout
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("interp", "11a350559ff23ca0e7a395a98bd4e1a79d4222d9b068bd3e42737ad7ef67a30e"),
+    ("iwahori", "61e10d65617b35384931090abfc1c70430ce05b490bbaf81b7a9f3d430e93bde"),
+    ("mahler", "51464be5468015643cb95c7ee15e5672e937696a1e3b164b00e7834590c8aa5d"),
+    ("rep", "1ec5a4cd1a4da7d09f410219db958001ff1171398b2ac80fd8eeb5803f661d08"),
+    ("uea", "c433f35dafd1eca55b67712ee2be99e3a6e6b76a7369b89a324eb198c3f9c439"),
+], ids=["interp", "iwahori", "mahler", "rep", "uea"])
+def test_suite_reports_pinned(suite, digest, capsys):
+    assert main(["--seed", "7", "verify", "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p", "4", "verify", "--suite", "mahler"], "--p 4 is not prime"),
+    (["--p", "1", "tate", "verify"], "--p 1 is not prime"),
+    (["--beta", "0", "iwahori", "verify"], "--beta 0 must be >= 1"),
+    (["tate", "verify", "--k-max", "-1"], "--k-max -1 must be >= 0"),
+], ids=["p-composite", "p-one", "beta-zero", "k-max-negative"])
+def test_bad_global_option(args, message, capsys):
+    code, out = run_cli(args, capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "bad input", "message": message}
+
+
+def test_bad_input_exit_does_not_depend_on_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-m", "padicdesk.cli", "--beta", "0",
+                           "iwahori", "verify"], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == "bad input"

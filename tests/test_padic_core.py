@@ -9,7 +9,7 @@ from padicdesk.artinian import ArtinianElement
 from padicdesk.cyclotomic import (CyclotomicElement, cyclotomic_polynomial,
                                   cyclotomic_reduce)
 from padicdesk.matrices import ExactMatrix, artinian_invert
-from padicdesk.rationals import INF, PadicScalar, valuation
+from padicdesk.rationals import INF, valuation
 
 
 def test_valuation_examples():
@@ -34,19 +34,6 @@ def test_valuation_multiplicative_and_ultrametric(x, y, p):
         assert v >= min(vx, vy)
         if vx != vy:
             assert v == min(vx, vy)
-
-
-def test_padic_scalar_norm_multiplicative():
-    a = PadicScalar(Fraction(12, 5), 3)
-    b = PadicScalar(Fraction(5, 9), 3)
-    assert (a * b).norm_exponent() == a.norm_exponent() + b.norm_exponent()
-    assert PadicScalar(0, 3).norm_exponent() == -INF
-
-
-def test_rational_serialization():
-    a = PadicScalar(Fraction(-7, 8), 3)
-    assert PadicScalar.from_json(a.to_json(), 3) == a
-    assert a.to_json() == "-7/8"
 
 
 def test_cyclotomic_reduce_examples():
