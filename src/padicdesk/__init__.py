@@ -4,7 +4,7 @@ Modules:
   rationals   -- p-adic valuations, unit parts and residues of rationals
   cyclotomic  -- exact cyclotomic field arithmetic
   artinian    -- truncated nilpotent coefficient rings
-  matrices    -- exact matrices, row reduction over Q and Z/m, local-ring inversion
+  matrices    -- exact matrices, row reduction over Q and Z/m
   polynomials -- sparse multivariate polynomials, sparse echelon, nullspace
   mahler      -- binomial calculus, box functions, root-of-unity expansions
   tate        -- nilpotent derivations on truncated Tate algebras

@@ -1,69 +1,57 @@
-"""Truncated Artinian coefficient rings Q[T_1..T_a]/(T_i^2), optionally mod p^N.
+"""Truncated Artinian coefficient rings Q[T_1..T_a]/(T_i^2).
 
 Elements are maps from square-free monomials in the nilpotent generators to
-coefficients.  Monomials are frozensets of generator indices; the empty set
-is the constant term.  Coefficients are exact rationals by default, or
-integers mod m when a modulus is given (then division is restricted to
-units of Z/m).
+rational coefficients.  Monomials are frozensets of generator indices; the
+empty set is the constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+
 
 class ArtinianElement:
-    """Element of Q[T_1..T_a]/(T_i^2) (or (Z/m)[T_1..T_a]/(T_i^2))."""
+    """Element of Q[T_1..T_a]/(T_i^2)."""
 
-    __slots__ = ("ngens", "modulus", "terms")
+    __slots__ = ("ngens", "terms")
 
-    def __init__(self, ngens: int, terms=None, modulus: int | None = None):
+    def __init__(self, ngens: int, terms=None):
         self.ngens = ngens
-        self.modulus = modulus
         clean = {}
         for mono, c in (terms or {}).items():
             mono = frozenset(mono)
             if any(i < 0 or i >= ngens for i in mono):
                 raise ValueError("generator index out of range")
-            c = self._coeff(c)
+            c = Fraction(c)
             if c:
-                clean[mono] = clean.get(mono, self._coeff(0)) + c
+                clean[mono] = clean.get(mono, _ZERO) + c
                 if not clean[mono]:
                     del clean[mono]
-        if self.modulus is not None:
-            clean = {m: c % self.modulus for m, c in clean.items() if c % self.modulus}
         self.terms = clean
-
-    def _coeff(self, c):
-        if self.modulus is None:
-            return Fraction(c)
-        if isinstance(c, Fraction):
-            if c.denominator == 1:
-                return c.numerator % self.modulus
-            from math import gcd
-
-            if gcd(c.denominator, self.modulus) != 1:
-                raise ValueError("non-unit denominator mod modulus")
-            return (c.numerator * pow(c.denominator, -1, self.modulus)) % self.modulus
-        return int(c) % self.modulus
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, ngens: int, c, modulus: int | None = None) -> "ArtinianElement":
-        return cls(ngens, {frozenset(): c}, modulus)
+    def constant(cls, ngens: int, c) -> "ArtinianElement":
+        return cls(ngens, {frozenset(): c})
 
     @classmethod
-    def gen(cls, ngens: int, i: int, modulus: int | None = None) -> "ArtinianElement":
-        return cls(ngens, {frozenset([i]): 1}, modulus)
+    def gen(cls, ngens: int, i: int) -> "ArtinianElement":
+        return cls(ngens, {frozenset([i]): 1})
 
     def _like(self, terms) -> "ArtinianElement":
-        return ArtinianElement(self.ngens, terms, self.modulus)
+        """An element of this ring from in-range monomials and Fraction coefficients."""
+        out = ArtinianElement.__new__(ArtinianElement)
+        out.ngens = self.ngens
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
 
     def _check(self, other) -> "ArtinianElement":
         if not isinstance(other, ArtinianElement):
-            return ArtinianElement.constant(self.ngens, other, self.modulus)
-        if other.ngens != self.ngens or other.modulus != self.modulus:
+            return ArtinianElement.constant(self.ngens, other)
+        if other.ngens != self.ngens:
             raise ValueError("mixed Artinian rings")
         return other
 
@@ -73,7 +61,7 @@ class ArtinianElement:
         other = self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, self._coeff(0)) + c
+            out[m] = out.get(m, _ZERO) + c
         return self._like(out)
 
     __radd__ = __add__
@@ -88,6 +76,9 @@ class ArtinianElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, ArtinianElement):
+            scalar = Fraction(other)
+            return self._like({m: c * scalar for m, c in self.terms.items()})
         other = self._check(other)
         out = {}
         for m1, c1 in self.terms.items():
@@ -95,7 +86,7 @@ class ArtinianElement:
                 if m1 & m2:
                     continue  # T_i^2 = 0
                 m = m1 | m2
-                out[m] = out.get(m, self._coeff(0)) + c1 * c2
+                out[m] = out.get(m, _ZERO) + c1 * c2
         return self._like(out)
 
     __rmul__ = __mul__
@@ -103,7 +94,7 @@ class ArtinianElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = ArtinianElement.constant(self.ngens, 1, self.modulus)
+        out = ArtinianElement.constant(self.ngens, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -116,37 +107,27 @@ class ArtinianElement:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ngens, self.modulus, tuple(sorted(self.terms.items(), key=lambda kv: sorted(kv[0])))))
+        return hash((self.ngens, tuple(sorted(self.terms.items(), key=lambda kv: sorted(kv[0])))))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self):
-        return self.terms.get(frozenset(), self._coeff(0))
+    def constant_term(self) -> Fraction:
+        return self.terms.get(frozenset(), _ZERO)
 
     def nilpotent_part(self) -> "ArtinianElement":
         return self._like({m: c for m, c in self.terms.items() if m})
 
     def is_unit(self) -> bool:
-        c = self.constant_term()
-        if self.modulus is None:
-            return c != 0
-        from math import gcd
-
-        return gcd(int(c), self.modulus) == 1
+        return self.constant_term() != 0
 
     def inverse(self) -> "ArtinianElement":
         """Geometric series against the nilpotent part; needs a unit constant term."""
         if not self.is_unit():
             raise ZeroDivisionError("not a unit: constant term not invertible")
-        c = self.constant_term()
-        if self.modulus is None:
-            c_inv = 1 / Fraction(c)
-        else:
-            c_inv = pow(int(c), -1, self.modulus)
+        c_inv = 1 / self.constant_term()
         n = self.nilpotent_part() * c_inv
-        out = ArtinianElement.constant(self.ngens, 1, self.modulus)
-        power = ArtinianElement.constant(self.ngens, 1, self.modulus)
+        out = power = ArtinianElement.constant(self.ngens, 1)
         for _ in range(self.ngens):
             power = power * (-n)
             if power.is_zero():
@@ -161,9 +142,9 @@ class ArtinianElement:
         return self.inverse() * other
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(frozenset(mono), self._coeff(0))
+        return self.terms.get(frozenset(mono), _ZERO)
 
-    def top_coefficient(self):
+    def top_coefficient(self) -> Fraction:
         """Coefficient of the full monomial T_1...T_a."""
         return self.coefficient(range(self.ngens))
 
@@ -177,21 +158,6 @@ class ArtinianElement:
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
 
-    def to_json(self) -> dict:
-        out = {}
-        for m, c in self.terms.items():
-            key = "*".join(f"T{i+1}" for i in sorted(m)) if m else "1"
-            out[key] = f"{c.numerator}/{c.denominator}" if self.modulus is None else int(c)
-        return {"ngens": self.ngens, "modulus": self.modulus, "terms": out}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ArtinianElement":
-        terms = {}
-        for key, c in data["terms"].items():
-            mono = frozenset() if key == "1" else frozenset(int(t[1:]) - 1 for t in key.split("*"))
-            terms[mono] = Fraction(c) if data.get("modulus") is None else int(c)
-        return cls(data["ngens"], terms, data.get("modulus"))
-
 
 def derivation_from_images(images: list) -> "callable":
     """The derivation D on Q[T_1..T_a]/(T_i^2) with D(T_i) = images[i].
@@ -200,12 +166,10 @@ def derivation_from_images(images: list) -> "callable":
     """
 
     def apply(elem: ArtinianElement) -> ArtinianElement:
-        ngens = elem.ngens
-        out = ArtinianElement(ngens, {}, elem.modulus)
+        out = elem._like({})
         for mono, c in elem.terms.items():
             for i in mono:
-                rest = ArtinianElement(ngens, {frozenset(mono - {i}): c}, elem.modulus)
-                out = out + rest * images[i]
+                out = out + elem._like({mono - {i}: c}) * images[i]
         return out
 
     return apply

@@ -287,9 +287,8 @@ class BranchModel:
 
     # -- evaluation -------------------------------------------------------
 
-    def _v_value(self, q: int, g: MPoint):
-        """Value of the V_kappa-part of basis vector q at a Levi point."""
-        (block_idx, _) = self.index[q]
+    def _v_value(self, block_idx: tuple, g: MPoint):
+        """Value at a Levi point of the V_kappa basis vector with these block indices."""
         wd = self.wd
         val = g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
         for t, model in enumerate(self.blocks):
@@ -310,7 +309,7 @@ class BranchModel:
         """Value of the solved vector as a function on (Levi) x (subgroup)."""
         out = Fraction(0)
         for q, c in self.coords.items():
-            out += c * self._v_value(q, g) * self._s_value(q, h)
+            out += c * self._v_value(self.index[q][0], g) * self._s_value(q, h)
         return out
 
     def open_orbit_value(self, g: MPoint, h: MPoint):
@@ -335,7 +334,7 @@ class BranchModel:
         out = Fraction(0)
         for q, c in self.coords.items():
             phi = _monomial_poly(self.index[q][1])
-            out += c * self._v_value(q, ug) * phi.eval(folded)
+            out += c * self._v_value(self.index[q][0], ug) * phi.eval(folded)
         return out
 
     def box_restriction_vector(self, g: MPoint, a_coords) -> list:
@@ -353,14 +352,7 @@ class BranchModel:
             phi = _monomial_poly(J)
             key = block_idx
             by_block[key] = by_block.get(key, Fraction(0)) + c * phi.eval(folded)
-        return [(key, coeff * self._v_value_blockonly(key, ug)) for key, coeff in sorted(by_block.items())]
-
-    def _v_value_blockonly(self, block_idx, g: MPoint):
-        wd = self.wd
-        val = g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
-        for t, model in enumerate(self.blocks):
-            val = val * model.evaluate(model.basis[block_idx[t]], g.blocks[t])
-        return val
+        return [(key, coeff * self._v_value(key, ug)) for key, coeff in sorted(by_block.items())]
 
     def cpol_value(self, g: MPoint, a_coords, coords=None):
         """Raw pairing against big-cell column coordinates (no conjugation).
@@ -373,7 +365,7 @@ class BranchModel:
         out = Fraction(0)
         for q, c in use.items():
             phi = _monomial_poly(self.index[q][1])
-            out += c * self._v_value(q, g) * phi.eval(a)
+            out += c * self._v_value(self.index[q][0], g) * phi.eval(a)
         return out
 
     # -- group-level eigen test -------------------------------------------

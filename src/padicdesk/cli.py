@@ -79,6 +79,7 @@ def _run_branch(args) -> int:
         _emit({"error": "weight outside the cone", "violation": bad}, args.out)
         return EXIT_INPUT
     try:
+        cone = cone_decompose(wd)
         bm = branch_pkg.BranchModel(wd, dim_cap=args.dim_cap)
     except ValueError as err:
         _emit({"error": "dimension cap exceeded", "message": str(err)}, args.out)
@@ -90,7 +91,7 @@ def _run_branch(args) -> int:
     report = {
         "weight": wd.to_json(),
         "cone_decomposition": {str(k): v for k, v in sorted(
-            cone_decompose(wd).items(), key=lambda kv: str(kv[0]))},
+            cone.items(), key=lambda kv: str(kv[0]))},
         "model_dimension": bm.dimension,
         "eigenspace_dimension": bm.eigen_dimension,
         "branch_vector": bm.to_json(),
@@ -292,10 +293,16 @@ def _bad_input(args) -> str | None:
     """The first out-of-range global option, described; None if all are valid."""
     if not is_prime(args.p):
         return f"--p {args.p} is not prime"
+    if args.p == 2 and getattr(args, "suite", None) in ("mahler", "all"):
+        return "--p 2: the mahler suite needs an odd prime"
+    if args.n < 2:
+        return f"--n {args.n} must be >= 2"
     if args.beta < 1:
         return f"--beta {args.beta} must be >= 1"
     if args.k_max < 0:
         return f"--k-max {args.k_max} must be >= 0"
+    if args.dmax < 3:
+        return f"--dmax {args.dmax} must be >= 3"
     return None
 
 

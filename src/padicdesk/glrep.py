@@ -43,6 +43,14 @@ def weyl_dimension(weight) -> int:
     return num // den
 
 
+def _integer(x) -> int:
+    """x as an int; a non-integral entry is rejected rather than truncated."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"weight entry {x!r} is not an integer")
+    return i
+
+
 def is_dominant(weight) -> bool:
     return all(weight[i] >= weight[i + 1] for i in range(len(weight) - 1))
 
@@ -56,13 +64,14 @@ class WeightData:
     """
 
     def __init__(self, n: int, d: int, kappa0: int, kappa, j):
+        n, d = _integer(n), _integer(d)
         if n < 2 or d < 1:
             raise ValueError("need n >= 2 and d >= 1")
         self.n = n
         self.d = d
-        self.kappa0 = int(kappa0)
-        self.kappa = [tuple(int(x) for x in row) for row in kappa]
-        self.j = tuple(int(x) for x in j)
+        self.kappa0 = _integer(kappa0)
+        self.kappa = [tuple(_integer(x) for x in row) for row in kappa]
+        self.j = tuple(_integer(x) for x in j)
         if len(self.kappa) != d or len(self.j) != d:
             raise ValueError("kappa and j must have d components")
         if any(len(row) != 2 * n for row in self.kappa):
@@ -108,6 +117,8 @@ class WeightData:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightData":
+        if not isinstance(data, dict):
+            raise TypeError("a weight spec is a JSON object")
         if data.get("tau0", 0) != 0:
             raise ValueError("distinguished component must be listed first")
         return cls(data["n"], data["d"], data["kappa0"], data["kappa"], data["j"])
@@ -197,7 +208,7 @@ def cone_decompose(wd: WeightData) -> dict:
         if key in ("mu0", ("mu", 1, 0)):
             continue
         if a < 0:
-            raise AssertionError(f"cone decomposition produced a negative coefficient at {key}")
+            raise ArithmeticError(f"cone decomposition produced a negative coefficient at {key}")
     return coeffs
 
 
@@ -367,7 +378,7 @@ class GLBlockModel:
                         new.append(len(self.basis) - 1)
             frontier = new
         if len(self.basis) != self.dimension:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"span closure gave {len(self.basis)} vectors, Weyl dimension is {self.dimension}")
 
     # -- internal ------------------------------------------------------

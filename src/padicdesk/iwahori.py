@@ -14,7 +14,7 @@ from itertools import product as iproduct
 from .artinian import ArtinianElement
 from .matrices import ExactMatrix, modular_inverse, rational_inverse, row_reduce
 from .polynomials import Poly
-from .rationals import valuation
+from .rationals import residue, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -172,49 +172,28 @@ def iwahori_factor(mat: ExactMatrix):
     exact division by those pivots.
     """
     m = mat.nrows
-    rows = [list(r) for r in mat.rows]
-    sample = rows[0][0]
-    if isinstance(sample, ArtinianElement):
-        one = ArtinianElement.constant(sample.ngens, 1, sample.modulus)
-        zero = ArtinianElement(sample.ngens, {}, sample.modulus)
-
-        def inv(x):
-            return x.inverse()
-    else:
-        one, zero = Fraction(1), Fraction(0)
-
-        def inv(x):
-            return Fraction(1) / x
-    def is_unit(x):
-        if isinstance(x, ArtinianElement):
-            return x.is_unit()
-        return x != 0
-
+    zero = mat.rows[0][0] - mat.rows[0][0]
+    one = zero + 1
     lower = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    upper = [list(r) for r in rows]
-    for k in range(m - 1, 0, -1):
-        piv = upper[k][k]
-        if not is_unit(piv):
-            raise ZeroDivisionError("non-unit pivot in the factorization")
-        piv_inv = inv(piv)
+    upper = [list(r) for r in mat.rows]
+    for k in range(m - 1, -1, -1):  # k = 0 only tests the last pivot
+        try:
+            piv_inv = Fraction(1) / upper[k][k]
+        except ZeroDivisionError:
+            raise ZeroDivisionError("non-unit pivot in the factorization") from None
         # clear the entries of row k left of the pivot by column operations
         # (right multiplication by lower-unipotent factors)
         factors = [upper[k][j] * piv_inv for j in range(k)]
         for j in range(k):
             f = factors[j]
-            if (isinstance(f, Fraction) and f == 0) or \
-               (isinstance(f, ArtinianElement) and f.is_zero()):
+            if f == 0:
                 continue
             for i in range(m):
                 upper[i][j] = upper[i][j] - upper[i][k] * f
             # record the inverse column operation in the lower-unipotent factor
             for col in range(m):
                 lower[k][col] = lower[k][col] + f * lower[j][col]
-    if not is_unit(upper[0][0]):
-        raise ZeroDivisionError("non-unit pivot in the factorization")
-    xplus = ExactMatrix(upper)
-    xminus = ExactMatrix(lower)
-    return xplus, xminus
+    return ExactMatrix(upper), ExactMatrix(lower)
 
 
 def iwahori_diagonal_closed_form(sigma, ngens: int):
@@ -289,14 +268,7 @@ def block_diagonal_member(res: list, n: int, modulus: int) -> bool:
 
 
 def _mat_mod(mat: ExactMatrix, modulus: int) -> list:
-    out = []
-    for row in mat.rows:
-        r = []
-        for x in row:
-            x = Fraction(x)
-            r.append((x.numerator * pow(x.denominator, -1, modulus)) % modulus)
-        out.append(r)
-    return out
+    return [[residue(x, modulus) for x in row] for row in mat.rows]
 
 
 def _mod_mul(a: list, b: list, modulus: int) -> list:

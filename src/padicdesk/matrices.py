@@ -3,7 +3,7 @@
 Sizes in this package stay small (<= 6ish for Artinian coefficients,
 <= 2n <= 6 for group elements), so determinants are computed by expansion.
 All exact elimination over Q or Z/m (inverses, nullspaces, ranks, solves)
-goes through `row_reduce`; Artinian inverses sum a nilpotent geometric series.
+goes through `row_reduce`.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-
-from .artinian import ArtinianElement
 
 
 def _sign(perm) -> int:
@@ -161,43 +159,3 @@ def rational_inverse(mat: ExactMatrix) -> ExactMatrix:
 def modular_inverse(mat: ExactMatrix, modulus: int) -> ExactMatrix:
     """Inverse of an integer matrix mod m (pivots must be units of Z/m)."""
     return _inverse(mat, modulus, "no unit pivot mod modulus")
-
-
-def artinian_invert(mat: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a matrix over an Artinian local ring.
-
-    Requires the residue matrix (all T_i -> 0) to be invertible; the
-    nilpotent correction is summed as a finite geometric series.
-    """
-    n = mat.nrows
-    sample = mat.rows[0][0]
-    if not isinstance(sample, ArtinianElement):
-        raise TypeError("artinian_invert expects ArtinianElement entries")
-    ngens, modulus = sample.ngens, sample.modulus
-
-    def lift(x):
-        return ArtinianElement.constant(ngens, x, modulus)
-
-    residue = ExactMatrix([[e.constant_term() for e in row] for row in mat.rows])
-    try:
-        if modulus is None:
-            res_inv = rational_inverse(residue).map(lift)
-        else:
-            res_inv = modular_inverse(residue, modulus).map(lift)
-    except ZeroDivisionError:
-        raise ZeroDivisionError("not a unit: residue matrix is singular")
-
-    # mat = R(I + R^-1 N) with N nilpotent, so mat^-1 = (sum (-R^-1 N)^k) R^-1
-    zero = ArtinianElement(ngens, {}, modulus)
-    nilp = ExactMatrix([[e.nilpotent_part() for e in row] for row in mat.rows])
-    m = res_inv * nilp
-    ident = ExactMatrix.identity(n, lift(1), zero)
-    out = ident
-    power = ident
-    for _ in range(ngens):
-        power = power * m
-        power = power.map(lambda e: -e)
-        if all(e.is_zero() for row in power.rows for e in row):
-            break
-        out = out + power
-    return out * res_inv

@@ -8,6 +8,7 @@ integers, with a +infinity sentinel for zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 INF = float("inf")  # valuation of 0
 
@@ -54,8 +55,6 @@ def unit_part(x, p: int = DEFAULT_PRIME) -> Fraction:
 
 def residue(x, modulus: int) -> int:
     """Reduce a rational mod an integer modulus coprime to its denominator."""
-    from math import gcd
-
     x = Fraction(x)
     if gcd(x.denominator, modulus) != 1:
         raise ValueError("denominator not invertible mod modulus")

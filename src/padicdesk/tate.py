@@ -23,18 +23,17 @@ from .rationals import INF, valuation
 class TateSeries:
     """Element sum s_(a,b) X^a Y^b of S<X, Y> truncated at total degree dmax."""
 
-    __slots__ = ("ngens", "modulus", "dmax", "terms")
+    __slots__ = ("ngens", "dmax", "terms")
 
-    def __init__(self, ngens: int, dmax: int, terms=None, modulus=None):
+    def __init__(self, ngens: int, dmax: int, terms=None):
         self.ngens = ngens
-        self.modulus = modulus
         self.dmax = dmax
         clean = {}
         for (a, b), s in (terms or {}).items():
             if a + b > dmax:
                 raise ValueError(f"degree {a + b} exceeds truncation {dmax}")
             if not isinstance(s, ArtinianElement):
-                s = ArtinianElement.constant(ngens, s, modulus)
+                s = ArtinianElement.constant(ngens, s)
             if not s.is_zero():
                 prev = clean.get((a, b))
                 clean[(a, b)] = s if prev is None else prev + s
@@ -43,12 +42,12 @@ class TateSeries:
         self.terms = clean
 
     @classmethod
-    def monomial(cls, ngens: int, dmax: int, s, a: int, b: int, modulus=None) -> "TateSeries":
-        return cls(ngens, dmax, {(a, b): s}, modulus)
+    def monomial(cls, ngens: int, dmax: int, s, a: int, b: int) -> "TateSeries":
+        return cls(ngens, dmax, {(a, b): s})
 
     def _like(self, terms) -> "TateSeries":
         out = TateSeries.__new__(TateSeries)
-        out.ngens, out.modulus, out.dmax = self.ngens, self.modulus, self.dmax
+        out.ngens, out.dmax = self.ngens, self.dmax
         out.terms = {k: v for k, v in terms.items() if not v.is_zero()}
         return out
 
@@ -197,9 +196,9 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
     """Closed form for the k-th binomial polynomial of the derivation on s X^a Y^b."""
     if a + b + k > dmax:
         raise ValueError("a + b + k exceeds the truncation degree")
-    out = TateSeries(s.ngens, dmax, {}, s.modulus)
+    out = TateSeries(s.ngens, dmax, {})
     if k == 0:
-        return TateSeries.monomial(s.ngens, dmax, s, a, b, s.modulus)
+        return TateSeries.monomial(s.ngens, dmax, s, a, b)
     for r in range(0, min(k, a) + 1):
         lam_pow = deriv.lam ** r
         for subset in combinations(range(k), k - r):
@@ -211,7 +210,7 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
             fs = pattern_poly_of_derivation(pattern, deriv.base, s)
             term = fs * (coeff * lam_pow)
             if not term.is_zero():
-                out = out + TateSeries.monomial(s.ngens, dmax, term, a - r, b + r, s.modulus)
+                out = out + TateSeries.monomial(s.ngens, dmax, term, a - r, b + r)
     return out
 
 
@@ -377,15 +376,12 @@ class OverconvergenceChain:
                 "bound": c - delta * m, "passed": e_s <= c - delta * m}
 
 
-def derivation_matrix(der: ShiftDerivation, ngens: int, dmax: int,
-                      modulus=None) -> tuple:
+def derivation_matrix(der: ShiftDerivation, ngens: int, dmax: int) -> tuple:
     """Matrix of the derivation on the monomial lattice of the truncation.
 
     Basis: (coefficient monomial, X-degree, Y-degree) triples in a fixed
     order; returns (ExactMatrix, basis list).
     """
-    from itertools import combinations
-
     basis = []
     for total in range(dmax + 1):
         for a in range(total + 1):
@@ -396,13 +392,12 @@ def derivation_matrix(der: ShiftDerivation, ngens: int, dmax: int,
     index = {key: i for i, key in enumerate(basis)}
     cols = []
     for (mono, a, b) in basis:
-        elem = TateSeries.monomial(ngens, dmax,
-                                   ArtinianElement(ngens, {mono: 1}, modulus), a, b)
+        elem = TateSeries.monomial(ngens, dmax, ArtinianElement(ngens, {mono: 1}), a, b)
         img = der(elem)
         col = {}
         for (aa, bb), s in img.terms.items():
             for mono2, c in s.terms.items():
-                col[index[(mono2, aa, bb)]] = Fraction(c)
+                col[index[(mono2, aa, bb)]] = c
         cols.append(col)
     rows = [[cols[j].get(i, Fraction(0)) for j in range(len(basis))]
             for i in range(len(basis))]

@@ -203,15 +203,14 @@ def det_operator_skipping(n: int, k: int, comp: int = 0) -> UEAElement:
     Rows run over 1..n-1 (0-based, inside the lower GL_(2n-1) block of the
     Levi); columns over n..2n-1 omitting k-1; the sign is (-1)^(k-(n+1)).
     """
+    if n == 1:
+        raise ValueError("need n >= 2")
     if not (n + 1 <= k <= 2 * n):
         raise ValueError("need n+1 <= k <= 2n")
     cols = [c for c in range(n, 2 * n) if c != k - 1]
     entries = [[UEAElement.generator(comp, i, c) for c in cols] for i in range(1, n)]
     sign = -1 if (k - (n + 1)) % 2 else 1
-    if n == 1:
-        raise ValueError("need n >= 2")
-    det = operator_determinant(entries) if n >= 2 else UEAElement.one()
-    return det.scale(sign)
+    return operator_determinant(entries).scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,7 @@ def commutator_leibniz_check(n: int, i: int, monomial: tuple, func=None,
     function and sample points are supplied, as acting on that function.
     """
     lhs, rhs = commutator_leibniz_words(n, i, monomial)
-    if pbw_normalize(lhs - rhs).is_zero() is False:
+    if not pbw_normalize(lhs - rhs).is_zero():
         return False
     if func is not None:
         for pt in points or []:

@@ -142,8 +142,9 @@ def test_console_entry_point():
     ("iwahori", "61e10d65617b35384931090abfc1c70430ce05b490bbaf81b7a9f3d430e93bde"),
     ("mahler", "51464be5468015643cb95c7ee15e5672e937696a1e3b164b00e7834590c8aa5d"),
     ("rep", "1ec5a4cd1a4da7d09f410219db958001ff1171398b2ac80fd8eeb5803f661d08"),
+    ("tate", "f6be201c1f95175fab3db21216219a2bbc6f6bea412362efde91a754fbe02311"),
     ("uea", "c433f35dafd1eca55b67712ee2be99e3a6e6b76a7369b89a324eb198c3f9c439"),
-], ids=["interp", "iwahori", "mahler", "rep", "uea"])
+], ids=["interp", "iwahori", "mahler", "rep", "tate", "uea"])
 def test_suite_reports_pinned(suite, digest, capsys):
     assert main(["--seed", "7", "verify", "--suite", suite]) == 0
     out = capsys.readouterr().out
@@ -155,11 +156,42 @@ def test_suite_reports_pinned(suite, digest, capsys):
     (["--p", "1", "tate", "verify"], "--p 1 is not prime"),
     (["--beta", "0", "iwahori", "verify"], "--beta 0 must be >= 1"),
     (["tate", "verify", "--k-max", "-1"], "--k-max -1 must be >= 0"),
-], ids=["p-composite", "p-one", "beta-zero", "k-max-negative"])
+    (["--n", "1", "iwahori", "verify"], "--n 1 must be >= 2"),
+    (["--n", "0", "iwahori", "verify"], "--n 0 must be >= 2"),
+    (["tate", "verify", "--dmax", "2"], "--dmax 2 must be >= 3"),
+    (["--p", "2", "verify", "--suite", "mahler"], "--p 2: the mahler suite needs an odd prime"),
+    (["--p", "2", "verify", "--suite", "all"], "--p 2: the mahler suite needs an odd prime"),
+], ids=["p-composite", "p-one", "beta-zero", "k-max-negative", "n-one", "n-zero",
+        "dmax-two", "p-two-mahler", "p-two-all"])
 def test_bad_global_option(args, message, capsys):
     code, out = run_cli(args, capsys)
     assert code == 3
     assert json.loads(out) == {"error": "bad input", "message": message}
+
+
+@pytest.mark.parametrize("spec", [
+    "[1, 2]",
+    '{"n": 2, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[3.5, 2, -2, -3]], "j": [1]}',
+    '{"n": 2.5, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0, 0]], "j": [0]}',
+], ids=["not-an-object", "non-integer-entry", "non-integer-n"])
+def test_branch_malformed_weight_spec(spec, capsys):
+    code, out = run_cli(["branch", "--weight-json", spec], capsys)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["error"] == "malformed weight spec" and rep["message"]
+
+
+def test_branch_invariant_failure_is_falsified(capsys, monkeypatch):
+    import padicdesk.glrep as glrep
+
+    true_dimension = glrep.weyl_dimension
+    monkeypatch.setattr(glrep, "weyl_dimension", lambda weight: true_dimension(weight) + 1)
+    spec = {"n": 2, "d": 1, "tau0": 0, "kappa0": 0,
+            "kappa": [[3, 2, -2, -3]], "j": [1]}
+    code, out = run_cli(["branch", "--weight-json", json.dumps(spec)], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "falsified" and "Weyl dimension" in rep["message"]
 
 
 def test_bad_input_exit_does_not_depend_on_optimize():

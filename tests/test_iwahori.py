@@ -83,9 +83,13 @@ def test_iwahori_factor_rational_and_error():
     X = ExactMatrix([[Fraction(2), Fraction(3)], [Fraction(1), Fraction(4)]])
     xp, xm = iw.iwahori_factor(X)
     assert xp * xm == X
-    singular = ExactMatrix([[ArtinianElement.gen(1, 0)]])
-    with pytest.raises(ZeroDivisionError):
-        iw.iwahori_factor(singular)
+    X = ExactMatrix([[2, 3], [1, 4]])
+    xp, xm = iw.iwahori_factor(X)
+    assert xp * xm == X
+    for singular in (ExactMatrix([[ArtinianElement.gen(1, 0)]]),
+                     ExactMatrix([[1, 0], [0, 0]]), ExactMatrix([[1, 1], [1, 1]])):
+        with pytest.raises(ZeroDivisionError, match="non-unit pivot in the factorization"):
+            iw.iwahori_factor(singular)
 
 
 def test_index_formula_and_enumeration():
