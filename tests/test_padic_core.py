@@ -109,6 +109,15 @@ def test_artinian_inverse_examples():
     assert Xi.rows[0][0] == one + T1 * T2
 
 
+def test_artinian_invert_singular_residue():
+    # a matrix whose residue (all T_i -> 0) is singular has a non-unit det
+    T1 = ArtinianElement.gen(1, 0)
+    X = ExactMatrix([[T1]])
+    assert not X.det().is_unit()
+    with pytest.raises(ZeroDivisionError, match="not a unit"):
+        X.det().inverse()
+
+
 def test_artinian_nilpotency():
     a = 3
     m = ArtinianElement.gen(a, 0) + ArtinianElement.gen(a, 1) + ArtinianElement.gen(a, 2)
