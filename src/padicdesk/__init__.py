@@ -4,9 +4,10 @@ Modules:
   rationals   -- p-adic valuations, unit parts and residues of rationals
   cyclotomic  -- exact cyclotomic field arithmetic
   artinian    -- truncated nilpotent coefficient rings
-  matrices    -- exact matrices, row reduction over Q and Z/m
+  matrices    -- exact matrices and determinants over any ring, permutation
+                 signs and cycles, row reduction over Q and Z/m
   polynomials -- sparse multivariate polynomials, sparse echelon, nullspace
-  mahler      -- binomial calculus, box functions, root-of-unity expansions
+  mahler      -- binomial calculus, unit boxes, root-of-unity expansions
   tate        -- nilpotent derivations on truncated Tate algebras
   glrep       -- GL weight combinatorics and irreducible function models
   branch      -- branching eigenvectors and box restrictions

@@ -337,23 +337,6 @@ class BranchModel:
             out += c * self._v_value(self.index[q][0], ug) * phi.eval(folded)
         return out
 
-    def box_restriction_vector(self, g: MPoint, a_coords) -> list:
-        """Per-V-basis functional values of the restricted vector (no pairing)."""
-        n = self.wd.n
-        a = [Fraction(x) for x in a_coords]
-        folded = list(a)
-        for i in range(1, n):
-            folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
-        u = u_conjugator(self.wd.n, self.wd.d)
-        ug = _mpoint_mul(u, g)
-        by_block: dict = {}
-        for q, c in self.coords.items():
-            (block_idx, J) = self.index[q]
-            phi = _monomial_poly(J)
-            key = block_idx
-            by_block[key] = by_block.get(key, Fraction(0)) + c * phi.eval(folded)
-        return [(key, coeff * self._v_value(key, ug)) for key, coeff in sorted(by_block.items())]
-
     def cpol_value(self, g: MPoint, a_coords, coords=None):
         """Raw pairing against big-cell column coordinates (no conjugation).
 
@@ -399,8 +382,7 @@ class BranchModel:
             for t, model in enumerate(self.blocks):
                 g2 = model.group_action(block_mats[t], model.basis[block_idx[t]])
                 coords_t = model.expand(g2)
-                det_fac = block_dets[t] ** model.shift if model.shift >= 0 else \
-                    Fraction(1) / block_dets[t] ** (-model.shift)
+                det_fac = Fraction(block_dets[t]) ** model.shift
                 new_blocks.append([(i2, c2 * det_fac) for i2, c2 in enumerate(coords_t) if c2])
             phi = _monomial_poly(J).subs_linear(forms)
             s_terms = _expand_monomials(phi)
@@ -528,11 +510,7 @@ def algebraic_product_value(family: GeneratorFamily, wd: WeightData,
     vals = family.generator_values(g, a_coords)
     out = Fraction(1)
     for key, a in coeffs.items():
-        v = Fraction(vals[key])
-        if a >= 0:
-            out *= v ** a
-        else:
-            out *= Fraction(1) / v ** (-a)
+        out *= Fraction(vals[key]) ** a
     return out
 
 

@@ -221,14 +221,21 @@ def _run_interp_factor(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported as bad input (exit code 3)."""
+    """argparse with usage errors reported as bad input (exit code 3).
+
+    Prefixes of long flags are not accepted: an unknown `--d` would
+    otherwise be read as `--dmax`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-_GLOBAL_DEFAULTS = {"p": 3, "n": 2, "d": 1, "beta": 1, "seed": 0,
+_GLOBAL_DEFAULTS = {"p": 3, "n": 2, "beta": 1, "seed": 0,
                     "budget": 10 ** 6, "out": None, "csv": False}
 
 
@@ -237,7 +244,6 @@ def _add_global_flags(parser) -> None:
     # values given before the subcommand; main() fills the real defaults
     parser.add_argument("--p", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--d", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--beta", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--budget", type=int, default=argparse.SUPPRESS)

@@ -231,9 +231,6 @@ class CyclotomicElement:
                 found = (k, c)
         return found
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.coeffs):

@@ -19,7 +19,6 @@ by first-order polynomial derivations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import Poly, SparseEchelon
@@ -256,30 +255,11 @@ def pieri_decompose(kappa, j: int) -> list:
     return out
 
 
-def _alternant(weight) -> dict:
-    """A_(weight+rho) = sum over sigma of sgn(sigma) x^(sigma permuting entries)."""
+def _alternant(weight) -> Poly:
+    """A_(weight+rho) = det [x_i^(weight_j + rho_j)], a Laurent polynomial."""
     m = len(weight)
-    rho = [m - 1 - i for i in range(m)]
-    shifted = [weight[i] + rho[i] for i in range(m)]
-    out: dict = {}
-    for perm in permutations(range(m)):
-        inv = sum(1 for i in range(m) for k in range(i + 1, m) if perm[i] > perm[k])
-        key = tuple(shifted[perm[i]] for i in range(m))
-        out[key] = out.get(key, 0) + (-1 if inv % 2 else 1)
-        if not out[key]:
-            del out[key]
-    return out
-
-
-def _laurent_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0) + ca * cb
-            if not out[key]:
-                del out[key]
-    return out
+    return ExactMatrix([[Poly({((i, weight[j] + m - 1 - j),): 1}) for j in range(m)]
+                        for i in range(m)]).det()
 
 
 def pieri_character_check(kappa, j: int) -> bool:
@@ -290,15 +270,9 @@ def pieri_character_check(kappa, j: int) -> bool:
     """
     m = len(kappa)
     twist = tuple([0] * (m - 1) + [-j])
-    lhs = _laurent_mul(_alternant(kappa), _alternant(twist))
-    rhs: dict = {}
-    for kp in pieri_decompose(kappa, j):
-        for key, c in _alternant(kp).items():
-            rhs[key] = rhs.get(key, 0) + c
-            if not rhs[key]:
-                del rhs[key]
-    rhs = _laurent_mul(_alternant(tuple([0] * m)), rhs)
-    return lhs == rhs
+    lhs = _alternant(kappa) * _alternant(twist)
+    rhs = sum((_alternant(kp) for kp in pieri_decompose(kappa, j)), Poly())
+    return lhs == _alternant(tuple([0] * m)) * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +282,7 @@ def pieri_character_check(kappa, j: int) -> bool:
 def _minor_poly(m: int, size: int, trailing: bool) -> Poly:
     """Leading or trailing principal minor of the generic m x m matrix."""
     idx = range(m - size, m) if trailing else range(size)
-    rows = list(idx)
-    out = Poly()
-    for perm in permutations(range(size)):
-        inv = sum(1 for i in range(size) for k in range(i + 1, size) if perm[i] > perm[k])
-        mono = []
-        for i in range(size):
-            r = rows[i]
-            c = rows[perm[i]]
-            mono.append((r * m + c, 1))
-        mono_d: dict = {}
-        for v, e in mono:
-            mono_d[v] = mono_d.get(v, 0) + e
-        key = tuple(sorted(mono_d.items()))
-        out = out + Poly({key: Fraction(-1 if inv % 2 else 1)})
-    return out
+    return ExactMatrix([[Poly.variable(r * m + c) for c in idx] for r in idx]).det()
 
 
 class GLBlockModel:
@@ -461,11 +421,5 @@ class GLBlockModel:
             if self.shift < 0:
                 val = val * det ** (-self.shift)
             else:
-                val = val * _ring_inverse_power(det, self.shift)
+                val = val / det ** self.shift
         return val
-
-
-def _ring_inverse_power(x, k: int):
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return Fraction(1) / Fraction(x) ** k
-    return x.inverse() ** k

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .artinian import ArtinianElement
-from .matrices import ExactMatrix, modular_inverse, rational_inverse, row_reduce
+from .matrices import ExactMatrix, cycles, modular_inverse, rational_inverse, row_reduce
 from .polynomials import Poly
 from .rationals import residue, valuation
 
@@ -94,14 +94,6 @@ def gammahat_simple(n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def u_spherical(n: int) -> ExactMatrix:
-    m = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    for i in range(n):
-        rows[i][n + (n - 1 - i)] = Fraction(-1)
-    return ExactMatrix(rows)
-
-
 def t_p_matrix(n: int, p: int, e: int = 1) -> ExactMatrix:
     m = 2 * n
     return ExactMatrix([[Fraction(p) ** (e * (m - 1 - i)) if i == j else Fraction(0)
@@ -121,15 +113,6 @@ def t_p_i_matrix(n: int, p: int, i: int) -> ExactMatrix:
                          for c in range(m)] for r in range(m)])
 
 
-def t_lower_matrix(n: int, p: int, i: int) -> ExactMatrix:
-    """diag(1, ..., 1, p, ..., p) with n - i trailing entries equal to p."""
-    m = 2 * n
-    cut = m - (n - i)
-    return ExactMatrix([[Fraction(p) if r == c and r >= cut else
-                         (Fraction(1) if r == c else Fraction(0))
-                         for c in range(m)] for r in range(m)])
-
-
 def xi_matrix(n: int, p: int) -> ExactMatrix:
     m = 2 * n
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
@@ -141,21 +124,6 @@ def xi_c_matrix(n: int, p: int, c, beta_prime: int) -> ExactMatrix:
     m = 2 * n
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
     rows[0][0] = Fraction(c) + Fraction(p) ** beta_prime
-    return ExactMatrix(rows)
-
-
-def t_c_matrix(n: int, p: int, c, beta_prime: int) -> ExactMatrix:
-    """The cycle conjugate of the scaled-unit diagonal; the unit moves to slot n+1."""
-    w = w_cycle(n)
-    return rational_inverse(w) * xi_c_matrix(n, p, c, beta_prime) * w
-
-
-def v_element(n: int) -> ExactMatrix:
-    """The normalization base point: ones below the (n+1, n+1) slot."""
-    m = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    for i in range(n + 1, m):
-        rows[i][n] = Fraction(1)
     return ExactMatrix(rows)
 
 
@@ -203,19 +171,9 @@ def iwahori_diagonal_closed_form(sigma, ngens: int):
     identity, the diagonal of the upper factor is 1 except at each cycle
     minimum, where it is 1 + sgn(cycle) * prod of the cycle's t's.
     """
-    a = len(sigma)
-    diag = [ArtinianElement.constant(ngens, 1) for _ in range(a)]
-    seen = [False] * a
-    for start in range(a):
-        if seen[start]:
-            continue
-        cyc = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            cyc.append(k)
-            k = sigma[k] - 1
-        if len(cyc) == 1 and sigma[cyc[0]] - 1 == cyc[0]:
+    diag = [ArtinianElement.constant(ngens, 1) for _ in sigma]
+    for cyc in cycles([s - 1 for s in sigma]):
+        if len(cyc) == 1:
             # fixed point: entry t on the diagonal itself
             diag[cyc[0]] = diag[cyc[0]] + ArtinianElement.gen(ngens, cyc[0])
             continue

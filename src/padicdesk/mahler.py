@@ -99,111 +99,8 @@ def series_product(f: MahlerSeries, g: MahlerSeries) -> MahlerSeries:
     return mahler_coefficients(vals, f.p, K, f.scale)
 
 
-class LocallyAlgebraicCharacter:
-    """x -> x^k * chi_fin(x) on Z_p^*."""
-
-    __slots__ = ("exponent", "finite_part")
-
-    def __init__(self, exponent: int, finite_part: PCharacter):
-        self.exponent = exponent
-        self.finite_part = finite_part
-
-    def __call__(self, x):
-        x = Fraction(x)
-        return self.finite_part(x) * (x ** self.exponent)
-
-    def __mul__(self, other: "LocallyAlgebraicCharacter"):
-        return LocallyAlgebraicCharacter(self.exponent + other.exponent,
-                                         self.finite_part * other.finite_part)
-
-
 # ---------------------------------------------------------------------------
 # box domains
-
-
-class BoxFunction:
-    """Finite value table on the quotient of a box domain.
-
-    shape "G": (p^-beta Z_p)^n + Z_p^(n-1), coordinates (a_2, ..., a_2n);
-    shape "H": (p^-beta Z_p)^(n-1).  The table is indexed by mixed-radix
-    tuples m with coordinate a = m / p^beta (first block) or a = m
-    (integral block), each modulo p^(depth).
-    """
-
-    def __init__(self, p: int, n: int, beta: int, shape: str, depth: int, values: dict):
-        if shape not in ("G", "H"):
-            raise ValueError("shape must be 'G' or 'H'")
-        self.p = p
-        self.n = n
-        self.beta = beta
-        self.shape = shape
-        self.depth = depth
-        self.values = dict(values)
-
-    def ncoords(self) -> int:
-        return 2 * self.n - 1 if self.shape == "G" else self.n - 1
-
-    def coordinate(self, index: tuple) -> tuple:
-        """Rational coordinates represented by a mixed-radix index tuple."""
-        scaled = self.n if self.shape == "G" else self.n - 1
-        out = []
-        for pos, m in enumerate(index):
-            if pos < scaled:
-                out.append(Fraction(m, self.p ** self.beta))
-            else:
-                out.append(Fraction(m))
-        return tuple(out)
-
-    def radices(self) -> list:
-        scaled = self.n if self.shape == "G" else self.n - 1
-        return [self.p ** (self.depth + (self.beta if pos < scaled else 0))
-                for pos in range(self.ncoords())]
-
-    def extend(self, depth: int) -> "BoxFunction":
-        """Pull back to a deeper quotient (values constant on refined classes)."""
-        if depth < self.depth:
-            raise ValueError("extension must deepen the table")
-        if depth == self.depth:
-            return self
-        old_radix = self.radices()
-        out = {}
-        new = BoxFunction(self.p, self.n, self.beta, self.shape, depth, {})
-        for idx in iproduct(*[range(r) for r in new.radices()]):
-            key = tuple(x % r for x, r in zip(idx, old_radix))
-            out[idx] = self.values[key]
-        new.values = out
-        return new
-
-    def restrict(self, depth: int) -> "BoxFunction":
-        """Push down to a shallower quotient; requires constancy on fibers."""
-        if depth > self.depth:
-            raise ValueError("restriction must shallow the table")
-        shallow = BoxFunction(self.p, self.n, self.beta, self.shape, depth, {})
-        out = {}
-        for idx, val in self.values.items():
-            key = tuple(x % r for x, r in zip(idx, shallow.radices()))
-            if key in out:
-                if out[key] != val:
-                    raise ValueError("table is not constant on depth fibers")
-            else:
-                out[key] = val
-        shallow.values = out
-        return shallow
-
-    def to_json(self) -> dict:
-        keys = sorted(self.values)
-        return {
-            "p": self.p, "n": self.n, "beta": self.beta, "shape": self.shape,
-            "depth": self.depth, "radix": self.radices(),
-            "table": [[list(k), _value_json(self.values[k])] for k in keys],
-        }
-
-
-def _value_json(v):
-    if isinstance(v, CyclotomicElement):
-        return v.to_json()
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
 
 
 def in_unit_box(point, n: int, p: int) -> bool:

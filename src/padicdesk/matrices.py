@@ -1,9 +1,13 @@
-"""Dense exact matrices over Fraction, CyclotomicElement or ArtinianElement.
+"""Dense exact matrices over any commutative ring, and permutation helpers.
 
-Sizes in this package stay small (<= 6ish for Artinian coefficients,
-<= 2n <= 6 for group elements), so determinants are computed by expansion.
-All exact elimination over Q or Z/m (inverses, nullspaces, ranks, solves)
-goes through `row_reduce`.
+Entries need only +, * and unary -: rationals, cyclotomic and Artinian
+elements, polynomials (also Laurent ones) and commuting enveloping-algebra
+elements all work.  Sizes in this package stay small (<= 6 for minors and
+group elements), so `ExactMatrix.det` is the Leibniz expansion, and it is
+the one signed sum over permutations in the package; `perm_sign` and
+`cycles` are the one inversion count and the one cycle walk.  All exact
+elimination over Q or Z/m (inverses, nullspaces, ranks, solves) goes
+through `row_reduce`.
 """
 
 from __future__ import annotations
@@ -13,13 +17,39 @@ from itertools import permutations
 from math import gcd
 
 
-def _sign(perm) -> int:
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as an image list, by its inversion count.
+
+    Only the relative order of the entries matters, so 0-based and 1-based
+    image lists give the same sign.
+    """
     inv = 0
     for i in range(len(perm)):
         for j in range(i + 1, len(perm)):
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def cycles(perm) -> list:
+    """Cycle decomposition of a 0-based image list, fixed points included.
+
+    Each cycle starts at its smallest entry, and the cycles come in the
+    order of those entries.
+    """
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        cyc = []
+        k = i
+        while not seen[k]:
+            seen[k] = True
+            cyc.append(k)
+            k = perm[k]
+        out.append(cyc)
+    return out
 
 
 class ExactMatrix:
@@ -78,7 +108,7 @@ class ExactMatrix:
                             for j in range(self.ncols)])
 
     def det(self):
-        """Leibniz expansion; fine for the sizes used here."""
+        """Leibniz expansion over any commutative ring; fine for the sizes used here."""
         if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
         n = self.nrows
@@ -87,7 +117,7 @@ class ExactMatrix:
             term = self.rows[0][perm[0]]
             for i in range(1, n):
                 term = term * self.rows[i][perm[i]]
-            if _sign(perm) < 0:
+            if perm_sign(perm) < 0:
                 term = -term
             total = term if total is None else total + term
         return total

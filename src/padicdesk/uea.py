@@ -15,11 +15,10 @@ second also covers Laurent (determinant-twisted) functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .artinian import ArtinianElement
 from .glrep import GLBlockModel
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, cycles, perm_sign
 from .polynomials import nullspace
 
 
@@ -77,8 +76,11 @@ class UEAElement:
         e.terms = out
         return e
 
+    def __neg__(self):
+        return self.scale(-1)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, c) -> "UEAElement":
         c = Fraction(c)
@@ -178,23 +180,10 @@ def commute_check(elem_matrix) -> bool:
     return True
 
 
-def operator_determinant(entries) -> UEAElement:
-    """Determinant of a matrix of commuting UEA elements (any expansion order)."""
-    size = len(entries)
-    out = UEAElement({})
-    for perm in permutations(range(size)):
-        inv = sum(1 for i in range(size) for k in range(i + 1, size) if perm[i] > perm[k])
-        term = UEAElement.one()
-        for i in range(size):
-            term = term * entries[i][perm[i]]
-        out = out + term.scale(-1 if inv % 2 else 1)
-    return out
-
-
 def det_operator_full(n: int, comp: int = 0) -> UEAElement:
     """det of the n x n array (E_(i, j+n)) in 0-based rows 0..n-1, cols n..2n-1."""
     entries = [[UEAElement.generator(comp, i, j + n) for j in range(n)] for i in range(n)]
-    return operator_determinant(entries)
+    return ExactMatrix(entries).det()
 
 
 def det_operator_skipping(n: int, k: int, comp: int = 0) -> UEAElement:
@@ -210,7 +199,7 @@ def det_operator_skipping(n: int, k: int, comp: int = 0) -> UEAElement:
     cols = [c for c in range(n, 2 * n) if c != k - 1]
     entries = [[UEAElement.generator(comp, i, c) for c in cols] for i in range(1, n)]
     sign = -1 if (k - (n + 1)) % 2 else 1
-    return operator_determinant(entries).scale(sign)
+    return ExactMatrix(entries).det().scale(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +225,8 @@ class EquivariantFunction:
             return Fraction(0)
         return out
 
+    __call__ = value
+
 
 def uea_act_at(elem: UEAElement, func, point: ExactMatrix):
     """(elem . f)(point) via multi-dual-number substitution.
@@ -250,7 +241,7 @@ def uea_act_at(elem: UEAElement, func, point: ExactMatrix):
     for word, coeff in elem.terms.items():
         m = len(word)
         if m == 0:
-            total += coeff * _plain_value(func, point)
+            total += coeff * func(point)
             continue
         zero = ArtinianElement(m, {})
         one = ArtinianElement.constant(m, 1)
@@ -263,19 +254,10 @@ def uea_act_at(elem: UEAElement, func, point: ExactMatrix):
             factor = ExactMatrix.identity(size, one, zero)
             factor.rows[a][b] = factor.rows[a][b] - ArtinianElement.gen(m, r)
             mat = factor * mat
-        val = _plain_value(func, mat)
-        if isinstance(val, ArtinianElement):
-            total += coeff * val.top_coefficient()
-        elif m == 0:
-            total += coeff * val
-        # a rational value with m >= 1 means all derivatives vanished: contributes 0
+        # a rational value means every derivative vanished; lifted, its top
+        # coefficient is 0
+        total += coeff * (zero + func(mat)).top_coefficient()
     return total
-
-
-def _plain_value(func, g):
-    if isinstance(func, EquivariantFunction):
-        return func.value(g)
-    return func(g)
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +318,6 @@ def mu_sigma(a: int, b: int, sigma, comp: int = 0) -> UEAElement:
     return UEAElement({word: Fraction(1)})
 
 
-def _cycles(sigma) -> list:
-    """Cycle decomposition of a permutation given as a 1-based image list."""
-    n = len(sigma)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        cyc = []
-        k = i
-        while not seen[k]:
-            seen[k] = True
-            cyc.append(k + 1)
-            k = sigma[k] - 1
-        out.append(cyc)
-    return out
-
-
-def perm_sign(sigma) -> int:
-    sign = 1
-    for cyc in _cycles(sigma):
-        if len(cyc) % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def nonvanishing_closed_form(a: int, b: int, sigma, nu1: int, kappa) -> Fraction:
     """The ratio (mu_sigma . f)(u)/f(u) for a block-subgroup eigenfunction f.
 
@@ -374,8 +330,8 @@ def nonvanishing_closed_form(a: int, b: int, sigma, nu1: int, kappa) -> Fraction
     if any(x > a for x in sigma):
         return Fraction(0)
     out = Fraction(perm_sign(sigma) * (-1) ** a)
-    for cyc in _cycles(sigma):
-        out *= nu1 + kappa[max(cyc) - 1]
+    for cyc in cycles([s - 1 for s in sigma]):
+        out *= nu1 + kappa[max(cyc)]
     return out
 
 

@@ -117,15 +117,6 @@ def test_convention_point_value():
     assert bm.box_restriction_value(MPoint.identity(2, 1), a) == 1
 
 
-def test_restriction_vector_shape():
-    wd = WeightData(2, 1, 0, [[3, 2, -2, -3]], [1])
-    bm = BranchModel(wd)
-    g = MPoint.identity(2, 1)
-    a = [Fraction(0), Fraction(1), Fraction(0)]
-    vec = bm.box_restriction_vector(g, a)
-    assert sum(v for _, v in vec) == bm.box_restriction_value(g, a)
-
-
 def test_generator_product_reassembly_and_twist():
     p, beta = 3, 1
     M = beta + 2

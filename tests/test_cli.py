@@ -151,6 +151,43 @@ def test_suite_reports_pinned(suite, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# (n, d, kappa0, kappa, j) of the eleven acceptance weights, with the sha256 of
+# the `--seed 7 branch --weight-json` report for each
+_BRANCH_PINS = [
+    (2, 1, 0, [[0, 0, 0, 0]], [0],
+     "501e76d676eb2808c1a349bba25686782c45fe69601c8a3494c6aaf9f48ab75c"),
+    (2, 1, 0, [[2, 1, -2, -2]], [0],
+     "85365aef69d89409e11fab967c9b423d96e69e4240b23882f94ba38fc168b9d9"),
+    (2, 1, 0, [[3, 2, -2, -3]], [1],
+     "bcb865d10f558064e3bbf95af07fa3657f06cb75dbe530159865578248ba8fcd"),
+    (2, 1, 0, [[0, 2, -1, -3]], [2],
+     "b3725c897bde62bc73ccc828c13d3ef7e04f7220a03f42cfdbb361d81e371336"),
+    (2, 1, 0, [[0, 2, -1, -3]], [1],
+     "073ca41183a1ce5a3b21c682e43489f12c6b2db7b10d9f00669007d2767ff84c"),
+    (2, 1, 1, [[1, 1, -1, -2]], [1],
+     "f632077c21fa979b87c6201489dd29ee9ff7ee1d3594dd07a60d722a6d0b20f7"),
+    (2, 1, 0, [[0, 3, -2, -3]], [0],
+     "1009953fb79223d77fe583f4e44cbe58ac054d9cd4f1f1b4113bdab01d1ff3e0"),
+    (2, 1, 0, [[0, 3, -2, -3]], [1],
+     "5c1a8a13c797ea90785e52b35364a87790d6d329e9fac2dd8e3e4886e79e4db0"),
+    (2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1],
+     "5fadd70c01d1e3f8fce7944791f6837f719731367057b2c4b6845846efd5d366"),
+    (3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1],
+     "e5d03ed19addea5474d0054147b38ddb44adbca90f2dc0497c71d9c4fcb320f8"),
+    (3, 1, 2, [[0, 1, 0, 0, 0, -1]], [0],
+     "89e3338e795ff0d61d3a8ad93fbdd67b568411aec2d8c3faf0f85a58339f1efa"),
+]
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j, digest", _BRANCH_PINS,
+                         ids=[f"weight{i}" for i in range(len(_BRANCH_PINS))])
+def test_branch_reports_pinned(n, d, kappa0, kappa, j, digest, capsys):
+    spec = {"n": n, "d": d, "tau0": 0, "kappa0": kappa0, "kappa": kappa, "j": j}
+    assert main(["--seed", "7", "branch", "--weight-json", json.dumps(spec)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args, message", [
     (["--p", "4", "verify", "--suite", "mahler"], "--p 4 is not prime"),
     (["--p", "1", "tate", "verify"], "--p 1 is not prime"),
@@ -192,6 +229,17 @@ def test_branch_invariant_failure_is_falsified(capsys, monkeypatch):
     assert code == 1
     rep = json.loads(out)
     assert rep["error"] == "falsified" and "Weyl dimension" in rep["message"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--d", "5", "verify", "--suite", "mahler"],
+    ["verify", "--suite", "mahler", "--d", "5"],
+], ids=["before-command", "after-command"])
+def test_removed_d_flag_is_a_usage_error(args, capsys):
+    # no flag is read as a prefix of another, so --d is not taken for --dmax
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 3
 
 
 def test_bad_input_exit_does_not_depend_on_optimize():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from padicdesk.glrep import (GLBlockModel, WeightData, cone_decompose,
-                             cone_reconstruct, generator_weights, is_dominant,
+from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _minor_poly,
+                             cone_decompose, cone_reconstruct, generator_weights, is_dominant,
                              pieri_character_check, pieri_decompose,
                              weyl_dimension)
 from padicdesk.matrices import ExactMatrix, rational_inverse
@@ -26,6 +26,9 @@ def test_block_model_trivial_and_standard():
     g = ExactMatrix([[Fraction(2), Fraction(3)], [Fraction(5), Fraction(7)]])
     # lowest-weight vector evaluates to g_11/det
     assert m1.evaluate(m1.basis[0], g) == Fraction(2) / g.det()
+    # with int entries det = -1 is an int, and int ** -1 would be a float
+    value = m1.evaluate(m1.basis[0], ExactMatrix([[2, 3], [5, 7]]))
+    assert type(value) is Fraction and value == -2
 
 
 def test_block_model_dimension_certification():
@@ -149,3 +152,31 @@ def test_weight_data_serialization():
     back = WeightData.from_json(data)
     assert (back.n, back.d, back.kappa0, back.kappa, back.j) == \
         (wd.n, wd.d, wd.kappa0, wd.kappa, wd.j)
+
+
+def _poly_to_sympy(poly, xs, sympy):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[xs[v] ** e for v, e in mono])
+                       for mono, c in poly.terms.items()])
+
+
+def test_minor_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in range(1, 6):
+        xs = sympy.symbols(f"x0:{m * m}")
+        generic = sympy.Matrix(m, m, xs)
+        for size in range(1, m + 1):
+            for trailing in (False, True):
+                idx = list(range(m - size, m)) if trailing else list(range(size))
+                ref = generic.extract(idx, idx).det(method="berkowitz")
+                ours = _poly_to_sympy(_minor_poly(m, size, trailing), xs, sympy)
+                assert sympy.expand(ours - ref) == 0
+
+
+def test_alternant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for weight in [(0,), (2, -1), (3, 1, 0, -1), (0, 0, -2), (1, 1, 0)]:
+        m = len(weight)
+        xs = sympy.symbols(f"x0:{m}")
+        ref = sympy.Matrix(m, m, lambda i, j: xs[i] ** (weight[j] + m - 1 - j)).det()
+        assert sympy.expand(_poly_to_sympy(_alternant(weight), xs, sympy) - ref) == 0

@@ -18,10 +18,6 @@ def test_special_matrix_relations():
         # s_p = w t_p w
         w = iw.antidiag(2 * n)
         assert iw.s_p_matrix(n, 3) == w * iw.t_p_matrix(n, 3) * w
-        # u_spherical inverts the upper-right insertion of the plain conjugator
-        u_other = iw.u_element(n, distinguished=False)
-        prod = u_other.transpose() * iw.u_spherical(n)
-        assert prod == ExactMatrix.identity(2 * n)
 
 
 def test_w_cycle_length():
@@ -183,19 +179,3 @@ def test_membership_predicates():
                                      [0, 0, 1, 0], [0, 0, 5, 1]], 2, 9)
     assert not iw.block_diagonal_member([[1, 0, 1, 0], [0, 1, 0, 0],
                                          [0, 0, 1, 0], [0, 0, 0, 1]], 2, 9)
-
-
-def test_remaining_special_matrices():
-    n, p = 2, 3
-    # the cycle conjugate carries the scaled unit to the middle slot
-    tc = iw.t_c_matrix(n, p, 2, 1)
-    assert tc.rows[n][n] == Fraction(2 + 3)
-    assert all(tc.rows[i][i] == 1 for i in range(2 * n) if i != n)
-    # base point: lower ones under the middle slot
-    v = iw.v_element(n)
-    assert v.rows[n + 1][n] == 1 and v.rows[n][n] == 1
-    # stepped diagonals by trailing-p count
-    t0 = iw.t_lower_matrix(n, p, 0)
-    t1 = iw.t_lower_matrix(n, p, 1)
-    assert [t0.rows[i][i] for i in range(2 * n)] == [1, 1, 3, 3]
-    assert [t1.rows[i][i] for i in range(2 * n)] == [1, 1, 1, 3]

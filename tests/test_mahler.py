@@ -127,34 +127,3 @@ def test_fourier_unit_indicator_examples():
     assert rep.passed and rep.npoints == 9
     rep = mahler.fourier_expand_unit_indicator(3, 1, 0, 3)
     assert rep.passed
-
-
-def test_box_function_serialization():
-    bf = mahler.BoxFunction(3, 2, 1, "H", 1, {(0,): Fraction(1), (1,): Fraction(0)})
-    data = bf.to_json()
-    assert data["shape"] == "H" and data["radix"] == [9]
-    assert data["table"][0] == [[0], "1/1"]
-
-
-def test_locally_algebraic_character():
-    chi = PCharacter.from_log(3, 1, 1)
-    la = mahler.LocallyAlgebraicCharacter(2, chi)
-    assert la(2) == chi(2) * 4
-    sq = la * la
-    assert sq(2) == chi(2) ** 2 * 16
-
-
-def test_box_function_depth_maps():
-    from fractions import Fraction as F
-
-    bf = mahler.BoxFunction(3, 2, 1, "H", 0, {(m,): F(m % 3) for m in range(3)})
-    deep = bf.extend(1)
-    assert deep.depth == 1 and len(deep.values) == 9
-    assert deep.values[(4,)] == bf.values[(1,)]
-    back = deep.restrict(0)
-    assert back.values == bf.values
-    ragged = mahler.BoxFunction(3, 2, 1, "H", 1, {(m,): F(m) for m in range(9)})
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="constant"):
-        ragged.restrict(0)

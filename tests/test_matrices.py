@@ -1,10 +1,13 @@
-"""row_reduce and the inverses and nullspaces built on it, against sympy."""
+"""row_reduce, its inverses and nullspaces, det and the permutation helpers, against sympy."""
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.matrices import ExactMatrix, modular_inverse, rational_inverse, row_reduce
+from padicdesk.matrices import (ExactMatrix, cycles, modular_inverse, perm_sign,
+                                rational_inverse, row_reduce)
 from padicdesk.polynomials import nullspace
 
 sympy = pytest.importorskip("sympy")
@@ -83,3 +86,22 @@ def test_modular_inverse_matches_sympy(rows, k):
         inv = modular_inverse(ExactMatrix(rows), modulus).rows
         assert sympy.Matrix(inv) == ref.inv_mod(modulus).applyfunc(lambda x: x % modulus)
         assert all(isinstance(x, int) and 0 <= x < modulus for r in inv for x in r)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(
+    st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_sympy(rows):
+    assert ExactMatrix(rows).det() == _to_sympy(rows).det()
+
+
+def test_perm_sign_and_cycles_match_sympy():
+    from sympy.combinatorics import Permutation
+
+    for n in range(1, 7):
+        for perm in permutations(range(n)):
+            ref = Permutation(list(perm))
+            assert perm_sign(perm) == ref.signature()
+            # the sign reads only the relative order, so 1-based lists agree
+            assert perm_sign([x + 1 for x in perm]) == ref.signature()
+            assert cycles(perm) == ref.full_cyclic_form
