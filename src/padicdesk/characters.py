@@ -138,9 +138,6 @@ class PCharacter:
         phi = _phi(self.p, self.conductor_exp)
         return phi // gcd(phi, self.log)
 
-    def is_trivial(self) -> bool:
-        return self.conductor_exp == 0
-
     def parity(self) -> int:
         """chi(-1) as +1 or -1: -1 = g^(phi/2), so chi(-1) = (-1)^k."""
         return -1 if self.log % 2 else 1

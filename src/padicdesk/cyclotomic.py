@@ -4,6 +4,13 @@ Elements of Q(zeta_m) are stored as rational coefficient vectors of length
 deg Phi_m, i.e. residues mod the m-th cyclotomic polynomial.  The root
 zeta_m is the class of X; compatibility between orders follows the fixed
 convention zeta_k = zeta_m^(m/k) whenever k | m.
+
+Phi_m comes from the Moebius product of the x^d - 1 in integer arithmetic
+(Washington, GTM 83, on the power basis).  The table of x^k mod Phi_m
+holds sparse integer rows {i: c}, a few nonzeros each, so reductions,
+embeddings and the Gauss-sum power sums (Cohen, GTM 138) add up only
+those nonzeros and keep integral sums as ints; every stored coefficient
+is still a Fraction.
 """
 
 from __future__ import annotations
@@ -34,45 +41,73 @@ def divisors(m: int):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def _mobius(n: int) -> int:
+    """Moebius function mu(n) by trial division."""
+    out, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if n > 1 else out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int):
-    """Coefficients of Phi_m, lowest degree first, exact rationals."""
+    """Coefficients of Phi_m, lowest degree first, as integers.
+
+    Phi_m = prod over d | m of (x^d - 1)^mu(m/d): multiply by the factors
+    with mu = 1, then divide exactly by those with mu = -1.
+    """
     if m < 1:
         raise ValueError("order must be >= 1")
-    if m == 1:
-        return (Fraction(-1), Fraction(1))
-    # x^m - 1 divided by the product of Phi_d over proper divisors d | m
-    num = [Fraction(0)] * (m + 1)
-    num[0] = Fraction(-1)
-    num[m] = Fraction(1)
-    for d in divisors(m):
-        if d == m:
-            continue
-        num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-        if rem:
-            raise ArithmeticError("cyclotomic division must be exact")
-    return tuple(num)
+    mu = [(d, _mobius(m // d)) for d in divisors(m)]
+    poly = [1]
+    for d, e in mu:
+        if e == 1:
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + d)]
+    for d, e in mu:
+        if e == -1:
+            quo = []  # poly = quo * (x^d - 1), so quo[i] = quo[i - d] - poly[i]
+            for i in range(len(poly) - d):
+                quo.append((quo[i - d] if i >= d else 0) - poly[i])
+            poly = quo
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def _reduction_table(m: int):
-    """x^k mod Phi_m for k = 0..m-1, as tuples of rationals."""
-    phi = list(cyclotomic_polynomial(m))
+    """x^k mod Phi_m for k = 0..m-1, as sparse integer rows {i: c}."""
+    phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    rows = []
-    row = [Fraction(0)] * deg
-    row[0] = Fraction(1)
-    rows.append(tuple(row))
+    tail = {i: -c for i, c in enumerate(phi[:-1]) if c}  # x^deg = -(phi[:-1])
+    rows = [{0: 1}]
     for _ in range(1, m):
-        # multiply by x: shift, then reduce the overflow with x^deg = -(phi[:-1])
-        new = [Fraction(0)] + list(rows[-1])
-        if len(new) > deg:
-            top = new.pop()
-            if top:
-                for i in range(deg):
-                    new[i] -= top * phi[i]
-        rows.append(tuple(new))
+        # multiply by x: shift, then reduce the overflow with x^deg
+        new = {i + 1: c for i, c in rows[-1].items()}
+        top = new.pop(deg, 0)
+        if top:
+            for i, c in tail.items():
+                new[i] = new.get(i, 0) + top * c
+                if not new[i]:
+                    del new[i]
+        rows.append(new)
     return rows
+
+
+def _reduce(m: int, terms) -> list:
+    """Coefficients of sum c * zeta_m^k over the (k, c) pairs, summed over the
+    nonzeros of each table row; ints stay ints."""
+    table = _reduction_table(m)
+    out = [0] * (len(cyclotomic_polynomial(m)) - 1)
+    for k, c in terms:
+        if c:
+            for i, r in table[k % m].items():
+                out[i] += c * r
+    return out
 
 
 class CyclotomicElement:
@@ -82,9 +117,9 @@ class CyclotomicElement:
 
     def __init__(self, m: int, coeffs):
         deg = len(cyclotomic_polynomial(m)) - 1
+        if len(coeffs) > deg:
+            coeffs = _reduce(m, enumerate(coeffs))
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _reduce(m, cs)
         cs += [Fraction(0)] * (deg - len(cs))
         self.m = m
         self.coeffs = tuple(cs)
@@ -98,8 +133,7 @@ class CyclotomicElement:
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicElement":
         """zeta_m^power as an element of Q(zeta_m)."""
-        table = _reduction_table(m)
-        return cls(m, list(table[power % m]))
+        return cls(m, _reduce(m, [(power, 1)]))
 
     # -- ring structure -----------------------------------------------
 
@@ -118,15 +152,7 @@ class CyclotomicElement:
         if m % self.m != 0:
             raise ValueError(f"no embedding Q(zeta_{self.m}) -> Q(zeta_{m})")
         step = m // self.m
-        table = _reduction_table(m)
-        deg = len(table[0])
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = table[(k * step) % m]
-                for i in range(deg):
-                    out[i] += c * row[i]
-        return CyclotomicElement(m, out)
+        return CyclotomicElement(m, _reduce(m, ((k * step, c) for k, c in enumerate(self.coeffs))))
 
     def __add__(self, other):
         a, b = self._pair(other)
@@ -152,7 +178,7 @@ class CyclotomicElement:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         prod[i + j] += x * y
-        return CyclotomicElement(a.m, _reduce(a.m, prod))
+        return CyclotomicElement(a.m, prod)
 
     __rmul__ = __mul__
 
@@ -176,7 +202,7 @@ class CyclotomicElement:
             if c == 0:
                 raise ZeroDivisionError("0 is not invertible")
             return CyclotomicElement.zeta(self.m, (-k) % self.m) * (1 / c)
-        phi = list(cyclotomic_polynomial(self.m))
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
         a = list(self.coeffs)
         while a and a[-1] == 0:
             a.pop()
@@ -194,7 +220,7 @@ class CyclotomicElement:
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible mod Phi_m")
         inv = [c / r0[0] for c in s0]
-        return CyclotomicElement(self.m, _reduce(self.m, inv))
+        return CyclotomicElement(self.m, inv)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -252,21 +278,6 @@ class CyclotomicElement:
         return cls(data["m"], [Fraction(c) for c in data["coeffs"]])
 
 
-def _reduce(m: int, coeffs):
-    table = _reduction_table(m)
-    deg = len(table[0])
-    out = [Fraction(0)] * deg
-    for k, c in enumerate(coeffs):
-        if c:
-            if k < deg:
-                out[k] += c
-            else:
-                row = table[k % m]  # zeta^m = 1
-                for i in range(deg):
-                    out[i] += c * row[i]
-    return out
-
-
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -289,26 +300,14 @@ def _poly_sub(a, b):
     return out
 
 
-def cyclotomic_reduce(coeffs, m: int) -> CyclotomicElement:
-    """Canonical residue of a rational-coefficient polynomial in zeta_m."""
-    if m < 1:
-        raise ValueError("order must be >= 1")
-    return CyclotomicElement(m, _reduce(m, [Fraction(c) for c in coeffs]))
-
-
 def zeta_power_sum(m: int, weights: dict) -> CyclotomicElement:
     """Sum of c * zeta_m^k over (k -> c) in one reduction pass.
 
     Fast path for Gauss sums and Fourier expansions, where every summand is
-    a root of unity times a rational.
+    a root of unity times a rational; integral weights are summed as ints.
     """
-    table = _reduction_table(m)
-    deg = len(table[0])
-    out = [Fraction(0)] * deg
+    terms = []
     for k, c in weights.items():
         c = Fraction(c)
-        if c:
-            row = table[k % m]
-            for i in range(deg):
-                out[i] += c * row[i]
-    return CyclotomicElement(m, out)
+        terms.append((k, c.numerator if c.denominator == 1 else c))
+    return CyclotomicElement(m, _reduce(m, terms))

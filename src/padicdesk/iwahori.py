@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .artinian import ArtinianElement
-from .matrices import ExactMatrix, cycles, modular_inverse, rational_inverse, row_reduce
+from .matrices import ExactMatrix, cycles, rational_inverse, row_reduce
 from .polynomials import Poly
 from .rationals import residue, valuation
 
@@ -278,6 +278,8 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
     element is exhibited explicitly and all memberships re-verified mod
     p^(beta+1).
     """
+    if beta < 1:
+        raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
     m = 2 * n
     nroots = n * (2 * n - 1)
     total = p ** nroots
@@ -324,6 +326,8 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
         for val, (yi, yj) in zip(sol, y_basis):
             y[yi][yj] = val
         h = [[(1 if i == j else 0) + p ** beta * y[i][j] for j in range(m)] for i in range(m)]
+        # (p^beta Y)^2 = 0 mod p^(beta+1) for beta >= 1, so h^-1 = I - p^beta Y
+        h_inv = [[((i == j) - p ** beta * y[i][j]) % modulus for j in range(m)] for i in range(m)]
         x = [[(1 if i == j else 0) for j in range(m)] for i in range(m)]
         for val, (i, j) in zip(target, lower_pos):
             x[i][j] = (x[i][j] + p ** beta * val) % modulus
@@ -331,7 +335,6 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
         if not iwahori_member(conj, p, beta, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
-        h_inv = modular_inverse(ExactMatrix(h), modulus).rows
         k_res = _mod_mul(_mod_mul(_mod_mul(ghi_res, h_inv, modulus), gh_res, modulus), x, modulus)
         if not iwahori_member(k_res, p, beta + 1, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,

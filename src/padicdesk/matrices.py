@@ -77,10 +77,6 @@ class ExactMatrix:
         return ExactMatrix([[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.rows, other.rows)])
 
-    def __sub__(self, other):
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
@@ -111,6 +107,8 @@ class ExactMatrix:
         """Leibniz expansion over any commutative ring; fine for the sizes used here."""
         if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
+        if not self.rows:
+            raise ValueError("det of an empty matrix: the ring of its entries is unknown")
         n = self.nrows
         total = None
         for perm in permutations(range(n)):

@@ -4,7 +4,10 @@ The derivation under study sends X -> lam*Y, Y -> 0 and restricts to a given
 base derivation on the Artinian coefficient ring.  Binomial polynomials of
 the derivation are computed two ways: by direct iteration, and by the
 closed combinatorial formula over subset patterns; the two must agree
-exactly on the truncation.
+exactly on the truncation.  The epsilon-analytic bounds run the binomial
+recurrence of a matrix operator over sparse rows {col: Fraction}, the
+vector form of `polynomials.SparseEchelon`: the derivation matrices are
+almost all zeros (70 nonzeros of 3,136 at 56x56).
 
 Norms are exact exponents (p^e with e rational, -inf for zero).
 """
@@ -170,16 +173,6 @@ class SubsetPattern:
         return out
 
 
-def pattern_poly_eval(pattern: SubsetPattern, x) -> Fraction:
-    """prod over runs of (1/len!) prod_(i in run) (x - i); empty pattern -> 1."""
-    out = Fraction(1)
-    for run in pattern.runs():
-        for i in run:
-            out *= Fraction(x) - i
-        out /= factorial(len(run))
-    return out
-
-
 def pattern_poly_of_derivation(pattern: SubsetPattern, base, s: ArtinianElement) -> ArtinianElement:
     """Apply prod over runs of (1/len!) prod (D - i) to a coefficient s."""
     out = s
@@ -234,14 +227,9 @@ def binomial_operator_recursion_check(k: int, f: TateSeries, deriv: ShiftDerivat
 # epsilon-analytic bounds for matrix operators
 
 
-def matrix_min_valuation(mat: ExactMatrix, p: int):
-    best = INF
-    for row in mat.rows:
-        for e in row:
-            v = valuation(e, p)
-            if v < best:
-                best = v
-    return best
+def matrix_min_valuation(rows, p: int):
+    """Least p-adic valuation over the entries of sparse rows {col: value}."""
+    return min((valuation(c, p) for row in rows for c in row.values()), default=INF)
 
 
 def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,
@@ -250,18 +238,27 @@ def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,
 
     ||.|| is the sup norm on matrix entries (p-adic); reports whether the
     weighted exponents eventually stay strictly below the target and the
-    first index from which they do.
+    first index from which they do.  The binomials are kept as sparse rows
+    {col: Fraction}, so the work follows the nonzero entries of T.
     """
     eps = Fraction(eps)
-    n = T.nrows
+    t_rows = [{j: e for j, e in enumerate(row) if e} for row in T.rows]
+    fk = [{i: Fraction(1)} for i in range(T.nrows)]
     exps = []
-    fk = ExactMatrix.identity(n)
     for k in range(K + 1):
+        if k:
+            # binom(T, k) = binom(T, k-1) (T - (k-1)) / k, one row at a time
+            nxt = []
+            for row in fk:
+                out = {}
+                for j, c in row.items():
+                    for col, t in t_rows[j].items():
+                        out[col] = out.get(col, 0) + c * t
+                    out[j] = out.get(j, 0) - (k - 1) * c
+                nxt.append({col: x / k for col, x in out.items() if x})
+            fk = nxt
         v = matrix_min_valuation(fk, p)
         exps.append(-INF if v == INF else -k * eps - v)
-        # binom(T, k+1) = binom(T, k) (T - k) / (k+1)
-        shift = ExactMatrix.identity(n).scale(Fraction(k))
-        fk = (fk * (T - shift)).scale(Fraction(1, k + 1))
     tail_start = None
     for k in range(K + 1):
         if all(e == -INF or e < target_exponent for e in exps[k:]):

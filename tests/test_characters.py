@@ -115,7 +115,7 @@ def test_character_rejects_bad_input():
         PCharacter.from_log(5, -1, 1)
     with pytest.raises(ValueError, match="odd p"):
         PCharacter.from_log(2, 2, 1)
-    assert PCharacter.from_log(2, 1, 1).is_trivial()
+    assert PCharacter.from_log(2, 1, 1).conductor_exp == 0
     with pytest.raises(ValueError, match="at 0"):
         PCharacter.trivial(5)(0)
 

@@ -188,6 +188,24 @@ def test_branch_reports_pinned(n, d, kappa0, kappa, j, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("config, digest", [
+    # field order 2028 = lcm(13^2, 156)
+    ({"p": 13, "n": 2, "d": 1, "e": [2],
+      "characters": [{"conductor_exp": 2, "log": 1, "at_p": "1"}]},
+     "d2d6e6799bbc491d00cfbead5d2f309bd303dbf2e45b7525cedc06778775be2e"),
+    # field order 1014 = lcm(13^2, 78), the largest field of the interp-factor benchmark
+    ({"p": 13, "n": 2, "d": 1, "e": [2],
+      "characters": [{"conductor_exp": 2, "log": 134, "at_p": "2"}]},
+     "26a69daefe2647e2200ddb4f48d49ddcbccaa700a6b1ba88e2dd8f0c47c22dbe"),
+], ids=["m2028", "m1014"])
+def test_interp_factor_large_field_pinned(config, digest, capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["interp", "factor", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args, message", [
     (["--p", "4", "verify", "--suite", "mahler"], "--p 4 is not prime"),
     (["--p", "1", "tate", "verify"], "--p 1 is not prime"),

@@ -6,7 +6,7 @@ import pytest
 
 from padicdesk import iwahori as iw
 from padicdesk.artinian import ArtinianElement
-from padicdesk.matrices import ExactMatrix, rational_inverse
+from padicdesk.matrices import ExactMatrix, modular_inverse, rational_inverse
 from padicdesk.rationals import valuation
 
 
@@ -108,6 +108,26 @@ def test_double_coset_singleton_small():
 def test_double_coset_budget():
     with pytest.raises(ValueError, match="budget"):
         iw.double_coset_singleton(2, 3, 1, budget=10)
+
+
+def test_double_coset_needs_positive_beta():
+    with pytest.raises(ValueError, match="beta must be >= 1"):
+        iw.double_coset_singleton(2, 3, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_unipotent_closed_form_inverse(p, beta):
+    # double_coset_singleton inverts h = I + p^beta Y as I - p^beta Y mod p^(beta+1)
+    rnd = random.Random(p * 10 + beta)
+    modulus = p ** (beta + 1)
+    for _ in range(20):
+        m = rnd.choice([2, 4, 6])
+        y = [[rnd.randrange(-3 * p, 3 * p) for _ in range(m)] for _ in range(m)]
+        h = ExactMatrix([[int(i == j) + p ** beta * y[i][j] for j in range(m)] for i in range(m)])
+        closed = [[(int(i == j) - p ** beta * y[i][j]) % modulus for j in range(m)]
+                  for i in range(m)]
+        assert modular_inverse(h, modulus).rows == closed
 
 
 def test_intersection_and_similitude():

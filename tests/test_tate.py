@@ -14,22 +14,6 @@ def one_gen_setup(lam=Fraction(1)):
     return tate.ShiftDerivation(base, lam)
 
 
-def test_pattern_poly_examples():
-    assert tate.pattern_poly_eval(tate.SubsetPattern(4, []), 9) == 1
-    # full interval is the binomial polynomial
-    assert tate.pattern_poly_eval(tate.SubsetPattern(3, [0, 1, 2]), 5) == 10
-    # two singleton blocks
-    assert tate.pattern_poly_eval(tate.SubsetPattern(3, [0, 2]), 5) == 15
-    # integrality on integers
-    for k in range(1, 6):
-        for subset_mask in range(1 << k):
-            subset = [i for i in range(k) if subset_mask >> i & 1]
-            pat = tate.SubsetPattern(k, subset)
-            for x in range(-4, 8):
-                v = tate.pattern_poly_eval(pat, x)
-                assert v.denominator == 1
-
-
 def test_subset_pattern_blocks():
     pat = tate.SubsetPattern(7, [0, 1, 3, 5, 6])
     assert sorted(pat.blocks) == [1, 2, 2]
@@ -149,6 +133,19 @@ def test_epsilon_action_bound_examples():
     rep = tate.epsilon_action_bound(T, Fraction(1, 2), 12, p)
     assert rep["passed"]
     assert rep["eventually_below_target_from"] is not None
+
+
+def test_epsilon_action_bound_derivation_matrix_pinned():
+    # the 56x56 matrix of the tate suite; table computed with dense matrix products
+    mat, basis = tate.derivation_matrix(one_gen_setup(), 1, 6)
+    assert mat.nrows == len(basis) == 56
+    assert sum(1 for row in mat.rows for e in row if e) == 70
+    rep = tate.epsilon_action_bound(mat, Fraction(1, 2), 8, 3)
+    assert rep["exponents"] == [Fraction(e) for e in
+                                ("0", "-1/2", "-1", "-1/2", "-1", "-3/2", "-1", "-5/2", "-3")]
+    assert rep["eventually_below_target_from"] == 1
+    assert rep["strictly_decreasing_from"] == 6
+    assert rep["passed"]
 
 
 def test_perturbation_threshold_empirical():
