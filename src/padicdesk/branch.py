@@ -135,6 +135,7 @@ class BranchModel:
                 rec(t + 1, built + [i])
 
         rec(0, [])
+        self._index_map = {k: i for i, k in enumerate(self.index)}
 
     # -- weights --------------------------------------------------------
 
@@ -231,10 +232,7 @@ class BranchModel:
         return {k: v for k, v in out.items() if v}
 
     def _lookup(self, block_idx: tuple, J: tuple) -> int:
-        key = (block_idx, J)
-        if not hasattr(self, "_index_map"):
-            self._index_map = {k: i for i, k in enumerate(self.index)}
-        return self._index_map[key]
+        return self._index_map[(block_idx, J)]
 
     def _subgroup_offdiag(self):
         """Off-diagonal Lie generators of the block subgroup, per component."""

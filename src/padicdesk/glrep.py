@@ -14,11 +14,16 @@ Weights are shifted by a central determinant twist so all seed exponents
 are nonnegative; the twist is recorded and restored on evaluation.  The
 left action is (h . f)(g) = f(h^-1 g) throughout, so the Lie algebra acts
 by first-order polynomial derivations.
+
+The span closure depends only on (m, weight - weight[0], convention), so it
+is built once per process for each such key and shared, read-only, by every
+model with that key.  Each model keeps its own shift and reruns its checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import Poly, SparseEchelon
@@ -285,6 +290,85 @@ def _minor_poly(m: int, size: int, trailing: bool) -> Poly:
     return ExactMatrix([[Poly.variable(r * m + c) for c in idx] for r in idx]).det()
 
 
+def _polarize(m: int, a: int, b: int, f: Poly) -> Poly:
+    """E_(a,b) on polynomials in the entries of an m x m matrix, in one pass.
+
+    Each x_(a,s)^e becomes -e * x_(a,s)^(e-1) * x_(b,s), which is
+    -sum_s x_(b,s) df/dx_(a,s) without building the derivatives.
+    """
+    lo, hi, step = a * m, a * m + m, (b - a) * m
+    out = {}
+    for mono, c in f.terms.items():
+        for v, e in mono:
+            if lo <= v < hi:
+                d = dict(mono)
+                if e == 1:
+                    del d[v]
+                else:
+                    d[v] = e - 1
+                d[v + step] = d.get(v + step, 0) + 1
+                key = tuple(sorted(d.items()))
+                out[key] = out.get(key, 0) - e * c
+    p = Poly.__new__(Poly)
+    p.terms = {k: c for k, c in out.items() if c}
+    return p
+
+
+def _echelon_vector(f: Poly) -> dict:
+    return {(1, sum(e for _, e in mono), mono): c for mono, c in f.terms.items()}
+
+
+@lru_cache(maxsize=None)
+def _span_closure(m: int, shifted: tuple, convention: str):
+    """(basis, weights, echelon) of the model with first weight entry 0.
+
+    Shared by every model of the same (m, shifted weight, convention), so the
+    results are read-only.  Echelon rows carry the basis index as a tag key
+    (0, idx, ()) next to the monomial keys (1, degree, mono), which is how
+    `GLBlockModel.expand` reads coordinates off a reduction.
+    """
+    exps = [shifted[m - 1 - i] - shifted[m - i] for i in range(1, m)]  # size i = 1..m-1
+    seed = Poly.constant(1)
+    for i, e in enumerate(exps, start=1):
+        if e:
+            seed = seed * _minor_poly(m, i, trailing=(convention == "lower")) ** e
+    if convention == "upper":
+        seed_weight = tuple(shifted[m - 1 - i] for i in range(m))  # reversed (lowest)
+        ops = [(a, b) for a in range(m) for b in range(m) if a < b]
+    else:
+        seed_weight = shifted  # highest
+        ops = [(a, b) for a in range(m) for b in range(m) if a > b]
+    basis, weights, ech = [], [], SparseEchelon()
+
+    def insert(f: Poly, wvec) -> bool:
+        vec = _echelon_vector(f)
+        vec[(0, len(basis), ())] = Fraction(1)
+        residual, _ = ech.reduce(vec)
+        if not any(key[0] == 1 for key in residual):
+            return False  # dependent modulo the tag bookkeeping
+        ech.insert(residual)
+        basis.append(f)
+        weights.append(wvec)
+        return True
+
+    insert(seed, seed_weight)
+    frontier = [0]
+    while frontier:
+        new = []
+        for idx in frontier:
+            f, wvec = basis[idx], weights[idx]
+            for (a, b) in ops:
+                g = _polarize(m, a, b, f)
+                if g.is_zero():
+                    continue
+                nw = tuple(wvec[i] + (1 if i == a else 0) - (1 if i == b else 0)
+                           for i in range(m))
+                if insert(g, nw):
+                    new.append(len(basis) - 1)
+        frontier = new
+    return tuple(basis), tuple(weights), ech
+
+
 class GLBlockModel:
     """An irreducible representation of GL_m on polynomial functions.
 
@@ -306,59 +390,15 @@ class GLBlockModel:
         if self.dimension > dim_cap:
             raise ValueError(f"model dimension {self.dimension} exceeds cap {dim_cap}")
         self.shift = weight[0]
-        shifted = [x - self.shift for x in weight]  # entries <= 0, first = 0
-        exps = [shifted[m - 1 - i] - shifted[m - i] for i in range(1, m)]  # size i = 1..m-1
-        seed = Poly.constant(1)
-        for i, e in enumerate(exps, start=1):
-            if e:
-                seed = seed * _minor_poly(m, i, trailing=(convention == "lower")) ** e
-        if convention == "upper":
-            seed_weight = tuple(shifted[m - 1 - i] for i in range(m))  # reversed (lowest)
-            ops = [(a, b) for a in range(m) for b in range(m) if a < b]
-        else:
-            seed_weight = tuple(shifted)  # highest
-            ops = [(a, b) for a in range(m) for b in range(m) if a > b]
-        self.basis: list[Poly] = []
-        self.weights: list[tuple] = []
-        self._ech = SparseEchelon()
-        self._insert(seed, seed_weight)
-        frontier = [0]
-        while frontier:
-            new = []
-            for idx in frontier:
-                f = self.basis[idx]
-                wvec = self.weights[idx]
-                for (a, b) in ops:
-                    g = self.lie_action(a, b, f)
-                    if g.is_zero():
-                        continue
-                    nw = tuple(wvec[i] + (1 if i == a else 0) - (1 if i == b else 0)
-                               for i in range(m))
-                    if self._insert(g, nw):
-                        new.append(len(self.basis) - 1)
-            frontier = new
+        shifted = tuple(x - self.shift for x in weight)  # entries <= 0, first = 0
+        self.basis, self.weights, self._ech = _span_closure(m, shifted, convention)
         if len(self.basis) != self.dimension:
             raise ArithmeticError(
                 f"span closure gave {len(self.basis)} vectors, Weyl dimension is {self.dimension}")
 
-    # -- internal ------------------------------------------------------
-
-    def _insert(self, f: Poly, wvec) -> bool:
-        tag = len(self.basis)
-        vec = {(1, sum(e for _, e in mono), mono): c for mono, c in f.terms.items()}
-        vec[(0, tag, ())] = Fraction(1)
-        residual, _ = self._ech.reduce(vec)
-        if not any(key[0] == 1 for key in residual):
-            return False  # dependent modulo the tag bookkeeping
-        self._ech.insert(residual)
-        self.basis.append(f)
-        self.weights.append(wvec)
-        return True
-
     def expand(self, f: Poly) -> list:
         """Coordinates of a polynomial lying in the model span."""
-        vec = {(1, sum(e for _, e in mono), mono): c for mono, c in f.terms.items()}
-        residual, _ = self._ech.reduce(vec)
+        residual, _ = self._ech.reduce(_echelon_vector(f))
         coords = [Fraction(0)] * len(self.basis)
         for key, c in residual.items():
             flag, tag, _ = key
@@ -375,13 +415,7 @@ class GLBlockModel:
 
     def lie_action(self, a: int, b: int, f: Poly) -> Poly:
         """E_(a,b) acting by (X f)(g) = d/dt f(exp(-tX) g): -sum_s g_(b,s) df/dg_(a,s)."""
-        m = self.m
-        out = Poly()
-        for s in range(m):
-            d = f.diff(a * m + s)
-            if not d.is_zero():
-                out = out + Poly.variable(b * m + s) * d * Fraction(-1)
-        return out
+        return _polarize(self.m, a, b, f)
 
     def word_action(self, word, f: Poly) -> Poly:
         """A product of E's acting left-to-right: (XY) f = X (Y f)."""

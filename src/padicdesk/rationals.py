@@ -8,6 +8,7 @@ integers, with a +infinity sentinel for zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 INF = float("inf")  # valuation of 0
@@ -15,6 +16,7 @@ INF = float("inf")  # valuation of 0
 DEFAULT_PRIME = 3
 
 
+@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -188,6 +188,42 @@ def test_branch_reports_pinned(n, d, kappa0, kappa, j, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Weights whose block models repeat a shifted weight: the first two differ only
+# by the offset of their GL_3 block, the GL_5 and GL_4 blocks of the others also
+# occur in the acceptance pins, and j != 0 builds the j = 0 model as well.
+_REPEATED_BLOCK_PINS = [
+    (2, 1, 0, [[1, 2, -2, -3]], [1],
+     "1b018753a6fa06e7759eae88a71a015f4c811702c86d3631c6aba650f75e53fc"),
+    (2, 1, 0, [[1, 1, -3, -4]], [1],
+     "039e7256179a600d6f140674a29e22d593a8db66ddd685bd16f6677938e3343e"),
+    (3, 1, 0, [[0, 0, 0, -1, -1, -1]], [0],
+     "f44b06b54dd6abc356fcaada4ad7138592daf9ae04b4704b76a0ccbbbbc285e4"),
+    (3, 1, 1, [[0, 1, 1, 0, -1, -1]], [0],
+     "5bfce1c565228af9dd40a53c2d34e5e49e62d36bce9b05a127857cb85d9f2e84"),
+    (2, 2, 0, [[0, 0, -1, -1], [1, 1, -1, -1]], [0, 1],
+     "94c5c326d7f89b48381ddf36ff9d277058152701df1e99ac296d65e1a8b6e55d"),
+    (2, 2, 0, [[0, 1, -2, -2], [1, 0, 0, -1]], [0, 0],
+     "595b2d9304843bc7693f91429b0ccd9ac5dc7fce34347b6919daf333fca960d7"),
+]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_branch_reports_pinned_with_shared_block_models(reverse, capsys):
+    # from an empty closure cache: the first pass builds each block once, and
+    # the order decides which of the offset pair reuses the other's; the
+    # second pass takes every block from the cache
+    from padicdesk.glrep import _span_closure
+
+    _span_closure.cache_clear()
+    pins = _REPEATED_BLOCK_PINS[::-1] if reverse else _REPEATED_BLOCK_PINS
+    for n, d, kappa0, kappa, j, digest in pins + pins:
+        spec = {"n": n, "d": d, "tau0": 0, "kappa0": kappa0, "kappa": kappa, "j": j}
+        assert main(["--seed", "7", "branch", "--weight-json", json.dumps(spec)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (kappa, j)
+    assert _span_closure.cache_info().misses == 7  # distinct (m, shifted weight) keys
+
+
 @pytest.mark.parametrize("config, digest", [
     # field order 2028 = lcm(13^2, 156)
     ({"p": 13, "n": 2, "d": 1, "e": [2],

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _minor_poly,
                              cone_decompose, cone_reconstruct, generator_weights, is_dominant,
@@ -75,6 +77,76 @@ def test_lie_action_weights():
             for i, c in enumerate(coords):
                 if c:
                     assert model.weights[i] == target
+
+
+def _reference_lie_action(m, a, b, f):
+    """-sum_s x_(b,s) * df/dx_(a,s), from Poly derivatives and products."""
+    out = Poly()
+    for s in range(m):
+        out = out - Poly.variable(b * m + s) * f.diff(a * m + s)
+    return out
+
+
+@st.composite
+def _polarization_case(draw):
+    m = draw(st.integers(1, 4))
+    a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    coeff = st.one_of(st.integers(-5, 5).map(Fraction),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    mono = st.dictionaries(st.integers(0, m * m - 1), st.integers(1, 3), max_size=4)
+    terms = draw(st.lists(st.tuples(mono, coeff), max_size=6))
+    f = Poly({tuple(d.items()): c for d, c in terms})
+    if a != b and draw(st.booleans()):
+        # a factor that E_(a,b) kills, so the image has terms that cancel
+        s, t = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        x = Poly.variable
+        f = f * (x(a * m + s) * x(b * m + t) - x(a * m + t) * x(b * m + s))
+    return m, a, b, f
+
+
+@given(_polarization_case())
+@settings(max_examples=300, deadline=None)
+def test_lie_action_matches_derivative_oracle(case):
+    m, a, b, f = case
+    got = GLBlockModel(m, (0,) * m).lie_action(a, b, f)
+    assert got == _reference_lie_action(m, a, b, f)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_lie_action_drops_cancelled_terms():
+    # E_(0,1) kills the minor x_(0,0) x_(1,1) - x_(0,1) x_(1,0) term by term
+    model = GLBlockModel(2, (0, 0))
+    minor = _minor_poly(2, 2, trailing=False)
+    assert model.lie_action(0, 1, minor).terms == {}
+    assert model.lie_action(0, 0, minor) == minor * -1
+
+
+def test_block_models_share_one_closure_per_shifted_weight():
+    low, high = GLBlockModel(3, (2, 1, 0)), GLBlockModel(3, (5, 4, 3))
+    assert isinstance(low.basis, tuple) and low.basis is high.basis
+    assert high.shift - low.shift == 3
+    for idx in range(low.dimension):
+        assert [h - l for h, l in zip(high.true_weight(idx), low.true_weight(idx))] == [3] * 3
+    assert GLBlockModel(3, (2, 1, 0), "lower").basis is not low.basis
+
+
+def test_block_model_checks_run_on_a_cache_hit(monkeypatch):
+    import padicdesk.glrep as glrep
+
+    weight = (2, 0, -1)
+    GLBlockModel(3, weight)
+    with pytest.raises(ValueError, match="cap"):
+        GLBlockModel(3, weight, dim_cap=weyl_dimension(weight) - 1)
+    with pytest.raises(ValueError, match="convention"):
+        GLBlockModel(3, weight, convention="middle")
+    with pytest.raises(ValueError, match="dominant"):
+        GLBlockModel(3, (4, 3, 5))
+    true_dimension = glrep.weyl_dimension
+    monkeypatch.setattr(glrep, "weyl_dimension", lambda w: true_dimension(w) + 1)
+    hits = glrep._span_closure.cache_info().hits
+    with pytest.raises(ArithmeticError, match="Weyl dimension"):
+        GLBlockModel(3, weight)
+    assert glrep._span_closure.cache_info().hits == hits + 1
 
 
 def test_weight_data_cone():

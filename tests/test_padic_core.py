@@ -20,6 +20,14 @@ def test_valuation_examples():
         valuation(5, 4)
 
 
+def test_valuation_rejects_non_prime_on_every_call():
+    for _ in range(2):
+        for p in (4, 1):
+            with pytest.raises(ValueError, match="not prime"):
+                valuation(Fraction(12, 5), p)
+        assert valuation(Fraction(12, 5), 2) == 2
+
+
 nonzero_rationals = st.fractions(min_value=-1000, max_value=1000).filter(lambda x: x != 0)
 
 
