@@ -1,35 +1,86 @@
 """Truncated Artinian coefficient rings Q[T_1..T_a]/(T_i^2).
 
-Elements are maps from square-free monomials in the nilpotent generators to
-rational coefficients.  Monomials are frozensets of generator indices; the
-empty set is the constant term.
+An element is stored as integer numerators over one common denominator.
+`nums` maps square-free monomials to nonzero ints; a monomial is a bitmask
+with bit i standing for T_(i+1), and 0 is the constant term.  `den` is a
+positive int, and gcd(den, *nums) = 1.  This form is canonical, so `==`
+and `hash` compare it directly.  The product of two monomials is their
+bitwise or, and it vanishes (T_i^2 = 0) when they share a bit.
+
+The interface speaks in frozensets of generator indices and `Fraction`
+coefficients: the constructor takes {frozenset: coeff}, and `terms` is a
+read-only {frozenset: Fraction} view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 
 _ZERO = Fraction(0)
+
+
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of a rational scalar."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _mask(mono) -> int:
+    out = 0
+    for i in mono:
+        out |= 1 << i
+    return out
+
+
+def _indices(mask: int) -> frozenset:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _lowest_terms(nums: dict, den: int) -> tuple:
+    """nums / den with the zero numerators dropped and gcd(den, *nums) = 1."""
+    if 0 in nums.values():
+        nums = {m: c for m, c in nums.items() if c}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: c // g for m, c in nums.items()}
+    return nums, den
+
+
+def _element(ngens: int, nums: dict, den: int) -> "ArtinianElement":
+    out = ArtinianElement.__new__(ArtinianElement)
+    out.ngens = ngens
+    out.nums, out.den = _lowest_terms(nums, den)
+    return out
 
 
 class ArtinianElement:
     """Element of Q[T_1..T_a]/(T_i^2)."""
 
-    __slots__ = ("ngens", "terms")
+    __slots__ = ("ngens", "nums", "den")
 
     def __init__(self, ngens: int, terms=None):
-        self.ngens = ngens
-        clean = {}
+        coeffs = {}
         for mono, c in (terms or {}).items():
             mono = frozenset(mono)
             if any(i < 0 or i >= ngens for i in mono):
                 raise ValueError("generator index out of range")
-            c = Fraction(c)
-            if c:
-                clean[mono] = clean.get(mono, _ZERO) + c
-                if not clean[mono]:
-                    del clean[mono]
-        self.terms = clean
+            m = _mask(mono)
+            coeffs[m] = coeffs.get(m, _ZERO) + Fraction(c)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.ngens = ngens
+        self.nums, self.den = _lowest_terms(
+            {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {frozenset of generator indices: Fraction} view."""
+        return MappingProxyType({_indices(m): Fraction(c, self.den)
+                                 for m, c in self.nums.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -41,16 +92,10 @@ class ArtinianElement:
     def gen(cls, ngens: int, i: int) -> "ArtinianElement":
         return cls(ngens, {frozenset([i]): 1})
 
-    def _like(self, terms) -> "ArtinianElement":
-        """An element of this ring from in-range monomials and Fraction coefficients."""
-        out = ArtinianElement.__new__(ArtinianElement)
-        out.ngens = self.ngens
-        out.terms = {m: c for m, c in terms.items() if c}
-        return out
-
     def _check(self, other) -> "ArtinianElement":
         if not isinstance(other, ArtinianElement):
-            return ArtinianElement.constant(self.ngens, other)
+            num, den = _ratio(other)
+            return _element(self.ngens, {0: num}, den)
         if other.ngens != self.ngens:
             raise ValueError("mixed Artinian rings")
         return other
@@ -59,15 +104,23 @@ class ArtinianElement:
 
     def __add__(self, other):
         other = self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
-        return self._like(out)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            out = dict(self.nums)
+            for m, c in other.nums.items():
+                out[m] = out.get(m, 0) + c
+            return _element(self.ngens, out, d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        out = {m: c * f1 for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            out[m] = out.get(m, 0) + c * f2
+        return _element(self.ngens, out, d1 * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        return _element(self.ngens, {m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -77,17 +130,17 @@ class ArtinianElement:
 
     def __mul__(self, other):
         if not isinstance(other, ArtinianElement):
-            scalar = Fraction(other)
-            return self._like({m: c * scalar for m, c in self.terms.items()})
+            num, den = _ratio(other)
+            return _element(self.ngens, {m: c * num for m, c in self.nums.items()},
+                            self.den * den)
         other = self._check(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue  # T_i^2 = 0
-                m = m1 | m2
-                out[m] = out.get(m, _ZERO) + c1 * c2
-        return self._like(out)
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other.nums.items():
+                if not m1 & m2:  # else T_i^2 = 0
+                    m = m1 | m2
+                    out[m] = out.get(m, 0) + c1 * c2
+        return _element(self.ngens, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -104,22 +157,22 @@ class ArtinianElement:
             other = self._check(other)
         except (ValueError, TypeError):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ngens, tuple(sorted(self.terms.items(), key=lambda kv: sorted(kv[0])))))
+        return hash((self.ngens, self.den, frozenset(self.nums.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(frozenset(), _ZERO)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def nilpotent_part(self) -> "ArtinianElement":
-        return self._like({m: c for m, c in self.terms.items() if m})
+        return _element(self.ngens, {m: c for m, c in self.nums.items() if m}, self.den)
 
     def is_unit(self) -> bool:
-        return self.constant_term() != 0
+        return 0 in self.nums
 
     def inverse(self) -> "ArtinianElement":
         """Geometric series against the nilpotent part; needs a unit constant term."""
@@ -142,34 +195,50 @@ class ArtinianElement:
         return self.inverse() * other
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(frozenset(mono), _ZERO)
+        mono = frozenset(mono)
+        if not all(0 <= i < self.ngens for i in mono):
+            return _ZERO  # not a monomial of this ring
+        return Fraction(self.nums.get(_mask(mono), 0), self.den)
 
     def top_coefficient(self) -> Fraction:
         """Coefficient of the full monomial T_1...T_a."""
         return self.coefficient(range(self.ngens))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda s: (len(s), sorted(s))):
-            c = self.terms[m]
-            mono = "*".join(f"T{i+1}" for i in sorted(m)) if m else "1"
-            parts.append(f"({c})*{mono}")
+        for m in sorted(self.nums, key=lambda m: (m.bit_count(), sorted(_indices(m)))):
+            mono = "*".join(f"T{i+1}" for i in sorted(_indices(m))) if m else "1"
+            parts.append(f"({Fraction(self.nums[m], self.den)})*{mono}")
         return " + ".join(parts)
 
 
 def derivation_from_images(images: list) -> "callable":
     """The derivation D on Q[T_1..T_a]/(T_i^2) with D(T_i) = images[i].
 
-    Extended by the Leibniz rule; D kills constants.
+    Extended by the Leibniz rule; D kills constants.  The images are
+    elements of one ring; D(c T^I) = sum over i in I of c T^(I - i) images[i],
+    summed as integers over the common denominator of the images.
     """
+    rings = {im.ngens for im in images}
+    den = lcm(*(im.den for im in images))
+    scaled = [[(m, c * (den // im.den)) for m, c in im.nums.items()] for im in images]
 
     def apply(elem: ArtinianElement) -> ArtinianElement:
-        out = elem._like({})
-        for mono, c in elem.terms.items():
-            for i in mono:
-                out = out + elem._like({mono - {i}: c}) * images[i]
-        return out
+        if rings - {elem.ngens}:
+            raise ValueError("mixed Artinian rings")
+        out = {}
+        for mono, c in elem.nums.items():
+            rest = mono
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                lower = mono ^ bit
+                for m, t in scaled[bit.bit_length() - 1]:
+                    if not m & lower:
+                        key = m | lower
+                        out[key] = out.get(key, 0) + c * t
+        return _element(elem.ngens, out, elem.den * den)
 
     return apply

@@ -147,7 +147,7 @@ def _run_suites(names, args) -> int:
             if name == "mahler":
                 kwargs["p"] = args.p
             elif name == "tate":
-                kwargs.update(p=args.p, k_max=args.k_max, dmax=args.dmax)
+                kwargs.update(p=args.p, k_max=args.k_max, dmax=args.dmax, budget=args.budget)
             elif name == "rep":
                 kwargs.update(p=args.p)
             elif name == "iwahori":

@@ -32,11 +32,12 @@ def valuation(x, p: int = DEFAULT_PRIME):
     """p-adic valuation of a rational: v_p(u * p^k) = k, v_p(0) = +inf."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return INF
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1

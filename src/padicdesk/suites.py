@@ -121,12 +121,24 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
 
 
 def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
-                   a_max: int = 5, b_max: int = 5) -> dict:
+                   a_max: int = 5, b_max: int = 5, budget: int = 10 ** 6) -> dict:
     checks = []
     rnd = random.Random(seed)
 
     rings = [1, 2]  # one and two nilpotent generators
     lam_values = [Fraction(1), Fraction(p), Fraction(p * p)]
+    small_dmax = 6
+    closed_calls = [(k, a, b) for k in range(k_max + 1) for a in range(a_max + 1)
+                    for b in range(b_max + 1) if a + b + k <= dmax]
+    norm_calls = [(k, a) for k in range(min(k_max, small_dmax) + 1)
+                  for a in range(small_dmax - k + 1)]
+    patterns = (len(rings) * len(lam_values)
+                * sum(tate.closed_form_patterns(k, a) for k, a, _ in closed_calls)
+                + sum(tate.closed_form_patterns(k, a) for k, a in norm_calls))
+    if patterns > budget:
+        raise BudgetExceeded(
+            f"tate.closed_equals_direct needs {patterns} subset patterns > budget {budget}"
+            f" ({patterns - budget} over)")
     ok = True
     exponent_tables = {}
     for ngens in rings:
@@ -135,19 +147,15 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
         base = derivation_from_images(images)
         for lam in lam_values:
             der = tate.ShiftDerivation(base, lam)
-            for k in range(k_max + 1):
-                for a in range(a_max + 1):
-                    for b in range(b_max + 1):
-                        if a + b + k > dmax:
-                            continue
-                        s = ArtinianElement.constant(ngens, 1)
-                        for t in range(ngens):
-                            s = s + ArtinianElement.gen(ngens, t) * rnd.randrange(-2, 3)
-                        closed = tate.binomial_of_derivation_closed(k, s, a, b, der, dmax)
-                        f = tate.TateSeries.monomial(ngens, dmax, s, a, b)
-                        direct = tate.binomial_of_derivation_direct(k, f, der)
-                        if closed != direct:
-                            ok = False
+            for k, a, b in closed_calls:
+                s = ArtinianElement.constant(ngens, 1)
+                for t in range(ngens):
+                    s = s + ArtinianElement.gen(ngens, t) * rnd.randrange(-2, 3)
+                closed = tate.binomial_of_derivation_closed(k, s, a, b, der, dmax)
+                f = tate.TateSeries.monomial(ngens, dmax, s, a, b)
+                direct = tate.binomial_of_derivation_direct(k, f, der)
+                if closed != direct:
+                    ok = False
     _check(checks, "tate.closed_equals_direct",
            "closed combinatorial formula equals direct operator iteration", ok,
            k_max=k_max, dmax=dmax)
@@ -167,19 +175,17 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
     # weighted norms of the formula outputs stay within the matrix-certified bound
     der_int = tate.ShiftDerivation(derivation_from_images(
         [ArtinianElement.constant(1, 1)]), Fraction(1))
-    small_dmax = 6
     mat, _basis = tate.derivation_matrix(der_int, 1, small_dmax)
     eps = Fraction(1, 2)
     bound_rep = tate.epsilon_action_bound(mat, eps, k_max, p)
     cert = max(e for e in bound_rep["exponents"] if e != -INF)
     ok = True
-    for k in range(min(k_max, small_dmax) + 1):
-        s = ArtinianElement.gen(1, 0) + 1
-        for a in range(0, small_dmax - k + 1):
-            out = tate.binomial_of_derivation_closed(k, s, a, 0, der_int, small_dmax)
-            e = out.norm_exponent(p)
-            if e != -INF and -k * eps + e > cert:
-                ok = False
+    s = ArtinianElement.gen(1, 0) + 1
+    for k, a in norm_calls:
+        out = tate.binomial_of_derivation_closed(k, s, a, 0, der_int, small_dmax)
+        e = out.norm_exponent(p)
+        if e != -INF and -k * eps + e > cert:
+            ok = False
     _check(checks, "tate.weighted_norm_bound",
            "formula outputs respect the matrix-certified weighted norm constant",
            ok, certified_exponent=str(cert))

@@ -15,8 +15,10 @@ Norms are exact exponents (p^e with e rational, -inf for zero).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, factorial
+from operator import add
 
 from .artinian import ArtinianElement
 from .matrices import ExactMatrix
@@ -88,8 +90,9 @@ class TateSeries:
         """Sup over all coefficient monomials of -v_p; unit ball test."""
         best = -INF
         for s in self.terms.values():
-            for c in s.terms.values():
-                e = -valuation(c, p)
+            v_den = valuation(s.den, p)
+            for c in s.nums.values():
+                e = v_den - valuation(c, p)
                 if best == -INF or e > best:
                     best = e
         return best
@@ -134,77 +137,46 @@ class ShiftDerivation:
 
 
 # ---------------------------------------------------------------------------
-# subset patterns and the combinatorial polynomials
+# the closed combinatorial formula
 
 
-def consecutive_blocks(subset) -> list:
-    """Lengths of the maximal runs of consecutive integers in the subset."""
-    items = sorted(subset)
-    blocks = []
-    for i, x in enumerate(items):
-        if i and x == items[i - 1] + 1:
-            blocks[-1] += 1
-        else:
-            blocks.append(1)
-    return blocks
-
-
-class SubsetPattern:
-    """A subset I of {0..k-1} with its decomposition into consecutive runs."""
-
-    __slots__ = ("k", "subset", "blocks")
-
-    def __init__(self, k: int, subset):
-        self.k = k
-        self.subset = frozenset(subset)
-        if any(i < 0 or i >= k for i in self.subset):
-            raise ValueError("subset not contained in {0..k-1}")
-        self.blocks = consecutive_blocks(self.subset)
-
-    def runs(self) -> list:
-        """The runs themselves, as sorted lists."""
-        items = sorted(self.subset)
-        out = []
-        for x in items:
-            if out and x == out[-1][-1] + 1:
-                out[-1].append(x)
-            else:
-                out.append([x])
-        return out
-
-
-def pattern_poly_of_derivation(pattern: SubsetPattern, base, s: ArtinianElement) -> ArtinianElement:
-    """Apply prod over runs of (1/len!) prod (D - i) to a coefficient s."""
-    out = s
-    denom = 1
-    for run in pattern.runs():
-        denom *= factorial(len(run))
-        for i in run:
-            out = base(out) - out * i
-    return out * Fraction(1, denom)
+def closed_form_patterns(k: int, a: int) -> int:
+    """Number of subset patterns the closed form sums for binom(T, k) on s X^a Y^b."""
+    return sum(comb(k, r) for r in range(min(k, a) + 1))
 
 
 def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
                                   deriv: ShiftDerivation, dmax: int) -> TateSeries:
-    """Closed form for the k-th binomial polynomial of the derivation on s X^a Y^b."""
+    """Closed form for the k-th binomial polynomial of the derivation on s X^a Y^b.
+
+    binom(T, k)(s X^a Y^b) is the sum over r <= min(k, a) of
+    comb(a, r) lam^r r!/k! * S_r X^(a-r) Y^(b+r), where S_r sums
+    prod_(i in I) (D - i) s over the subsets I of {0..k-1} of size k - r.
+    In the subset-pattern form each I enters through the product over its
+    runs of consecutive integers of (1/len!) prod (D - i), weighted by
+    comb(a, r) / (comb(k, r) * multinomial(k - r; run lengths)); the run
+    factorials cancel, which leaves the same weight for every I.  Each
+    product is (D - max I) applied to the product for I without its largest
+    element, and is computed once per call.
+    """
     if a + b + k > dmax:
         raise ValueError("a + b + k exceeds the truncation degree")
-    out = TateSeries(s.ngens, dmax, {})
-    if k == 0:
-        return TateSeries.monomial(s.ngens, dmax, s, a, b)
-    for r in range(0, min(k, a) + 1):
-        lam_pow = deriv.lam ** r
-        for subset in combinations(range(k), k - r):
-            pattern = SubsetPattern(k, subset)
-            multinom = factorial(k - r)
-            for ln in pattern.blocks:
-                multinom //= factorial(ln)
-            coeff = Fraction(1, multinom) * Fraction(1, comb(k, r)) * comb(a, r)
-            fs = pattern_poly_of_derivation(pattern, deriv.base, s)
-            term = fs * (coeff * lam_pow)
-            if not term.is_zero():
-                out = out + TateSeries.monomial(s.ngens, dmax, term, a - r, b + r)
-    return out
+    base = deriv.base
+    products = {(): s}
+
+    def product(subset: tuple) -> ArtinianElement:
+        out = products.get(subset)
+        if out is None:
+            prev = product(subset[:-1])
+            out = products[subset] = base(prev) + prev * -subset[-1]
+        return out
+
+    terms = {}
+    for r in range(min(k, a) + 1):
+        total = reduce(add, map(product, combinations(range(k), k - r)))
+        weight = Fraction(comb(a, r) * factorial(r), factorial(k)) * deriv.lam ** r
+        terms[(a - r, b + r)] = total * weight
+    return TateSeries(s.ngens, dmax, terms)
 
 
 def binomial_of_derivation_direct(k: int, f: TateSeries, deriv: ShiftDerivation) -> TateSeries:

@@ -1,12 +1,13 @@
 """ArtinianElement ring operations against sympy polynomials truncated by T_i^2 = 0."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.artinian import ArtinianElement
+from padicdesk.artinian import ArtinianElement, derivation_from_images
 
 sympy = pytest.importorskip("sympy")
 
@@ -54,3 +55,51 @@ def test_ring_operations_match_truncated_sympy_polynomials(operands):
         assert ours.terms == _truncated(ref, gens)
     if x.is_unit():
         assert x.inverse() * x == 1
+
+
+def _element(ngens):
+    return st.builds(lambda t: ArtinianElement(ngens, t), _terms(ngens))
+
+
+@st.composite
+def _derivations(draw):
+    ngens = draw(st.integers(1, 4))
+    images = draw(st.lists(_element(ngens), min_size=ngens, max_size=ngens))
+    return ngens, images, draw(_element(ngens))
+
+
+@given(_derivations())
+@settings(max_examples=150, deadline=None)
+def test_derivation_matches_truncated_sympy_gradient(case):
+    ngens, images, x = case
+    gens = sympy.symbols(f"T0:{ngens}")
+    ref = sum((_to_sympy(im.terms, gens) * sympy.diff(_to_sympy(x.terms, gens), g)
+               for im, g in zip(images, gens)), sympy.Integer(0))
+    ours = derivation_from_images(images)(x)
+    assert ours.terms == _truncated(sympy.expand(ref), gens)
+    assert ours == ArtinianElement(ngens, _truncated(sympy.expand(ref), gens))
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and 0 not in x.nums.values()
+    assert gcd(x.den, *x.nums.values()) == 1
+
+
+def test_equal_elements_share_one_canonical_form():
+    T0, T1 = ArtinianElement.gen(2, 0), ArtinianElement.gen(2, 1)
+    x = ArtinianElement(2, {frozenset(): Fraction(2, 6), frozenset([0]): Fraction(4, 6),
+                            frozenset([0, 1]): 3})
+    y = T1 * Fraction(5, 7) + Fraction(1, 7)
+    # numerators 2 and 4 share the factor 2 with the denominator 6
+    same = ArtinianElement(2, {(): 2, (0,): 4, (1, 0): 18}) * Fraction(1, 6)
+    routes = [x, x * Fraction(1, 3) * 3, x + y - y, same, (x * 6) / 6,
+              x - T0 * T1 + T0 * T1 * 1, -(-x)]
+    for r in routes:
+        _assert_canonical(r)
+        assert r == x and hash(r) == hash(x)
+        assert (r.nums, r.den) == ({0: 1, 1: 2, 3: 9}, 3)
+    zero = x - x
+    _assert_canonical(zero)
+    assert (zero.nums, zero.den) == ({}, 1)
+    assert zero == ArtinianElement(2, {}) == 0
+    assert hash(zero) == hash(ArtinianElement(2, {(0,): Fraction(1, 5), (0, 1): 0}) * 0)

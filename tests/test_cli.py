@@ -94,6 +94,33 @@ def test_iwahori_budget_exit(capsys):
     assert json.loads(out)["error"] == "budget exceeded"
 
 
+def test_tate_budget_exit():
+    # 18,379 subset patterns at the defaults: one short of them exits 2
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "--budget", "18378",
+                           "tate", "verify"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "budget exceeded", "suites": [],
+        "message": "tate.closed_equals_direct needs 18379 subset patterns > budget 18378"
+                   " (1 over)"}
+    assert proc.stderr == ""
+
+
+def test_tate_budget_at_pattern_count_keeps_report(capsys):
+    # the bytes of the pinned seed-7 tate report
+    assert main(["--seed", "7", "--budget", "18379", "tate", "verify"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "f6be201c1f95175fab3db21216219a2bbc6f6bea412362efde91a754fbe02311")
+
+
+def test_tate_report_past_default_k_pinned(capsys):
+    assert main(["--p", "5", "tate", "verify", "--k-max", "10", "--dmax", "12"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "1e7a788cd2d8fcad09d89a5089903bf6c82d0ec35d7cd0fd99407be981f58c9e")
+
+
 def test_interp_factor_config(capsys, tmp_path):
     cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
            "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, groupby
+from math import comb, factorial, prod
 
 import pytest
 
@@ -14,12 +16,49 @@ def one_gen_setup(lam=Fraction(1)):
     return tate.ShiftDerivation(base, lam)
 
 
-def test_subset_pattern_blocks():
-    pat = tate.SubsetPattern(7, [0, 1, 3, 5, 6])
-    assert sorted(pat.blocks) == [1, 2, 2]
-    assert sum(pat.blocks) == 5
-    with pytest.raises(ValueError):
-        tate.SubsetPattern(3, [5])
+def _runs(subset) -> list:
+    """The maximal runs of consecutive integers of a sorted tuple."""
+    return [[x for _, x in grp] for _, grp in groupby(enumerate(subset), lambda t: t[1] - t[0])]
+
+
+def _closed_by_patterns(k, s, a, b, der, dmax):
+    """The closed form summed pattern by pattern, each product built from scratch.
+
+    Pattern I contributes prod over its runs of (1/len!) prod (D - i) applied
+    to s, weighted by comb(a, r) lam^r / (comb(k, r) multinomial(k - r; runs)).
+    """
+    out = tate.TateSeries(s.ngens, dmax, {})
+    patterns = 0
+    for r in range(min(k, a) + 1):
+        for subset in combinations(range(k), k - r):
+            patterns += 1
+            runs = _runs(subset)
+            assert sum(len(run) for run in runs) == k - r
+            fs = s
+            for i in subset:
+                fs = der.base(fs) - fs * i
+            run_factorials = prod(factorial(len(run)) for run in runs)
+            multinom = Fraction(factorial(k - r), run_factorials)
+            weight = Fraction(comb(a, r), comb(k, r)) / multinom * der.lam ** r
+            out = out + tate.TateSeries.monomial(s.ngens, dmax, fs * (weight / run_factorials),
+                                                 a - r, b + r)
+    return out, patterns
+
+
+def test_closed_form_matches_pattern_by_pattern_sum():
+    assert _runs((0, 1, 3, 5, 6)) == [[0, 1], [3], [5, 6]]
+    rnd = random.Random(5)
+    images = [ArtinianElement.gen(2, 1) * 3 + 1, ArtinianElement.constant(2, Fraction(2, 3))]
+    der = tate.ShiftDerivation(derivation_from_images(images), Fraction(5, 2))
+    dmax = 14
+    for k in range(9):
+        for a in range(min(k, 4), 5):
+            s = ArtinianElement(2, {(): rnd.randrange(1, 4),
+                                    (0,): Fraction(rnd.randrange(-3, 4), 2),
+                                    (0, 1): rnd.randrange(-2, 3)})
+            want, patterns = _closed_by_patterns(k, s, a, 1, der, dmax)
+            assert tate.binomial_of_derivation_closed(k, s, a, 1, der, dmax) == want
+            assert tate.closed_form_patterns(k, a) == patterns
 
 
 def test_closed_form_degree_zero_and_one():
