@@ -20,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .glrep import GLBlockModel, WeightData, weyl_dimension
+from .iwahori import u_element
 from .matrices import ExactMatrix, rational_inverse
-from .polynomials import Poly, nullspace
+from .polynomials import Poly, image_kernel
 
 
 class MPoint:
@@ -42,23 +43,15 @@ class MPoint:
 
 
 def u_conjugator(n: int, d: int) -> MPoint:
-    """The open-orbit conjugating element u of the Levi.
+    """The open-orbit conjugating element u of the Levi, from `iwahori.u_element`.
 
     Distinguished block: identity plus lower entries feeding coordinate
     a_(n+1-i) into a_(n+1+i); other components: unipotent with the
-    antidiagonal in the upper-right n x n block.
+    antidiagonal in the lower-left n x n block.
     """
-    m = 2 * n - 1
-    u2 = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    for i in range(1, n):
-        u2[n - 1 + i][n - 1 - i] = Fraction(1)
-    blocks = [ExactMatrix(u2)]
-    for _ in range(d - 1):
-        full = [[Fraction(1) if i == j else Fraction(0) for j in range(2 * n)] for i in range(2 * n)]
-        for i in range(n):
-            full[n + i][n - 1 - i] = Fraction(1)
-        blocks.append(ExactMatrix(full))
-    return MPoint(1, 1, blocks)
+    u0 = u_element(n, True)
+    return MPoint(1, 1, [ExactMatrix(row[1:] for row in u0.rows[1:])]
+                  + [u_element(n, False) for _ in range(d - 1)])
 
 
 def v_basepoint(n: int, d: int) -> MPoint:
@@ -98,7 +91,7 @@ def _multisets(n: int, size: int):
 class BranchModel:
     """V_kappa tensor S_(-j) with the solved branching eigenvector."""
 
-    def __init__(self, wd: WeightData, dim_cap: int = 500, solve: bool = True):
+    def __init__(self, wd: WeightData, dim_cap: int = 500):
         bad = wd.cone_violation()
         if bad is not None:
             raise ValueError(f"(kappa, j) is not in the weight cone: {bad}")
@@ -120,10 +113,7 @@ class BranchModel:
         self.dimension = len(self.index)
         if self.dimension != total:
             raise ArithmeticError(f"model index has {self.dimension} entries, expected {total}")
-        self.coords = None
-        self.eigen_dimension = None
-        if solve:
-            self._solve()
+        self._solve()
 
     def _build_index(self):
         def rec(t, built):
@@ -171,64 +161,34 @@ class BranchModel:
 
     # -- Lie actions ------------------------------------------------------
 
-    def _s_lie_action(self, a: int, b: int, phi: Poly) -> Poly:
-        """E_(a,b) of the distinguished component acting on the polynomial twist.
+    def block_word_action(self, comp: int, word, block_idx: tuple):
+        """Apply a word of component comp's generators to the block part of a basis vector.
 
-        Indices are 0-based in the 2n x 2n component; only indices valid for
-        the Levi occur (0 with 0, or both >= 1).
+        Yields (block indices, coeff).  Component 0's generators carry full
+        2n x 2n indices, never the GL_1 slot 0: its GL_(2n-1) block sits at
+        full indices 1..2n-1.
         """
-        if a == 0 and b == 0:
-            out = Poly()
-            for var in range(2 * self.wd.n - 1):
-                dphi = phi.diff(var)
-                if not dphi.is_zero():
-                    out = out + Poly.variable(var) * dphi
-            return out
-        if a == 0 or b == 0:
-            raise ValueError("not a Levi element")
-        out = phi.diff(a - 1) * Poly.variable(b - 1)
-        return Poly() - out
+        model = self.blocks[comp]
+        if comp == 0:
+            word = [(a - 1, b - 1) for (a, b) in word]
+        f = model.word_action(word, model.basis[block_idx[comp]])
+        if f.is_zero():
+            return
+        for i2, c2 in model.expand(f).items():
+            yield block_idx[:comp] + (i2,) + block_idx[comp + 1:], c2
 
-    def _apply_lie(self, comp: int, a: int, b: int, vec: dict) -> dict:
-        """Image of a coordinate vector under E_(a,b) of component comp."""
+    def _apply_lie(self, comp: int, a: int, b: int, q: int) -> dict:
+        """Image of basis vector q under E_(a,b), a != b, of component comp."""
+        (block_idx, J) = self.index[q]
         out: dict = {}
-        n = self.wd.n
-        for q, c in vec.items():
-            if not c:
-                continue
-            (block_idx, J) = self.index[q]
-            if comp == 0:
-                # V-part: GL_1 entry (position 0) or the (2n-1)-block
-                if a == 0 and b == 0:
-                    _acc(out, q, c * self.wd.kappa[0][0])
-                else:
-                    model = self.blocks[0]
-                    g = model.lie_action(a - 1, b - 1, model.basis[block_idx[0]])
-                    if a == b:
-                        g = g + model.basis[block_idx[0]] * model.shift
-                    if not g.is_zero():
-                        for i2, c2 in enumerate(model.expand(g)):
-                            if c2:
-                                nb = list(block_idx)
-                                nb[0] = i2
-                                _acc(out, self._lookup(tuple(nb), J), c * c2)
-                # S-part
-                phi = _monomial_poly(J)
-                psi = self._s_lie_action(a, b, phi)
-                if not psi.is_zero():
-                    for J2, c2 in _expand_monomials(psi):
-                        _acc(out, self._lookup(block_idx, J2), c * c2)
-            else:
-                model = self.blocks[comp]
-                g = model.lie_action(a, b, model.basis[block_idx[comp]])
-                if a == b:
-                    g = g + model.basis[block_idx[comp]] * model.shift
-                if not g.is_zero():
-                    for i2, c2 in enumerate(model.expand(g)):
-                        if c2:
-                            nb = list(block_idx)
-                            nb[comp] = i2
-                            _acc(out, self._lookup(tuple(nb), J), c * c2)
+        for nb, c in self.block_word_action(comp, [(a, b)], block_idx):
+            _acc(out, self._lookup(nb, J), c)
+        e = J.count(a - 1) if comp == 0 else 0
+        if e:
+            # the twist: x^J -> -e x^(J - {a-1} + {b-1})
+            J2 = list(J)
+            J2.remove(a - 1)
+            _acc(out, self._lookup(block_idx, tuple(sorted(J2 + [b - 1]))), Fraction(-e))
         return {k: v for k, v in out.items() if v}
 
     def _lookup(self, block_idx: tuple, J: tuple) -> int:
@@ -259,13 +219,8 @@ class BranchModel:
         subspace = [q for q in range(self.dimension) if self._total_weight(q) == target]
         if not subspace:
             raise ArithmeticError("eigenspace dimension 0: empty weight space")
-        conditions = []
-        for (comp, a, b) in self._subgroup_offdiag():
-            images = [self._apply_lie(comp, a, b, {q: Fraction(1)}) for q in subspace]
-            support = sorted(set().union(*[set(im) for im in images]) if images else [])
-            for row_key in support:
-                conditions.append([im.get(row_key, Fraction(0)) for im in images])
-        sol = nullspace(conditions, len(subspace))
+        sol = image_kernel(([self._apply_lie(comp, a, b, q) for q in subspace]
+                            for (comp, a, b) in self._subgroup_offdiag()), len(subspace))
         self.eigen_dimension = len(sol)
         if len(sol) != 1:
             raise ArithmeticError(
@@ -295,13 +250,9 @@ class BranchModel:
 
     def _s_value(self, q: int, h: MPoint):
         """Value of the twist part of basis vector q at a subgroup point."""
-        (_, J) = self.index[q]
         n = self.wd.n
         col = [h.blocks[0].rows[i][n - 1] / h.g1 for i in range(2 * n - 1)]
-        out = Fraction(1)
-        for var in J:
-            out *= col[var]
-        return out
+        return _monomial_value(self.index[q][1], col)
 
     def pair_value(self, g: MPoint, h: MPoint):
         """Value of the solved vector as a function on (Levi) x (subgroup)."""
@@ -331,8 +282,8 @@ class BranchModel:
         ug = _mpoint_mul(u, g)
         out = Fraction(0)
         for q, c in self.coords.items():
-            phi = _monomial_poly(self.index[q][1])
-            out += c * self._v_value(self.index[q][0], ug) * phi.eval(folded)
+            block_idx, J = self.index[q]
+            out += c * self._v_value(block_idx, ug) * _monomial_value(J, folded)
         return out
 
     def cpol_value(self, g: MPoint, a_coords, coords=None):
@@ -345,8 +296,8 @@ class BranchModel:
         use = self.coords if coords is None else coords
         out = Fraction(0)
         for q, c in use.items():
-            phi = _monomial_poly(self.index[q][1])
-            out += c * self._v_value(self.index[q][0], g) * phi.eval(a)
+            block_idx, J = self.index[q]
+            out += c * self._v_value(block_idx, g) * _monomial_value(J, a)
         return out
 
     # -- group-level eigen test -------------------------------------------
@@ -379,9 +330,8 @@ class BranchModel:
             new_blocks = []
             for t, model in enumerate(self.blocks):
                 g2 = model.group_action(block_mats[t], model.basis[block_idx[t]])
-                coords_t = model.expand(g2)
                 det_fac = Fraction(block_dets[t]) ** model.shift
-                new_blocks.append([(i2, c2 * det_fac) for i2, c2 in enumerate(coords_t) if c2])
+                new_blocks.append([(i2, c2 * det_fac) for i2, c2 in model.expand(g2).items()])
             phi = _monomial_poly(J).subs_linear(forms)
             s_terms = _expand_monomials(phi)
 
@@ -433,6 +383,14 @@ class BranchModel:
 
 def _acc(d: dict, k, v):
     d[k] = d.get(k, Fraction(0)) + v
+
+
+def _monomial_value(J: tuple, values):
+    """prod over v in the multiset J of values[v]."""
+    out = Fraction(1)
+    for v in J:
+        out *= values[v]
+    return out
 
 
 def _monomial_poly(J: tuple) -> Poly:

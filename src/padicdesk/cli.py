@@ -194,6 +194,9 @@ def _run_interp_factor(args) -> int:
                                   if isinstance(item.get("at_p"), dict)
                                   else Fraction(item.get("at_p", 1)))
             chis.append(SmoothCharacter(fin, at_p))
+        for key, items in (("e", e), ("characters", chis)):
+            if len(items) != d:
+                raise ValueError(f'"{key}" has {len(items)} entries, need d = {d}')
         values = {}
         for key, val in (cfg.get("theta_values") or {}).items():
             tau, i = (int(x) for x in key.split(","))

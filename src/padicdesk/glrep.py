@@ -396,16 +396,12 @@ class GLBlockModel:
             raise ArithmeticError(
                 f"span closure gave {len(self.basis)} vectors, Weyl dimension is {self.dimension}")
 
-    def expand(self, f: Poly) -> list:
-        """Coordinates of a polynomial lying in the model span."""
+    def expand(self, f: Poly) -> dict:
+        """Sparse coordinates {basis index: c} of a polynomial in the model span."""
         residual, _ = self._ech.reduce(_echelon_vector(f))
-        coords = [Fraction(0)] * len(self.basis)
-        for key, c in residual.items():
-            flag, tag, _ = key
-            if flag != 0:
-                raise ValueError("polynomial not in the model span")
-            coords[tag] = -c
-        return coords
+        if any(flag for flag, _, _ in residual):
+            raise ValueError("polynomial not in the model span")
+        return {tag: -c for (_, tag, _), c in sorted(residual.items())}
 
     def true_weight(self, idx: int) -> tuple:
         """Torus weight of basis vector idx as a function in the unshifted model."""

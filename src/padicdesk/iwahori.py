@@ -52,7 +52,8 @@ def u_element(n: int, distinguished: bool = True) -> ExactMatrix:
 
     Distinguished component: block diag(1, u2) with u2 feeding coordinate
     n+1-i into n+1+i; other components: unipotent with the antidiagonal in
-    the lower-left n x n block.
+    the lower-left n x n block, which is also the simple open-orbit
+    representative (the gammahat of the subgroup and coset checks below).
     """
     m = 2 * n
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
@@ -83,15 +84,6 @@ def gammahat_element(n: int, distinguished: bool = True) -> ExactMatrix:
     if not distinguished:
         return g
     return g * w_cycle(n)
-
-
-def gammahat_simple(n: int) -> ExactMatrix:
-    """The simple open-orbit representative: antidiagonal in the lower-left block."""
-    m = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    for i in range(n):
-        rows[n + i][n - 1 - i] = Fraction(1)
-    return ExactMatrix(rows)
 
 
 def t_p_matrix(n: int, p: int, e: int = 1) -> ExactMatrix:
@@ -285,7 +277,7 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
     total = p ** nroots
     if total > budget:
         raise ValueError(f"enumeration budget exceeded: need {total} > {budget}")
-    gh = gammahat_simple(n)
+    gh = u_element(n, False)
     gh_inv = rational_inverse(gh)
     modulus = p ** (beta + 1)
     gh_res = _mat_mod(gh, modulus)
@@ -377,7 +369,7 @@ def subgroup_member(h: ExactMatrix, n: int, p: int, beta: int, M: int) -> bool:
     res = _mat_mod(h, modulus)
     if not block_diagonal_member(res, n, modulus):
         return False
-    gh = gammahat_simple(n)
+    gh = u_element(n, False)
     conj = _mat_mod(rational_inverse(gh) * h * gh, modulus)
     return iwahori_member(conj, p, beta, modulus)
 
@@ -393,7 +385,7 @@ def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> di
     rnd = random.Random(seed)
     M = beta + 2
     modulus = p ** M
-    gh = gammahat_simple(n)
+    gh = u_element(n, False)
     gh_inv = rational_inverse(gh)
     agree = 0
     nontrivial = 0
@@ -532,7 +524,7 @@ def coset_witness_identity(n: int, beta: int, p: int) -> dict:
     k = (diag(-1_n, 1_n) * (gammahat^t)^-1 * t_p^beta)^-1 * gammahat * s_p^beta * w_max
     must land in the depth-one Iwahori; verified mod p over exact rationals.
     """
-    gh = gammahat_simple(n)
+    gh = u_element(n, False)
     m = 2 * n
     sign = ExactMatrix([[Fraction(-1) if i == j and i < n else
                          (Fraction(1) if i == j else Fraction(0))
@@ -614,7 +606,7 @@ def gammahat_coset_relation(n: int) -> dict:
     for i in range(n):
         for j in range(n):
             zeta.rows[i][j] = blockx.rows[i][j]
-    b = rational_inverse(zeta * gammahat_simple(n)) * gh
+    b = rational_inverse(zeta * u_element(n, False)) * gh
     ok = all(b.rows[i][j] == 0 for i in range(m) for j in range(i))
     ok = ok and all(b.rows[i][j].denominator == 1 for i in range(m) for j in range(m))
     ok = ok and all(abs(b.rows[i][i]) == 1 for i in range(m))

@@ -248,3 +248,17 @@ def nullspace(rows: list, ncols: int) -> list:
             vec[pc] = -row[fc]
         basis.append(vec)
     return basis
+
+
+def image_kernel(operators, ncols: int) -> list:
+    """Nullspace basis of the vectors all of whose operator images vanish.
+
+    Each item of `operators` lists the sparse images {key: c} of the ncols
+    basis vectors under one operator; every key met (in sorted order) gives
+    one condition row, so the rows come operator by operator.
+    """
+    rows = []
+    for images in operators:
+        for key in sorted(set().union(*images)):
+            rows.append([im.get(key, 0) for im in images])
+    return nullspace(rows, ncols)

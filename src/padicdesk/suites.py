@@ -598,7 +598,8 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
     total = p ** (n * (2 * n - 1))
     if total > budget:
         raise BudgetExceeded(
-            f"double-coset enumeration needs {total} representatives > budget {budget}")
+            f"iwahori.double_coset_singleton needs {total} representatives > budget {budget}"
+            f" ({total - budget} over)")
     rep = iw.double_coset_singleton(n, p, beta, budget)
     _check(checks, "iwahori.double_coset_singleton",
            "every depth representative is connected through the conjugated subgroup",

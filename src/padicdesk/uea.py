@@ -19,7 +19,7 @@ from fractions import Fraction
 from .artinian import ArtinianElement
 from .glrep import GLBlockModel
 from .matrices import ExactMatrix, cycles, perm_sign
-from .polynomials import nullspace
+from .polynomials import image_kernel
 
 
 def _gen_key(g):
@@ -277,22 +277,9 @@ def h_eigenfunctions(model: GLBlockModel, a: int, b: int, nu1: int, nu2: int) ->
     subspace = [q for q in range(model.dimension) if model.true_weight(q) == target]
     if not subspace:
         return []
-    blocks = [range(0, a), range(a, m)]
-    conditions = []
-    for blk in blocks:
-        for r in blk:
-            for c in blk:
-                if r == c:
-                    continue
-                images = []
-                for q in subspace:
-                    g = model.lie_action(r, c, model.basis[q])
-                    images.append(model.expand(g) if not g.is_zero() else [Fraction(0)] * model.dimension)
-                for row_idx in range(model.dimension):
-                    row = [im[row_idx] for im in images]
-                    if any(row):
-                        conditions.append(row)
-    sols = nullspace(conditions, len(subspace))
+    ops = [(r, c) for blk in (range(0, a), range(a, m)) for r in blk for c in blk if r != c]
+    sols = image_kernel(([model.expand(model.lie_action(r, c, model.basis[q])) for q in subspace]
+                         for (r, c) in ops), len(subspace))
     out = []
     for sol in sols:
         coords = [Fraction(0)] * model.dimension
@@ -386,31 +373,17 @@ def commutator_leibniz_check(n: int, i: int, monomial: tuple, func=None,
 def _apply_levi_word(bm, word, block_idx: tuple):
     """Apply a word of Levi generators to a product basis vector.
 
-    Component-0 generators use block-local indices (full index minus one,
-    the GL_1 slot never occurs in determinant words); returns a list of
-    (block_idx', coeff).
+    Each component's subword goes through `bm.block_word_action`; returns a
+    list of (block_idx', coeff).
     """
     per_comp: dict = {}
     for (comp, i, j) in word:
         per_comp.setdefault(comp, []).append((i, j))
-    results = [(list(block_idx), Fraction(1))]
+    results = [(block_idx, Fraction(1))]
     for comp, subword in per_comp.items():
-        model = bm.blocks[comp]
-        local = [(i - 1, j - 1) for (i, j) in subword] if comp == 0 else subword
-        new_results = []
-        for (idx, coeff) in results:
-            f = model.word_action(local, model.basis[idx[comp]])
-            if f.is_zero():
-                continue
-            for i2, c2 in enumerate(model.expand(f)):
-                if c2:
-                    idx2 = list(idx)
-                    idx2[comp] = i2
-                    new_results.append((idx2, coeff * c2))
-        results = new_results
-        if not results:
-            break
-    return [(tuple(idx), c) for idx, c in results]
+        results = [(idx2, coeff * c2) for (idx, coeff) in results
+                   for idx2, c2 in bm.block_word_action(comp, subword, idx)]
+    return results
 
 
 def branching_operator_constant(bm_j, bm_0) -> dict:

@@ -8,8 +8,10 @@ from padicdesk.branch import (BranchModel, GeneratorFamily, MPoint,
                               twisted_product_value, u_conjugator, v_basepoint)
 from padicdesk.characters import PCharacter
 from padicdesk.glrep import WeightData
+from padicdesk.iwahori import u_element
 from padicdesk.mahler import weighted_indicator
 from padicdesk.matrices import ExactMatrix
+from padicdesk.polynomials import Poly
 from padicdesk.rationals import valuation
 from padicdesk.suites import (random_congruence_unipotent, random_subgroup_point,
                               random_unit_box_point)
@@ -157,3 +159,59 @@ def test_trivial_weight_restriction_constant_one():
         g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
         a = random_unit_box_point(2, p, beta, M, rnd)
         assert bm.box_restriction_value(g, a) == 1
+
+
+def _unipotent(size, extra):
+    """The identity plus a 1 at every (i, j) with extra(i, j)."""
+    return ExactMatrix([[Fraction(int(i == j or extra(i, j))) for j in range(size)]
+                        for i in range(size)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_open_orbit_conjugator_forms(n):
+    # the antidiagonal sits in the lower-left n x n block; at the distinguished
+    # component it feeds coordinate n+1-i into n+1+i and misses the GL_1 slot
+    other = _unipotent(2 * n, lambda i, j: i >= n and i + j == 2 * n - 1)
+    dist = _unipotent(2 * n, lambda i, j: i > n and i + j == 2 * n)
+    assert u_element(n, False) == other
+    assert u_element(n, True) == dist
+    u = u_conjugator(n, 3)
+    assert u.blocks == [ExactMatrix(row[1:] for row in dist.rows[1:]), other, other]
+
+
+def _apply_lie_oracle(bm, comp, a, b, q):
+    """E_(a,b) on basis vector q from lie_action + expand and Poly.diff."""
+    where = {key: i for i, key in enumerate(bm.index)}
+    block_idx, J = bm.index[q]
+    model = bm.blocks[comp]
+    la, lb = (a - 1, b - 1) if comp == 0 else (a, b)
+    out = {}
+    for i2, c in model.expand(model.lie_action(la, lb, model.basis[block_idx[comp]])).items():
+        nb = list(block_idx)
+        nb[comp] = i2
+        out[where[(tuple(nb), J)]] = c
+    if comp == 0:
+        x_J = Poly({tuple((v, J.count(v)) for v in set(J)): 1})
+        twist = -(x_J.diff(a - 1) * Poly.variable(b - 1))
+        for mono, c in twist.terms.items():
+            key = where[(block_idx, tuple(sorted(v for v, e in mono for _ in range(e))))]
+            out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", [
+    (2, 1, 0, [[3, 2, -2, -3]], [1]),
+    (2, 1, 0, [[0, 2, -1, -3]], [2]),
+    (2, 1, 1, [[1, 1, -1, -2]], [1]),
+    (2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]),
+    (3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
+])
+def test_apply_lie_matches_derivative_oracle(n, d, kappa0, kappa, j):
+    bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+    twisted = 0
+    for (comp, a, b) in bm._subgroup_offdiag():
+        for q in range(bm.dimension):
+            ours = bm._apply_lie(comp, a, b, q)
+            assert ours == _apply_lie_oracle(bm, comp, a, b, q), (comp, a, b, q)
+            twisted += comp == 0 and (a - 1) in bm.index[q][1]
+    assert (twisted > 0) == (j[0] > 0)  # the twist step ran whenever there is a twist

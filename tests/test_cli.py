@@ -91,7 +91,10 @@ def test_iwahori_budget_exit(capsys):
     code, out = run_cli(["--n", "2", "--p", "3", "--beta", "1",
                          "--budget", "10", "iwahori", "verify"], capsys)
     assert code == 2
-    assert json.loads(out)["error"] == "budget exceeded"
+    assert json.loads(out) == {
+        "error": "budget exceeded", "suites": [],
+        "message": "iwahori.double_coset_singleton needs 729 representatives > budget 10"
+                   " (719 over)"}
 
 
 def test_tate_budget_exit():
@@ -138,6 +141,19 @@ def test_interp_factor_bad_config(capsys, tmp_path):
     path.write_text('{"p": 3}')
     code, out = run_cli(["interp", "factor", "--config", str(path)], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("short", ["e", "characters"])
+def test_interp_factor_short_list(short, capsys, tmp_path):
+    cfg = {"p": 3, "n": 2, "d": 2, "e": [1, 1],
+           "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}] * 2}
+    cfg[short] = cfg[short][:1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(["interp", "factor", "--config", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "malformed config",
+                               "message": f"\"{short}\" has 1 entries, need d = 2"}
 
 
 def test_out_file_and_env(capsys, tmp_path, monkeypatch):

@@ -74,7 +74,7 @@ def test_lie_action_weights():
             coords = model.expand(g)
             target = tuple(w[i] + (1 if i == a else 0) - (1 if i == b else 0)
                            for i in range(3))
-            for i, c in enumerate(coords):
+            for i, c in coords.items():
                 if c:
                     assert model.weights[i] == target
 
