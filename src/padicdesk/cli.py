@@ -312,6 +312,8 @@ def _bad_input(args) -> str | None:
         return f"--k-max {args.k_max} must be >= 0"
     if args.dmax < 3:
         return f"--dmax {args.dmax} must be >= 3"
+    if args.budget < 1:
+        return f"--budget {args.budget} must be >= 1"
     return None
 
 

@@ -9,6 +9,7 @@ unit diagonal.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .artinian import ArtinianElement
@@ -260,15 +261,75 @@ def gl2_index_enumeration(p: int, e: int, beta: int) -> int:
 # double cosets
 
 
+@lru_cache(maxsize=None)
+def _simple_conjugator(n: int) -> tuple:
+    """The simple open-orbit form u_element(n, False) and its inverse over Q,
+    built once per n and shared read-only."""
+    gh = u_element(n, False)
+    return gh, rational_inverse(gh)
+
+
+def _nonzeros(vectors) -> list:
+    """Each vector as the list of its (index, value) nonzeros."""
+    return [[(k, v) for k, v in enumerate(vec) if v] for vec in vectors]
+
+
+def _subgroup_solver(n: int, p: int) -> tuple:
+    """The F_p-linear solve for the block pair Y whose conjugate
+    gh^-1 Y gh has a given strict lower part, with gh the simple form.
+
+    [A | I] is reduced mod p once, where the columns of A are the strict
+    lower parts of the conjugated block basis.  Its left block is the
+    reduced form R of A and its right block an invertible E with E A = R.
+    The reduced form of [A | t] is unique, so it is [R | E t] when E t
+    vanishes below the rank of A; otherwise [A | t] has a pivot in its last
+    column and the system is inconsistent.  Returns (block basis positions,
+    strict lower positions, solve), where solve(t) gives the coordinates of
+    Y on the block basis, or None when t is not reached.
+    """
+    m = 2 * n
+    gh, gh_inv = _simple_conjugator(n)
+    lower_pos = [(i, j) for i in range(m) for j in range(m) if i > j]
+    y_basis = [(i, j) for i in range(m) for j in range(m) if (i < n) == (j < n)]
+    gh_p, ghi_p = _mat_mod(gh, p), _mat_mod(gh_inv, p)
+    cols = []
+    for (yi, yj) in y_basis:
+        y = [[0] * m for _ in range(m)]
+        y[yi][yj] = 1
+        img = _mod_mul(_mod_mul(ghi_p, y, p), gh_p, p)
+        cols.append([img[i][j] % p for (i, j) in lower_pos])
+    ncols = len(y_basis)
+    nlower = len(lower_pos)
+    reduced, pivots = row_reduce(
+        [[*row, *(int(i == k) for k in range(nlower))] for i, row in enumerate(zip(*cols))], p)
+    piv_cols = [c for c in pivots if c < ncols]
+    rank = len(piv_cols)
+    e_rows = _nonzeros(row[ncols:] for row in reduced)
+
+    def solve(target):
+        v = [sum(e * target[k] for k, e in row) % p for row in e_rows]
+        if any(v[rank:]):
+            return None
+        sol = [0] * ncols
+        for c, x in zip(piv_cols, v):
+            sol[c] = x
+        return sol
+
+    return y_basis, lower_pos, solve
+
+
 def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
                            max_witnesses: int = 3) -> dict:
     """Connect every depth-beta/depth-(beta+1) representative through the
     block subgroup conjugated by the simple open-orbit matrix.
 
-    Each representative I + p^beta N (N strictly lower mod p) must factor as
-    (conjugated subgroup element) * (depth beta+1 element); the subgroup
-    element is exhibited explicitly and all memberships re-verified mod
-    p^(beta+1).
+    Each representative x = I + p^beta N (N strictly lower mod p) must factor
+    as (conjugated subgroup element) * (depth beta+1 element).  One F_p solve,
+    reduced once for all representatives, gives the subgroup element
+    h = I + p^beta Y; each representative is then checked by explicit
+    products mod p^(beta+1): conj = gh^-1 h gh must lie in the depth-beta
+    Iwahori and k = gh^-1 h^-1 gh x = (2I - conj) x in the depth-(beta+1)
+    one.  The products with gh and gh^-1 read only their nonzeros.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -277,57 +338,38 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
     total = p ** nroots
     if total > budget:
         raise ValueError(f"enumeration budget exceeded: need {total} > {budget}")
-    gh = u_element(n, False)
-    gh_inv = rational_inverse(gh)
+    gh, gh_inv = _simple_conjugator(n)
     modulus = p ** (beta + 1)
-    gh_res = _mat_mod(gh, modulus)
-    ghi_res = _mat_mod(gh_inv, modulus)
-
-    # the F_p-linear map Y (block pair) -> strict lower part of gh^-1 Y gh
-    lower_pos = [(i, j) for i in range(m) for j in range(m) if i > j]
-    y_basis = [(i, j) for i in range(m) for j in range(m) if (i < n) == (j < n)]
-    cols = []
-    for (yi, yj) in y_basis:
-        y = [[0] * m for _ in range(m)]
-        y[yi][yj] = 1
-        img = _mod_mul(_mod_mul(_mat_mod(gh_inv, p), y, p), _mat_mod(gh, p), p)
-        cols.append([img[i][j] % p for (i, j) in lower_pos])
-    # solve A y = target mod p per representative; A has these images as columns
-    ncols = len(y_basis)
-    a_rows = list(zip(*cols))
-
-    def solve_mod_p(target):
-        reduced, piv_cols = row_reduce([[*row, t] for row, t in zip(a_rows, target)], p)
-        if piv_cols and piv_cols[-1] == ncols:
-            return None  # a pivot in the target column: inconsistent
-        sol = [0] * ncols
-        for row, c in zip(reduced, piv_cols):
-            sol[c] = row[ncols]
-        return sol
+    pb = p ** beta
+    ghi_rows = _nonzeros(_mat_mod(gh_inv, modulus))
+    gh_cols = _nonzeros(zip(*_mat_mod(gh, modulus)))
+    y_basis, lower_pos, solve = _subgroup_solver(n, p)
+    # the strict lower positions of each column of x, as (target index, row)
+    x_lower = [[(t, i) for t, (i, j) in enumerate(lower_pos) if j == col] for col in range(m)]
 
     witnesses = []
     checked = 0
     for digits in iproduct(range(p), repeat=nroots):
         target = list(digits)
-        sol = solve_mod_p(target)
+        sol = solve(target)
         if sol is None:
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "no connecting subgroup element for a representative"}
-        # reconstruct and verify exactly mod p^(beta+1)
-        y = [[0] * m for _ in range(m)]
+        h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
-            y[yi][yj] = val
-        h = [[(1 if i == j else 0) + p ** beta * y[i][j] for j in range(m)] for i in range(m)]
-        # (p^beta Y)^2 = 0 mod p^(beta+1) for beta >= 1, so h^-1 = I - p^beta Y
-        h_inv = [[((i == j) - p ** beta * y[i][j]) % modulus for j in range(m)] for i in range(m)]
-        x = [[(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        for val, (i, j) in zip(target, lower_pos):
-            x[i][j] = (x[i][j] + p ** beta * val) % modulus
-        conj = _mod_mul(_mod_mul(ghi_res, h, modulus), gh_res, modulus)
+            h[yi][yj] += pb * val
+        hg = [[sum(row[k] * v for k, v in col) for col in gh_cols] for row in h]
+        conj = [[sum(v * hg[k][j] for k, v in nz) % modulus for j in range(m)]
+                for nz in ghi_rows]
         if not iwahori_member(conj, p, beta, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
-        k_res = _mod_mul(_mod_mul(_mod_mul(ghi_res, h_inv, modulus), gh_res, modulus), x, modulus)
+        # (p^beta Y)^2 = 0 mod p^(beta+1) for beta >= 1, so h^-1 = I - p^beta Y
+        # and gh^-1 h^-1 gh = 2I - conj
+        x_cols = [[(j, 1)] + [(i, pb * target[t]) for t, i in x_lower[j] if target[t]]
+                  for j in range(m)]
+        k_res = [[sum((2 * (i == k) - conj[i][k]) * v for k, v in col) % modulus
+                  for col in x_cols] for i in range(m)]
         if not iwahori_member(k_res, p, beta + 1, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "residual factor left the depth-(beta+1) Iwahori"}
@@ -369,8 +411,8 @@ def subgroup_member(h: ExactMatrix, n: int, p: int, beta: int, M: int) -> bool:
     res = _mat_mod(h, modulus)
     if not block_diagonal_member(res, n, modulus):
         return False
-    gh = u_element(n, False)
-    conj = _mat_mod(rational_inverse(gh) * h * gh, modulus)
+    gh, gh_inv = _simple_conjugator(n)
+    conj = _mat_mod(gh_inv * h * gh, modulus)
     return iwahori_member(conj, p, beta, modulus)
 
 
@@ -385,8 +427,7 @@ def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> di
     rnd = random.Random(seed)
     M = beta + 2
     modulus = p ** M
-    gh = u_element(n, False)
-    gh_inv = rational_inverse(gh)
+    gh, gh_inv = _simple_conjugator(n)
     agree = 0
     nontrivial = 0
     for k in range(samples):
@@ -524,7 +565,7 @@ def coset_witness_identity(n: int, beta: int, p: int) -> dict:
     k = (diag(-1_n, 1_n) * (gammahat^t)^-1 * t_p^beta)^-1 * gammahat * s_p^beta * w_max
     must land in the depth-one Iwahori; verified mod p over exact rationals.
     """
-    gh = u_element(n, False)
+    gh = _simple_conjugator(n)[0]
     m = 2 * n
     sign = ExactMatrix([[Fraction(-1) if i == j and i < n else
                          (Fraction(1) if i == j else Fraction(0))

@@ -81,15 +81,19 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
+            brows = other.rows
             out = []
-            for i in range(self.nrows):
-                row = []
+            for row in self.rows:
+                # the first term fixes the entry ring; past it a zero left entry
+                # (only int and Fraction zeros are falsy) adds nothing
+                rest = [(a, brows[k]) for k, a in enumerate(row) if k and a]
+                out_row = []
                 for j in range(other.ncols):
-                    acc = self.rows[i][0] * other.rows[0][j]
-                    for k in range(1, self.ncols):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
+                    acc = row[0] * brows[0][j]
+                    for a, brow in rest:
+                        acc = acc + a * brow[j]
+                    out_row.append(acc)
+                out.append(out_row)
             return ExactMatrix(out)
         return ExactMatrix([[a * other for a in r] for r in self.rows])
 

@@ -194,6 +194,14 @@ def test_suite_reports_pinned(suite, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_iwahori_benchmark_config_report_pinned(capsys):
+    # the iwahori-enum benchmark command: 5^6 = 15,625 double-coset representatives
+    assert main(["--n", "2", "--p", "5", "--beta", "1", "--seed", "7", "iwahori", "verify"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "c165070b8b6fae50f5efc26fcf2c3d62951a5eefad637ee81dee66c7a9ba2108")
+
+
 # (n, d, kappa0, kappa, j) of the eleven acceptance weights, with the sha256 of
 # the `--seed 7 branch --weight-json` report for each
 _BRANCH_PINS = [
@@ -295,8 +303,10 @@ def test_interp_factor_large_field_pinned(config, digest, capsys, tmp_path):
     (["tate", "verify", "--dmax", "2"], "--dmax 2 must be >= 3"),
     (["--p", "2", "verify", "--suite", "mahler"], "--p 2: the mahler suite needs an odd prime"),
     (["--p", "2", "verify", "--suite", "all"], "--p 2: the mahler suite needs an odd prime"),
+    (["--budget", "-5", "iwahori", "verify"], "--budget -5 must be >= 1"),
+    (["--budget", "0", "tate", "verify"], "--budget 0 must be >= 1"),
 ], ids=["p-composite", "p-one", "beta-zero", "k-max-negative", "n-one", "n-zero",
-        "dmax-two", "p-two-mahler", "p-two-all"])
+        "dmax-two", "p-two-mahler", "p-two-all", "budget-negative", "budget-zero"])
 def test_bad_global_option(args, message, capsys):
     code, out = run_cli(args, capsys)
     assert code == 3

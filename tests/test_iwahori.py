@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from padicdesk import iwahori as iw
 from padicdesk.artinian import ArtinianElement
-from padicdesk.matrices import ExactMatrix, modular_inverse, rational_inverse
+from padicdesk.matrices import ExactMatrix, modular_inverse, rational_inverse, row_reduce
 from padicdesk.rationals import valuation
 
 
@@ -103,6 +103,101 @@ def test_double_coset_singleton_small():
     rep = iw.double_coset_singleton(2, 2, 1)
     assert rep["passed"] and rep["checked"] == 64
     assert rep["witnesses"]
+
+
+def _double_coset_oracle(n, p, beta, max_witnesses=3):
+    """The enumeration with [A | t] row-reduced for every representative t and
+    dense products mod p^(beta+1), h^-1 taken as I - p^beta Y."""
+    m = 2 * n
+    modulus = p ** (beta + 1)
+    gh = iw.u_element(n, False)
+
+    def residues(mat, q):
+        assert all(x.denominator == 1 for row in mat.rows for x in row)
+        return [[int(x) % q for x in row] for row in mat.rows]
+
+    def mul(a, b, q):
+        return [[sum(a[i][k] * b[k][j] for k in range(m)) % q for j in range(m)]
+                for i in range(m)]
+
+    def upper_unit(res, depth):
+        return (all(res[i][i] % p for i in range(m))
+                and all(res[i][j] % p ** depth == 0 for i in range(m) for j in range(i)))
+
+    gh_res, ghi_res = residues(gh, modulus), residues(rational_inverse(gh), modulus)
+    lower_pos = [(i, j) for i in range(m) for j in range(m) if i > j]
+    y_basis = [(i, j) for i in range(m) for j in range(m) if (i < n) == (j < n)]
+    cols = []
+    for yi, yj in y_basis:
+        y = [[int((i, j) == (yi, yj)) for j in range(m)] for i in range(m)]
+        img = mul(mul(ghi_res, y, p), gh_res, p)
+        cols.append([img[i][j] for i, j in lower_pos])
+    a_rows = list(zip(*cols))
+    ncols = len(y_basis)
+    pb = p ** beta
+    witnesses = []
+    checked = 0
+    for digits in product(range(p), repeat=len(lower_pos)):
+        target = list(digits)
+        reduced, piv = row_reduce([[*row, t] for row, t in zip(a_rows, target)], p)
+        if piv and piv[-1] == ncols:
+            return {"passed": False, "checked": checked, "witnesses": witnesses,
+                    "detail": "no connecting subgroup element for a representative"}
+        sol = [0] * ncols
+        for row, c in zip(reduced, piv):
+            sol[c] = row[ncols]
+        y = [[0] * m for _ in range(m)]
+        for val, (yi, yj) in zip(sol, y_basis):
+            y[yi][yj] = val
+        h = [[int(i == j) + pb * y[i][j] for j in range(m)] for i in range(m)]
+        h_inv = [[(int(i == j) - pb * y[i][j]) % modulus for j in range(m)] for i in range(m)]
+        x = [[int(i == j) for j in range(m)] for i in range(m)]
+        for val, (i, j) in zip(target, lower_pos):
+            x[i][j] = pb * val
+        if not upper_unit(mul(mul(ghi_res, h, modulus), gh_res, modulus), beta):
+            return {"passed": False, "checked": checked, "witnesses": witnesses,
+                    "detail": "witness conjugate left the depth-beta Iwahori"}
+        k_res = mul(mul(mul(ghi_res, h_inv, modulus), gh_res, modulus), x, modulus)
+        if not upper_unit(k_res, beta + 1):
+            return {"passed": False, "checked": checked, "witnesses": witnesses,
+                    "detail": "residual factor left the depth-(beta+1) Iwahori"}
+        if len(witnesses) < max_witnesses:
+            witnesses.append({"representative": target, "subgroup_part": sol})
+        checked += 1
+    return {"passed": True, "checked": checked, "witnesses": witnesses,
+            "conjugator": "simple antidiagonal open-orbit form",
+            "detail": f"all {checked} representatives connected"}
+
+
+@pytest.mark.parametrize("n, p, beta", [(2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)])
+def test_double_coset_singleton_matches_per_representative_solve(n, p, beta):
+    # every representative kept as a witness, so every subgroup part is compared
+    every = p ** (n * (2 * n - 1))
+    assert (iw.double_coset_singleton(n, p, beta, max_witnesses=every)
+            == _double_coset_oracle(n, p, beta, max_witnesses=every))
+
+
+def test_double_coset_wrong_solution_is_caught(monkeypatch):
+    # one representative gets a subgroup part off by one coordinate: its
+    # residual factor must leave the depth-(beta+1) Iwahori
+    true_solver = iw._subgroup_solver
+
+    def tampered_solver(n, p):
+        y_basis, lower_pos, solve = true_solver(n, p)
+
+        def wrong(target):
+            sol = solve(target)
+            if target == [0, 0, 0, 0, 0, 1]:
+                sol[0] = (sol[0] + 1) % p
+            return sol
+
+        return y_basis, lower_pos, wrong
+
+    monkeypatch.setattr(iw, "_subgroup_solver", tampered_solver)
+    rep = iw.double_coset_singleton(2, 3, 1)
+    assert rep["passed"] is False
+    assert rep["checked"] == 1
+    assert rep["detail"] == "residual factor left the depth-(beta+1) Iwahori"
 
 
 def test_double_coset_budget():

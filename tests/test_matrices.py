@@ -1,5 +1,6 @@
 """row_reduce, its inverses and nullspaces, det and the permutation helpers, against sympy."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -105,3 +106,84 @@ def test_perm_sign_and_cycles_match_sympy():
             # the sign reads only the relative order, so 1-based lists agree
             assert perm_sign([x + 1 for x in perm]) == ref.signature()
             assert cycles(perm) == ref.full_cyclic_form
+
+
+def _naive_product(a, b):
+    # the triple loop, every term included, starting from the first one
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _assert_same_entries(got, want):
+    assert got == want
+    assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+
+
+_entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _product_operands(draw):
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    a = draw(st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(_entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    # zero rows and columns of either operand, the first column of a included
+    for i in draw(st.sets(st.integers(0, r - 1))):
+        a[i] = [Fraction(0)] * k
+    for j in draw(st.sets(st.integers(0, k - 1))):
+        for row in a:
+            row[j] = Fraction(0)
+    for j in draw(st.sets(st.integers(0, c - 1))):
+        for row in b:
+            row[j] = Fraction(0)
+    return a, b
+
+
+@given(_product_operands())
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_naive_loop_and_sympy(operands):
+    a, b = operands
+    got = (ExactMatrix(a) * ExactMatrix(b)).rows
+    _assert_same_entries(got, _naive_product(a, b))
+    assert sympy.Matrix(got) == _to_sympy(a) * _to_sympy(b)
+
+
+def _ring_cases():
+    from padicdesk.artinian import ArtinianElement
+    from padicdesk.cyclotomic import CyclotomicElement
+    from padicdesk.polynomials import Poly
+    from padicdesk.uea import UEAElement
+
+    x, y = Poly.variable(0), Poly.variable(1)
+    t1, t2, t3 = (ArtinianElement.gen(3, i) for i in range(3))
+    z = CyclotomicElement.zeta(12)
+    e12, e21 = UEAElement.generator(0, 1, 2), UEAElement.generator(0, 2, 1)
+    return {
+        "poly": ([[x, Poly(), y + Poly.constant(2)], [Poly(), x * y, Poly.constant(-1)]],
+                 [[y, Poly()], [Poly.constant(3), x], [x + y, Poly()]]),
+        "artinian": ([[t1, ArtinianElement(3, {}), t2 + t3],
+                      [ArtinianElement.constant(3, Fraction(1, 2)), t1 * t2, t3]],
+                     [[t3, ArtinianElement(3, {})], [t1, t2], [ArtinianElement.constant(3, 2), t1]]),
+        "cyclotomic": ([[z, CyclotomicElement.from_rational(0, 12), z * z + 1],
+                        [CyclotomicElement.from_rational(Fraction(2, 3), 12), z ** 3, z]],
+                       [[z, z * z], [CyclotomicElement.from_rational(0, 12), z], [z + 2, z]]),
+        "uea": ([[e12, UEAElement(), e21 + UEAElement.one()], [UEAElement(), e12 * e21, e21]],
+                [[e21, UEAElement.one()], [e12, UEAElement()], [UEAElement.one(), e12]]),
+    }
+
+
+@pytest.mark.parametrize("ring", ["poly", "artinian", "cyclotomic", "uea"])
+def test_matmul_ring_entries_match_naive_loop(ring):
+    a, b = _ring_cases()[ring]
+    _assert_same_entries((ExactMatrix(a) * ExactMatrix(b)).rows, _naive_product(a, b))
+    # rational left entries, zeros in every column, against ring entries on the right
+    left = [[Fraction(0), 2, Fraction(0)], [Fraction(1, 2), Fraction(0), 0]]
+    _assert_same_entries((ExactMatrix(left) * ExactMatrix(b)).rows, _naive_product(left, b))
