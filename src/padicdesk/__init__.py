@@ -1,7 +1,7 @@
 """padicdesk: exact p-adic desk calculator.
 
 Modules:
-  rationals   -- p-adic valuations, unit parts and residues of rationals
+  rationals   -- p-adic valuations and unit parts of rationals
   cyclotomic  -- exact cyclotomic field arithmetic
   artinian    -- truncated nilpotent coefficient rings
   matrices    -- exact matrices and determinants over any ring, permutation

@@ -3,7 +3,8 @@
 Subcommands: branch, tate, iwahori, interp, verify.  All output is JSON
 (optionally flattened to CSV for leaf tables); identical configurations
 produce byte-identical reports.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed, 2 a resource budget was exceeded, 3 bad input.
+mathematical check failed, 2 a resource budget was exceeded, 3 bad input
+(an unwritable --out included).
 """
 
 from __future__ import annotations
@@ -25,21 +26,33 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
+class _OutputError(Exception):
+    """The --out file could not be written."""
+
+
 def _emit(report: dict, out_path: str | None, csv: bool = False) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if out_path:
         base_dir = os.environ.get("PADICDESK_OUT_DIR", "")
         path = out_path if os.path.isabs(out_path) or not base_dir else \
             os.path.join(base_dir, out_path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if csv:
-            with open(path + ".csv", "w", encoding="utf-8") as fh:
-                fh.write(_flatten_csv(report))
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            if csv:
+                with open(path + ".csv", "w", encoding="utf-8") as fh:
+                    fh.write(_flatten_csv(report))
+        except OSError as err:
+            raise _OutputError(str(err)) from None
     else:
         sys.stdout.write(text + "\n")
         if csv:
             sys.stdout.write(_flatten_csv(report))
+
+
+def _malformed(err: Exception) -> str:
+    """The message of a malformed-input error; a KeyError names the missing key."""
+    return f'missing key "{err.args[0]}"' if isinstance(err, KeyError) else str(err)
 
 
 def _flatten_csv(report: dict) -> str:
@@ -67,7 +80,7 @@ def _run_branch(args) -> int:
     try:
         wd = WeightData.from_json(spec)
     except (KeyError, TypeError, ValueError) as err:
-        _emit({"error": "malformed weight spec", "message": str(err)}, args.out)
+        _emit({"error": "malformed weight spec", "message": _malformed(err)}, args.out)
         return EXIT_INPUT
 
     from . import branch as branch_pkg
@@ -203,7 +216,7 @@ def _run_interp_factor(args) -> int:
             values[(tau, i)] = HalfPowerValue(p, Fraction(val))
         data = SatakeData(n, d, p, values or None)
     except (KeyError, TypeError, ValueError) as err:
-        _emit({"error": "malformed config", "message": str(err)}, args.out)
+        _emit({"error": "malformed config", "message": _malformed(err)}, args.out)
         return EXIT_INPUT
     try:
         value = interpolation_factor(data, chis, e, n)
@@ -327,6 +340,14 @@ def main(argv=None) -> int:
         args.k_max = 8
     if not hasattr(args, "dmax"):
         args.dmax = 12
+    try:
+        return _dispatch(parser, args)
+    except _OutputError as err:
+        _emit({"error": "cannot write output", "message": str(err)}, None)
+        return EXIT_INPUT
+
+
+def _dispatch(parser, args) -> int:
     bad = _bad_input(args)
     if bad:
         _emit({"error": "bad input", "message": bad}, args.out)

@@ -1,13 +1,17 @@
 """Explicit matrices and congruence-subgroup combinatorics.
 
-Matrices for a single GL_2n component are lists of rows (Fraction); residue
-computations run over Z/p^M with plain integers.  The depth-beta Iwahori
-subgroup consists of matrices congruent to upper-triangular mod p^beta with
-unit diagonal.
+Matrices for a single GL_2n component are lists of rows.  The exact
+identities (factorizations, orbit stabilizers, the coset witness, the twist
+identity) are `ExactMatrix` products over Fraction; every residue check runs
+on int rows mod m, through the one product `_mod_mul` and the one
+conjugation `_conjugate` by the simple open-orbit form.  The depth-beta
+Iwahori subgroup consists of matrices congruent to upper-triangular mod
+p^beta with unit diagonal.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -15,15 +19,11 @@ from itertools import product as iproduct
 from .artinian import ArtinianElement
 from .matrices import ExactMatrix, cycles, rational_inverse, row_reduce
 from .polynomials import Poly
-from .rationals import residue, valuation
+from .rationals import valuation
 
 
 # ---------------------------------------------------------------------------
 # special matrices (single GL_2n component, tau0 unless stated)
-
-
-def identity(m: int) -> ExactMatrix:
-    return ExactMatrix.identity(m)
 
 
 def antidiag(m: int) -> ExactMatrix:
@@ -104,20 +104,6 @@ def t_p_i_matrix(n: int, p: int, i: int) -> ExactMatrix:
     return ExactMatrix([[Fraction(p) if r == c and r < i else
                          (Fraction(1) if r == c else Fraction(0))
                          for c in range(m)] for r in range(m)])
-
-
-def xi_matrix(n: int, p: int) -> ExactMatrix:
-    m = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    rows[0][0] = Fraction(1, p)
-    return ExactMatrix(rows)
-
-
-def xi_c_matrix(n: int, p: int, c, beta_prime: int) -> ExactMatrix:
-    m = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    rows[0][0] = Fraction(c) + Fraction(p) ** beta_prime
-    return ExactMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +204,21 @@ def block_diagonal_member(res: list, n: int, modulus: int) -> bool:
     return True
 
 
-def _mat_mod(mat: ExactMatrix, modulus: int) -> list:
-    return [[residue(x, modulus) for x in row] for row in mat.rows]
-
-
 def _mod_mul(a: list, b: list, modulus: int) -> list:
-    m = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) % modulus for j in range(m)]
-            for i in range(m)]
+    """The product a * b of int rows, reduced mod `modulus`; the zero entries
+    of the left factor are skipped."""
+    cols = range(len(b[0]))
+    out = []
+    for row in a:
+        acc = [0] * len(cols)
+        for x, brow in zip(row, b):
+            if x:
+                for j in cols:
+                    acc[j] += x * brow[j]
+        for j in cols:
+            acc[j] %= modulus
+        out.append(acc)
+    return out
 
 
 def iwahori_index_exponent(n: int, e: int, beta: int) -> int:
@@ -263,15 +256,18 @@ def gl2_index_enumeration(p: int, e: int, beta: int) -> int:
 
 @lru_cache(maxsize=None)
 def _simple_conjugator(n: int) -> tuple:
-    """The simple open-orbit form u_element(n, False) and its inverse over Q,
-    built once per n and shared read-only."""
-    gh = u_element(n, False)
-    return gh, rational_inverse(gh)
+    """The simple open-orbit form gh = u_element(n, False) = I + N and its
+    inverse I - N as int rows (N, the antidiagonal in the lower-left n x n
+    block, squares to 0); built once per n and shared read-only."""
+    gh = [[int(x) for x in row] for row in u_element(n, False).rows]
+    gh_inv = [[2 * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(gh)]
+    return gh, gh_inv
 
 
-def _nonzeros(vectors) -> list:
-    """Each vector as the list of its (index, value) nonzeros."""
-    return [[(k, v) for k, v in enumerate(vec) if v] for vec in vectors]
+def _conjugate(h: list, n: int, modulus: int) -> list:
+    """gh^-1 h gh mod `modulus` for int rows h, with gh the simple form."""
+    gh, gh_inv = _simple_conjugator(n)
+    return _mod_mul(gh_inv, _mod_mul(h, gh, modulus), modulus)
 
 
 def _subgroup_solver(n: int, p: int) -> tuple:
@@ -288,26 +284,24 @@ def _subgroup_solver(n: int, p: int) -> tuple:
     Y on the block basis, or None when t is not reached.
     """
     m = 2 * n
-    gh, gh_inv = _simple_conjugator(n)
     lower_pos = [(i, j) for i in range(m) for j in range(m) if i > j]
     y_basis = [(i, j) for i in range(m) for j in range(m) if (i < n) == (j < n)]
-    gh_p, ghi_p = _mat_mod(gh, p), _mat_mod(gh_inv, p)
     cols = []
     for (yi, yj) in y_basis:
-        y = [[0] * m for _ in range(m)]
-        y[yi][yj] = 1
-        img = _mod_mul(_mod_mul(ghi_p, y, p), gh_p, p)
-        cols.append([img[i][j] % p for (i, j) in lower_pos])
+        y = [[int((i, j) == (yi, yj)) for j in range(m)] for i in range(m)]
+        img = _conjugate(y, n, p)
+        cols.append([img[i][j] for (i, j) in lower_pos])
     ncols = len(y_basis)
     nlower = len(lower_pos)
     reduced, pivots = row_reduce(
         [[*row, *(int(i == k) for k in range(nlower))] for i, row in enumerate(zip(*cols))], p)
     piv_cols = [c for c in pivots if c < ncols]
     rank = len(piv_cols)
-    e_rows = _nonzeros(row[ncols:] for row in reduced)
+    # E t is computed as the row t times the transpose of E
+    e_transpose = list(zip(*(row[ncols:] for row in reduced)))
 
     def solve(target):
-        v = [sum(e * target[k] for k, e in row) % p for row in e_rows]
+        v = _mod_mul([target], e_transpose, p)[0]
         if any(v[rank:]):
             return None
         sol = [0] * ncols
@@ -329,7 +323,7 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
     h = I + p^beta Y; each representative is then checked by explicit
     products mod p^(beta+1): conj = gh^-1 h gh must lie in the depth-beta
     Iwahori and k = gh^-1 h^-1 gh x = (2I - conj) x in the depth-(beta+1)
-    one.  The products with gh and gh^-1 read only their nonzeros.
+    one.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -338,14 +332,9 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
     total = p ** nroots
     if total > budget:
         raise ValueError(f"enumeration budget exceeded: need {total} > {budget}")
-    gh, gh_inv = _simple_conjugator(n)
     modulus = p ** (beta + 1)
     pb = p ** beta
-    ghi_rows = _nonzeros(_mat_mod(gh_inv, modulus))
-    gh_cols = _nonzeros(zip(*_mat_mod(gh, modulus)))
     y_basis, lower_pos, solve = _subgroup_solver(n, p)
-    # the strict lower positions of each column of x, as (target index, row)
-    x_lower = [[(t, i) for t, (i, j) in enumerate(lower_pos) if j == col] for col in range(m)]
 
     witnesses = []
     checked = 0
@@ -358,18 +347,17 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
         h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
             h[yi][yj] += pb * val
-        hg = [[sum(row[k] * v for k, v in col) for col in gh_cols] for row in h]
-        conj = [[sum(v * hg[k][j] for k, v in nz) % modulus for j in range(m)]
-                for nz in ghi_rows]
+        conj = _conjugate(h, n, modulus)
         if not iwahori_member(conj, p, beta, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
         # (p^beta Y)^2 = 0 mod p^(beta+1) for beta >= 1, so h^-1 = I - p^beta Y
         # and gh^-1 h^-1 gh = 2I - conj
-        x_cols = [[(j, 1)] + [(i, pb * target[t]) for t, i in x_lower[j] if target[t]]
-                  for j in range(m)]
-        k_res = [[sum((2 * (i == k) - conj[i][k]) * v for k, v in col) % modulus
-                  for col in x_cols] for i in range(m)]
+        x = [[int(i == j) for j in range(m)] for i in range(m)]
+        for val, (i, j) in zip(target, lower_pos):
+            x[i][j] = pb * val
+        k_res = _mod_mul([[2 * (i == j) - v for j, v in enumerate(row)]
+                          for i, row in enumerate(conj)], x, modulus)
         if not iwahori_member(k_res, p, beta + 1, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "residual factor left the depth-(beta+1) Iwahori"}
@@ -381,8 +369,9 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
             "detail": f"all {checked} representatives connected"}
 
 
-def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> ExactMatrix:
-    """A random element of the conjugated-subgroup intersection with the blocks.
+def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> list:
+    """A random element of the conjugated-subgroup intersection with the blocks,
+    as int rows mod p^M.
 
     Elements are diag(A, B) with A congruent to a diagonal unit mod p^beta
     and B to its antidiagonal reversal.
@@ -396,52 +385,53 @@ def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> ExactMatrix
           for j in range(n)] for i in range(n)]
     b = [[(dvals[w[i]] if i == j else 0) + p ** beta * rnd.randrange(0, p ** (M - beta))
           for j in range(n)] for i in range(n)]
-    m = 2 * n
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = Fraction(a[i][j] % modulus)
-            rows[n + i][n + j] = Fraction(b[i][j] % modulus)
-    return ExactMatrix(rows)
+    return ([[x % modulus for x in row] + [0] * n for row in a]
+            + [[0] * n + [x % modulus for x in row] for row in b])
 
 
-def subgroup_member(h: ExactMatrix, n: int, p: int, beta: int, M: int) -> bool:
+def subgroup_member(h: list, n: int, p: int, beta: int, M: int) -> bool:
     """h in H and gammahat^-1 h gammahat in the depth-beta Iwahori (mod p^M)."""
     modulus = p ** M
-    res = _mat_mod(h, modulus)
-    if not block_diagonal_member(res, n, modulus):
-        return False
-    gh, gh_inv = _simple_conjugator(n)
-    conj = _mat_mod(gh_inv * h * gh, modulus)
-    return iwahori_member(conj, p, beta, modulus)
+    return (block_diagonal_member(h, n, modulus)
+            and iwahori_member(_conjugate(h, n, modulus), p, beta, modulus))
+
+
+def intrinsic_subgroup_member(h: list, n: int, p: int, depth: int) -> bool:
+    """The depth subgroup read without conjugating: diag(A, B) (unit
+    diagonals) has A diagonal and B = W A W mod p^depth, W the n x n
+    antidiagonal, since gh^-1 diag(A, B) gh has lower-left block B W - W A."""
+    q = p ** depth
+    for i in range(n):
+        for j in range(n):
+            if i != j and h[i][j] % q:
+                return False
+            if (h[n + i][n + j] - h[n - 1 - i][n - 1 - j]) % q:
+                return False
+    return True
 
 
 def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> dict:
     """Membership equivalence defining the deeper subgroup, on random samples.
 
-    For h in the depth-beta subgroup: conjugate lands in the depth-(beta+1)
-    Iwahori iff h already lies in the depth-(beta+1) subgroup.
+    For h in the depth-beta subgroup: the conjugate lands in the depth-(beta+1)
+    Iwahori iff h satisfies the intrinsic depth-(beta+1) description.
     """
-    import random
-
     rnd = random.Random(seed)
     M = beta + 2
     modulus = p ** M
-    gh, gh_inv = _simple_conjugator(n)
-    agree = 0
     nontrivial = 0
     for k in range(samples):
         deep = k % 2 == 0
         h = sample_block_subgroup(n, p, beta + 1 if deep else beta, M, rnd)
-        if not subgroup_member(h, n, p, beta, M):
+        conj = _conjugate(h, n, modulus)
+        if not (block_diagonal_member(h, n, modulus)
+                and iwahori_member(conj, p, beta, modulus)):
             raise ArithmeticError("sampled element left the depth-beta subgroup")
-        conj = _mat_mod(gh_inv * h * gh, modulus)
         lhs = iwahori_member(conj, p, beta + 1, modulus)
-        rhs = subgroup_member(h, n, p, beta + 1, M)
+        rhs = intrinsic_subgroup_member(h, n, p, beta + 1)
         if lhs != rhs:
             return {"passed": False, "samples": k + 1,
                     "detail": "membership equivalence failed"}
-        agree += 1
         if lhs:
             nontrivial += 1
     return {"passed": True, "samples": samples, "deep_members": nontrivial,
@@ -451,16 +441,14 @@ def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> di
 
 def similitude_congruence_check(n: int, p: int, beta: int, samples: int, seed: int) -> dict:
     """det(B)/det(A) lies in 1 + p^beta Z_p on subgroup samples."""
-    import random
-
     rnd = random.Random(seed)
     M = beta + 2
     ok = 0
     for _ in range(samples):
         h = sample_block_subgroup(n, p, beta, M, rnd)
-        a = ExactMatrix([[h.rows[i][j] for j in range(n)] for i in range(n)])
-        b = ExactMatrix([[h.rows[n + i][n + j] for j in range(n)] for i in range(n)])
-        ratio = b.det() / a.det()
+        a = ExactMatrix([row[:n] for row in h[:n]])
+        b = ExactMatrix([row[n:] for row in h[n:]])
+        ratio = Fraction(b.det(), a.det())
         if valuation(ratio - 1, p) < beta:
             return {"passed": False, "samples": ok, "detail": "similitude escaped 1 + p^beta"}
         ok += 1
@@ -469,11 +457,6 @@ def similitude_congruence_check(n: int, p: int, beta: int, samples: int, seed: i
 
 # ---------------------------------------------------------------------------
 # open orbits, the coset witness, and the conjugation identity
-
-
-def _strict_lower_coords(mat: ExactMatrix) -> list:
-    m = mat.nrows
-    return [mat.rows[i][j] for i in range(m) for j in range(m) if i > j]
 
 
 def orbit_stabilizer_gammahat(n: int) -> dict:
@@ -489,7 +472,8 @@ def orbit_stabilizer_gammahat(n: int) -> dict:
     for (i, j) in [(i, j) for i in range(m) for j in range(m) if (i < n) == (j < n)]:
         x = ExactMatrix([[Fraction(1) if (r, c) == (i, j) else Fraction(0)
                           for c in range(m)] for r in range(m)])
-        rows.append([Fraction(v) for v in _strict_lower_coords(gh_inv * x * gh)])
+        conj = (gh_inv * x * gh).rows
+        rows.append([conj[r][c] for r in range(m) for c in range(r)])
     rank = len(row_reduce(rows)[1])
     dim_h = 2 * n * n
     dim_b = n * (2 * n + 1)
@@ -565,7 +549,7 @@ def coset_witness_identity(n: int, beta: int, p: int) -> dict:
     k = (diag(-1_n, 1_n) * (gammahat^t)^-1 * t_p^beta)^-1 * gammahat * s_p^beta * w_max
     must land in the depth-one Iwahori; verified mod p over exact rationals.
     """
-    gh = _simple_conjugator(n)[0]
+    gh = u_element(n, False)
     m = 2 * n
     sign = ExactMatrix([[Fraction(-1) if i == j and i < n else
                          (Fraction(1) if i == j else Fraction(0))
@@ -596,16 +580,13 @@ def frobenius_twist_identity(n: int, p: int, beta_prime: int) -> dict:
     """
     m = 2 * n
     gamma = gamma_element(n)
-    xi = xi_matrix(n, p)
-    xib = ExactMatrix.identity(m)
-    for _ in range(beta_prime):
-        xib = xib * xi
+    pb = Fraction(p) ** beta_prime
+    xib = ExactMatrix.identity(m)  # xi^b = diag(p^-b, 1, ..., 1)
+    xib.rows[0][0] = 1 / pb
     cvar = Poly.variable(0)
-    xi_c_poly = ExactMatrix([[Poly.constant(1) if i == j else Poly.constant(0)
-                              for j in range(m)] for i in range(m)])
-    xi_c_poly.rows[0][0] = cvar + Poly.constant(Fraction(p) ** beta_prime)
-    u_c = ExactMatrix([[Poly.constant(1) if i == j else Poly.constant(0)
-                        for j in range(m)] for i in range(m)])
+    xi_c_poly = ExactMatrix.identity(m, Poly.constant(1), Poly.constant(0))
+    xi_c_poly.rows[0][0] = cvar + Poly.constant(pb)
+    u_c = ExactMatrix.identity(m, Poly.constant(1), Poly.constant(0))
     u_c.rows[0][n] = cvar
 
     def to_poly(mat):
@@ -614,15 +595,20 @@ def frobenius_twist_identity(n: int, p: int, beta_prime: int) -> dict:
     lhs = to_poly(xib) * xi_c_poly * to_poly(gamma)
     rhs = to_poly(gamma) * to_poly(xib) * u_c * xi_c_poly
     symbolic = lhs.rows == rhs.rows
+    xib_gamma = xib * gamma
+    gamma_xib = gamma * xib
     numeric = True
     for c in range(1, p ** (beta_prime + 1)):
         if c % p == 0:
             continue
-        xc = xi_c_matrix(n, p, c, beta_prime)
-        l = xib * xc * gamma * rational_inverse(xc)
-        ucn = ExactMatrix.identity(m)
-        ucn.rows[0][n] = Fraction(c)
-        r = gamma * xib * ucn
+        # xi_c = diag(s, 1, ..., 1) with s = c + p^b commutes with xi^b, so the
+        # left side is xi^b gamma with row 0 times s and column 0 over s
+        s = c + pb
+        l = [[x * (s if i == 0 else 1) / (s if j == 0 else 1) for j, x in enumerate(row)]
+             for i, row in enumerate(xib_gamma.rows)]
+        # right multiplication by u_c adds c times column 0 to column n
+        r = [[x + c * row[0] if j == n else x for j, x in enumerate(row)]
+             for row in gamma_xib.rows]
         if l != r:
             numeric = False
             break

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 INF = float("inf")  # valuation of 0
 
@@ -54,11 +53,3 @@ def unit_part(x, p: int = DEFAULT_PRIME) -> Fraction:
         raise ZeroDivisionError("0 has no unit part")
     v = valuation(x, p)
     return x / Fraction(p) ** v
-
-
-def residue(x, modulus: int) -> int:
-    """Reduce a rational mod an integer modulus coprime to its denominator."""
-    x = Fraction(x)
-    if gcd(x.denominator, modulus) != 1:
-        raise ValueError("denominator not invertible mod modulus")
-    return (x.numerator * pow(x.denominator, -1, modulus)) % modulus

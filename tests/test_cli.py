@@ -167,6 +167,33 @@ def test_out_file_and_env(capsys, tmp_path, monkeypatch):
     assert rep["model_dimension"] == 1
 
 
+def test_unwritable_out_is_bad_input(tmp_path):
+    # exit 1 is kept for a failed mathematical check
+    path = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "--out", str(path),
+                           "verify", "--suite", "mahler"], capture_output=True, text=True)
+    assert proc.returncode == 3
+    rep = json.loads(proc.stdout)
+    assert rep["error"] == "cannot write output" and str(path) in rep["message"]
+    assert proc.stderr == ""
+
+
+def test_branch_spec_missing_key_is_named(capsys):
+    spec = {"n": 2, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0]], "j": [0]}
+    code, out = run_cli(["branch", "--weight-json", json.dumps(spec)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "malformed weight spec",
+                               "message": 'missing key "d"'}
+
+
+def test_interp_config_missing_key_is_named(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "d": 1, "e": [1], "characters": []}))
+    code, out = run_cli(["interp", "factor", "--config", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "malformed config", "message": 'missing key "p"'}
+
+
 def test_csv_flatten(capsys):
     code, out = run_cli(["--csv", "verify", "--suite", "mahler"], capsys)
     assert code == 0

@@ -107,7 +107,8 @@ def test_double_coset_singleton_small():
 
 def _double_coset_oracle(n, p, beta, max_witnesses=3):
     """The enumeration with [A | t] row-reduced for every representative t and
-    dense products mod p^(beta+1), h^-1 taken as I - p^beta Y."""
+    explicit products mod p^(beta+1), h^-1 taken as I - p^beta Y; the
+    residual factor is gh^-1 (h^-1 (gh x)), not (2I - conj) x."""
     m = 2 * n
     modulus = p ** (beta + 1)
     gh = iw.u_element(n, False)
@@ -117,8 +118,15 @@ def _double_coset_oracle(n, p, beta, max_witnesses=3):
         return [[int(x) % q for x in row] for row in mat.rows]
 
     def mul(a, b, q):
-        return [[sum(a[i][k] * b[k][j] for k in range(m)) % q for j in range(m)]
-                for i in range(m)]
+        # each row adds up the rows of b at the nonzeros of its row of a
+        out = []
+        for row in a:
+            acc = [0] * m
+            for x, brow in zip(row, b):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+            out.append([s % q for s in acc])
+        return out
 
     def upper_unit(res, depth):
         return (all(res[i][i] % p for i in range(m))
@@ -154,10 +162,10 @@ def _double_coset_oracle(n, p, beta, max_witnesses=3):
         x = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (i, j) in zip(target, lower_pos):
             x[i][j] = pb * val
-        if not upper_unit(mul(mul(ghi_res, h, modulus), gh_res, modulus), beta):
+        if not upper_unit(mul(ghi_res, mul(h, gh_res, modulus), modulus), beta):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
-        k_res = mul(mul(mul(ghi_res, h_inv, modulus), gh_res, modulus), x, modulus)
+        k_res = mul(ghi_res, mul(h_inv, mul(gh_res, x, modulus), modulus), modulus)
         if not upper_unit(k_res, beta + 1):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "residual factor left the depth-(beta+1) Iwahori"}
@@ -223,6 +231,74 @@ def test_unipotent_closed_form_inverse(p, beta):
         closed = [[(int(i == j) - p ** beta * y[i][j]) % modulus for j in range(m)]
                   for i in range(m)]
         assert modular_inverse(h, modulus).rows == closed
+
+
+def _reduce(mat, q):
+    """An integral Fraction matrix reduced entrywise mod q."""
+    assert all(x.denominator == 1 for row in mat.rows for x in row)
+    return [[int(x) % q for x in row] for row in mat.rows]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_residue_product_matches_exact_products(n, p, M):
+    # _mod_mul and _conjugate against ExactMatrix products over Fraction, on
+    # integer matrices with negative entries and zeros for the skip
+    rnd = random.Random(100 * n + 10 * p + M)
+    q = p ** M
+    m = 2 * n
+    gh = iw.u_element(n, False)
+    gh_inv = rational_inverse(gh)
+
+    def draw(rows, cols):
+        return [[rnd.randrange(-3 * q, 3 * q) if rnd.random() < 0.7 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    def exact(rows):
+        return ExactMatrix([[Fraction(x) for x in row] for row in rows])
+
+    for _ in range(20):
+        a, b = draw(m, m), draw(m, m)
+        assert iw._mod_mul(a, b, q) == _reduce(exact(a) * exact(b), q)
+        assert iw._conjugate(a, n, q) == _reduce(gh_inv * exact(a) * gh, q)
+        row, rect = draw(1, m), draw(m, m + 2)
+        assert iw._mod_mul(row, rect, q) == _reduce(exact(row) * exact(rect), q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simple_conjugator_rows(n):
+    gh, gh_inv = iw._simple_conjugator(n)
+    u = iw.u_element(n, False)
+    assert gh == u.rows
+    assert gh_inv == rational_inverse(u).rows
+    assert all(type(x) is int for row in gh + gh_inv for x in row)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_intrinsic_description_matches_conjugated_membership(p):
+    # the intrinsic depth-(beta+1) description agrees with membership of the
+    # conjugate, on samples of the depth-beta subgroup of both kinds
+    rnd = random.Random(p)
+    seen = set()
+    for n in (2, 3):
+        for beta in (1, 2):
+            M = beta + 2
+            for k in range(100):
+                h = iw.sample_block_subgroup(n, p, beta + (k % 2 == 0), M, rnd)
+                assert all(0 <= x < p ** M for row in h for x in row)
+                assert iw.subgroup_member(h, n, p, beta, M)
+                deep = iw.subgroup_member(h, n, p, beta + 1, M)
+                assert iw.intrinsic_subgroup_member(h, n, p, beta + 1) == deep
+                seen.add(deep)
+    assert seen == {False, True}
+
+
+def test_intersection_check_fails_with_a_false_intrinsic_description(monkeypatch):
+    # the check compares two independent predicates, so a wrong one is caught
+    monkeypatch.setattr(iw, "intrinsic_subgroup_member", lambda h, n, p, depth: True)
+    rep = iw.intersection_check(2, 3, 1, 60, seed=7)
+    assert rep["passed"] is False
 
 
 def test_intersection_and_similitude():
