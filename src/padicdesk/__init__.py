@@ -6,7 +6,7 @@ Modules:
   artinian    -- truncated nilpotent coefficient rings
   matrices    -- exact matrices and determinants over any ring, permutation
                  signs and cycles, row reduction over Q and Z/m
-  polynomials -- sparse multivariate polynomials, sparse echelon, nullspace
+  polynomials -- sparse multivariate polynomials, fraction-free echelon, nullspace
   mahler      -- binomial calculus, unit boxes, root-of-unity expansions
   tate        -- nilpotent derivations on truncated Tate algebras
   glrep       -- GL weight combinatorics and irreducible function models

@@ -214,6 +214,21 @@ class ArtinianElement:
         return " + ".join(parts)
 
 
+def combination(parts, den: int = 1) -> ArtinianElement:
+    """sum of (c / d) * x over the (x, c, d) in parts, divided by den, built as one element.
+
+    The parts are elements of one ring and are summed as integer numerators
+    over one common denominator, with no intermediate element.
+    """
+    common = lcm(*(x.den * d for x, _, d in parts))
+    out = {}
+    for x, c, d in parts:
+        f = c * (common // (x.den * d))
+        for m, v in x.nums.items():
+            out[m] = out.get(m, 0) + v * f
+    return _element(parts[0][0].ngens, out, common * den)
+
+
 def derivation_from_images(images: list) -> "callable":
     """The derivation D on Q[T_1..T_a]/(T_i^2) with D(T_i) = images[i].
 

@@ -168,13 +168,9 @@ class BranchModel:
         2n x 2n indices, never the GL_1 slot 0: its GL_(2n-1) block sits at
         full indices 1..2n-1.
         """
-        model = self.blocks[comp]
         if comp == 0:
             word = [(a - 1, b - 1) for (a, b) in word]
-        f = model.word_action(word, model.basis[block_idx[comp]])
-        if f.is_zero():
-            return
-        for i2, c2 in model.expand(f).items():
+        for i2, c2 in self.blocks[comp].basis_word_action(word, block_idx[comp]).items():
             yield block_idx[:comp] + (i2,) + block_idx[comp + 1:], c2
 
     def _apply_lie(self, comp: int, a: int, b: int, q: int) -> dict:
@@ -240,13 +236,24 @@ class BranchModel:
 
     # -- evaluation -------------------------------------------------------
 
-    def _v_value(self, block_idx: tuple, g: MPoint):
-        """Value at a Levi point of the V_kappa basis vector with these block indices."""
+    def _v_values(self, g: MPoint, qs) -> dict:
+        """{block indices: value at a Levi point of that V_kappa basis vector} over qs.
+
+        Each block evaluates each of its basis vectors that qs use once, with
+        one det per block.
+        """
         wd = self.wd
-        val = g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
-        for t, model in enumerate(self.blocks):
-            val = val * model.evaluate(model.basis[block_idx[t]], g.blocks[t])
-        return val
+        keys = {self.index[q][0] for q in qs}
+        tables = [model.basis_values(g.blocks[t], {key[t] for key in keys})
+                  for t, model in enumerate(self.blocks)]
+        head = g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
+        out = {}
+        for key in keys:
+            val = head
+            for t, i in enumerate(key):
+                val = val * tables[t][i]
+            out[key] = val
+        return out
 
     def _s_value(self, q: int, h: MPoint):
         """Value of the twist part of basis vector q at a subgroup point."""
@@ -256,9 +263,10 @@ class BranchModel:
 
     def pair_value(self, g: MPoint, h: MPoint):
         """Value of the solved vector as a function on (Levi) x (subgroup)."""
+        values = self._v_values(g, self.coords)
         out = Fraction(0)
         for q, c in self.coords.items():
-            out += c * self._v_value(self.index[q][0], g) * self._s_value(q, h)
+            out += c * values[self.index[q][0]] * self._s_value(q, h)
         return out
 
     def open_orbit_value(self, g: MPoint, h: MPoint):
@@ -279,11 +287,11 @@ class BranchModel:
         for i in range(1, n):
             folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
         u = u_conjugator(self.wd.n, self.wd.d)
-        ug = _mpoint_mul(u, g)
+        values = self._v_values(_mpoint_mul(u, g), self.coords)
         out = Fraction(0)
         for q, c in self.coords.items():
             block_idx, J = self.index[q]
-            out += c * self._v_value(block_idx, ug) * _monomial_value(J, folded)
+            out += c * values[block_idx] * _monomial_value(J, folded)
         return out
 
     def cpol_value(self, g: MPoint, a_coords, coords=None):
@@ -294,10 +302,11 @@ class BranchModel:
         """
         a = [Fraction(x) for x in a_coords]
         use = self.coords if coords is None else coords
+        values = self._v_values(g, use)
         out = Fraction(0)
         for q, c in use.items():
             block_idx, J = self.index[q]
-            out += c * self._v_value(block_idx, g) * _monomial_value(J, a)
+            out += c * values[block_idx] * _monomial_value(J, a)
         return out
 
     # -- group-level eigen test -------------------------------------------

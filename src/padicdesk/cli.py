@@ -4,7 +4,9 @@ Subcommands: branch, tate, iwahori, interp, verify.  All output is JSON
 (optionally flattened to CSV for leaf tables); identical configurations
 produce byte-identical reports.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 a resource budget was exceeded, 3 bad input
-(an unwritable --out included).
+(an unwritable --out included), 4 an internal error: any other exception,
+reported as {"error": "internal error", "type": ..., "message": ...} on
+stdout with no traceback.
 """
 
 from __future__ import annotations
@@ -24,18 +26,35 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class _OutputError(Exception):
     """The --out file could not be written."""
 
 
+def _resolve(out_path: str) -> str:
+    """The --out path, resolved against PADICDESK_OUT_DIR when that is set."""
+    base_dir = os.environ.get("PADICDESK_OUT_DIR", "")
+    return out_path if os.path.isabs(out_path) or not base_dir else \
+        os.path.join(base_dir, out_path)
+
+
+def _unwritable(out_path: str) -> str | None:
+    """Why the --out file's directory cannot take it, or None if it looks writable."""
+    path = _resolve(out_path)
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return f"{path}: directory {directory} does not exist"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return f"{path}: directory {directory} is not writable"
+    return None
+
+
 def _emit(report: dict, out_path: str | None, csv: bool = False) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if out_path:
-        base_dir = os.environ.get("PADICDESK_OUT_DIR", "")
-        path = out_path if os.path.isabs(out_path) or not base_dir else \
-            os.path.join(base_dir, out_path)
+        path = _resolve(out_path)
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -341,10 +360,19 @@ def main(argv=None) -> int:
     if not hasattr(args, "dmax"):
         args.dmax = 12
     try:
+        # an --out that cannot be written fails before any work is done; the
+        # late _OutputError still covers what this check cannot see
+        problem = args.out and _unwritable(args.out)
+        if problem:
+            raise _OutputError(problem)
         return _dispatch(parser, args)
     except _OutputError as err:
         _emit({"error": "cannot write output", "message": str(err)}, None)
         return EXIT_INPUT
+    except Exception as err:  # the boundary of the process: no traceback escapes
+        _emit({"error": "internal error", "type": type(err).__name__,
+               "message": str(err)}, None)
+        return EXIT_INTERNAL
 
 
 def _dispatch(parser, args) -> int:

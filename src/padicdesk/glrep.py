@@ -18,12 +18,20 @@ by first-order polynomial derivations.
 The span closure depends only on (m, weight - weight[0], convention), so it
 is built once per process for each such key and shared, read-only, by every
 model with that key.  Each model keeps its own shift and reruns its checks.
+
+Every basis polynomial has integer coefficients, so the closure, the
+polarizations and the coordinate solves run in one integer kernel: packed
+monomials with int coefficients, reduced by the fraction-free
+`SparseEchelon`.  `basis` is converted once to `Poly` over `Fraction`, and
+a general `Poly` is converted at the `lie_action`/`word_action`/`expand`
+boundary, so there is one polarization kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import Poly, SparseEchelon
@@ -290,64 +298,187 @@ def _minor_poly(m: int, size: int, trailing: bool) -> Poly:
     return ExactMatrix([[Poly.variable(r * m + c) for c in idx] for r in idx]).det()
 
 
-def _polarize(m: int, a: int, b: int, f: Poly) -> Poly:
-    """E_(a,b) on polynomials in the entries of an m x m matrix, in one pass.
+# -- the integer kernel ------------------------------------------------------
+#
+# Inside the span closure a polynomial is {packed monomial: int coefficient}.
+# The exponent of variable v fills bits [v * width, (v + 1) * width) of the
+# packed int, so multiplying monomials adds their ints.  Every polynomial of
+# a closure is homogeneous of the seed's degree, and E_(a,b) keeps the
+# degree, so no exponent outgrows a field sized from that degree.
 
-    Each x_(a,s)^e becomes -e * x_(a,s)^(e-1) * x_(b,s), which is
-    -sum_s x_(b,s) df/dx_(a,s) without building the derivatives.
-    """
-    lo, hi, step = a * m, a * m + m, (b - a) * m
-    out = {}
-    for mono, c in f.terms.items():
-        for v, e in mono:
-            if lo <= v < hi:
-                d = dict(mono)
-                if e == 1:
-                    del d[v]
-                else:
-                    d[v] = e - 1
-                d[v + step] = d.get(v + step, 0) + 1
-                key = tuple(sorted(d.items()))
-                out[key] = out.get(key, 0) - e * c
+
+def _field_width(degree: int) -> int:
+    """Bits per exponent field for polynomials of total degree <= degree."""
+    return max(1, degree.bit_length())
+
+
+def _pack(mono, width: int) -> int:
+    """A monomial ((v, e), ...) as one int; an exponent that does not fit raises."""
+    out = 0
+    for v, e in mono:
+        if not 0 < e < 1 << width:
+            raise OverflowError(f"exponent {e} of x{v} does not fit a {width}-bit field")
+        out |= e << v * width
+    return out
+
+
+def _unpack(key: int, width: int) -> tuple:
+    mask = (1 << width) - 1
+    mono = []
+    v = 0
+    while key:
+        if key & mask:
+            mono.append((v, key & mask))
+        key >>= width
+        v += 1
+    return tuple(mono)
+
+
+def _int_terms(f: Poly) -> tuple:
+    """(terms, den) with f = sum of c * mono / den over the (mono, int c) in terms."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return [(mono, c.numerator * (den // c.denominator)) for mono, c in f.terms.items()], den
+
+
+def _packed(f: Poly, width: int) -> tuple:
+    """(vec, den) with f = vec / den and vec a packed int-coefficient polynomial."""
+    terms, den = _int_terms(f)
+    return {_pack(mono, width): c for mono, c in terms}, den
+
+
+def _unpacked(vec: dict, width: int, den: int = 1) -> Poly:
+    """The Poly vec / den."""
     p = Poly.__new__(Poly)
-    p.terms = {k: c for k, c in out.items() if c}
+    p.terms = {_unpack(k, width): Fraction(c, den) for k, c in vec.items()}
     return p
 
 
-def _echelon_vector(f: Poly) -> dict:
-    return {(1, sum(e for _, e in mono), mono): c for mono, c in f.terms.items()}
+def _packed_mul(f: dict, g: dict) -> dict:
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _polarize(m: int, a: int, b: int, f: dict, width: int) -> dict:
+    """E_(a,b) on a packed polynomial in the entries of an m x m matrix.
+
+    Each x_(a,s)^e becomes -e * x_(a,s)^(e-1) * x_(b,s), which is
+    -sum_s x_(b,s) df/dx_(a,s) without building the derivatives; the move
+    of one exponent unit from field (a,s) to field (b,s) is one integer add.
+    """
+    mask = (1 << width) - 1
+    out = {}
+    for s in range(m):
+        src = (a * m + s) * width
+        move = (1 << (b * m + s) * width) - (1 << src)
+        for mono, c in f.items():
+            e = mono >> src & mask
+            if e:
+                key = mono + move
+                out[key] = out.get(key, 0) - e * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _integral(x) -> bool:
+    return type(x) is int or type(x) is Fraction and x.denominator == 1
+
+
+def _int_value(terms, values) -> int:
+    """sum of c * prod values[v]^e over int-coefficient terms (((v, e), ...), c)."""
+    total = 0
+    for mono, c in terms:
+        for v, e in mono:
+            c *= values[v] ** e
+        total += c
+    return total
+
+
+class _Point:
+    """A group point prepared for evaluation: det^|shift| once, int entries when integral."""
+
+    def __init__(self, g: ExactMatrix, shift: int):
+        self.integral = all(_integral(x) for row in g.rows for x in row)
+        if self.integral:
+            g = ExactMatrix([[int(x) for x in row] for row in g.rows])
+        self.values = [x for row in g.rows for x in row]
+        self.shift = shift
+        self.twist = g.det() ** abs(shift) if shift else None
+
+    def value(self, f: Poly, int_terms=None):
+        """f at the point; int_terms, if given, is f as (monomial, int coefficient) pairs."""
+        if self.integral:
+            int_terms, den = (int_terms, 1) if int_terms is not None else _int_terms(f)
+            val = Fraction(_int_value(int_terms, self.values), den)
+        else:
+            val = f.eval(self.values)
+        if self.shift < 0:
+            val = val * self.twist
+        elif self.shift > 0:
+            val = val / self.twist
+        return val
+
+
+class _Closure:
+    """The span closure of one (m, shifted weight, convention), shared read-only.
+
+    `packed` holds the basis as packed int-coefficient polynomials of field
+    width `width`; `basis` is the same as Poly objects, and `int_terms` as
+    (monomial, int coefficient) pairs for evaluation.  Echelon rows carry
+    the basis index idx as the tag key ~idx < 0 next to the packed monomial
+    keys >= 0, which is how coordinates are read off a reduction.
+    """
+
+    __slots__ = ("width", "packed", "basis", "int_terms", "weights", "echelon")
+
+    def __init__(self, width, packed, weights, echelon):
+        self.width = width
+        self.packed = tuple(packed)
+        self.basis = tuple(_unpacked(f, width) for f in packed)
+        self.int_terms = tuple(_int_terms(f)[0] for f in self.basis)
+        self.weights = tuple(weights)
+        self.echelon = echelon
+
+    def coordinates(self, vec: dict, den: int = 1) -> dict:
+        """Coordinates {basis index: c} of the packed polynomial vec / den."""
+        residual, scale = self.echelon.reduce(vec)
+        if residual and max(residual) >= 0:
+            raise ValueError("polynomial not in the model span")
+        return {~k: Fraction(-c, scale * den) for k, c in sorted(residual.items(), reverse=True)}
 
 
 @lru_cache(maxsize=None)
-def _span_closure(m: int, shifted: tuple, convention: str):
-    """(basis, weights, echelon) of the model with first weight entry 0.
+def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
+    """The closure of the model with first weight entry 0, in the integer kernel.
 
-    Shared by every model of the same (m, shifted weight, convention), so the
-    results are read-only.  Echelon rows carry the basis index as a tag key
-    (0, idx, ()) next to the monomial keys (1, degree, mono), which is how
-    `GLBlockModel.expand` reads coordinates off a reduction.
+    Shared by every model of the same (m, shifted weight, convention).
     """
     exps = [shifted[m - 1 - i] - shifted[m - i] for i in range(1, m)]  # size i = 1..m-1
-    seed = Poly.constant(1)
+    width = _field_width(sum(i * e for i, e in enumerate(exps, start=1)))
+    seed = {0: 1}
     for i, e in enumerate(exps, start=1):
         if e:
-            seed = seed * _minor_poly(m, i, trailing=(convention == "lower")) ** e
+            minor, _ = _packed(_minor_poly(m, i, trailing=(convention == "lower")), width)
+            for _ in range(e):
+                seed = _packed_mul(seed, minor)
     if convention == "upper":
         seed_weight = tuple(shifted[m - 1 - i] for i in range(m))  # reversed (lowest)
         ops = [(a, b) for a in range(m) for b in range(m) if a < b]
     else:
         seed_weight = shifted  # highest
         ops = [(a, b) for a in range(m) for b in range(m) if a > b]
-    basis, weights, ech = [], [], SparseEchelon()
+    packed, weights, ech = [], [], SparseEchelon()
 
-    def insert(f: Poly, wvec) -> bool:
-        vec = _echelon_vector(f)
-        vec[(0, len(basis), ())] = Fraction(1)
+    def insert(f: dict, wvec) -> bool:
+        vec = dict(f)
+        vec[~len(packed)] = 1
         residual, _ = ech.reduce(vec)
-        if not any(key[0] == 1 for key in residual):
-            return False  # dependent modulo the tag bookkeeping
+        if max(residual) < 0:
+            return False  # dependent: only the tag bookkeeping is left
         ech.insert(residual)
-        basis.append(f)
+        packed.append(f)
         weights.append(wvec)
         return True
 
@@ -356,17 +487,17 @@ def _span_closure(m: int, shifted: tuple, convention: str):
     while frontier:
         new = []
         for idx in frontier:
-            f, wvec = basis[idx], weights[idx]
+            f, wvec = packed[idx], weights[idx]
             for (a, b) in ops:
-                g = _polarize(m, a, b, f)
-                if g.is_zero():
+                g = _polarize(m, a, b, f, width)
+                if not g:
                     continue
                 nw = tuple(wvec[i] + (1 if i == a else 0) - (1 if i == b else 0)
                            for i in range(m))
                 if insert(g, nw):
-                    new.append(len(basis) - 1)
+                    new.append(len(packed) - 1)
         frontier = new
-    return tuple(basis), tuple(weights), ech
+    return _Closure(width, packed, weights, ech)
 
 
 class GLBlockModel:
@@ -391,17 +522,19 @@ class GLBlockModel:
             raise ValueError(f"model dimension {self.dimension} exceeds cap {dim_cap}")
         self.shift = weight[0]
         shifted = tuple(x - self.shift for x in weight)  # entries <= 0, first = 0
-        self.basis, self.weights, self._ech = _span_closure(m, shifted, convention)
+        self._closure = _span_closure(m, shifted, convention)
+        self.basis, self.weights = self._closure.basis, self._closure.weights
         if len(self.basis) != self.dimension:
             raise ArithmeticError(
                 f"span closure gave {len(self.basis)} vectors, Weyl dimension is {self.dimension}")
 
     def expand(self, f: Poly) -> dict:
         """Sparse coordinates {basis index: c} of a polynomial in the model span."""
-        residual, _ = self._ech.reduce(_echelon_vector(f))
-        if any(flag for flag, _, _ in residual):
-            raise ValueError("polynomial not in the model span")
-        return {tag: -c for (_, tag, _), c in sorted(residual.items())}
+        try:
+            vec, den = _packed(f, self._closure.width)
+        except OverflowError:
+            raise ValueError("polynomial not in the model span") from None
+        return self._closure.coordinates(vec, den)
 
     def true_weight(self, idx: int) -> tuple:
         """Torus weight of basis vector idx as a function in the unshifted model."""
@@ -409,15 +542,25 @@ class GLBlockModel:
 
     # -- actions and evaluation -----------------------------------------
 
+    def basis_word_action(self, word, idx: int) -> dict:
+        """Coordinates {idx2: c} of a word of E's applied to basis vector idx."""
+        closure = self._closure
+        f = closure.packed[idx]
+        for (a, b) in reversed(word):
+            f = _polarize(self.m, a, b, f, closure.width)
+        return closure.coordinates(f)
+
     def lie_action(self, a: int, b: int, f: Poly) -> Poly:
         """E_(a,b) acting by (X f)(g) = d/dt f(exp(-tX) g): -sum_s g_(b,s) df/dg_(a,s)."""
-        return _polarize(self.m, a, b, f)
+        return self.word_action([(a, b)], f)
 
     def word_action(self, word, f: Poly) -> Poly:
         """A product of E's acting left-to-right: (XY) f = X (Y f)."""
+        width = _field_width(f.degree())
+        vec, den = _packed(f, width)
         for (a, b) in reversed(word):
-            f = self.lie_action(a, b, f)
-        return f
+            vec = _polarize(self.m, a, b, vec, width)
+        return _unpacked(vec, width, den)
 
     def group_action(self, mat: ExactMatrix, f: Poly) -> Poly:
         """(h . f)(g) = f(h^-1 g) on the polynomial part (the det twist is scalar)."""
@@ -438,18 +581,14 @@ class GLBlockModel:
         """Value at a group point; entries may be rationals or ring elements.
 
         The true function is (polynomial) * det^(-shift), so the shifted
-        model weight mu satisfies true weight = mu + shift*(1,..,1).
+        model weight mu satisfies true weight = mu + shift*(1,..,1).  On a
+        point with integral entries the sum runs in int arithmetic and the
+        value is a Fraction.
         """
-        values = {}
-        m = self.m
-        for i in range(m):
-            for jj in range(m):
-                values[i * m + jj] = g.rows[i][jj]
-        val = f.eval(values)
-        if with_twist and self.shift:
-            det = g.det()
-            if self.shift < 0:
-                val = val * det ** (-self.shift)
-            else:
-                val = val / det ** self.shift
-        return val
+        return _Point(g, self.shift if with_twist else 0).value(f)
+
+    def basis_values(self, g: ExactMatrix, indices, with_twist: bool = True) -> dict:
+        """{idx: `evaluate` of basis vector idx at g}, with det(g) computed once."""
+        point = _Point(g, self.shift if with_twist else 0)
+        closure = self._closure
+        return {idx: point.value(closure.basis[idx], closure.int_terms[idx]) for idx in indices}

@@ -10,6 +10,7 @@ substitution of group points is done.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .matrices import row_reduce
 
@@ -176,65 +177,66 @@ def _mono_key(m):
 
 
 class SparseEchelon:
-    """Incremental exact row echelon over Q for vectors keyed by hashables.
+    """Incremental fraction-free reduced row echelon form over Z.
 
-    Used to build irreducible-representation bases: vectors are added one at
-    a time; reduce() returns the residual after elimination and the
-    coordinates of the eliminated part in terms of stored rows.
+    Vectors are sparse {key: int} with orderable keys.  A stored row has its
+    content removed and a positive pivot, its largest key, and no other row
+    has an entry at that pivot.  Elimination scales the vector being reduced
+    by an integer instead of dividing by the pivot, so no fraction ever
+    arises; callers read exact ratios off the residual and its scale.
     """
 
     def __init__(self):
-        self.rows = []  # list of (pivot_key, vector_dict, label)
+        self.rows = {}  # pivot key -> row {key: int}
 
     def reduce(self, vec: dict):
-        """Eliminate vec against stored rows; returns (residual, coords)."""
-        vec = {k: Fraction(c) for k, c in vec.items() if c}
-        coords = {}
-        for idx, (piv, row, _) in enumerate(self.rows):
-            c = vec.get(piv)
-            if c:
-                coords[idx] = c
-                for k, v in row.items():
-                    nv = vec.get(k, Fraction(0)) - c * v
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        vec.pop(k, None)
-        return vec, coords
+        """(residual, scale) with residual = scale * vec - (an integer combination of rows).
 
-    def insert(self, vec: dict, label=None) -> bool:
-        """Add the vector if independent; returns True if rank grew."""
-        residual, _ = self.reduce(vec)
-        if not residual:
-            return False
+        scale is a positive int and the residual has no entry at any pivot.
+        Because the rows are reduced, eliminating one pivot never brings in
+        another, so each pivot of vec is met once.
+        """
+        vec = {k: c for k, c in vec.items() if c}
+        scale = 1
+        for piv in [k for k in vec if k in self.rows]:
+            vec, r = _eliminate(vec, self.rows[piv], piv)
+            scale *= r
+        return vec, scale
+
+    def insert(self, residual: dict) -> None:
+        """Store a nonzero residual of `reduce` as a row, keeping the rows reduced."""
         piv = max(residual)
-        inv = 1 / residual[piv]
-        row = {k: v * inv for k, v in residual.items()}
-        # keep the echelon reduced: clear the new pivot from existing rows
-        for i, (p, r, lab) in enumerate(self.rows):
-            c = r.get(piv)
-            if c:
-                nr = dict(r)
-                for k, v in row.items():
-                    nv = nr.get(k, Fraction(0)) - c * v
-                    if nv:
-                        nr[k] = nv
-                    else:
-                        nr.pop(k, None)
-                self.rows[i] = (p, nr, lab)
-        self.rows.append((piv, row, label))
-        return True
+        g = gcd(*residual.values())
+        if residual[piv] < 0:
+            g = -g
+        row = {k: v // g for k, v in residual.items()}
+        for p, other in self.rows.items():
+            if other.get(piv):
+                self.rows[p] = _content_free(_eliminate(other, row, piv)[0])
+        self.rows[piv] = row
 
-    def coordinates(self, vec: dict):
-        """Coordinates of vec in the stored rows; raises if not in the span."""
-        residual, coords = self.reduce(vec)
-        if residual:
-            raise ValueError("vector not in span")
-        return coords
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+def _eliminate(vec: dict, row: dict, piv) -> tuple:
+    """(r * vec - c * row, r) for the least r > 0 and c that clear vec at piv.
+
+    row[piv] must be positive.
+    """
+    r, c = row[piv], vec[piv]
+    g = gcd(r, c)
+    r, c = r // g, c // g
+    out = {k: v * r for k, v in vec.items()} if r != 1 else dict(vec)
+    for k, v in row.items():
+        nv = out.get(k, 0) - c * v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    return out, r
+
+
+def _content_free(vec: dict) -> dict:
+    g = gcd(*vec.values())
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
 
 
 def nullspace(rows: list, ncols: int) -> list:

@@ -5,9 +5,8 @@ base derivation on the Artinian coefficient ring.  Binomial polynomials of
 the derivation are computed two ways: by direct iteration, and by the
 closed combinatorial formula over subset patterns; the two must agree
 exactly on the truncation.  The epsilon-analytic bounds run the binomial
-recurrence of a matrix operator over sparse rows {col: Fraction}, the
-vector form of `polynomials.SparseEchelon`: the derivation matrices are
-almost all zeros (70 nonzeros of 3,136 at 56x56).
+recurrence of a matrix operator over sparse rows {col: Fraction}: the
+derivation matrices are almost all zeros (70 nonzeros of 3,136 at 56x56).
 
 Norms are exact exponents (p^e with e rational, -inf for zero).
 """
@@ -20,7 +19,7 @@ from itertools import combinations
 from math import comb, factorial
 from operator import add
 
-from .artinian import ArtinianElement
+from .artinian import ArtinianElement, combination
 from .matrices import ExactMatrix
 from .rationals import INF, valuation
 
@@ -180,10 +179,24 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
 
 
 def binomial_of_derivation_direct(k: int, f: TateSeries, deriv: ShiftDerivation) -> TateSeries:
-    """binom(T, k) f by the operator recursion binom(T,k) = binom(T,k-1)(T-k+1)/k."""
+    """binom(T, k) f by the operator recursion binom(T,k) = binom(T,k-1)(T-k+1)/k.
+
+    Step j applies (D - j)/(j + 1) in one pass over the series: a term
+    s X^a Y^b gives D_base(s) - j s at X^a Y^b and lam a s at X^(a-1) Y^(b+1),
+    and each output coefficient is built once from its parts.
+    """
+    lam_num, lam_den = deriv.lam.numerator, deriv.lam.denominator
     out = f
     for j in range(k):
-        out = (deriv(out) - out.scale(j)).scale(Fraction(1, j + 1))
+        parts: dict = {}
+        for (a, b), s in out.terms.items():
+            here = parts.setdefault((a, b), [])
+            here.append((deriv.base(s), 1, 1))
+            if j:
+                here.append((s, -j, 1))
+            if a:
+                parts.setdefault((a - 1, b + 1), []).append((s, lam_num * a, lam_den))
+        out = out._like({key: combination(ps, j + 1) for key, ps in parts.items()})
     return out
 
 

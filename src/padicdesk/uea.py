@@ -216,11 +216,11 @@ class EquivariantFunction:
         self.coords = list(coords)
 
     def value(self, g: ExactMatrix):
+        values = self.model.basis_values(g, [i for i, c in enumerate(self.coords) if c])
         out = None
-        for c, f in zip(self.coords, self.model.basis):
-            if c:
-                term = self.model.evaluate(f, g) * c
-                out = term if out is None else out + term
+        for i, v in values.items():
+            term = v * self.coords[i]
+            out = term if out is None else out + term
         if out is None:
             return Fraction(0)
         return out
@@ -278,7 +278,7 @@ def h_eigenfunctions(model: GLBlockModel, a: int, b: int, nu1: int, nu2: int) ->
     if not subspace:
         return []
     ops = [(r, c) for blk in (range(0, a), range(a, m)) for r in blk for c in blk if r != c]
-    sols = image_kernel(([model.expand(model.lie_action(r, c, model.basis[q])) for q in subspace]
+    sols = image_kernel(([model.basis_word_action([(r, c)], q) for q in subspace]
                          for (r, c) in ops), len(subspace))
     out = []
     for sol in sols:

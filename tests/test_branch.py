@@ -215,3 +215,21 @@ def test_apply_lie_matches_derivative_oracle(n, d, kappa0, kappa, j):
             assert ours == _apply_lie_oracle(bm, comp, a, b, q), (comp, a, b, q)
             twisted += comp == 0 and (a - 1) in bm.index[q][1]
     assert (twisted > 0) == (j[0] > 0)  # the twist step ran whenever there is a twist
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", [
+    (2, 1, 0, [[3, 2, -2, -3]], [1]),
+    (2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]),
+])
+def test_box_restriction_computes_one_det_per_block(n, d, kappa0, kappa, j, monkeypatch):
+    bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+    assert all(model.shift for model in bm.blocks)  # every block needs its det twist
+    rnd = random.Random(3)
+    g = random_congruence_unipotent(n, d, 3, 1, 3, rnd)
+    a = random_unit_box_point(n, 3, 1, 3, rnd)
+    want = bm.box_restriction_value(g, a)
+    calls = []
+    true_det = ExactMatrix.det
+    monkeypatch.setattr(ExactMatrix, "det", lambda self: calls.append(self) or true_det(self))
+    assert bm.box_restriction_value(g, a) == want
+    assert len(calls) <= len(bm.blocks)

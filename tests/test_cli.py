@@ -178,6 +178,33 @@ def test_unwritable_out_is_bad_input(tmp_path):
     assert proc.stderr == ""
 
 
+def test_unwritable_out_fails_before_any_suite_runs(capsys, tmp_path, monkeypatch):
+    import padicdesk.cli as cli
+
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "mahler", lambda **kwargs: ran.append(kwargs))
+    path = tmp_path / "missing" / "x.json"
+    code, out = run_cli(["--out", str(path), "verify", "--suite", "mahler"], capsys)
+    assert code == 3 and ran == []
+    rep = json.loads(out)
+    assert rep["error"] == "cannot write output" and str(path) in rep["message"]
+
+
+def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
+    import padicdesk.cli as cli
+
+    def broken(**kwargs):
+        raise RuntimeError("suite exploded")
+
+    monkeypatch.setitem(cli.SUITES, "mahler", broken)
+    code = main(["verify", "--suite", "mahler"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert json.loads(captured.out) == {"error": "internal error", "type": "RuntimeError",
+                                        "message": "suite exploded"}
+    assert captured.err == ""
+
+
 def test_branch_spec_missing_key_is_named(capsys):
     spec = {"n": 2, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0]], "j": [0]}
     code, out = run_cli(["branch", "--weight-json", json.dumps(spec)], capsys)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _minor_poly,
-                             cone_decompose, cone_reconstruct, generator_weights, is_dominant,
-                             pieri_character_check, pieri_decompose,
-                             weyl_dimension)
+from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _minor_poly, _pack,
+                             _span_closure, cone_decompose, cone_reconstruct,
+                             generator_weights, is_dominant, pieri_character_check,
+                             pieri_decompose, weyl_dimension)
 from padicdesk.matrices import ExactMatrix, rational_inverse
 from padicdesk.polynomials import Poly
 
@@ -111,6 +111,117 @@ def test_lie_action_matches_derivative_oracle(case):
     got = GLBlockModel(m, (0,) * m).lie_action(a, b, f)
     assert got == _reference_lie_action(m, a, b, f)
     assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@given(_polarization_case(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_word_action_matches_composed_derivative_oracle(case, c, d):
+    m, a, b, f = case
+    c, d = c % m, d % m
+    got = GLBlockModel(m, (0,) * m).word_action([(a, b), (c, d)], f)
+    assert got == _reference_lie_action(m, a, b, _reference_lie_action(m, c, d, f))
+    assert all(type(x) is Fraction and x for x in got.terms.values())
+
+
+def test_packed_exponent_overflow_raises():
+    assert _pack(((0, 3), (2, 1)), 2) == 3 | 1 << 4
+    with pytest.raises(OverflowError, match="2-bit field"):
+        _pack(((0, 4),), 2)
+    with pytest.raises(OverflowError):
+        _pack(((1, -1),), 4)  # a Laurent exponent has no field
+    # a closure's fields hold its degree, so a larger exponent is outside the span
+    model = GLBlockModel(3, (1, -2, -2))
+    width = _span_closure(3, (0, -3, -3), "upper").width
+    with pytest.raises(ValueError, match="not in the model span"):
+        model.expand(Poly({((0, 1 << width),): 1}))
+
+
+def _gauss_jordan_coordinates(basis, f):
+    """Coordinates of f on the basis polynomials, by Fraction Gauss-Jordan on [B | f]."""
+    monos = sorted(set().union(f.terms, *(b.terms for b in basis)))
+    rows = [[b.terms.get(mono, Fraction(0)) for b in basis] + [f.terms.get(mono, Fraction(0))]
+            for mono in monos]
+    ncols, pivots, r = len(basis), [], 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    assert len(pivots) == ncols  # the basis is independent
+    assert not any(row[-1] for row in rows[r:])  # f lies in the span
+    return {col: rows[i][-1] for i, col in enumerate(pivots) if rows[i][-1]}
+
+
+@pytest.mark.parametrize("m, weight, convention", [
+    (3, (1, -2, -2), "upper"), (3, (2, 0, -1), "lower"), (4, (1, 1, 0, 0), "upper")])
+def test_expand_recovers_combinations_and_group_images(m, weight, convention):
+    rnd = random.Random(sum(weight) + m)
+    model = GLBlockModel(m, weight, convention)
+    for rational in (False, True):
+        for _ in range(5):
+            coords = {}
+            for i in rnd.sample(range(model.dimension), min(4, model.dimension)):
+                c = Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 8) if rational else 1)
+                if c:
+                    coords[i] = c
+            f = sum((model.basis[i] * c for i, c in coords.items()), Poly())
+            assert model.expand(f) == coords
+    h = ExactMatrix([[Fraction(rnd.randrange(-2, 3)) + (i == j) for j in range(m)]
+                     for i in range(m)])
+    h.rows[0][m - 1] = Fraction(1, 3)
+    for idx in range(0, model.dimension, 3):
+        image = model.group_action(h, model.basis[idx])
+        got = model.expand(image)
+        assert got == _gauss_jordan_coordinates(model.basis, image)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_echelon_rows_are_content_free_positive_and_reduced():
+    from math import gcd
+
+    rows = _span_closure(3, (0, -3, -3), "upper").echelon.rows
+    for piv, row in rows.items():
+        assert piv == max(row) and row[piv] > 0 and gcd(*row.values()) == 1
+        assert all(isinstance(c, int) for c in row.values())
+        assert all(piv not in other for p, other in rows.items() if p != piv)
+
+
+def _fraction_evaluate(model, f, g, with_twist=True):
+    """The value through Fraction substitution and a det per call."""
+    m = model.m
+    val = f.eval({i * m + j: Fraction(g.rows[i][j]) for i in range(m) for j in range(m)})
+    if with_twist and model.shift:
+        det = Fraction(g.det())
+        val = val * det ** (-model.shift)
+    return val
+
+
+def test_integral_evaluation_matches_fraction_path():
+    rnd = random.Random(5)
+    for weight in [(1, -2, -2), (-1, -2, -4), (2, 0, -1)]:
+        model = GLBlockModel(3, weight)
+        for _ in range(4):
+            ints = [[rnd.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
+            ints[0][0] = 7 * ints[1][1] * ints[2][2] + 1  # keeps det away from 0 often
+            points = [ExactMatrix(ints), ExactMatrix([[Fraction(x) for x in r] for r in ints]),
+                      ExactMatrix([[Fraction(x, 2) for x in r] for r in ints])]
+            if ExactMatrix(ints).det() == 0:
+                continue
+            for g in points:
+                values = model.basis_values(g, range(model.dimension))
+                for idx, f in enumerate(model.basis):
+                    want = _fraction_evaluate(model, f, g)
+                    for got in (model.evaluate(f, g), values[idx]):
+                        assert got == want and type(got) is Fraction
+                    got = model.evaluate(f * Fraction(1, 3), g, with_twist=False)
+                    assert got == _fraction_evaluate(model, f, g, False) / 3
+                    assert type(got) is Fraction
 
 
 def test_lie_action_drops_cancelled_terms():
