@@ -334,16 +334,11 @@ def _unpack(key: int, width: int) -> tuple:
     return tuple(mono)
 
 
-def _int_terms(f: Poly) -> tuple:
-    """(terms, den) with f = sum of c * mono / den over the (mono, int c) in terms."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return [(mono, c.numerator * (den // c.denominator)) for mono, c in f.terms.items()], den
-
-
 def _packed(f: Poly, width: int) -> tuple:
     """(vec, den) with f = vec / den and vec a packed int-coefficient polynomial."""
-    terms, den = _int_terms(f)
-    return {_pack(mono, width): c for mono, c in terms}, den
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {_pack(mono, width): c.numerator * (den // c.denominator)
+            for mono, c in f.terms.items()}, den
 
 
 def _unpacked(vec: dict, width: int, den: int = 1) -> Poly:
@@ -382,38 +377,49 @@ def _polarize(m: int, a: int, b: int, f: dict, width: int) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _integral(x) -> bool:
-    return type(x) is int or type(x) is Fraction and x.denominator == 1
-
-
-def _int_value(terms, values) -> int:
-    """sum of c * prod values[v]^e over int-coefficient terms (((v, e), ...), c)."""
-    total = 0
-    for mono, c in terms:
-        for v, e in mono:
-            c *= values[v] ** e
-        total += c
-    return total
-
-
 class _Point:
-    """A group point prepared for evaluation: det^|shift| once, int entries when integral."""
+    """A group point prepared for evaluation, with det^|shift| computed once.
+
+    A point with rational entries is cleared to the integer matrix L g, for
+    L the common denominator of its entries, and a polynomial is summed in
+    int arithmetic: a monomial of degree k contributes c * prod (L x_v)^e
+    weighted by L^(top - k), and the sum is divided once by L^top.  A model
+    vector is homogeneous, so every weight is 1 there.  A point with
+    ring-element entries goes through `Poly.eval`.
+    """
 
     def __init__(self, g: ExactMatrix, shift: int):
-        self.integral = all(_integral(x) for row in g.rows for x in row)
-        if self.integral:
-            g = ExactMatrix([[int(x) for x in row] for row in g.rows])
-        self.values = [x for row in g.rows for x in row]
+        values = [x for row in g.rows for x in row]
         self.shift = shift
-        self.twist = g.det() ** abs(shift) if shift else None
-
-    def value(self, f: Poly, int_terms=None):
-        """f at the point; int_terms, if given, is f as (monomial, int coefficient) pairs."""
-        if self.integral:
-            int_terms, den = (int_terms, 1) if int_terms is not None else _int_terms(f)
-            val = Fraction(_int_value(int_terms, self.values), den)
+        det = None
+        if all(type(x) is int or type(x) is Fraction for x in values):
+            self.scale = lcm(*(x.denominator for x in values))
+            cleared = ExactMatrix([[int(x * self.scale) for x in row] for row in g.rows])
+            self.values = [x for row in cleared.rows for x in row]
+            if shift:
+                det = Fraction(cleared.det(), self.scale ** g.nrows)
         else:
+            self.scale = None
+            self.values = values
+            if shift:
+                det = g.det()
+        self.twist = det ** abs(shift) if shift else None
+
+    def value(self, f: Poly):
+        if self.scale is None:
             val = f.eval(self.values)
+        else:
+            nums, den = self.values, lcm(*(c.denominator for c in f.terms.values()))
+            sums = {}
+            for mono, c in f.terms.items():
+                t, k = c.numerator * (den // c.denominator), 0
+                for v, e in mono:
+                    t *= nums[v] ** e
+                    k += e
+                sums[k] = sums.get(k, 0) + t
+            top = max(sums, default=0)
+            val = Fraction(sum(t * self.scale ** (top - k) for k, t in sums.items()),
+                           den * self.scale ** top)
         if self.shift < 0:
             val = val * self.twist
         elif self.shift > 0:
@@ -425,19 +431,17 @@ class _Closure:
     """The span closure of one (m, shifted weight, convention), shared read-only.
 
     `packed` holds the basis as packed int-coefficient polynomials of field
-    width `width`; `basis` is the same as Poly objects, and `int_terms` as
-    (monomial, int coefficient) pairs for evaluation.  Echelon rows carry
-    the basis index idx as the tag key ~idx < 0 next to the packed monomial
-    keys >= 0, which is how coordinates are read off a reduction.
+    width `width`, and `basis` is the same as Poly objects.  Echelon rows
+    carry the basis index idx as the tag key ~idx < 0 next to the packed
+    monomial keys >= 0, which is how coordinates are read off a reduction.
     """
 
-    __slots__ = ("width", "packed", "basis", "int_terms", "weights", "echelon")
+    __slots__ = ("width", "packed", "basis", "weights", "echelon")
 
     def __init__(self, width, packed, weights, echelon):
         self.width = width
         self.packed = tuple(packed)
         self.basis = tuple(_unpacked(f, width) for f in packed)
-        self.int_terms = tuple(_int_terms(f)[0] for f in self.basis)
         self.weights = tuple(weights)
         self.echelon = echelon
 
@@ -582,7 +586,7 @@ class GLBlockModel:
 
         The true function is (polynomial) * det^(-shift), so the shifted
         model weight mu satisfies true weight = mu + shift*(1,..,1).  On a
-        point with integral entries the sum runs in int arithmetic and the
+        point with rational entries the sum runs in int arithmetic and the
         value is a Fraction.
         """
         return _Point(g, self.shift if with_twist else 0).value(f)
@@ -590,5 +594,4 @@ class GLBlockModel:
     def basis_values(self, g: ExactMatrix, indices, with_twist: bool = True) -> dict:
         """{idx: `evaluate` of basis vector idx at g}, with det(g) computed once."""
         point = _Point(g, self.shift if with_twist else 0)
-        closure = self._closure
-        return {idx: point.value(closure.basis[idx], closure.int_terms[idx]) for idx in indices}
+        return {idx: point.value(self.basis[idx]) for idx in indices}

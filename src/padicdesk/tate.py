@@ -120,19 +120,25 @@ class ShiftDerivation:
         self.base = base  # callable ArtinianElement -> ArtinianElement
         self.lam = Fraction(lam)
 
-    def __call__(self, f: TateSeries) -> TateSeries:
-        out: dict = {}
+    def shifted(self, f: TateSeries, j: int = 0, den: int = 1) -> TateSeries:
+        """(D - j) f / den in one pass over f, each output coefficient built once.
+
+        A term s X^a Y^b contributes base(s) - j s at X^a Y^b and
+        lam a s at X^(a-1) Y^(b+1).
+        """
+        lam_num, lam_den = self.lam.numerator, self.lam.denominator
+        parts: dict = {}
         for (a, b), s in f.terms.items():
-            ds = self.base(s)
-            if not ds.is_zero():
-                k = (a, b)
-                out[k] = out[k] + ds if k in out else ds
-            if a >= 1:
-                t = s * (self.lam * a)
-                if not t.is_zero():
-                    k = (a - 1, b + 1)
-                    out[k] = out[k] + t if k in out else t
-        return f._like(out)
+            here = parts.setdefault((a, b), [])
+            here.append((self.base(s), 1, 1))
+            if j:
+                here.append((s, -j, 1))
+            if a:
+                parts.setdefault((a - 1, b + 1), []).append((s, lam_num * a, lam_den))
+        return f._like({key: combination(ps, den) for key, ps in parts.items()})
+
+    def __call__(self, f: TateSeries) -> TateSeries:
+        return self.shifted(f)
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +187,18 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
 def binomial_of_derivation_direct(k: int, f: TateSeries, deriv: ShiftDerivation) -> TateSeries:
     """binom(T, k) f by the operator recursion binom(T,k) = binom(T,k-1)(T-k+1)/k.
 
-    Step j applies (D - j)/(j + 1) in one pass over the series: a term
-    s X^a Y^b gives D_base(s) - j s at X^a Y^b and lam a s at X^(a-1) Y^(b+1),
-    and each output coefficient is built once from its parts.
+    Step j applies (D - j)/(j + 1) through `ShiftDerivation.shifted`, one
+    pass over the series.
     """
-    lam_num, lam_den = deriv.lam.numerator, deriv.lam.denominator
     out = f
     for j in range(k):
-        parts: dict = {}
-        for (a, b), s in out.terms.items():
-            here = parts.setdefault((a, b), [])
-            here.append((deriv.base(s), 1, 1))
-            if j:
-                here.append((s, -j, 1))
-            if a:
-                parts.setdefault((a - 1, b + 1), []).append((s, lam_num * a, lam_den))
-        out = out._like({key: combination(ps, j + 1) for key, ps in parts.items()})
+        out = deriv.shifted(out, j, j + 1)
     return out
 
 
 def binomial_operator_recursion_check(k: int, f: TateSeries, deriv: ShiftDerivation) -> bool:
     """f_k(T)(T - k) = (k+1) f_(k+1)(T) on the given element, exactly."""
-    shifted = deriv(f) - f.scale(k)
-    lhs = binomial_of_derivation_direct(k, shifted, deriv)
+    lhs = binomial_of_derivation_direct(k, deriv.shifted(f, k), deriv)
     rhs = binomial_of_derivation_direct(k + 1, f, deriv).scale(k + 1)
     return lhs == rhs
 

@@ -202,17 +202,19 @@ def _fraction_evaluate(model, f, g, with_twist=True):
     return val
 
 
-def test_integral_evaluation_matches_fraction_path():
+def test_rational_evaluation_matches_fraction_path():
     rnd = random.Random(5)
     for weight in [(1, -2, -2), (-1, -2, -4), (2, 0, -1)]:
         model = GLBlockModel(3, weight)
         for _ in range(4):
             ints = [[rnd.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
             ints[0][0] = 7 * ints[1][1] * ints[2][2] + 1  # keeps det away from 0 often
-            points = [ExactMatrix(ints), ExactMatrix([[Fraction(x) for x in r] for r in ints]),
-                      ExactMatrix([[Fraction(x, 2) for x in r] for r in ints])]
             if ExactMatrix(ints).det() == 0:
                 continue
+            points = [ExactMatrix(ints), ExactMatrix([[Fraction(x) for x in r] for r in ints]),
+                      ExactMatrix([[Fraction(x, 2) for x in r] for r in ints]),
+                      ExactMatrix([[Fraction(x, i + 2 * j + 1) for j, x in enumerate(r)]
+                                   for i, r in enumerate(ints)])]
             for g in points:
                 values = model.basis_values(g, range(model.dimension))
                 for idx, f in enumerate(model.basis):
@@ -222,6 +224,28 @@ def test_integral_evaluation_matches_fraction_path():
                     got = model.evaluate(f * Fraction(1, 3), g, with_twist=False)
                     assert got == _fraction_evaluate(model, f, g, False) / 3
                     assert type(got) is Fraction
+                # a polynomial of mixed degree, outside any model span
+                mixed = model.basis[0] + Poly.variable(4) * Fraction(5, 7) + Poly.constant(2)
+                got = model.evaluate(mixed, g)
+                assert got == _fraction_evaluate(model, mixed, g) and type(got) is Fraction
+
+
+def test_ring_element_evaluation_matches_rational_specialization():
+    # a point with Poly entries g0 + t E goes through Poly.eval; setting
+    # t = 3 afterwards gives the value at the rational point g0 + 3 E
+    g0 = [[2, 1, 0], [Fraction(1, 2), 3, 1], [0, -1, 5]]
+    t = Poly.variable(100)
+    ring_g = ExactMatrix([[t + Poly.constant(x) if (i, j) == (0, 2) else Poly.constant(x)
+                           for j, x in enumerate(row)] for i, row in enumerate(g0)])
+    rational_g = ExactMatrix([[x + 3 if (i, j) == (0, 2) else Fraction(x)
+                               for j, x in enumerate(row)] for i, row in enumerate(g0)])
+    for weight in [(0, -1, -3), (-1, -2, -4)]:  # shift <= 0: the twist multiplies
+        model = GLBlockModel(3, weight)
+        ring_values = model.basis_values(ring_g, range(model.dimension))
+        for idx, f in enumerate(model.basis):
+            got = model.evaluate(f, ring_g)
+            assert type(got) is Poly and got == ring_values[idx]
+            assert got.eval({100: Fraction(3)}) == model.evaluate(f, rational_g)
 
 
 def test_lie_action_drops_cancelled_terms():
