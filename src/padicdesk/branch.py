@@ -17,9 +17,10 @@ Coordinates on the big-cell column are a_2..a_2n, stored 0-based
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .glrep import GLBlockModel, WeightData, weyl_dimension
+from .glrep import GLBlockModel, WeightData, cone_decompose, generator_weights, weyl_dimension
 from .iwahori import u_element
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import Poly, image_kernel
@@ -42,12 +43,14 @@ class MPoint:
         return cls(1, 1, blocks)
 
 
+@lru_cache(maxsize=None)
 def u_conjugator(n: int, d: int) -> MPoint:
     """The open-orbit conjugating element u of the Levi, from `iwahori.u_element`.
 
     Distinguished block: identity plus lower entries feeding coordinate
     a_(n+1-i) into a_(n+1+i); other components: unipotent with the
-    antidiagonal in the lower-left n x n block.
+    antidiagonal in the lower-left n x n block.  Built once per (n, d) and
+    shared: callers must not mutate it.
     """
     u0 = u_element(n, True)
     return MPoint(1, 1, [ExactMatrix(row[1:] for row in u0.rows[1:])]
@@ -56,12 +59,10 @@ def u_conjugator(n: int, d: int) -> MPoint:
 
 def v_basepoint(n: int, d: int) -> MPoint:
     """The normalization point v (lower unipotent in the second block column)."""
-    m = 2 * n - 1
-    v2 = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    v2 = ExactMatrix.identity(2 * n - 1)
     for i in range(1, n):
-        v2[n - 1 + i][n - 1] = Fraction(1)
-    blocks = [ExactMatrix(v2)] + [ExactMatrix.identity(2 * n) for _ in range(d - 1)]
-    return MPoint(1, 1, blocks)
+        v2.rows[n - 1 + i][n - 1] = Fraction(1)
+    return MPoint(1, 1, [v2] + [ExactMatrix.identity(2 * n) for _ in range(d - 1)])
 
 
 def column_point(n: int, a_coords) -> MPoint:
@@ -70,14 +71,12 @@ def column_point(n: int, a_coords) -> MPoint:
     Entry a_(n+1) sits on the diagonal; the rows below it receive the folded
     coordinates a_(n+1-i) + a_(n+1+i).
     """
-    m = 2 * n - 1
     a = [Fraction(x) for x in a_coords]
-    z2 = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    z2[n - 1][n - 1] = a[n - 1]
+    z2 = ExactMatrix.identity(2 * n - 1)
+    z2.rows[n - 1][n - 1] = a[n - 1]
     for i in range(1, n):
-        z2[n - 1 + i][n - 1] = a[n - 1 - i] + a[n - 1 + i]
-    d_blocks = [ExactMatrix(z2)]
-    return MPoint(1, 1, d_blocks)
+        z2.rows[n - 1 + i][n - 1] = a[n - 1 - i] + a[n - 1 + i]
+    return MPoint(1, 1, [z2])
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +220,11 @@ class BranchModel:
         if len(sol) != 1:
             raise ArithmeticError(
                 f"eigenspace dimension {len(sol)} != 1: multiplicity one fails at this instance")
-        coords = {}
-        for pos, q in enumerate(subspace):
-            if sol[0][pos]:
-                coords[q] = sol[0][pos]
-        # normalize: value 1 at (identity paired through u) and the base point v
-        u = u_conjugator(self.wd.n, self.wd.d)
-        base = v_basepoint(self.wd.n, self.wd.d)
-        self.coords = coords
-        nv = self.pair_value(u, base)
+        self.coords = {q: sol[0][pos] for pos, q in enumerate(subspace) if sol[0][pos]}
+        nv = self.normalization_value()
         if nv == 0:
             raise ArithmeticError("open-orbit normalization value vanished")
-        self.coords = {q: c / nv for q, c in coords.items()}
+        self.coords = {q: c / nv for q, c in self.coords.items()}
 
     # -- evaluation -------------------------------------------------------
 
@@ -255,24 +247,29 @@ class BranchModel:
             out[key] = val
         return out
 
-    def _s_value(self, q: int, h: MPoint):
-        """Value of the twist part of basis vector q at a subgroup point."""
-        n = self.wd.n
-        col = [h.blocks[0].rows[i][n - 1] / h.g1 for i in range(2 * n - 1)]
-        return _monomial_value(self.index[q][1], col)
+    def _pairing(self, g: MPoint, column, coords: dict):
+        """sum over coords of c_q * V_q(g) * x^(J_q)(column): every pairing goes through here."""
+        values = self._v_values(g, coords)
+        out = Fraction(0)
+        for q, c in coords.items():
+            block_idx, J = self.index[q]
+            out += c * values[block_idx] * _monomial_value(J, column)
+        return out
 
     def pair_value(self, g: MPoint, h: MPoint):
         """Value of the solved vector as a function on (Levi) x (subgroup)."""
-        values = self._v_values(g, self.coords)
-        out = Fraction(0)
-        for q, c in self.coords.items():
-            out += c * values[self.index[q][0]] * self._s_value(q, h)
-        return out
+        n = self.wd.n
+        column = [h.blocks[0].rows[i][n - 1] / h.g1 for i in range(2 * n - 1)]
+        return self._pairing(g, column, self.coords)
+
+    def normalization_value(self):
+        """The pairing at (u, v); the solved vector is scaled so that it is 1."""
+        n, d = self.wd.n, self.wd.d
+        return self.pair_value(u_conjugator(n, d), v_basepoint(n, d))
 
     def open_orbit_value(self, g: MPoint, h: MPoint):
         """x-normalized pairing: the vector conjugated by u, then evaluated."""
-        u = u_conjugator(self.wd.n, self.wd.d)
-        return self.pair_value(_mpoint_mul(u, g), h)
+        return self.pair_value(_mpoint_mul(u_conjugator(self.wd.n, self.wd.d), g), h)
 
     def box_restriction_value(self, g: MPoint, a_coords):
         """Value at (Iwahori point, box point) of the doubly-u-conjugated vector.
@@ -286,13 +283,7 @@ class BranchModel:
         folded = list(a)
         for i in range(1, n):
             folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
-        u = u_conjugator(self.wd.n, self.wd.d)
-        values = self._v_values(_mpoint_mul(u, g), self.coords)
-        out = Fraction(0)
-        for q, c in self.coords.items():
-            block_idx, J = self.index[q]
-            out += c * values[block_idx] * _monomial_value(J, folded)
-        return out
+        return self._pairing(_mpoint_mul(u_conjugator(n, self.wd.d), g), folded, self.coords)
 
     def cpol_value(self, g: MPoint, a_coords, coords=None):
         """Raw pairing against big-cell column coordinates (no conjugation).
@@ -300,14 +291,8 @@ class BranchModel:
         Evaluates sum c_q * V_q(g) * x_q(a) for the given coordinate vector
         (default: the solved one).
         """
-        a = [Fraction(x) for x in a_coords]
-        use = self.coords if coords is None else coords
-        values = self._v_values(g, use)
-        out = Fraction(0)
-        for q, c in use.items():
-            block_idx, J = self.index[q]
-            out += c * values[block_idx] * _monomial_value(J, a)
-        return out
+        return self._pairing(g, [Fraction(x) for x in a_coords],
+                             self.coords if coords is None else coords)
 
     # -- group-level eigen test -------------------------------------------
 
@@ -443,8 +428,6 @@ class GeneratorFamily:
     """
 
     def __init__(self, n: int, d: int, dim_cap: int = 500):
-        from .glrep import generator_weights
-
         self.n = n
         self.d = d
         self.weights = generator_weights(n, d)
@@ -469,12 +452,13 @@ def algebraic_product_value(family: GeneratorFamily, wd: WeightData,
     Returns prod of generator values raised to the decomposition exponents;
     agrees with the directly computed restriction on the unit box.
     """
-    from .glrep import cone_decompose
+    return _generator_product(wd, family.generator_values(g, a_coords))
 
-    coeffs = cone_decompose(wd)
-    vals = family.generator_values(g, a_coords)
+
+def _generator_product(wd: WeightData, vals: dict):
+    """prod over the cone decomposition of wd of vals[generator] ** exponent."""
     out = Fraction(1)
-    for key, a in coeffs.items():
+    for key, a in cone_decompose(wd).items():
         out *= Fraction(vals[key]) ** a
     return out
 
@@ -489,15 +473,13 @@ def twisted_product_value(family: GeneratorFamily, wd: WeightData, chi: list,
     zero off the unit box.
     """
     from .cyclotomic import CyclotomicElement
-    from .glrep import cone_decompose
     from .mahler import in_unit_box
 
     p = chi[0].p
     if not in_unit_box(a_coords, wd.n, p):
         return CyclotomicElement.from_rational(0)
-    coeffs = cone_decompose(wd)
     vals = family.generator_values(g, a_coords)
-    out = CyclotomicElement.from_rational(algebraic_product_value(family, wd, g, a_coords))
+    out = CyclotomicElement.from_rational(_generator_product(wd, vals))
     for t in range(wd.d):
         out = out * chi[t](vals[("mu", wd.n, t)]).inverse()
         out = out * chi[t](vals[("b", t)])

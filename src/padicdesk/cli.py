@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .glrep import WeightData, cone_decompose
 from .rationals import is_prime
@@ -98,7 +99,7 @@ def _run_branch(args) -> int:
         return EXIT_INPUT
     try:
         wd = WeightData.from_json(spec)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         _emit({"error": "malformed weight spec", "message": _malformed(err)}, args.out)
         return EXIT_INPUT
 
@@ -129,10 +130,7 @@ def _run_branch(args) -> int:
         "branch_vector": bm.to_json(),
         "p": args.p, "beta": args.beta, "seed": args.seed,
     }
-    # normalization witness
-    u = branch_pkg.u_conjugator(wd.n, wd.d)
-    base = branch_pkg.v_basepoint(wd.n, wd.d)
-    report["normalization_value"] = str(bm.pair_value(u, base))
+    report["normalization_value"] = str(bm.normalization_value())
 
     if any(wd.j):
         wd0 = WeightData(wd.n, wd.d, wd.kappa0,
@@ -225,6 +223,8 @@ def _run_interp_factor(args) -> int:
             at_p = HalfPowerValue(p, CyclotomicElement.from_json(item["at_p"])
                                   if isinstance(item.get("at_p"), dict)
                                   else Fraction(item.get("at_p", 1)))
+            if at_p.coeff.is_zero():
+                raise ValueError('"at_p" must be nonzero')
             chis.append(SmoothCharacter(fin, at_p))
         for key, items in (("e", e), ("characters", chis)):
             if len(items) != d:
@@ -232,9 +232,12 @@ def _run_interp_factor(args) -> int:
         values = {}
         for key, val in (cfg.get("theta_values") or {}).items():
             tau, i = (int(x) for x in key.split(","))
-            values[(tau, i)] = HalfPowerValue(p, Fraction(val))
+            theta = HalfPowerValue(p, Fraction(val))
+            if theta.coeff.is_zero():
+                raise ValueError(f'theta value "{key}" must be nonzero')
+            values[(tau, i)] = theta
         data = SatakeData(n, d, p, values or None)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         _emit({"error": "malformed config", "message": _malformed(err)}, args.out)
         return EXIT_INPUT
     try:
@@ -288,7 +291,9 @@ def _add_global_flags(parser) -> None:
                         help="also flatten leaf tables to CSV")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="padicdesk",
         description="Exact p-adic desk calculator: branching vectors, Iwahori "

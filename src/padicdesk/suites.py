@@ -302,10 +302,7 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
     for wd in instances:
         bm = branch_mod.BranchModel(wd, dim_cap)
         models.append(bm)
-        u = branch_mod.u_conjugator(wd.n, wd.d)
-        base = branch_mod.v_basepoint(wd.n, wd.d)
-        if bm.eigen_dimension != 1 or bm.pair_value(
-                branch_mod._mpoint_mul(u, branch_mod.MPoint.identity(wd.n, wd.d)), base) != 1:
+        if bm.eigen_dimension != 1 or bm.normalization_value() != 1:
             ok = False
     _check(checks, "rep.multiplicity_one",
            "joint eigenspace is one-dimensional with unit base-point value", ok,

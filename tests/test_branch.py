@@ -39,6 +39,7 @@ def test_normalization_value_is_one():
         bm = BranchModel(wd)
         u = u_conjugator(wd.n, wd.d)
         assert bm.pair_value(u, v_basepoint(wd.n, wd.d)) == 1
+        assert bm.normalization_value() == 1
 
 
 def test_off_cone_error():
@@ -199,13 +200,16 @@ def _apply_lie_oracle(bm, comp, a, b, q):
     return {k: v for k, v in out.items() if v}
 
 
-@pytest.mark.parametrize("n, d, kappa0, kappa, j", [
+_ORACLE_WEIGHTS = [
     (2, 1, 0, [[3, 2, -2, -3]], [1]),
     (2, 1, 0, [[0, 2, -1, -3]], [2]),
     (2, 1, 1, [[1, 1, -1, -2]], [1]),
     (2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]),
     (3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
-])
+]
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", _ORACLE_WEIGHTS)
 def test_apply_lie_matches_derivative_oracle(n, d, kappa0, kappa, j):
     bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
     twisted = 0
@@ -233,3 +237,62 @@ def test_box_restriction_computes_one_det_per_block(n, d, kappa0, kappa, j, monk
     monkeypatch.setattr(ExactMatrix, "det", lambda self: calls.append(self) or true_det(self))
     assert bm.box_restriction_value(g, a) == want
     assert len(calls) <= len(bm.blocks)
+
+
+def _pairing_oracle(bm, g, column, coords):
+    """sum over q, one coordinate at a time, of c_q * V_q(g) * prod_(v in J_q) column[v]."""
+    wd = bm.wd
+    out = Fraction(0)
+    for q, c in coords.items():
+        block_idx, J = bm.index[q]
+        term = c * g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
+        for t, i in enumerate(block_idx):
+            term *= bm.blocks[t].evaluate(bm.blocks[t].basis[i], g.blocks[t])
+        for v in J:
+            term *= column[v]
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", _ORACLE_WEIGHTS)
+def test_every_pairing_matches_the_coordinate_oracle(n, d, kappa0, kappa, j):
+    p, beta, M = 3, 1, 3
+    rnd = random.Random(17)
+    bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+    u = u_conjugator(n, d)
+    other = {q: Fraction(q + 1, 3) for q in range(0, bm.dimension, 2)}
+    for _ in range(3):
+        # a nontrivial similitude and GL_1 entry exercise the character factor
+        g = MPoint(2, 3, random_congruence_unipotent(n, d, p, beta, M, rnd).blocks)
+        a = random_unit_box_point(n, p, beta, M, rnd)
+        h = MPoint(1, 5, column_point(n, a).blocks)
+        h_column = [h.blocks[0].rows[i][n - 1] / h.g1 for i in range(2 * n - 1)]
+        ug = MPoint(u.sim * g.sim, u.g1 * g.g1,
+                    [ub * gb for ub, gb in zip(u.blocks, g.blocks)])
+        folded = list(a)
+        for i in range(1, n):
+            folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
+        assert bm.pair_value(g, h) == _pairing_oracle(bm, g, h_column, bm.coords)
+        assert bm.open_orbit_value(g, h) == _pairing_oracle(bm, ug, h_column, bm.coords)
+        assert bm.box_restriction_value(g, a) == _pairing_oracle(bm, ug, folded, bm.coords)
+        assert bm.cpol_value(g, a) == _pairing_oracle(bm, g, a, bm.coords)
+        assert bm.cpol_value(g, a, coords=other) == _pairing_oracle(bm, g, a, other)
+
+
+def test_u_conjugator_is_shared_and_left_unchanged():
+    shapes = sorted({(n, d) for n, d, *_ in _ORACLE_WEIGHTS})
+    before = {key: (u_conjugator(*key), [[list(r) for r in b.rows]
+                                         for b in u_conjugator(*key).blocks])
+              for key in shapes}
+    rnd = random.Random(19)
+    for n, d, kappa0, kappa, j in _ORACLE_WEIGHTS:
+        bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+        g = random_congruence_unipotent(n, d, 3, 1, 3, rnd)
+        a = random_unit_box_point(n, 3, 1, 3, rnd)
+        bm.box_restriction_value(g, a)
+        bm.open_orbit_value(g, column_point(n, a))
+        assert bm.normalization_value() == 1
+    for key, (u, rows) in before.items():
+        assert u_conjugator(*key) is u
+        assert (u.sim, u.g1) == (1, 1)
+        assert [[list(r) for r in b.rows] for b in u.blocks] == rows

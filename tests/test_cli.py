@@ -156,6 +156,25 @@ def test_interp_factor_short_list(short, capsys, tmp_path):
                                "message": f"\"{short}\" has 1 entries, need d = 2"}
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"at_p": float("inf")}, "cannot convert Infinity to integer ratio"),
+    ({"at_p": 0}, '"at_p" must be nonzero'),
+    ({"theta_values": {"0,2": 0}}, 'theta value "0,2" must be nonzero'),
+], ids=["infinite-at-p", "zero-at-p", "zero-theta"])
+def test_interp_factor_bad_value_is_malformed(change, message, capsys, tmp_path):
+    cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
+           "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}
+    if "at_p" in change:
+        cfg["characters"][0]["at_p"] = change["at_p"]
+    else:
+        cfg.update(change)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # json writes float("inf") as Infinity
+    code, out = run_cli(["interp", "factor", "--config", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "malformed config", "message": message}
+
+
 def test_out_file_and_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PADICDESK_OUT_DIR", str(tmp_path))
     spec = {"n": 2, "d": 1, "tau0": 0, "kappa0": 0,
@@ -246,6 +265,21 @@ def test_suite_reports_pinned(suite, digest, capsys):
     assert main(["--seed", "7", "verify", "--suite", suite]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once():
+    from padicdesk.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_flag_between_calls(capsys):
+    assert main(["--p", "5", "--seed", "7", "verify", "--suite", "mahler"]) == 0
+    capsys.readouterr()
+    assert main(["--seed", "7", "verify", "--suite", "mahler"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "51464be5468015643cb95c7ee15e5672e937696a1e3b164b00e7834590c8aa5d")
 
 
 def test_iwahori_benchmark_config_report_pinned(capsys):
@@ -371,7 +405,8 @@ def test_bad_global_option(args, message, capsys):
     "[1, 2]",
     '{"n": 2, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[3.5, 2, -2, -3]], "j": [1]}',
     '{"n": 2.5, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0, 0]], "j": [0]}',
-], ids=["not-an-object", "non-integer-entry", "non-integer-n"])
+    '{"n": 2, "d": 1, "tau0": 0, "kappa0": Infinity, "kappa": [[0, 0, 0, 0]], "j": [0]}',
+], ids=["not-an-object", "non-integer-entry", "non-integer-n", "infinite-entry"])
 def test_branch_malformed_weight_spec(spec, capsys):
     code, out = run_cli(["branch", "--weight-json", spec], capsys)
     assert code == 3
