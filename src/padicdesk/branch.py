@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from .glrep import GLBlockModel, WeightData, cone_decompose, generator_weights, weyl_dimension
 from .iwahori import u_element
 from .matrices import ExactMatrix, rational_inverse
-from .polynomials import Poly, image_kernel
+from .polynomials import image_kernel
 
 
 class MPoint:
@@ -299,40 +299,24 @@ class BranchModel:
     def subgroup_action_coords(self, m: MPoint) -> dict:
         """Coordinates of (diagonal subgroup action of m) applied to the vector."""
         wd = self.wd
-        n = wd.n
-        out: dict = {}
-        block_mats = []
-        block_dets = []
-        for t, model in enumerate(self.blocks):
-            mat = m.blocks[t]
-            block_mats.append(mat)
-            block_dets.append(mat.det())
         sim_factor = m.sim ** wd.kappa0 * m.g1 ** wd.kappa[0][0]
-        # S-part substitution: a -> (g1 * block^-1) a
-        inv0 = rational_inverse(block_mats[0])
-        forms = {}
-        for k in range(2 * n - 1):
-            form = Poly()
-            for l in range(2 * n - 1):
-                c = inv0.rows[k][l] * m.g1
-                if c:
-                    form = form + Poly.variable(l) * c
-            forms[k] = form
+        # S-part substitution: a -> (g1 * block^-1) a, one linear form per variable
+        inv0 = rational_inverse(m.blocks[0])
+        forms = [[(l, c * m.g1) for l, c in enumerate(row) if c] for row in inv0.rows]
+        det_facs = [Fraction(m.blocks[t].det()) ** model.shift
+                    for t, model in enumerate(self.blocks)]
+        out: dict = {}
         for q, c in self.coords.items():
             (block_idx, J) = self.index[q]
-            factor = sim_factor
-            new_blocks = []
-            for t, model in enumerate(self.blocks):
-                g2 = model.group_action(block_mats[t], model.basis[block_idx[t]])
-                det_fac = Fraction(block_dets[t]) ** model.shift
-                new_blocks.append([(i2, c2 * det_fac) for i2, c2 in model.expand(g2).items()])
-            phi = _monomial_poly(J).subs_linear(forms)
-            s_terms = _expand_monomials(phi)
+            new_blocks = [[(i2, c2 * det_facs[t]) for i2, c2
+                           in model.basis_group_action(m.blocks[t], block_idx[t]).items()]
+                          for t, model in enumerate(self.blocks)]
+            s_terms = _substitute_multiset(J, forms)
 
             def rec(t, idx_built, coeff):
                 if t == len(new_blocks):
-                    for (J2, c2) in s_terms:
-                        _acc(out, self._lookup(tuple(idx_built), J2), c * coeff * c2 * factor)
+                    for J2, c2 in s_terms.items():
+                        _acc(out, self._lookup(tuple(idx_built), J2), c * coeff * c2 * sim_factor)
                     return
                 for (i2, c2) in new_blocks[t]:
                     rec(t + 1, idx_built + [i2], coeff * c2)
@@ -387,21 +371,18 @@ def _monomial_value(J: tuple, values):
     return out
 
 
-def _monomial_poly(J: tuple) -> Poly:
-    mono: dict = {}
-    for var in J:
-        mono[var] = mono.get(var, 0) + 1
-    return Poly({tuple(sorted(mono.items())): Fraction(1)})
+def _substitute_multiset(J: tuple, forms) -> dict:
+    """prod over v in the multiset J of the linear form forms[v], as {multiset: c}.
 
-
-def _expand_monomials(phi: Poly):
-    """Write a polynomial as a list of (multiset, coeff); must be monomial-pure."""
-    out = []
-    for mono, c in phi.terms.items():
-        J = []
-        for v, e in mono:
-            J.extend([v] * e)
-        out.append((tuple(sorted(J)), c))
+    forms[v] lists (variable, coefficient) pairs; multisets are sorted tuples.
+    """
+    out = {(): Fraction(1)}
+    for v in J:
+        nxt: dict = {}
+        for J1, c1 in out.items():
+            for l, c2 in forms[v]:
+                _acc(nxt, tuple(sorted(J1 + (l,))), c1 * c2)
+        out = {J2: c for J2, c in nxt.items() if c}
     return out
 
 

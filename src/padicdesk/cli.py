@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .glrep import WeightData, cone_decompose
-from .rationals import is_prime
+from .rationals import integer, is_prime
 from .suites import SUITES, BudgetExceeded
 
 
@@ -212,14 +212,12 @@ def _run_interp_factor(args) -> int:
                          cpr_identity_check, interpolation_factor)
 
     try:
-        p = cfg["p"]
-        n = cfg["n"]
-        d = cfg["d"]
-        e = list(cfg["e"])
+        p, n, d = (integer(cfg[key], f'"{key}"') for key in ("p", "n", "d"))
+        e = [integer(x, '"e" entry') for x in cfg["e"]]
         chis = []
         for item in cfg["characters"]:
-            fin = PCharacter.from_log(p, item.get("conductor_exp", 0),
-                                      item.get("log", 0))
+            fin = PCharacter.from_log(p, integer(item.get("conductor_exp", 0), '"conductor_exp"'),
+                                      integer(item.get("log", 0), '"log"'))
             at_p = HalfPowerValue(p, CyclotomicElement.from_json(item["at_p"])
                                   if isinstance(item.get("at_p"), dict)
                                   else Fraction(item.get("at_p", 1)))

@@ -19,12 +19,12 @@ The span closure depends only on (m, weight - weight[0], convention), so it
 is built once per process for each such key and shared, read-only, by every
 model with that key.  Each model keeps its own shift and reruns its checks.
 
-Every basis polynomial has integer coefficients, so the closure, the
-polarizations and the coordinate solves run in one integer kernel: packed
-monomials with int coefficients, reduced by the fraction-free
-`SparseEchelon`.  `basis` is converted once to `Poly` over `Fraction`, and
-a general `Poly` is converted at the `lie_action`/`word_action`/`expand`
-boundary, so there is one polarization kernel.
+Every basis polynomial has integer coefficients, and the basis is stored in
+one form only: packed monomials with int coefficients.  The closure, the
+polarizations, the group action, evaluation at a point and the coordinate
+solves (by the fraction-free `SparseEchelon`) all run on that form.  A
+general `Poly` is packed at the `lie_action`/`word_action`/`expand`/
+`evaluate` boundary, and `basis` unpacks to `Poly` only for inspection.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from math import lcm
 
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import Poly, SparseEchelon
+from .rationals import integer
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +56,6 @@ def weyl_dimension(weight) -> int:
     return num // den
 
 
-def _integer(x) -> int:
-    """x as an int; a non-integral entry is rejected rather than truncated."""
-    i = int(x)
-    if i != x:
-        raise ValueError(f"weight entry {x!r} is not an integer")
-    return i
-
-
 def is_dominant(weight) -> bool:
     return all(weight[i] >= weight[i + 1] for i in range(len(weight) - 1))
 
@@ -76,14 +69,14 @@ class WeightData:
     """
 
     def __init__(self, n: int, d: int, kappa0: int, kappa, j):
-        n, d = _integer(n), _integer(d)
+        n, d = integer(n, "n"), integer(d, "d")
         if n < 2 or d < 1:
             raise ValueError("need n >= 2 and d >= 1")
         self.n = n
         self.d = d
-        self.kappa0 = _integer(kappa0)
-        self.kappa = [tuple(_integer(x) for x in row) for row in kappa]
-        self.j = tuple(_integer(x) for x in j)
+        self.kappa0 = integer(kappa0, "kappa0")
+        self.kappa = [tuple(integer(x, "kappa entry") for x in row) for row in kappa]
+        self.j = tuple(integer(x, "j entry") for x in j)
         if len(self.kappa) != d or len(self.j) != d:
             raise ValueError("kappa and j must have d components")
         if any(len(row) != 2 * n for row in self.kappa):
@@ -322,16 +315,14 @@ def _pack(mono, width: int) -> int:
     return out
 
 
-def _unpack(key: int, width: int) -> tuple:
+def _fields(key: int, width: int):
+    """The (variable, exponent) pairs of a packed monomial, variables ascending."""
     mask = (1 << width) - 1
-    mono = []
-    v = 0
     while key:
-        if key & mask:
-            mono.append((v, key & mask))
-        key >>= width
-        v += 1
-    return tuple(mono)
+        v = ((key & -key).bit_length() - 1) // width
+        e = key >> v * width & mask
+        yield v, e
+        key ^= e << v * width
 
 
 def _packed(f: Poly, width: int) -> tuple:
@@ -344,7 +335,7 @@ def _packed(f: Poly, width: int) -> tuple:
 def _unpacked(vec: dict, width: int, den: int = 1) -> Poly:
     """The Poly vec / den."""
     p = Poly.__new__(Poly)
-    p.terms = {_unpack(k, width): Fraction(c, den) for k, c in vec.items()}
+    p.terms = {tuple(_fields(k, width)): Fraction(c, den) for k, c in vec.items()}
     return p
 
 
@@ -381,45 +372,38 @@ class _Point:
     """A group point prepared for evaluation, with det^|shift| computed once.
 
     A point with rational entries is cleared to the integer matrix L g, for
-    L the common denominator of its entries, and a polynomial is summed in
-    int arithmetic: a monomial of degree k contributes c * prod (L x_v)^e
-    weighted by L^(top - k), and the sum is divided once by L^top.  A model
-    vector is homogeneous, so every weight is 1 there.  A point with
-    ring-element entries goes through `Poly.eval`.
+    L the common denominator of its entries; a point with ring-element
+    entries keeps them, with L = 1.  `value` sums a packed polynomial in one
+    loop: a monomial of degree k contributes c * prod (L x_v)^e weighted by
+    L^(top - k), and the sum is divided once by den * L^top.  A model
+    vector is homogeneous, so every weight is 1 there.
     """
 
     def __init__(self, g: ExactMatrix, shift: int):
-        values = [x for row in g.rows for x in row]
-        self.shift = shift
-        det = None
-        if all(type(x) is int or type(x) is Fraction for x in values):
-            self.scale = lcm(*(x.denominator for x in values))
-            cleared = ExactMatrix([[int(x * self.scale) for x in row] for row in g.rows])
-            self.values = [x for row in cleared.rows for x in row]
-            if shift:
-                det = Fraction(cleared.det(), self.scale ** g.nrows)
-        else:
-            self.scale = None
-            self.values = values
-            if shift:
-                det = g.det()
-        self.twist = det ** abs(shift) if shift else None
+        self.shift, self.scale, self.twist = shift, 1, None
+        if all(type(x) is int or type(x) is Fraction for row in g.rows for x in row):
+            self.scale = lcm(*(x.denominator for row in g.rows for x in row))
+            g = ExactMatrix([[int(x * self.scale) for x in row] for row in g.rows])
+        self.values = [x for row in g.rows for x in row]
+        if shift:
+            self.twist = (g.det() * Fraction(1, self.scale ** g.nrows)) ** abs(shift)
 
-    def value(self, f: Poly):
-        if self.scale is None:
-            val = f.eval(self.values)
-        else:
-            nums, den = self.values, lcm(*(c.denominator for c in f.terms.values()))
-            sums = {}
-            for mono, c in f.terms.items():
-                t, k = c.numerator * (den // c.denominator), 0
-                for v, e in mono:
-                    t *= nums[v] ** e
-                    k += e
-                sums[k] = sums.get(k, 0) + t
-            top = max(sums, default=0)
-            val = Fraction(sum(t * self.scale ** (top - k) for k, t in sums.items()),
-                           den * self.scale ** top)
+    def value(self, vec: dict, width: int, den: int = 1):
+        """The value of the packed polynomial vec / den, det twist included.
+
+        A Fraction at a rational point, a ring element at a ring point.
+        """
+        entries, scale = self.values, self.scale
+        sums = {}
+        for key, t in vec.items():
+            k = 0
+            for v, e in _fields(key, width):
+                t = t * (entries[v] if e == 1 else entries[v] ** e)
+                k += e
+            sums[k] = sums[k] + t if k in sums else t
+        top = max(sums, default=0)
+        val = (sum(t * scale ** (top - k) for k, t in sums.items())
+               * Fraction(1, den * scale ** top))
         if self.shift < 0:
             val = val * self.twist
         elif self.shift > 0:
@@ -431,17 +415,16 @@ class _Closure:
     """The span closure of one (m, shifted weight, convention), shared read-only.
 
     `packed` holds the basis as packed int-coefficient polynomials of field
-    width `width`, and `basis` is the same as Poly objects.  Echelon rows
+    width `width`; it is the only stored form of the basis.  Echelon rows
     carry the basis index idx as the tag key ~idx < 0 next to the packed
     monomial keys >= 0, which is how coordinates are read off a reduction.
     """
 
-    __slots__ = ("width", "packed", "basis", "weights", "echelon")
+    __slots__ = ("width", "packed", "weights", "echelon")
 
     def __init__(self, width, packed, weights, echelon):
         self.width = width
         self.packed = tuple(packed)
-        self.basis = tuple(_unpacked(f, width) for f in packed)
         self.weights = tuple(weights)
         self.echelon = echelon
 
@@ -527,10 +510,16 @@ class GLBlockModel:
         self.shift = weight[0]
         shifted = tuple(x - self.shift for x in weight)  # entries <= 0, first = 0
         self._closure = _span_closure(m, shifted, convention)
-        self.basis, self.weights = self._closure.basis, self._closure.weights
-        if len(self.basis) != self.dimension:
-            raise ArithmeticError(
-                f"span closure gave {len(self.basis)} vectors, Weyl dimension is {self.dimension}")
+        self.weights = self._closure.weights
+        if len(self._closure.packed) != self.dimension:
+            raise ArithmeticError(f"span closure gave {len(self._closure.packed)} vectors,"
+                                  f" Weyl dimension is {self.dimension}")
+
+    @property
+    def basis(self) -> tuple:
+        """The basis vectors as `Poly` over `Fraction`, unpacked on each access."""
+        closure = self._closure
+        return tuple(_unpacked(f, closure.width) for f in closure.packed)
 
     def expand(self, f: Poly) -> dict:
         """Sparse coordinates {basis index: c} of a polynomial in the model span."""
@@ -566,20 +555,30 @@ class GLBlockModel:
             vec = _polarize(self.m, a, b, vec, width)
         return _unpacked(vec, width, den)
 
-    def group_action(self, mat: ExactMatrix, f: Poly) -> Poly:
-        """(h . f)(g) = f(h^-1 g) on the polynomial part (the det twist is scalar)."""
-        m = self.m
-        inv = rational_inverse(mat)
-        forms = {}
-        for i in range(m):
-            for jj in range(m):
-                form = Poly()
-                for k in range(m):
-                    c = inv.rows[i][k]
-                    if c:
-                        form = form + Poly.variable(k * m + jj) * c
-                forms[i * m + jj] = form
-        return f.subs_linear(forms)
+    def basis_group_action(self, h: ExactMatrix, idx: int) -> dict:
+        """Coordinates {idx2: c} of (h . f)(g) = f(h^-1 g) for basis vector idx.
+
+        The polynomial part only (the det twist is a scalar).  Each x_(i,j)
+        becomes sum_k (L h^-1)_(i,k) x_(k,j), with the int rows of L h^-1
+        for L the common denominator of h^-1; a basis vector is homogeneous,
+        so the image is read over L^degree.
+        """
+        closure, m = self._closure, self.m
+        width = closure.width
+        inv = rational_inverse(h)
+        scale = lcm(*(x.denominator for row in inv.rows for x in row))
+        forms = [{1 << (k * m + v % m) * width: int(x * scale)
+                  for k, x in enumerate(inv.rows[v // m]) if x} for v in range(m * m)]
+        image = {}
+        for key, c in closure.packed[idx].items():
+            term, degree = {0: c}, 0
+            for v, e in _fields(key, width):
+                degree += e
+                for _ in range(e):
+                    term = _packed_mul(term, forms[v])
+            for k, t in term.items():
+                image[k] = image.get(k, 0) + t
+        return closure.coordinates(image, scale ** degree)
 
     def evaluate(self, f: Poly, g: ExactMatrix, with_twist: bool = True):
         """Value at a group point; entries may be rationals or ring elements.
@@ -587,11 +586,15 @@ class GLBlockModel:
         The true function is (polynomial) * det^(-shift), so the shifted
         model weight mu satisfies true weight = mu + shift*(1,..,1).  On a
         point with rational entries the sum runs in int arithmetic and the
-        value is a Fraction.
+        value is a Fraction.  A Laurent f raises OverflowError, as in
+        `lie_action`.
         """
-        return _Point(g, self.shift if with_twist else 0).value(f)
+        width = _field_width(f.degree())
+        vec, den = _packed(f, width)
+        return _Point(g, self.shift if with_twist else 0).value(vec, width, den)
 
     def basis_values(self, g: ExactMatrix, indices, with_twist: bool = True) -> dict:
         """{idx: `evaluate` of basis vector idx at g}, with det(g) computed once."""
+        closure = self._closure
         point = _Point(g, self.shift if with_twist else 0)
-        return {idx: point.value(self.basis[idx]) for idx in indices}
+        return {idx: point.value(closure.packed[idx], closure.width) for idx in indices}

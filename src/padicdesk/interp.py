@@ -267,6 +267,13 @@ def interpolation_factor(data: SatakeData, chi: list, e, n: int) -> HalfPowerVal
     out = out * HalfPowerValue(p, chi0.finite.parity())
     out = out * chi0.at_p ** (-e0)
     out = out * HalfPowerValue(p, gauss_sum(chi0.finite))
+    return out * _factor_tail(data, chi, e, n)
+
+
+def _factor_tail(data: SatakeData, chi: list, e, n: int) -> HalfPowerValue:
+    """(prod over tau of chi_tau(-1)^n) / (alpha_p^e delta_B(t_p^e)), common to every form."""
+    p = data.p
+    out = HalfPowerValue.one(p)
     for tau in range(data.d):
         out = out * HalfPowerValue(p, chi[tau].finite.parity() ** n)
     denom = data.alpha_p_e(e) * modulus_deltaB(
@@ -283,12 +290,7 @@ def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:
     p = data.p
     direct = interpolation_factor(data, chi, e, n)
     chi0 = chi[0]
-    tail = HalfPowerValue.one(p)
-    for tau in range(data.d):
-        tail = tail * HalfPowerValue(p, chi[tau].finite.parity() ** n)
-    denom = data.alpha_p_e(e) * modulus_deltaB(
-        [[Fraction(p) ** k for k in row] for row in t_p_e_exponents(n, e)], n, p)
-    tail = tail / denom
+    tail = _factor_tail(data, chi, e, n)
 
     theta_n = SmoothCharacter(PCharacter.trivial(p), data.theta_at_p(0, n))
     eta1 = theta_n * chi0.inverse()

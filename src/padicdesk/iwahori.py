@@ -312,8 +312,7 @@ def _subgroup_solver(n: int, p: int) -> tuple:
     return y_basis, lower_pos, solve
 
 
-def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
-                           max_witnesses: int = 3) -> dict:
+def double_coset_singleton(n: int, p: int, beta: int, max_witnesses: int = 3) -> dict:
     """Connect every depth-beta/depth-(beta+1) representative through the
     block subgroup conjugated by the simple open-orbit matrix.
 
@@ -329,9 +328,6 @@ def double_coset_singleton(n: int, p: int, beta: int, budget: int = 10 ** 6,
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
     m = 2 * n
     nroots = n * (2 * n - 1)
-    total = p ** nroots
-    if total > budget:
-        raise ValueError(f"enumeration budget exceeded: need {total} > {budget}")
     modulus = p ** (beta + 1)
     pb = p ** beta
     y_basis, lower_pos, solve = _subgroup_solver(n, p)

@@ -141,23 +141,6 @@ class Poly:
             return Fraction(0)
         return total
 
-    def subs_linear(self, forms: dict) -> "Poly":
-        """Substitute variables by linear forms (var -> Poly); identity if absent."""
-        cache = {}
-
-        def form(v):
-            if v not in cache:
-                cache[v] = forms.get(v, Poly.variable(v))
-            return cache[v]
-
-        total = Poly()
-        for m, c in self.terms.items():
-            term = Poly.constant(c)
-            for v, e in m:
-                term = term * form(v) ** e
-            total = total + term
-        return total
-
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 

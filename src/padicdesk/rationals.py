@@ -15,6 +15,17 @@ INF = float("inf")  # valuation of 0
 DEFAULT_PRIME = 3
 
 
+def integer(x, name: str) -> int:
+    """x as an int, rejecting (not truncating) a fractional or non-finite x; name labels x."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return i
+
+
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     if p < 2:

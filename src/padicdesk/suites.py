@@ -51,7 +51,7 @@ def _report(suite: str, checks: list) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 3)) -> dict:
+def run_mahler_suite(p: int = 3, seed: int = 0) -> dict:
     checks = []
     rnd = random.Random(seed)
 
@@ -81,10 +81,10 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
 
     # weighted indicator translation invariance
     chi = PCharacter.from_log(p, 1, 1)
-    n = n_values[0]
+    n = 2
     ok = True
     for _ in range(20):
-        beta = rnd.randrange(1, beta_max + 1)
+        beta = rnd.randrange(1, 3)
         shift_mod = p ** max(beta, chi.conductor_exp)
         a = [Fraction(rnd.randrange(0, p ** 3), p ** beta) for _ in range(n)]
         a += [Fraction(rnd.randrange(0, p ** 3)) for _ in range(n - 1)]
@@ -97,7 +97,7 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
            "weighted unit-box indicator is invariant mod p^max(beta, conductor)", ok)
 
     # Fourier expansions over p-power roots of unity
-    for beta in range(1, beta_max + 1):
+    for beta in (1, 2):
         for bp in range(1, beta + 1):
             for chi in PCharacter.all_characters(p, bp):
                 if chi.conductor_exp != bp:
@@ -107,8 +107,8 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
                        "unit-slice function equals its root-of-unity expansion",
                        rep.passed, points=rep.npoints)
                 break  # one character per conductor suffices at suite scale
-    for n in n_values:
-        for beta in range(1, beta_max + 1):
+    for n in (2, 3):
+        for beta in (1, 2):
             for bp in range(0, beta + 1):
                 rep = mahler.fourier_expand_unit_indicator(p, beta, bp, n)
                 _check(checks, f"mahler.fourier_indicator.n{n}.b{beta}.bp{bp}",
@@ -121,15 +121,15 @@ def run_mahler_suite(p: int = 3, seed: int = 0, beta_max: int = 2, n_values=(2, 
 
 
 def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
-                   a_max: int = 5, b_max: int = 5, budget: int = 10 ** 6) -> dict:
+                   budget: int = 10 ** 6) -> dict:
     checks = []
     rnd = random.Random(seed)
 
     rings = [1, 2]  # one and two nilpotent generators
     lam_values = [Fraction(1), Fraction(p), Fraction(p * p)]
     small_dmax = 6
-    closed_calls = [(k, a, b) for k in range(k_max + 1) for a in range(a_max + 1)
-                    for b in range(b_max + 1) if a + b + k <= dmax]
+    closed_calls = [(k, a, b) for k in range(k_max + 1) for a in range(6)
+                    for b in range(6) if a + b + k <= dmax]
     norm_calls = [(k, a) for k in range(min(k_max, small_dmax) + 1)
                   for a in range(small_dmax - k + 1)]
     patterns = (len(rings) * len(lam_values)
@@ -260,15 +260,15 @@ def _random_cone_weight(n: int, d: int, rnd, bound: int = 6) -> WeightData:
             return wd
 
 
-def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
-                  cone_samples: int = 100, dim_cap: int = 500) -> dict:
+def run_rep_suite(p: int = 3, seed: int = 0) -> dict:
     checks = []
     rnd = random.Random(seed)
 
     ok = True
+    cone_samples = 100
     for _ in range(cone_samples):
-        n = rnd.choice(list(n_values))
-        d = rnd.choice(list(d_values))
+        n = rnd.choice((2, 3))
+        d = rnd.choice((1, 2))
         wd = _random_cone_weight(n, d, rnd)
         co = cone_decompose(wd)
         back = cone_reconstruct(n, d, co)
@@ -292,15 +292,13 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
         WeightData(2, 1, 0, [[3, 2, -2, -3]], [1]),
         WeightData(2, 1, 0, [[0, 2, -1, -3]], [2]),
         WeightData(2, 1, 1, [[1, 1, -1, -2]], [1]),
+        WeightData(2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]),
+        WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
     ]
-    if 2 in d_values:
-        instances.append(WeightData(2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]))
-    if 3 in n_values:
-        instances.append(WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]))
     models = []
     ok = True
     for wd in instances:
-        bm = branch_mod.BranchModel(wd, dim_cap)
+        bm = branch_mod.BranchModel(wd)
         models.append(bm)
         if bm.eigen_dimension != 1 or bm.normalization_value() != 1:
             ok = False
@@ -336,10 +334,10 @@ def run_rep_suite(p: int = 3, seed: int = 0, n_values=(2, 3), d_values=(1, 2),
            ok, beta=beta, depth=M)
 
     # weighted-indicator compatibility through the generator family
-    fam = branch_mod.GeneratorFamily(2, 1, dim_cap)
+    fam = branch_mod.GeneratorFamily(2, 1)
     chi = PCharacter.from_log(p, 1, 1)
     wd = WeightData(2, 1, 0, [[3, 2, -2, -3]], [1])
-    bm = branch_mod.BranchModel(wd, dim_cap)
+    bm = branch_mod.BranchModel(wd)
     ok = True
     for trial in range(10):
         g = random_congruence_unipotent(2, 1, p, beta, M, rnd)
@@ -415,7 +413,7 @@ def random_unit_box_point(n: int, p: int, beta: int, M: int, rnd) -> list:
 # ---------------------------------------------------------------------------
 
 
-def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
+def run_uea_suite(seed: int = 0) -> dict:
     checks = []
     rnd = random.Random(seed)
 
@@ -437,13 +435,13 @@ def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
 
     # determinant arrays commute and are order-independent
     ok = all(commute_check([[UEAElement.generator(0, i, j + n) for j in range(n)]
-                            for i in range(n)]) for n in n_values)
+                            for i in range(n)]) for n in (2, 3))
     _check(checks, "uea.det_entries_commute",
            "all entries of the determinant arrays pairwise commute", ok)
 
     # commutator bracket instance
     ok = True
-    for n in n_values:
+    for n in (2, 3):
         for i in range(2, n + 1):
             for k in range(n + 1, 2 * n + 1):
                 x = UEAElement.generator(0, i - 1, 0)
@@ -455,7 +453,7 @@ def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
 
     # commutator-Leibniz identity for all monomials of degree <= 3
     ok = True
-    for n in n_values:
+    for n in (2, 3):
         cols = list(range(n + 1, 2 * n + 1))
         monos = [()]
         monos += [(c,) for c in cols]
@@ -519,10 +517,9 @@ def run_uea_suite(seed: int = 0, n_values=(2, 3)) -> dict:
          WeightData(2, 1, 0, [[3, 2, -2, -3]], [0])),
         (WeightData(2, 1, 0, [[0, 2, -1, -3]], [2]),
          WeightData(2, 1, 0, [[0, 2, -1, -3]], [0])),
+        (WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
+         WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [0])),
     ]
-    if 3 in n_values:
-        cases.append((WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
-                      WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [0])))
     for wdj, wd0 in cases:
         bj = branch_mod.BranchModel(wdj)
         b0 = branch_mod.BranchModel(wd0)
@@ -564,13 +561,12 @@ def _random_invertible_levi(n: int, d: int, rnd) -> branch_mod.MPoint:
 
 
 def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
-                      budget: int = 10 ** 6, a_max: int = 5,
-                      intersection_samples: int = 200,
-                      similitude_samples: int = 500) -> dict:
+                      budget: int = 10 ** 6) -> dict:
     checks = []
     from itertools import permutations as iperm
 
     ok = True
+    a_max = 5
     for a in range(1, a_max + 1):
         for perm in iperm(range(1, a + 1)):
             X = iw.permuted_dual_matrix(perm, a)
@@ -597,17 +593,17 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
         raise BudgetExceeded(
             f"iwahori.double_coset_singleton needs {total} representatives > budget {budget}"
             f" ({total - budget} over)")
-    rep = iw.double_coset_singleton(n, p, beta, budget)
+    rep = iw.double_coset_singleton(n, p, beta)
     _check(checks, "iwahori.double_coset_singleton",
            "every depth representative is connected through the conjugated subgroup",
            rep["passed"], checked=rep["checked"])
 
-    ri = iw.intersection_check(n, p, beta, intersection_samples, seed)
+    ri = iw.intersection_check(n, p, beta, 200, seed)
     _check(checks, "iwahori.intersection",
            "membership equivalence between conjugate depth subgroups",
            ri["passed"], samples=ri["samples"])
 
-    rs = iw.similitude_congruence_check(n, p, beta, similitude_samples, seed)
+    rs = iw.similitude_congruence_check(n, p, beta, 500, seed)
     _check(checks, "iwahori.similitude_congruence",
            "block determinant ratio lies in 1 + p^beta", rs["passed"],
            samples=rs["samples"])
@@ -651,15 +647,15 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def run_interp_suite(seed: int = 0, primes=(3, 5, 7), beta_max: int = 2,
-                     cpr_instances: int = 50) -> dict:
+def run_interp_suite(seed: int = 0) -> dict:
     checks = []
     rnd = random.Random(seed)
+    primes, cpr_instances = (3, 5, 7), 50
 
     ok = True
     h_ok = True
     for p in primes:
-        for c in range(1, beta_max + 1):
+        for c in (1, 2):
             for chi in PCharacter.all_characters(p, c):
                 if chi.conductor_exp != c:
                     continue

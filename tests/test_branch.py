@@ -68,6 +68,24 @@ def test_group_eigen_property_two_components():
         assert bm.eigen_check(random_subgroup_point(2, 2, rnd))
 
 
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", [
+    (2, 1, 0, [[3, 2, -2, -3]], [1]),
+    (2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]),
+    (3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
+])
+def test_group_eigen_property_at_points_with_rational_inverses(n, d, kappa0, kappa, j):
+    # a diagonal factor keeps the point in the subgroup and gives the blocks
+    # non-integral inverses, which the block group action reads over L^degree
+    rnd = random.Random(11)
+    bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+    for _ in range(4):
+        m = random_subgroup_point(n, d, rnd)
+        blocks = [b * ExactMatrix([[Fraction(rnd.choice((2, 3, -1, Fraction(1, 2)))) if r == c
+                                    else Fraction(0) for c in range(b.ncols)]
+                                   for r in range(b.nrows)]) for b in m.blocks]
+        assert bm.eigen_check(MPoint(m.sim, m.g1, blocks))
+
+
 def test_unit_values_and_column_oracle():
     p, beta = 3, 1
     M = beta + 2

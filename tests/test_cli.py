@@ -175,6 +175,30 @@ def test_interp_factor_bad_value_is_malformed(change, message, capsys, tmp_path)
     assert json.loads(out) == {"error": "malformed config", "message": message}
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("p", float("inf"), '"p"'),
+    ("n", 2.5, '"n"'),
+    ("d", float("inf"), '"d"'),
+    ("e", [float("inf")], '"e" entry'),
+    ("conductor_exp", float("inf"), '"conductor_exp"'),
+    ("log", float("inf"), '"log"'),
+], ids=["infinite-p", "fractional-n", "infinite-d", "infinite-e", "infinite-conductor-exp",
+        "infinite-log"])
+def test_interp_factor_non_integer_field_is_malformed(key, value, name, tmp_path):
+    # in a subprocess with a timeout: an infinite p once looped for ever in is_prime
+    cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
+           "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}
+    (cfg["characters"][0] if key in ("conductor_exp", "log") else cfg)[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # json writes float("inf") as Infinity
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "interp", "factor",
+                           "--config", str(path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stderr == ""
+    bad = value[0] if isinstance(value, list) else value
+    assert json.loads(proc.stdout) == {"error": "malformed config",
+                                       "message": f"{name} must be an integer, got {bad!r}"}
+
+
 def test_out_file_and_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PADICDESK_OUT_DIR", str(tmp_path))
     spec = {"n": 2, "d": 1, "tau0": 0, "kappa0": 0,

@@ -208,9 +208,13 @@ def test_double_coset_wrong_solution_is_caught(monkeypatch):
     assert rep["detail"] == "residual factor left the depth-(beta+1) Iwahori"
 
 
-def test_double_coset_budget():
-    with pytest.raises(ValueError, match="budget"):
-        iw.double_coset_singleton(2, 3, 1, budget=10)
+def test_double_coset_budget(monkeypatch):
+    # the suite owns the budget and refuses before the enumeration starts
+    from padicdesk.suites import BudgetExceeded, run_iwahori_suite
+
+    monkeypatch.setattr(iw, "double_coset_singleton", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(BudgetExceeded, match="729 representatives > budget 10"):
+        run_iwahori_suite(2, 3, 1, budget=10)
 
 
 def test_double_coset_needs_positive_beta():
