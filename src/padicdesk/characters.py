@@ -7,7 +7,9 @@ is always the exact conductor and k is indexed against the generator mod p^c.
 Order, product, inverse and parity are integer arithmetic on k; values are
 built only on evaluation.  The root-of-unity system is the fixed one: zeta_k
 is the class of X mod Phi_k, and zeta_k = zeta_m^(m/k) for k | m.  Gauss sums
-always pair the character against zeta_{p^c} from this system.
+always pair the character against zeta_{p^c} from this system.  They are
+summed in integers, one exponent of zeta_field per unit read off the
+discrete-log table, and memoized per (p, c, log, depth).
 
 Only odd p is supported for nontrivial characters.
 """
@@ -175,6 +177,21 @@ class PCharacter:
         return cls(data["p"], data["conductor_exp"], data["log"])
 
 
+def unit_powers(p: int, c: int, log: int, h: int, field_order: int) -> list:
+    """[(a, j)] over a in (Z/p^h)^*, with chi(a) = zeta_field_order^j for the
+    character chi of conductor p^c and discrete log ``log``.
+
+    The order of chi must divide field_order.  Each j is read off the integer
+    discrete-log table: chi(g^t) = zeta_order^(k t) with order = phi/s and
+    k = log/s for s = gcd(phi, log).
+    """
+    phi = _phi(p, c)
+    s = gcd(phi, log)
+    mult = log // s * (field_order // (phi // s))
+    table, modulus = _dlog_table(p, c), p ** c
+    return [(a, table[a % modulus] * mult % field_order) for a in range(1, p ** h) if a % p]
+
+
 def gauss_sum(chi: PCharacter, h: int | None = None) -> CyclotomicElement:
     """G(chi) = p^-(h-c) * sum over a in (Z/p^h)^* of chi(a) zeta_{p^c}^a.
 
@@ -184,22 +201,26 @@ def gauss_sum(chi: PCharacter, h: int | None = None) -> CyclotomicElement:
     c = chi.conductor_exp
     if c == 0:
         raise ValueError("conductor must be >= p")
-    p = chi.p
     if h is None:
         h = c
     if h < c:
         raise ValueError("h must be >= conductor exponent")
+    return _gauss_sum(chi.p, c, chi.log, h)
+
+
+# CyclotomicElement is immutable (a tuple of coefficients, and nothing
+# assigns to .m or .coeffs after __init__), so callers may share a cached sum
+@lru_cache(maxsize=None)
+def _gauss_sum(p: int, c: int, log: int, h: int) -> CyclotomicElement:
+    """gauss_sum of the character (p, c, log) at depth h; every depth is summed
+    in full, so depth independence is computed, not assumed."""
     root_order = p ** c
-    order = chi.order()
-    field_order = lcm(root_order, order)
+    phi = _phi(p, c)
+    field_order = lcm(root_order, phi // gcd(phi, log))
     step = field_order // root_order
     weights: dict = {}
-    for a in range(1, p ** h):
-        if a % p == 0:
-            continue
-        # the summand chi(a) zeta_{p^c}^a is one power of zeta_field
-        _, e = chi.exponent(a)
-        key = (e * (field_order // order) + a * step) % field_order
+    # the summand chi(a) zeta_{p^c}^a is one power of zeta_field
+    for a, j in unit_powers(p, c, log, h, field_order):
+        key = (j + a * step) % field_order
         weights[key] = weights.get(key, 0) + 1
-    total = zeta_power_sum(field_order, weights)
-    return total * Fraction(1, p ** (h - c))
+    return zeta_power_sum(field_order, weights) * Fraction(1, p ** (h - c))

@@ -195,6 +195,20 @@ def _run_suites(names, args) -> int:
     return code
 
 
+def _gauss_sum_over_budget(p: int, c: int, budget: int) -> str | None:
+    """Why a Gauss sum over the p^c residues passes the budget, or None.
+
+    p^c is built only when it is at most about the budget squared or 2^8192,
+    so a huge conductor exponent is refused without computing it.
+    """
+    if p < 2 or (c * (p.bit_length() - 1) < budget.bit_length() and p ** c <= budget):
+        return None  # p < 2 is refused later as not prime
+    if c * p.bit_length() > 8192:  # too long to print in full
+        return f"interp.gauss_sum needs {p}^{c} units > budget {budget}"
+    units = p ** c
+    return f"interp.gauss_sum needs {units} units > budget {budget} ({units - budget} over)"
+
+
 def _run_interp_factor(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -214,10 +228,20 @@ def _run_interp_factor(args) -> int:
     try:
         p, n, d = (integer(cfg[key], f'"{key}"') for key in ("p", "n", "d"))
         e = [integer(x, '"e" entry') for x in cfg["e"]]
+        entries, logs = cfg["characters"], []
+        for item in entries:
+            if not isinstance(item, dict):
+                raise ValueError(f'"characters" entry must be a JSON object, got {item!r}')
+            logs.append((integer(item.get("conductor_exp", 0), '"conductor_exp"'),
+                         integer(item.get("log", 0), '"log"')))
+        # a Gauss sum loops over (Z/p^c)^*: bound it before is_prime or any table
+        over = _gauss_sum_over_budget(p, max([1] + [c for c, _ in logs]), args.budget)
+        if over:
+            _emit({"error": "budget exceeded", "message": over}, args.out)
+            return EXIT_BUDGET
         chis = []
-        for item in cfg["characters"]:
-            fin = PCharacter.from_log(p, integer(item.get("conductor_exp", 0), '"conductor_exp"'),
-                                      integer(item.get("log", 0), '"log"'))
+        for item, (c, log) in zip(entries, logs):
+            fin = PCharacter.from_log(p, c, log)
             at_p = HalfPowerValue(p, CyclotomicElement.from_json(item["at_p"])
                                   if isinstance(item.get("at_p"), dict)
                                   else Fraction(item.get("at_p", 1)))

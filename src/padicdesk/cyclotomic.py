@@ -10,7 +10,9 @@ Phi_m comes from the Moebius product of the x^d - 1 in integer arithmetic
 holds sparse integer rows {i: c}, a few nonzeros each, so reductions,
 embeddings and the Gauss-sum power sums (Cohen, GTM 138) add up only
 those nonzeros and keep integral sums as ints; every stored coefficient
-is still a Fraction.
+is still a Fraction.  A product with a rational scalar (an int, a Fraction
+or an element of Q(zeta_1)) scales the coefficients and skips the
+deg x deg product.
 """
 
 from __future__ import annotations
@@ -171,6 +173,15 @@ class CyclotomicElement:
         return (-self) + other
 
     def __mul__(self, other):
+        # a rational factor (an int, a Fraction or an element of Q(zeta_1))
+        # scales the other side's coefficients; the result lives where the
+        # general product would put it
+        if not isinstance(other, CyclotomicElement):
+            return self._scale(Fraction(other))
+        if other.m == 1:
+            return self._scale(other.coeffs[0])
+        if self.m == 1:
+            return other._scale(self.coeffs[0])
         a, b = self._pair(other)
         prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
@@ -181,6 +192,11 @@ class CyclotomicElement:
         return CyclotomicElement(a.m, prod)
 
     __rmul__ = __mul__
+
+    def _scale(self, c: Fraction) -> "CyclotomicElement":
+        if c == 1:
+            return self
+        return CyclotomicElement(self.m, [c * x if x else x for x in self.coeffs])
 
     def __pow__(self, k: int):
         if k < 0:

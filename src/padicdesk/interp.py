@@ -260,6 +260,11 @@ def interpolation_factor(data: SatakeData, chi: list, e, n: int) -> HalfPowerVal
     c0 = chi0.finite.conductor_exp
     if c0 == 0:
         raise ValueError("interpolation requires the distinguished component ramified")
+    for tau, (chi_tau, e_tau) in enumerate(zip(chi, e)):
+        depth = max(1, chi_tau.finite.conductor_exp)
+        if e_tau != depth:
+            raise ValueError(f'"e" entry {tau} is {e_tau}, the identity needs'
+                             f' max(1, c_{tau}) = {depth}')
     p = data.p
     e0 = e[0]
     out = HalfPowerValue.p_power(p, -2 * e0)

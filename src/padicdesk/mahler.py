@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial, lcm
 
-from .characters import PCharacter, gauss_sum
+from .characters import PCharacter, gauss_sum, unit_powers
 from .cyclotomic import CyclotomicElement, zeta_power_sum
 from .rationals import INF, valuation
 
@@ -181,13 +181,11 @@ def fourier_expand_fchi(beta: int, beta_prime: int, chi: PCharacter) -> Equality
     chi_inv = chi.inverse()
     gauss_inv = gauss_sum(chi_inv)
     root_order = p ** beta
-    order = chi.order()
-    field = lcm(root_order, order)
+    field = lcm(root_order, chi.order())
     step = field // root_order
     scale = Fraction(1, p ** (beta - beta_prime)) / gauss_inv.embed(field)
     # chi(c)^-1 = zeta_field^base, one power per unit c of Z/p^beta
-    units = [(c, chi_inv.exponent(c)[1] * (field // order))
-             for c in range(1, root_order) if c % p]
+    units = unit_powers(p, beta_prime, chi_inv.log, beta, field)
     npoints = 0
     for m in range(p ** (2 * beta)):
         a = Fraction(m, p ** beta)

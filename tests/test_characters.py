@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from padicdesk import characters
+from padicdesk import characters, suites
 from padicdesk.characters import PCharacter, gauss_sum
 from padicdesk.cyclotomic import CyclotomicElement
 from padicdesk.interp import HalfPowerValue, SatakeData, SmoothCharacter, interpolation_factor
@@ -140,6 +140,54 @@ def test_gauss_sum_absolute_value_complex(p, c):
         assert abs(abs(g) ** 2 - p ** c) < 1e-9
         g_inv = _complex(gauss_sum(chi.inverse()))
         assert abs(g * g_inv - chi.parity() * p ** c) < 1e-9
+
+
+def _brute_gauss_sum(chi, h):
+    """p^-(h-c) * sum over a in (Z/p^h)^* of chi(a) zeta_{p^c}^a, one addition per unit.
+
+    Summands with one character value are added in Q(zeta_{p^c}) first, then
+    each group is multiplied by that value.
+    """
+    p, c = chi.p, chi.conductor_exp
+    groups = {}
+    for a in range(1, p ** h):
+        if a % p:
+            value, z = chi(a), CyclotomicElement.zeta(p ** c, a)
+            groups[value] = groups[value] + z if value in groups else z
+    total = CyclotomicElement.from_rational(0)
+    for value, part in groups.items():
+        total = total + value * part
+    return total * Fraction(1, p ** (h - c))
+
+
+# odd p and c with p^(c+1) <= 250, so that both depths h = c, c + 1 stay small
+# for the brute-force sum (its additions cost far more than the integer loop)
+_GAUSS_CASES = [(p, c) for p in (3, 5, 7, 11, 13) for c in range(1, 5) if p ** (c + 1) <= 250]
+
+
+@pytest.mark.parametrize("p, c", _GAUSS_CASES)
+def test_integer_gauss_sum_matches_brute_force(p, c):
+    for chi in PCharacter.all_characters(p, c):
+        if chi.conductor_exp != c:
+            continue
+        for h in (c, c + 1):
+            fast, slow = gauss_sum(chi, h), _brute_gauss_sum(chi, h)
+            assert (fast.m, fast.coeffs) == (slow.m, slow.coeffs), (p, c, chi.log, h)
+
+
+def test_gauss_sums_are_computed_once_per_character_and_depth(monkeypatch):
+    cached = characters._gauss_sum
+    cached.cache_clear()
+    keys = []
+    monkeypatch.setattr(characters, "_gauss_sum", lambda *key: keys.append(key) or cached(*key))
+    suites.run_interp_suite(7)
+    distinct = set(keys)
+    assert len(keys) > len(distinct)
+    assert cached.cache_info().misses == len(distinct)
+    # the depth-independence check computes each auxiliary depth on its own
+    for p, c, log, h in distinct:
+        if h == c:
+            assert {(p, c, log, c + 1), (p, c, log, c + 2)} <= distinct
 
 
 def test_interpolation_factor_stays_in_the_gauss_sum_field():

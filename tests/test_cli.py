@@ -199,6 +199,60 @@ def test_interp_factor_non_integer_field_is_malformed(key, value, name, tmp_path
                                        "message": f"{name} must be an integer, got {bad!r}"}
 
 
+@pytest.mark.parametrize("p, conductor_exp, message", [
+    (5, 9, "interp.gauss_sum needs 1953125 units > budget 1000 (1952125 over)"),
+    # a Mersenne prime: is_prime's trial division would not finish, so the
+    # budget is checked before it
+    (2 ** 127 - 1, 1, f"interp.gauss_sum needs {2 ** 127 - 1} units > budget 1000"
+                      f" ({2 ** 127 - 1001} over)"),
+    # p^c is too long to print, and is not computed
+    (5, 10 ** 6, "interp.gauss_sum needs 5^1000000 units > budget 1000"),
+], ids=["deep-conductor", "huge-p", "huge-conductor"])
+def test_interp_factor_gauss_sum_over_budget_exits_2(p, conductor_exp, message, tmp_path):
+    cfg = {"p": p, "n": 2, "d": 1, "e": [conductor_exp],
+           "characters": [{"conductor_exp": conductor_exp, "log": 1, "at_p": 1}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "--budget", "1000", "interp",
+                           "factor", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": "budget exceeded", "message": message}
+
+
+def test_interp_factor_pinned_configs_fit_a_small_budget(capsys, tmp_path):
+    # the largest pinned conductor, 13^2, is charged 169 units
+    cfg = {"p": 13, "n": 2, "d": 1, "e": [2],
+           "characters": [{"conductor_exp": 2, "log": 1, "at_p": "1"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["--budget", "168", "interp", "factor", "--config", str(path)], capsys)[0] == 2
+    assert run_cli(["--budget", "169", "interp", "factor", "--config", str(path)], capsys)[0] == 0
+
+
+def test_interp_factor_character_entry_must_be_an_object(capsys, tmp_path):
+    cfg = {"p": 3, "n": 2, "d": 1, "e": [1], "characters": [1]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(["interp", "factor", "--config", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "malformed config",
+                               "message": '"characters" entry must be a JSON object, got 1'}
+
+
+@pytest.mark.parametrize("e", [0, 2, 3, -1])
+def test_interp_factor_depth_outside_the_identity_is_malformed(e, capsys, tmp_path):
+    cfg = {"p": 5, "n": 2, "d": 1, "e": [e],
+           "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(["interp", "factor", "--config", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "malformed config",
+        "message": f'"e" entry 0 is {e}, the identity needs max(1, c_0) = 1'}
+
+
 def test_out_file_and_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PADICDESK_OUT_DIR", str(tmp_path))
     spec = {"n": 2, "d": 1, "tau0": 0, "kappa0": 0,

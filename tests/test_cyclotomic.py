@@ -1,5 +1,6 @@
 """Cyclotomic polynomials, reductions, embeddings and power sums against sympy."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,3 +68,32 @@ def test_large_field_power_sum_matches_sympy_rem():
     power_sum = zeta_power_sum(1014, weights)
     assert all(type(c) is Fraction for c in power_sum.coeffs)
     assert list(power_sum.coeffs) == _rem_coeffs(weights.items(), 1014)
+
+
+def _general_product(x, y):
+    """x * y by the schoolbook product of the two operands brought to one field by _pair."""
+    a, b = x._pair(y)
+    prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            prod[i + j] += u * v
+    return CyclotomicElement(a.m, prod)
+
+
+@pytest.mark.parametrize("m", [12, 20, 294])
+def test_rational_scalar_product_matches_general_product(m):
+    rnd = random.Random(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    for _ in range(4):
+        x = CyclotomicElement(m, [Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 5))
+                                  for _ in range(deg)])
+        for q in (0, 1, -1, 3, Fraction(-5, 7), Fraction(rnd.randrange(-20, 20), 11)):
+            expected = _general_product(x, q)
+            for scalar in (q, CyclotomicElement.from_rational(q)):
+                for got in (x * scalar, scalar * x):
+                    assert got.m == m and got.coeffs == expected.coeffs
+                    assert all(type(c) is Fraction for c in got.coeffs)
+        # an element of Q(zeta_1) times one of Q(zeta_1) stays in Q(zeta_1)
+        one = CyclotomicElement.from_rational(Fraction(2, 3))
+        assert (one * one).m == 1 and (one * one).coeffs == _general_product(one, one).coeffs
+        assert x * 1 is x and CyclotomicElement.from_rational(1) * x is x
