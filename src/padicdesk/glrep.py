@@ -20,21 +20,22 @@ is built once per process for each such key and shared, read-only, by every
 model with that key.  Each model keeps its own shift and reruns its checks.
 
 Every basis polynomial has integer coefficients, and the basis is stored in
-one form only: packed monomials with int coefficients.  The closure, the
-polarizations, the group action, evaluation at a point and the coordinate
-solves (by the fraction-free `SparseEchelon`) all run on that form.  A
-general `Poly` is packed at the `lie_action`/`word_action`/`expand`/
-`evaluate` boundary, and `basis` unpacks to `Poly` only for inspection.
+one form only: packed monomials with int coefficients.  The seed minors, the
+Pieri alternants, the closure, the polarizations, the group action,
+evaluation at a point and the coordinate solves (by the fraction-free
+`SparseEchelon`) all run on that form; a model is read only through its
+basis indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import lcm
 
-from .matrices import ExactMatrix, rational_inverse
-from .polynomials import Poly, SparseEchelon
+from .matrices import ExactMatrix, perm_sign, rational_inverse
+from .polynomials import SparseEchelon
 from .rationals import integer
 
 
@@ -261,34 +262,43 @@ def pieri_decompose(kappa, j: int) -> list:
     return out
 
 
-def _alternant(weight) -> Poly:
-    """A_(weight+rho) = det [x_i^(weight_j + rho_j)], a Laurent polynomial."""
+def _alternant(weight, width: int) -> dict:
+    """A_(weight+rho) = det [x_i^(weight_j + rho_j)], packed; weight_m must be >= 0."""
     m = len(weight)
-    return ExactMatrix([[Poly({((i, weight[j] + m - 1 - j),): 1}) for j in range(m)]
-                        for i in range(m)]).det()
+    return _leibniz([[weight[j] + m - 1 - j << i * width for j in range(m)]
+                     for i in range(m)])
 
 
 def pieri_character_check(kappa, j: int) -> bool:
     """Alternant identity certifying the Pieri decomposition.
 
     A_(kappa+rho) * A_(twist+rho) == A_rho * sum A_(kappa'+rho), which is the
-    character identity cleared of Weyl denominators.
+    character identity cleared of Weyl denominators, checked on packed int
+    polynomials after multiplying both sides by (x_1...x_m)^(s+j) with
+    s = max(0, -kappa_m), so that no exponent is negative.  No exponent of a
+    variable on either side then exceeds kappa_1 + s + j + 2(m-1), which
+    sizes the fields.
     """
     m = len(kappa)
-    twist = tuple([0] * (m - 1) + [-j])
-    lhs = _alternant(kappa) * _alternant(twist)
-    rhs = sum((_alternant(kp) for kp in pieri_decompose(kappa, j)), Poly())
-    return lhs == _alternant(tuple([0] * m)) * rhs
+    s = max(0, -kappa[-1])
+    width = _field_width(kappa[0] + s + j + 2 * (m - 1))
+    twist = tuple([j] * (m - 1) + [0])
+    lhs = _packed_mul(_alternant([k + s for k in kappa], width), _alternant(twist, width))
+    rhs = {}
+    for kp in pieri_decompose(kappa, j):
+        for key, c in _alternant([k + s + j for k in kp], width).items():
+            rhs[key] = rhs.get(key, 0) + c
+    return lhs == _packed_mul(_alternant((0,) * m, width), rhs)
 
 
 # ---------------------------------------------------------------------------
 # irreducible models for a single GL_m block
 
 
-def _minor_poly(m: int, size: int, trailing: bool) -> Poly:
-    """Leading or trailing principal minor of the generic m x m matrix."""
+def _minor(m: int, size: int, trailing: bool, width: int) -> dict:
+    """Leading or trailing principal minor of the generic m x m matrix, packed."""
     idx = range(m - size, m) if trailing else range(size)
-    return ExactMatrix([[Poly.variable(r * m + c) for c in idx] for r in idx]).det()
+    return _leibniz([[1 << (r * m + c) * width for c in idx] for r in idx])
 
 
 # -- the integer kernel ------------------------------------------------------
@@ -305,16 +315,6 @@ def _field_width(degree: int) -> int:
     return max(1, degree.bit_length())
 
 
-def _pack(mono, width: int) -> int:
-    """A monomial ((v, e), ...) as one int; an exponent that does not fit raises."""
-    out = 0
-    for v, e in mono:
-        if not 0 < e < 1 << width:
-            raise OverflowError(f"exponent {e} of x{v} does not fit a {width}-bit field")
-        out |= e << v * width
-    return out
-
-
 def _fields(key: int, width: int):
     """The (variable, exponent) pairs of a packed monomial, variables ascending."""
     mask = (1 << width) - 1
@@ -325,20 +325,6 @@ def _fields(key: int, width: int):
         key ^= e << v * width
 
 
-def _packed(f: Poly, width: int) -> tuple:
-    """(vec, den) with f = vec / den and vec a packed int-coefficient polynomial."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return {_pack(mono, width): c.numerator * (den // c.denominator)
-            for mono, c in f.terms.items()}, den
-
-
-def _unpacked(vec: dict, width: int, den: int = 1) -> Poly:
-    """The Poly vec / den."""
-    p = Poly.__new__(Poly)
-    p.terms = {tuple(_fields(k, width)): Fraction(c, den) for k, c in vec.items()}
-    return p
-
-
 def _packed_mul(f: dict, g: dict) -> dict:
     out = {}
     for k1, c1 in f.items():
@@ -346,6 +332,16 @@ def _packed_mul(f: dict, g: dict) -> dict:
             k = k1 + k2
             out[k] = out.get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
+
+
+def _leibniz(cells) -> dict:
+    """det of a square matrix of packed monomials: one signed monomial per permutation.
+
+    Distinct permutations must give distinct monomials, as they do for a
+    minor of the generic matrix and for an alternant of distinct exponents.
+    """
+    return {sum(row[c] for row, c in zip(cells, perm)): perm_sign(perm)
+            for perm in permutations(range(len(cells)))}
 
 
 def _polarize(m: int, a: int, b: int, f: dict, width: int) -> dict:
@@ -373,10 +369,9 @@ class _Point:
 
     A point with rational entries is cleared to the integer matrix L g, for
     L the common denominator of its entries; a point with ring-element
-    entries keeps them, with L = 1.  `value` sums a packed polynomial in one
-    loop: a monomial of degree k contributes c * prod (L x_v)^e weighted by
-    L^(top - k), and the sum is divided once by den * L^top.  A model
-    vector is homogeneous, so every weight is 1 there.
+    entries keeps them, with L = 1.  `value` sums a packed polynomial,
+    homogeneous of a known degree, in one loop over prod (L x_v)^e and
+    divides once by L^degree.
     """
 
     def __init__(self, g: ExactMatrix, shift: int):
@@ -388,22 +383,18 @@ class _Point:
         if shift:
             self.twist = (g.det() * Fraction(1, self.scale ** g.nrows)) ** abs(shift)
 
-    def value(self, vec: dict, width: int, den: int = 1):
-        """The value of the packed polynomial vec / den, det twist included.
+    def value(self, vec: dict, width: int, degree: int):
+        """The value of the packed polynomial vec, homogeneous of degree, det twist included.
 
         A Fraction at a rational point, a ring element at a ring point.
         """
-        entries, scale = self.values, self.scale
-        sums = {}
+        entries = self.values
+        total = 0
         for key, t in vec.items():
-            k = 0
             for v, e in _fields(key, width):
                 t = t * (entries[v] if e == 1 else entries[v] ** e)
-                k += e
-            sums[k] = sums[k] + t if k in sums else t
-        top = max(sums, default=0)
-        val = (sum(t * scale ** (top - k) for k, t in sums.items())
-               * Fraction(1, den * scale ** top))
+            total = total + t
+        val = total * Fraction(1, self.scale ** degree)
         if self.shift < 0:
             val = val * self.twist
         elif self.shift > 0:
@@ -415,15 +406,16 @@ class _Closure:
     """The span closure of one (m, shifted weight, convention), shared read-only.
 
     `packed` holds the basis as packed int-coefficient polynomials of field
-    width `width`; it is the only stored form of the basis.  Echelon rows
-    carry the basis index idx as the tag key ~idx < 0 next to the packed
-    monomial keys >= 0, which is how coordinates are read off a reduction.
+    width `width`, each homogeneous of the seed's `degree`; it is the only
+    stored form of the basis.  Echelon rows carry the basis index idx as the
+    tag key ~idx < 0 next to the packed monomial keys >= 0, which is how
+    coordinates are read off a reduction.
     """
 
-    __slots__ = ("width", "packed", "weights", "echelon")
+    __slots__ = ("width", "degree", "packed", "weights", "echelon")
 
-    def __init__(self, width, packed, weights, echelon):
-        self.width = width
+    def __init__(self, width, degree, packed, weights, echelon):
+        self.width, self.degree = width, degree
         self.packed = tuple(packed)
         self.weights = tuple(weights)
         self.echelon = echelon
@@ -443,11 +435,12 @@ def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
     Shared by every model of the same (m, shifted weight, convention).
     """
     exps = [shifted[m - 1 - i] - shifted[m - i] for i in range(1, m)]  # size i = 1..m-1
-    width = _field_width(sum(i * e for i, e in enumerate(exps, start=1)))
+    degree = sum(i * e for i, e in enumerate(exps, start=1))
+    width = _field_width(degree)
     seed = {0: 1}
     for i, e in enumerate(exps, start=1):
         if e:
-            minor, _ = _packed(_minor_poly(m, i, trailing=(convention == "lower")), width)
+            minor = _minor(m, i, convention == "lower", width)
             for _ in range(e):
                 seed = _packed_mul(seed, minor)
     if convention == "upper":
@@ -484,7 +477,7 @@ def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
                 if insert(g, nw):
                     new.append(len(packed) - 1)
         frontier = new
-    return _Closure(width, packed, weights, ech)
+    return _Closure(width, degree, packed, weights, ech)
 
 
 class GLBlockModel:
@@ -515,20 +508,6 @@ class GLBlockModel:
             raise ArithmeticError(f"span closure gave {len(self._closure.packed)} vectors,"
                                   f" Weyl dimension is {self.dimension}")
 
-    @property
-    def basis(self) -> tuple:
-        """The basis vectors as `Poly` over `Fraction`, unpacked on each access."""
-        closure = self._closure
-        return tuple(_unpacked(f, closure.width) for f in closure.packed)
-
-    def expand(self, f: Poly) -> dict:
-        """Sparse coordinates {basis index: c} of a polynomial in the model span."""
-        try:
-            vec, den = _packed(f, self._closure.width)
-        except OverflowError:
-            raise ValueError("polynomial not in the model span") from None
-        return self._closure.coordinates(vec, den)
-
     def true_weight(self, idx: int) -> tuple:
         """Torus weight of basis vector idx as a function in the unshifted model."""
         return tuple(w + self.shift for w in self.weights[idx])
@@ -536,24 +515,12 @@ class GLBlockModel:
     # -- actions and evaluation -----------------------------------------
 
     def basis_word_action(self, word, idx: int) -> dict:
-        """Coordinates {idx2: c} of a word of E's applied to basis vector idx."""
+        """Coordinates {idx2: c} of a word of E's on basis vector idx: (XY) f = X (Y f)."""
         closure = self._closure
         f = closure.packed[idx]
         for (a, b) in reversed(word):
             f = _polarize(self.m, a, b, f, closure.width)
         return closure.coordinates(f)
-
-    def lie_action(self, a: int, b: int, f: Poly) -> Poly:
-        """E_(a,b) acting by (X f)(g) = d/dt f(exp(-tX) g): -sum_s g_(b,s) df/dg_(a,s)."""
-        return self.word_action([(a, b)], f)
-
-    def word_action(self, word, f: Poly) -> Poly:
-        """A product of E's acting left-to-right: (XY) f = X (Y f)."""
-        width = _field_width(f.degree())
-        vec, den = _packed(f, width)
-        for (a, b) in reversed(word):
-            vec = _polarize(self.m, a, b, vec, width)
-        return _unpacked(vec, width, den)
 
     def basis_group_action(self, h: ExactMatrix, idx: int) -> dict:
         """Coordinates {idx2: c} of (h . f)(g) = f(h^-1 g) for basis vector idx.
@@ -571,30 +538,23 @@ class GLBlockModel:
                   for k, x in enumerate(inv.rows[v // m]) if x} for v in range(m * m)]
         image = {}
         for key, c in closure.packed[idx].items():
-            term, degree = {0: c}, 0
+            term = {0: c}
             for v, e in _fields(key, width):
-                degree += e
                 for _ in range(e):
                     term = _packed_mul(term, forms[v])
             for k, t in term.items():
                 image[k] = image.get(k, 0) + t
-        return closure.coordinates(image, scale ** degree)
-
-    def evaluate(self, f: Poly, g: ExactMatrix, with_twist: bool = True):
-        """Value at a group point; entries may be rationals or ring elements.
-
-        The true function is (polynomial) * det^(-shift), so the shifted
-        model weight mu satisfies true weight = mu + shift*(1,..,1).  On a
-        point with rational entries the sum runs in int arithmetic and the
-        value is a Fraction.  A Laurent f raises OverflowError, as in
-        `lie_action`.
-        """
-        width = _field_width(f.degree())
-        vec, den = _packed(f, width)
-        return _Point(g, self.shift if with_twist else 0).value(vec, width, den)
+        return closure.coordinates(image, scale ** closure.degree)
 
     def basis_values(self, g: ExactMatrix, indices, with_twist: bool = True) -> dict:
-        """{idx: `evaluate` of basis vector idx at g}, with det(g) computed once."""
+        """{idx: value of basis vector idx at g}, with det(g) computed once.
+
+        Entries may be rationals or ring elements.  The true function is
+        (polynomial) * det^(-shift), so the shifted model weight mu satisfies
+        true weight = mu + shift*(1,..,1).  On a point with rational entries
+        the sum runs in int arithmetic and each value is a Fraction.
+        """
         closure = self._closure
         point = _Point(g, self.shift if with_twist else 0)
-        return {idx: point.value(closure.packed[idx], closure.width) for idx in indices}
+        return {idx: point.value(closure.packed[idx], closure.width, closure.degree)
+                for idx in indices}

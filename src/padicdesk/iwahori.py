@@ -18,7 +18,6 @@ from itertools import product as iproduct
 
 from .artinian import ArtinianElement
 from .matrices import ExactMatrix, cycles, rational_inverse, row_reduce
-from .polynomials import Poly
 from .rationals import valuation
 
 
@@ -385,13 +384,6 @@ def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> list:
             + [[0] * n + [x % modulus for x in row] for row in b])
 
 
-def subgroup_member(h: list, n: int, p: int, beta: int, M: int) -> bool:
-    """h in H and gammahat^-1 h gammahat in the depth-beta Iwahori (mod p^M)."""
-    modulus = p ** M
-    return (block_diagonal_member(h, n, modulus)
-            and iwahori_member(_conjugate(h, n, modulus), p, beta, modulus))
-
-
 def intrinsic_subgroup_member(h: list, n: int, p: int, depth: int) -> bool:
     """The depth subgroup read without conjugating: diag(A, B) (unit
     diagonals) has A diagonal and B = W A W mod p^depth, W the n x n
@@ -579,18 +571,13 @@ def frobenius_twist_identity(n: int, p: int, beta_prime: int) -> dict:
     pb = Fraction(p) ** beta_prime
     xib = ExactMatrix.identity(m)  # xi^b = diag(p^-b, 1, ..., 1)
     xib.rows[0][0] = 1 / pb
-    cvar = Poly.variable(0)
-    xi_c_poly = ExactMatrix.identity(m, Poly.constant(1), Poly.constant(0))
-    xi_c_poly.rows[0][0] = cvar + Poly.constant(pb)
-    u_c = ExactMatrix.identity(m, Poly.constant(1), Poly.constant(0))
-    u_c.rows[0][n] = cvar
-
-    def to_poly(mat):
-        return ExactMatrix([[Poly.constant(x) for x in row] for row in mat.rows])
-
-    lhs = to_poly(xib) * xi_c_poly * to_poly(gamma)
-    rhs = to_poly(gamma) * to_poly(xib) * u_c * xi_c_poly
-    symbolic = lhs.rows == rhs.rows
+    # each entry of either side is a polynomial of degree <= 2 in c (xi_c and
+    # u_c are linear in c), so agreeing at c = 0, 1, 2 is the identity in c
+    symbolic = True
+    for c in range(3):
+        xi_c, u_c = ExactMatrix.identity(m), ExactMatrix.identity(m)
+        xi_c.rows[0][0], u_c.rows[0][n] = c + pb, Fraction(c)
+        symbolic = symbolic and xib * xi_c * gamma == gamma * xib * u_c * xi_c
     xib_gamma = xib * gamma
     gamma_xib = gamma * xib
     numeric = True

@@ -1,13 +1,12 @@
 """Dense exact matrices over any commutative ring, and permutation helpers.
 
 Entries need only +, * and unary -: rationals, cyclotomic and Artinian
-elements, polynomials (also Laurent ones) and commuting enveloping-algebra
-elements all work.  Sizes in this package stay small (<= 6 for minors and
-group elements), so `ExactMatrix.det` is the Leibniz expansion, and it is
-the one signed sum over permutations in the package; `perm_sign` and
-`cycles` are the one inversion count and the one cycle walk.  All exact
-elimination over Q or Z/m (inverses, nullspaces, ranks, solves) goes
-through `row_reduce`.
+elements and commuting enveloping-algebra elements all work.  Sizes in this
+package stay small (<= 6 for minors and group elements), so `ExactMatrix.det`
+is the Leibniz expansion (glrep runs the same sum on packed monomials);
+`perm_sign` and `cycles` are the one inversion count and the one cycle
+walk.  All exact elimination over Q or Z/m (inverses, nullspaces, ranks,
+solves) goes through `row_reduce`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Sparse multivariate polynomials over Q.
+"""Fraction-free sparse echelon and exact nullspaces; `Poly`, the test oracle.
 
-Monomials are sorted tuples of (variable, exponent) pairs; variables are
-small integers whose meaning is fixed by the caller (e.g. flattened matrix
-entries).  Evaluation is generic over any commutative ring whose elements
-support +, * and integer powers, which is how dual-number (Artinian)
-substitution of group points is done.
+`Poly` (sparse polynomials over Q; monomials are sorted (variable, exponent)
+tuples) is on no library code path: the GL models run on packed int
+polynomials.  It is the tests' independent oracle for that kernel, and it
+stays here because the benchmark tracer patches `Poly.__mul__` and
+`Poly.diff` by name.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class Poly:
     @classmethod
     def variable(cls, v: int) -> "Poly":
         return cls({((v, 1),): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -111,9 +108,6 @@ class Poly:
         if not isinstance(other, Poly):
             return self.terms == Poly.constant(other).terms
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def diff(self, var: int) -> "Poly":
         out = {}

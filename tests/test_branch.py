@@ -15,6 +15,7 @@ from padicdesk.polynomials import Poly
 from padicdesk.rationals import valuation
 from padicdesk.suites import (random_congruence_unipotent, random_subgroup_point,
                               random_unit_box_point)
+from poly_oracle import basis, coordinates, evaluate, lie_action
 
 
 def test_trivial_weight():
@@ -198,14 +199,17 @@ def test_open_orbit_conjugator_forms(n):
     assert u.blocks == [ExactMatrix(row[1:] for row in dist.rows[1:]), other, other]
 
 
-def _apply_lie_oracle(bm, comp, a, b, q):
-    """E_(a,b) on basis vector q from lie_action + expand and Poly.diff."""
-    where = {key: i for i, key in enumerate(bm.index)}
+def _apply_lie_oracle(bm, where, comp, a, b, q):
+    """E_(a,b) on basis vector q from Poly.diff, read off by Fraction row reduction.
+
+    where maps each index key of bm to its position.
+    """
     block_idx, J = bm.index[q]
     model = bm.blocks[comp]
     la, lb = (a - 1, b - 1) if comp == 0 else (a, b)
     out = {}
-    for i2, c in model.expand(model.lie_action(la, lb, model.basis[block_idx[comp]])).items():
+    image = lie_action(model.m, la, lb, basis(model)[block_idx[comp]])
+    for i2, c in coordinates(model, image).items():
         nb = list(block_idx)
         nb[comp] = i2
         out[where[(tuple(nb), J)]] = c
@@ -230,11 +234,12 @@ _ORACLE_WEIGHTS = [
 @pytest.mark.parametrize("n, d, kappa0, kappa, j", _ORACLE_WEIGHTS)
 def test_apply_lie_matches_derivative_oracle(n, d, kappa0, kappa, j):
     bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+    where = {key: i for i, key in enumerate(bm.index)}
     twisted = 0
     for (comp, a, b) in bm._subgroup_offdiag():
         for q in range(bm.dimension):
             ours = bm._apply_lie(comp, a, b, q)
-            assert ours == _apply_lie_oracle(bm, comp, a, b, q), (comp, a, b, q)
+            assert ours == _apply_lie_oracle(bm, where, comp, a, b, q), (comp, a, b, q)
             twisted += comp == 0 and (a - 1) in bm.index[q][1]
     assert (twisted > 0) == (j[0] > 0)  # the twist step ran whenever there is a twist
 
@@ -265,7 +270,7 @@ def _pairing_oracle(bm, g, column, coords):
         block_idx, J = bm.index[q]
         term = c * g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
         for t, i in enumerate(block_idx):
-            term *= bm.blocks[t].evaluate(bm.blocks[t].basis[i], g.blocks[t])
+            term *= evaluate(bm.blocks[t], basis(bm.blocks[t])[i], g.blocks[t])
         for v in J:
             term *= column[v]
         out += term

@@ -1,16 +1,21 @@
+import ast
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _minor_poly, _pack,
-                             _span_closure, cone_decompose, cone_reconstruct,
-                             generator_weights, is_dominant, pieri_character_check,
-                             pieri_decompose, weyl_dimension)
+import padicdesk
+from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _field_width, _fields,
+                             _minor, _polarize, _span_closure, cone_decompose,
+                             cone_reconstruct, generator_weights, is_dominant,
+                             pieri_character_check, pieri_decompose, weyl_dimension)
 from padicdesk.matrices import ExactMatrix, rational_inverse
 from padicdesk.polynomials import Poly
+from poly_oracle import basis, coordinates, evaluate, lie_action, pack, unpack
 
 
 def test_weyl_dimensions():
@@ -22,21 +27,21 @@ def test_weyl_dimensions():
 
 def test_block_model_trivial_and_standard():
     m0 = GLBlockModel(3, (0, 0, 0))
-    assert m0.dimension == 1 and m0.basis[0] == Poly.constant(1)
+    assert m0.dimension == 1 and basis(m0)[0] == Poly.constant(1)
     m1 = GLBlockModel(2, (1, 0))
     assert m1.dimension == 2
     g = ExactMatrix([[Fraction(2), Fraction(3)], [Fraction(5), Fraction(7)]])
     # lowest-weight vector evaluates to g_11/det
-    assert m1.evaluate(m1.basis[0], g) == Fraction(2) / g.det()
+    assert m1.basis_values(g, [0]) == {0: Fraction(2) / g.det()}
     # with int entries det = -1 is an int, and int ** -1 would be a float
-    value = m1.evaluate(m1.basis[0], ExactMatrix([[2, 3], [5, 7]]))
+    value = m1.basis_values(ExactMatrix([[2, 3], [5, 7]]), [0])[0]
     assert type(value) is Fraction and value == -2
 
 
 def test_block_model_dimension_certification():
     for weight in [(1, -2, -2), (2, 0, -1), (1, 1, 0, 0)]:
         model = GLBlockModel(len(weight), weight)
-        assert model.dimension == weyl_dimension(weight) == len(model.basis)
+        assert model.dimension == weyl_dimension(weight) == len(basis(model))
 
 
 def test_block_model_dimension_cap():
@@ -69,38 +74,34 @@ def test_group_action_matches_translation():
     h = ExactMatrix([[Fraction(1), Fraction(2), Fraction(0)],
                      [Fraction(0), Fraction(1), Fraction(3)],
                      [Fraction(1), Fraction(0), Fraction(1)]])
-    basis = model.basis
+    polys = basis(model)
     for idx in range(4):
-        image = sum((basis[i] * c for i, c in model.basis_group_action(h, idx).items()), Poly())
+        image = sum((polys[i] * c for i, c in model.basis_group_action(h, idx).items()), Poly())
         g = ExactMatrix([[Fraction(rnd.randrange(1, 5)) for _ in range(3)] for _ in range(3)])
-        lhs = model.evaluate(image, g, with_twist=False)
-        rhs = model.evaluate(basis[idx], rational_inverse(h) * g, with_twist=False)
-        assert lhs == rhs
+        moved = rational_inverse(h) * g
+        want = evaluate(model, polys[idx], moved, with_twist=False)
+        assert evaluate(model, image, g, with_twist=False) == want
+        assert model.basis_values(moved, [idx], with_twist=False) == {idx: want}
 
 
 def test_lie_action_weights():
-    model = GLBlockModel(3, (1, -2, -2))
-    for idx in range(model.dimension):
-        f = model.basis[idx]
-        w = model.weights[idx]
-        for (a, b) in [(0, 1), (1, 2), (0, 2)]:
-            g = model.lie_action(a, b, f)
-            if g.is_zero():
-                continue
-            coords = model.expand(g)
-            target = tuple(w[i] + (1 if i == a else 0) - (1 if i == b else 0)
-                           for i in range(3))
-            for i, c in coords.items():
-                if c:
-                    assert model.weights[i] == target
-
-
-def _reference_lie_action(m, a, b, f):
-    """-sum_s x_(b,s) * df/dx_(a,s), from Poly derivatives and products."""
-    out = Poly()
-    for s in range(m):
-        out = out - Poly.variable(b * m + s) * f.diff(a * m + s)
-    return out
+    # basis_word_action against Poly.diff images read off by Fraction row
+    # reduction; every image of a weight vector has the moved weight
+    for m, weight, convention in [(3, (1, -2, -2), "upper"), (3, (2, 0, -1), "lower"),
+                                  (4, (1, 1, 0, 0), "upper")]:
+        model = GLBlockModel(m, weight, convention)
+        polys = basis(model)
+        letters = [(a, b) for a in range(m) for b in range(m)]
+        for idx in range(model.dimension):
+            w = model.weights[idx]
+            for (a, b) in letters:
+                coords = model.basis_word_action([(a, b)], idx)
+                assert coords == coordinates(model, lie_action(m, a, b, polys[idx]))
+                target = tuple(w[i] + (i == a) - (i == b) for i in range(m))
+                assert all(model.weights[i] == target for i in coords)
+            (a, b), (c, d) = letters[idx % len(letters)], letters[-1 - idx % len(letters)]
+            want = coordinates(model, lie_action(m, a, b, lie_action(m, c, d, polys[idx])))
+            assert model.basis_word_action([(a, b), (c, d)], idx) == want
 
 
 @st.composite
@@ -123,10 +124,12 @@ def _polarization_case(draw):
 @given(_polarization_case())
 @settings(max_examples=300, deadline=None)
 def test_lie_action_matches_derivative_oracle(case):
+    # _polarize on any packed polynomial, Fraction coefficients included
     m, a, b, f = case
-    got = GLBlockModel(m, (0,) * m).lie_action(a, b, f)
-    assert got == _reference_lie_action(m, a, b, f)
-    assert all(type(c) is Fraction and c for c in got.terms.values())
+    width = _field_width(f.degree())
+    got = _polarize(m, a, b, pack(f, width), width)
+    assert all(got.values())
+    assert unpack(got, width) == lie_action(m, a, b, f)
 
 
 @given(_polarization_case(), st.integers(0, 3), st.integers(0, 3))
@@ -134,51 +137,20 @@ def test_lie_action_matches_derivative_oracle(case):
 def test_word_action_matches_composed_derivative_oracle(case, c, d):
     m, a, b, f = case
     c, d = c % m, d % m
-    got = GLBlockModel(m, (0,) * m).word_action([(a, b), (c, d)], f)
-    assert got == _reference_lie_action(m, a, b, _reference_lie_action(m, c, d, f))
-    assert all(type(x) is Fraction and x for x in got.terms.values())
-
-
-def test_packed_exponent_overflow_raises():
-    assert _pack(((0, 3), (2, 1)), 2) == 3 | 1 << 4
-    with pytest.raises(OverflowError, match="2-bit field"):
-        _pack(((0, 4),), 2)
-    with pytest.raises(OverflowError):
-        _pack(((1, -1),), 4)  # a Laurent exponent has no field
-    # a closure's fields hold its degree, so a larger exponent is outside the span
-    model = GLBlockModel(3, (1, -2, -2))
-    width = _span_closure(3, (0, -3, -3), "upper").width
-    with pytest.raises(ValueError, match="not in the model span"):
-        model.expand(Poly({((0, 1 << width),): 1}))
-
-
-def _gauss_jordan_coordinates(basis, f):
-    """Coordinates of f on the basis polynomials, by Fraction Gauss-Jordan on [B | f]."""
-    monos = sorted(set().union(f.terms, *(b.terms for b in basis)))
-    rows = [[b.terms.get(mono, Fraction(0)) for b in basis] + [f.terms.get(mono, Fraction(0))]
-            for mono in monos]
-    ncols, pivots, r = len(basis), [], 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    assert len(pivots) == ncols  # the basis is independent
-    assert not any(row[-1] for row in rows[r:])  # f lies in the span
-    return {col: rows[i][-1] for i, col in enumerate(pivots) if rows[i][-1]}
+    width = _field_width(f.degree())
+    got = _polarize(m, a, b, _polarize(m, c, d, pack(f, width), width), width)
+    assert all(got.values())
+    assert unpack(got, width) == lie_action(m, a, b, lie_action(m, c, d, f))
 
 
 @pytest.mark.parametrize("m, weight, convention", [
     (3, (1, -2, -2), "upper"), (3, (2, 0, -1), "lower"), (4, (1, 1, 0, 0), "upper")])
 def test_expand_recovers_combinations_and_group_images(m, weight, convention):
+    # the echelon's coordinates of packed combinations over a denominator, and
+    # basis_group_action against Poly substitution read off by row reduction
     rnd = random.Random(sum(weight) + m)
     model = GLBlockModel(m, weight, convention)
+    closure = model._closure
     for rational in (False, True):
         for _ in range(5):
             coords = {}
@@ -186,16 +158,19 @@ def test_expand_recovers_combinations_and_group_images(m, weight, convention):
                 c = Fraction(rnd.randrange(-9, 10), rnd.randrange(1, 8) if rational else 1)
                 if c:
                     coords[i] = c
-            f = sum((model.basis[i] * c for i, c in coords.items()), Poly())
-            assert model.expand(f) == coords
+            den = lcm(*(c.denominator for c in coords.values()))
+            vec = {}
+            for i, c in coords.items():
+                for key, x in closure.packed[i].items():
+                    vec[key] = vec.get(key, 0) + int(c * den) * x
+            assert closure.coordinates(vec, den) == coords
     h = ExactMatrix([[Fraction(rnd.randrange(-2, 3)) + (i == j) for j in range(m)]
                      for i in range(m)])
     h.rows[0][m - 1] = Fraction(1, 3)
-    basis = model.basis
+    polys = basis(model)
     for idx in range(0, model.dimension, 3):
-        image = _group_action_oracle(m, h, basis[idx])
         got = model.basis_group_action(h, idx)
-        assert got == _gauss_jordan_coordinates(basis, image)
+        assert got == coordinates(model, _group_action_oracle(m, h, polys[idx]))
         assert all(type(c) is Fraction for c in got.values())
 
 
@@ -207,16 +182,6 @@ def test_echelon_rows_are_content_free_positive_and_reduced():
         assert piv == max(row) and row[piv] > 0 and gcd(*row.values()) == 1
         assert all(isinstance(c, int) for c in row.values())
         assert all(piv not in other for p, other in rows.items() if p != piv)
-
-
-def _fraction_evaluate(model, f, g, with_twist=True):
-    """The value through Fraction substitution and a det per call."""
-    m = model.m
-    val = f.eval({i * m + j: Fraction(g.rows[i][j]) for i in range(m) for j in range(m)})
-    if with_twist and model.shift:
-        det = Fraction(g.det())
-        val = val * det ** (-model.shift)
-    return val
 
 
 def test_rational_evaluation_matches_fraction_path():
@@ -233,18 +198,11 @@ def test_rational_evaluation_matches_fraction_path():
                       ExactMatrix([[Fraction(x, i + 2 * j + 1) for j, x in enumerate(r)]
                                    for i, r in enumerate(ints)])]
             for g in points:
-                values = model.basis_values(g, range(model.dimension))
-                for idx, f in enumerate(model.basis):
-                    want = _fraction_evaluate(model, f, g)
-                    for got in (model.evaluate(f, g), values[idx]):
-                        assert got == want and type(got) is Fraction
-                    got = model.evaluate(f * Fraction(1, 3), g, with_twist=False)
-                    assert got == _fraction_evaluate(model, f, g, False) / 3
-                    assert type(got) is Fraction
-                # a polynomial of mixed degree, outside any model span
-                mixed = model.basis[0] + Poly.variable(4) * Fraction(5, 7) + Poly.constant(2)
-                got = model.evaluate(mixed, g)
-                assert got == _fraction_evaluate(model, mixed, g) and type(got) is Fraction
+                for twist in (True, False):
+                    values = model.basis_values(g, range(model.dimension), twist)
+                    for idx, f in enumerate(basis(model)):
+                        got = values[idx]
+                        assert got == evaluate(model, f, g, twist) and type(got) is Fraction
 
 
 def test_ring_element_evaluation_matches_rational_specialization():
@@ -259,18 +217,17 @@ def test_ring_element_evaluation_matches_rational_specialization():
     for weight in [(0, -1, -3), (-1, -2, -4)]:  # shift <= 0: the twist multiplies
         model = GLBlockModel(3, weight)
         ring_values = model.basis_values(ring_g, range(model.dimension))
-        for idx, f in enumerate(model.basis):
-            got = model.evaluate(f, ring_g)
-            assert type(got) is Poly and got == ring_values[idx]
-            assert got.eval({100: Fraction(3)}) == model.evaluate(f, rational_g)
+        for idx, f in enumerate(basis(model)):
+            got = ring_values[idx]
+            assert type(got) is Poly
+            assert got.eval({100: Fraction(3)}) == evaluate(model, f, rational_g)
 
 
 def test_lie_action_drops_cancelled_terms():
     # E_(0,1) kills the minor x_(0,0) x_(1,1) - x_(0,1) x_(1,0) term by term
-    model = GLBlockModel(2, (0, 0))
-    minor = _minor_poly(2, 2, trailing=False)
-    assert model.lie_action(0, 1, minor).terms == {}
-    assert model.lie_action(0, 0, minor) == minor * -1
+    minor = _minor(2, 2, False, 2)
+    assert _polarize(2, 0, 1, minor, 2) == {}
+    assert _polarize(2, 0, 0, minor, 2) == {key: -c for key, c in minor.items()}
 
 
 def test_block_models_share_one_closure_per_shifted_weight():
@@ -364,10 +321,28 @@ def test_pieri_examples():
         pieri_decompose((0, 1), 1)
 
 
+_PIERI_CASES = [((2, 0), 1), ((2, 1, 0), 2), ((1, 1, 0), 1), ((3, 1, 0, -1), 2),
+                ((2, 2, 1, 0), 3), ((0, -1, -3), 2), ((-2, -2), 3)]
+
+
 def test_pieri_character_identity():
-    for (kappa, j) in [((2, 0), 1), ((2, 1, 0), 2), ((1, 1, 0), 1),
-                       ((3, 1, 0, -1), 2), ((2, 2, 1, 0), 3)]:
+    for (kappa, j) in _PIERI_CASES:
         assert pieri_character_check(kappa, j)
+
+
+def test_pieri_character_check_fails_without_a_constituent(monkeypatch):
+    import padicdesk.glrep as glrep
+
+    true_decompose = glrep.pieri_decompose
+    for drop in (0, -1):
+        def without_one(kappa, j, drop=drop):
+            constituents = true_decompose(kappa, j)
+            del constituents[drop]
+            return constituents
+
+        monkeypatch.setattr(glrep, "pieri_decompose", without_one)
+        for (kappa, j) in _PIERI_CASES:
+            assert not pieri_character_check(kappa, j), (kappa, j, drop)
 
 
 def test_weight_data_serialization():
@@ -378,10 +353,9 @@ def test_weight_data_serialization():
         (wd.n, wd.d, wd.kappa0, wd.kappa, wd.j)
 
 
-def _poly_to_sympy(poly, xs, sympy):
-    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*[xs[v] ** e for v, e in mono])
-                       for mono, c in poly.terms.items()])
+def _packed_to_sympy(vec, width, xs, sympy):
+    return sympy.Add(*[c * sympy.Mul(*[xs[v] ** e for v, e in _fields(key, width)])
+                       for key, c in vec.items()])
 
 
 def test_minor_poly_matches_sympy():
@@ -393,14 +367,30 @@ def test_minor_poly_matches_sympy():
             for trailing in (False, True):
                 idx = list(range(m - size, m)) if trailing else list(range(size))
                 ref = generic.extract(idx, idx).det(method="berkowitz")
-                ours = _poly_to_sympy(_minor_poly(m, size, trailing), xs, sympy)
+                width = _field_width(size)
+                ours = _packed_to_sympy(_minor(m, size, trailing, width), width, xs, sympy)
                 assert sympy.expand(ours - ref) == 0
 
 
 def test_alternant_matches_sympy():
     sympy = pytest.importorskip("sympy")
+    # a Laurent alternant is checked times (x_1...x_m)^s, as pieri_character_check uses it
     for weight in [(0,), (2, -1), (3, 1, 0, -1), (0, 0, -2), (1, 1, 0)]:
         m = len(weight)
+        s = max(0, -weight[-1])
         xs = sympy.symbols(f"x0:{m}")
         ref = sympy.Matrix(m, m, lambda i, j: xs[i] ** (weight[j] + m - 1 - j)).det()
-        assert sympy.expand(_poly_to_sympy(_alternant(weight), xs, sympy) - ref) == 0
+        width = _field_width(weight[0] + s + m - 1)
+        ours = _packed_to_sympy(_alternant([w + s for w in weight], width), width, xs, sympy)
+        assert sympy.expand(ours - sympy.Mul(*xs) ** s * ref) == 0
+
+
+def test_poly_is_named_only_in_polynomials():
+    # the library runs on packed polynomials, so Poly stays an independent oracle
+    where = set()
+    for path in Path(padicdesk.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a Name, an Attribute, an imported alias or a definition
+            if "Poly" in {getattr(node, k, None) for k in ("id", "attr", "name", "asname")}:
+                where.add(path.name)
+    assert where == {"polynomials.py"}

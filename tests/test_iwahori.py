@@ -7,6 +7,7 @@ import pytest
 from padicdesk import iwahori as iw
 from padicdesk.artinian import ArtinianElement
 from padicdesk.matrices import ExactMatrix, modular_inverse, rational_inverse, row_reduce
+from padicdesk.polynomials import Poly
 from padicdesk.rationals import valuation
 
 
@@ -279,6 +280,13 @@ def test_simple_conjugator_rows(n):
     assert all(type(x) is int for row in gh + gh_inv for x in row)
 
 
+def _subgroup_member(h, n, p, beta, M):
+    """h in H and gammahat^-1 h gammahat in the depth-beta Iwahori (mod p^M)."""
+    modulus = p ** M
+    return (iw.block_diagonal_member(h, n, modulus)
+            and iw.iwahori_member(iw._conjugate(h, n, modulus), p, beta, modulus))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_intrinsic_description_matches_conjugated_membership(p):
     # the intrinsic depth-(beta+1) description agrees with membership of the
@@ -291,8 +299,8 @@ def test_intrinsic_description_matches_conjugated_membership(p):
             for k in range(100):
                 h = iw.sample_block_subgroup(n, p, beta + (k % 2 == 0), M, rnd)
                 assert all(0 <= x < p ** M for row in h for x in row)
-                assert iw.subgroup_member(h, n, p, beta, M)
-                deep = iw.subgroup_member(h, n, p, beta + 1, M)
+                assert _subgroup_member(h, n, p, beta, M)
+                deep = _subgroup_member(h, n, p, beta + 1, M)
                 assert iw.intrinsic_subgroup_member(h, n, p, beta + 1) == deep
                 seen.add(deep)
     assert seen == {False, True}
@@ -363,6 +371,45 @@ def test_frobenius_twist_identity():
             assert rep["passed"], (n, bp)
     rep = iw.frobenius_twist_identity(2, 5, 1)
     assert rep["passed"]
+
+
+def _symbolic_twist_oracle(n, p, bp):
+    """Both sides of the Frobenius twist identity (times xi_c) as matrices of Poly in c."""
+    m = 2 * n
+
+    def lift(mat):
+        return ExactMatrix([[Poly.constant(x) for x in row] for row in mat.rows])
+
+    xib = ExactMatrix.identity(m)
+    xib.rows[0][0] = Fraction(1, p ** bp)
+    c = Poly.variable(0)
+    xi_c = ExactMatrix.identity(m, Poly.constant(1), Poly.constant(0))
+    xi_c.rows[0][0] = c + p ** bp
+    u_c = ExactMatrix.identity(m, Poly.constant(1), Poly.constant(0))
+    u_c.rows[0][n] = c
+    gamma = lift(iw.gamma_element(n))
+    return (lift(xib) * xi_c * gamma).rows == (gamma * lift(xib) * u_c * xi_c).rows
+
+
+def test_frobenius_twist_identity_fails_for_a_perturbed_gamma(monkeypatch):
+    # the three-point symbolic check agrees with the identity over Poly in c,
+    # for gamma perturbed by one off-diagonal unit at each slot, and fails at (1, 0)
+    true_gamma = iw.gamma_element
+    n, p, bp = 2, 3, 1
+    for i, j in product(range(2 * n), repeat=2):
+        if i == j:
+            continue
+
+        def perturbed(n, distinguished=True, i=i, j=j):
+            g = true_gamma(n, distinguished)
+            g.rows[i][j] += 1
+            return g
+
+        monkeypatch.setattr(iw, "gamma_element", perturbed)
+        symbolic = iw.frobenius_twist_identity(n, p, bp)["symbolic"]
+        assert symbolic == _symbolic_twist_oracle(n, p, bp), (i, j)
+        if (i, j) == (1, 0):
+            assert symbolic is False
 
 
 def test_membership_predicates():
