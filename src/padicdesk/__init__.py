@@ -15,6 +15,7 @@ Modules:
   iwahori     -- explicit matrices and congruence-subgroup combinatorics
   characters  -- finite-order unit characters and Gauss sums
   interp      -- epsilon factors and interpolation constants
+  work        -- the work budget: every growing enumeration charged before it starts
   suites      -- verification suites
   cli         -- command-line front end
 """

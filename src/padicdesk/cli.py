@@ -4,9 +4,10 @@ Subcommands: branch, tate, iwahori, interp, verify.  All output is JSON
 (optionally flattened to CSV for leaf tables); identical configurations
 produce byte-identical reports.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed, 2 a resource budget was exceeded, 3 bad input
-(an unwritable --out included), 4 an internal error: any other exception,
-reported as {"error": "internal error", "type": ..., "message": ...} on
-stdout with no traceback.
+(an unwritable --out or stdout included), 4 an internal error: any other
+exception, reported as {"error": "internal error", "type": ..., "message":
+...} on stdout with no traceback.  `--budget` is set once per call, for
+`work.charge`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from . import work
 from .glrep import WeightData, cone_decompose
 from .rationals import integer, is_prime
-from .suites import SUITES, BudgetExceeded
+from .suites import SUITES
 
 
 EXIT_OK = 0
@@ -32,6 +34,10 @@ EXIT_INTERNAL = 4
 
 class _OutputError(Exception):
     """The --out file could not be written."""
+
+
+class _StdoutError(Exception):
+    """stdout could not be written: a full device or a closed pipe."""
 
 
 def _resolve(out_path: str) -> str:
@@ -65,9 +71,13 @@ def _emit(report: dict, out_path: str | None, csv: bool = False) -> None:
         except OSError as err:
             raise _OutputError(str(err)) from None
     else:
-        sys.stdout.write(text + "\n")
-        if csv:
-            sys.stdout.write(_flatten_csv(report))
+        try:
+            sys.stdout.write(text + "\n")
+            if csv:
+                sys.stdout.write(_flatten_csv(report))
+            sys.stdout.flush()
+        except OSError as err:
+            raise _StdoutError(str(err)) from None
 
 
 def _malformed(err: Exception) -> str:
@@ -177,13 +187,13 @@ def _run_suites(names, args) -> int:
             if name == "mahler":
                 kwargs["p"] = args.p
             elif name == "tate":
-                kwargs.update(p=args.p, k_max=args.k_max, dmax=args.dmax, budget=args.budget)
+                kwargs.update(p=args.p, k_max=args.k_max, dmax=args.dmax)
             elif name == "rep":
                 kwargs.update(p=args.p)
             elif name == "iwahori":
-                kwargs.update(n=args.n, p=args.p, beta=args.beta, budget=args.budget)
+                kwargs.update(n=args.n, p=args.p, beta=args.beta)
             reports.append(fn(**kwargs))
-    except BudgetExceeded as err:
+    except work.BudgetExceeded as err:
         _emit({"error": "budget exceeded", "message": str(err),
                "suites": reports}, args.out)
         return EXIT_BUDGET
@@ -193,20 +203,6 @@ def _run_suites(names, args) -> int:
     if not merged["passed"]:
         code = EXIT_FALSIFIED
     return code
-
-
-def _gauss_sum_over_budget(p: int, c: int, budget: int) -> str | None:
-    """Why a Gauss sum over the p^c residues passes the budget, or None.
-
-    p^c is built only when it is at most about the budget squared or 2^8192,
-    so a huge conductor exponent is refused without computing it.
-    """
-    if p < 2 or (c * (p.bit_length() - 1) < budget.bit_length() and p ** c <= budget):
-        return None  # p < 2 is refused later as not prime
-    if c * p.bit_length() > 8192:  # too long to print in full
-        return f"interp.gauss_sum needs {p}^{c} units > budget {budget}"
-    units = p ** c
-    return f"interp.gauss_sum needs {units} units > budget {budget} ({units - budget} over)"
 
 
 def _run_interp_factor(args) -> int:
@@ -235,10 +231,11 @@ def _run_interp_factor(args) -> int:
             logs.append((integer(item.get("conductor_exp", 0), '"conductor_exp"'),
                          integer(item.get("log", 0), '"log"')))
         # a Gauss sum loops over (Z/p^c)^*: bound it before is_prime or any table
-        over = _gauss_sum_over_budget(p, max([1] + [c for c, _ in logs]), args.budget)
-        if over:
-            _emit({"error": "budget exceeded", "message": over}, args.out)
-            return EXIT_BUDGET
+        if p >= 2:  # p < 2 is refused later as not prime
+            work.charge("interp.gauss_sum", (p, max([1] + [c for c, _ in logs])), "units")
+        # alpha_p^e is a product of d n (2n - 1) Satake factors
+        if n > 0 and d > 0:
+            work.charge("interp.alpha_p_e", d * n * (2 * n - 1), "Satake factors")
         chis = []
         for item, (c, log) in zip(entries, logs):
             fin = PCharacter.from_log(p, c, log)
@@ -306,7 +303,9 @@ def _add_global_flags(parser) -> None:
     parser.add_argument("--n", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--beta", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    parser.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+                        help="most work one check may do, in the units its budget "
+                             "message names; past it the run exits 2 (default 1000000)")
     parser.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="output path (resolved against PADICDESK_OUT_DIR)")
     parser.add_argument("--csv", action="store_true", default=argparse.SUPPRESS,
@@ -387,12 +386,37 @@ def main(argv=None) -> int:
     if not hasattr(args, "dmax"):
         args.dmax = 12
     try:
+        return _run(parser, args)
+    except _StdoutError as err:
+        # the report was lost: say so on stderr, and point stdout at the null
+        # device so that the flush at exit cannot fail a second time
+        sys.stderr.write(json.dumps({"error": "cannot write output",
+                                     "message": f"stdout: {err}"}, sort_keys=True) + "\n")
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_INPUT
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_INPUT
+
+
+def _run(parser, args) -> int:
+    """Dispatch under --budget; every failure but a lost stdout becomes a JSON report."""
+    try:
         # an --out that cannot be written fails before any work is done; the
         # late _OutputError still covers what this check cannot see
         problem = args.out and _unwritable(args.out)
         if problem:
             raise _OutputError(problem)
-        return _dispatch(parser, args)
+        with work.budget(args.budget):
+            return _dispatch(parser, args)
+    except _StdoutError:
+        raise
+    except work.BudgetExceeded as err:
+        _emit({"error": "budget exceeded", "message": str(err)}, args.out)
+        return EXIT_BUDGET
     except _OutputError as err:
         _emit({"error": "cannot write output", "message": str(err)}, None)
         return EXIT_INPUT

@@ -5,6 +5,9 @@ half-integral power of p, and formal Satake symbols.  The half power of p
 is carried as an integer exponent in units of 1/2 and never resolved into
 the coefficient field; Satake symbols theta_(i, tau) obey the self-dual
 relation theta_(2n+1-i) = theta_i^-1 and stay formal unless specialized.
+alpha_p^e multiplies d n (2n - 1) Satake factors and a Gauss sum runs over
+the p^c residues; `interp factor` charges both counts to `work.charge`
+before any of this runs.
 """
 
 from __future__ import annotations
@@ -161,11 +164,18 @@ class SatakeData:
         return out
 
     def alpha_p_e(self, e) -> HalfPowerValue:
-        """prod over components and i <= 2n-1 of alpha_(i, tau)^(e_tau)."""
+        """prod over components and i <= 2n-1 of alpha_(i, tau)^(e_tau).
+
+        alpha_(i, tau) is kept as a running product: alpha_(i-1, tau) times
+        p^(n-i+1/2) theta_i(p).
+        """
         out = HalfPowerValue.one(self.p)
         for tau in range(self.d):
+            alpha = HalfPowerValue.one(self.p)
             for i in range(1, 2 * self.n):
-                out = out * self.alpha(tau, i) ** e[tau]
+                alpha = alpha * HalfPowerValue.p_power(self.p, 2 * (self.n - i) + 1)
+                alpha = alpha * self.theta_at_p(tau, i)
+                out = out * alpha ** e[tau]
         return out
 
 

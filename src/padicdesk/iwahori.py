@@ -231,18 +231,22 @@ def iwahori_index_exponent(n: int, e: int, beta: int) -> int:
 
 
 def gl2_index_enumeration(p: int, e: int, beta: int) -> int:
-    """[Iwahori_e : Iwahori_beta] in GL_2(Z/p^beta) by full enumeration."""
+    """[Iwahori_e : Iwahori_beta] in GL_2(Z/p^beta) by enumeration.
+
+    A tuple with c not divisible by p^e adds to neither count, so c runs over
+    the multiples of p^e only: p^(4 beta - e) tuples.
+    """
     modulus = p ** beta
     count_e = 0
     count_beta = 0
-    for a, b, c, d in iproduct(range(modulus), repeat=4):
+    residues = range(modulus)
+    for a, b, c, d in iproduct(residues, residues, range(0, modulus, p ** e), residues):
         if (a * d - b * c) % p == 0:
             continue
         if a % p == 0 or d % p == 0:
             continue
-        if c % p ** e == 0:
-            count_e += 1
-        if c % modulus == 0:
+        count_e += 1
+        if c == 0:
             count_beta += 1
     if count_e % count_beta:
         raise ArithmeticError("index enumeration is not a multiple of the deeper count")

@@ -3,25 +3,19 @@
 Continuous functions are handled through finite value tables at a stated
 depth; all identities are verified on finite quotients with exact
 arithmetic.  Norms are reported as exact exponents e (meaning p^e), with
--inf for the zero function.
+-inf for the zero function.  The work here grows with p, so the suites
+charge each check's size to `work.charge` before calling into this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, lcm
+from math import gcd, lcm
 
 from .characters import PCharacter, gauss_sum, unit_powers
 from .cyclotomic import CyclotomicElement, zeta_power_sum
 from .rationals import INF, valuation
-
-
-def binom_at(x, k: int):
-    out = Fraction(1)
-    for i in range(k):
-        out *= Fraction(x) - i
-    return out / factorial(k)
 
 
 class MahlerSeries:
@@ -42,10 +36,14 @@ class MahlerSeries:
         t = Fraction(x) * self.p ** self.scale
         if t.denominator != 1:
             raise ValueError("argument outside the domain p^-scale Z")
+        t = t.numerator
         out = Fraction(0)
+        binom = 1  # binom(t, k) = binom(t, k-1) (t - k + 1) / k, an exact int division
         for k, a in enumerate(self.coeffs):
+            if k:
+                binom = binom * (t - k + 1) // k
             if a:
-                out += a * binom_at(t, k)
+                out += a * binom
         return out
 
     def __repr__(self):
@@ -220,17 +218,31 @@ def fourier_expand_unit_indicator(p: int, beta: int, beta_prime: int, n: int) ->
     root_order = p ** beta
     ncoord = n - 1
     scale = Fraction(1, p ** ((n - 1) * (beta - beta_prime)))
-    dvals = [p ** beta_prime * e for e in range(p ** (beta - beta_prime))]
     npoints = 0
     for ms in iproduct(range(p ** beta), repeat=ncoord):
         avals = [Fraction(m, p ** beta) for m in ms]
         lhs = Fraction(1) if all(valuation(a, p) >= -beta_prime or a == 0 for a in avals) else Fraction(0)
-        weights: dict = {}
-        for ds in iproduct(dvals, repeat=ncoord):
-            expo = sum(d * m for d, m in zip(ds, ms)) % root_order
-            weights[expo] = weights.get(expo, Fraction(0)) + 1
+        weights = _d_histogram(ms, p, beta, beta_prime)
         rhs = zeta_power_sum(root_order, weights) * scale
         npoints += 1
         if rhs != CyclotomicElement.from_rational(lhs, root_order):
             return EqualityReport(False, npoints, avals, "unit-indicator expansion mismatch")
     return EqualityReport(True, npoints, detail="unit-indicator expansion")
+
+
+def _d_histogram(ms, p: int, beta: int, beta_prime: int) -> dict:
+    """{k: number of d in (p^beta' Z / p^beta)^(n-1) with sum d_i m_i = k mod p^beta}.
+
+    With d_i = p^beta' e_i for e_i mod r = p^(beta-beta'), the sum is p^beta'
+    times sum e_i m_i mod r.  The histogram of that sum is built one
+    coordinate at a time: e -> e m mod r hits each multiple of g = gcd(m, r)
+    exactly g times, so a coordinate sets every entry to g times the sum of
+    its residue class mod g, r entries per coordinate.
+    """
+    r = p ** (beta - beta_prime)
+    hist = [1] + [0] * (r - 1)  # no coordinates yet: only the empty sum 0
+    for m in ms:
+        g = gcd(m, r)
+        sums = [g * sum(hist[c::g]) for c in range(g)]
+        hist = [sums[j % g] for j in range(r)]
+    return {j * p ** beta_prime: w for j, w in enumerate(hist) if w}

@@ -3,7 +3,10 @@ scale and returns a JSON-serializable report.
 
 Every check entry carries a stable identifier and a self-describing
 statement of the identity it verifies; reports are deterministic for a
-fixed configuration (including the seed).
+fixed configuration (including the seed).  A check whose enumeration grows
+with p or n charges its size to `work.charge` under its identifier before
+the enumeration starts, in report order, so `--budget` refuses it without
+running it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from . import branch as branch_mod
 from . import iwahori as iw
 from . import mahler
 from . import tate
+from . import work
 from .artinian import ArtinianElement, derivation_from_images
 from .characters import PCharacter, gauss_sum
 from .cyclotomic import CyclotomicElement
@@ -26,10 +30,6 @@ from .rationals import INF, valuation
 from .uea import (EquivariantFunction, UEAElement, branching_operator_constant,
                   commutator_leibniz_check, commute_check, h_eigenfunctions, mu_sigma,
                   nonvanishing_closed_form, open_orbit_point, pbw_normalize, uea_act_at)
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 def _check(checks: list, cid: str, description: str, passed: bool, **extra):
@@ -55,7 +55,10 @@ def run_mahler_suite(p: int = 3, seed: int = 0) -> dict:
     checks = []
     rnd = random.Random(seed)
 
-    # reconstruction from finite differences at full depth
+    # reconstruction from finite differences at full depth: each depth
+    # evaluates p^depth coefficients at p^depth points
+    work.charge("mahler.reconstruction", sum(p ** (2 * depth) for depth in (1, 2)),
+                "binomial terms")
     ok = True
     for depth in (1, 2):
         table = [Fraction(rnd.randrange(-20, 20)) for _ in range(p ** depth)]
@@ -102,17 +105,22 @@ def run_mahler_suite(p: int = 3, seed: int = 0) -> dict:
             for chi in PCharacter.all_characters(p, bp):
                 if chi.conductor_exp != bp:
                     continue
+                cid = f"mahler.fourier_slice.b{beta}.bp{bp}.o{chi.order()}"
+                # p^(2 beta) points, one term per unit of Z/p^beta at each
+                work.charge(cid, p ** (2 * beta) * (p ** beta - p ** (beta - 1)), "terms")
                 rep = mahler.fourier_expand_fchi(beta, bp, chi)
-                _check(checks, f"mahler.fourier_slice.b{beta}.bp{bp}.o{chi.order()}",
-                       "unit-slice function equals its root-of-unity expansion",
+                _check(checks, cid, "unit-slice function equals its root-of-unity expansion",
                        rep.passed, points=rep.npoints)
                 break  # one character per conductor suffices at suite scale
     for n in (2, 3):
         for beta in (1, 2):
             for bp in range(0, beta + 1):
+                cid = f"mahler.fourier_indicator.n{n}.b{beta}.bp{bp}"
+                # p^(beta (n-1)) points, p^(beta-bp) histogram entries per coordinate
+                work.charge(cid, p ** (beta * (n - 1)) * (n - 1) * p ** (beta - bp),
+                            "histogram entries")
                 rep = mahler.fourier_expand_unit_indicator(p, beta, bp, n)
-                _check(checks, f"mahler.fourier_indicator.n{n}.b{beta}.bp{bp}",
-                       "box indicator equals its root-of-unity expansion",
+                _check(checks, cid, "box indicator equals its root-of-unity expansion",
                        rep.passed, points=rep.npoints)
     return _report("mahler", checks)
 
@@ -120,8 +128,7 @@ def run_mahler_suite(p: int = 3, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
-                   budget: int = 10 ** 6) -> dict:
+def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12) -> dict:
     checks = []
     rnd = random.Random(seed)
 
@@ -135,10 +142,7 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
     patterns = (len(rings) * len(lam_values)
                 * sum(tate.closed_form_patterns(k, a) for k, a, _ in closed_calls)
                 + sum(tate.closed_form_patterns(k, a) for k, a in norm_calls))
-    if patterns > budget:
-        raise BudgetExceeded(
-            f"tate.closed_equals_direct needs {patterns} subset patterns > budget {budget}"
-            f" ({patterns - budget} over)")
+    work.charge("tate.closed_equals_direct", patterns, "subset patterns")
     ok = True
     exponent_tables = {}
     for ngens in rings:
@@ -211,6 +215,7 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12,
 
     # overconvergence chain
     chain = tate.OverconvergenceChain(p, 1, max(20, p ** 2 * 2))
+    work.charge("tate.overconvergence_chain", chain.scan_size(), "norm evaluations")
     M = chain.annihilator_exponent()
     s_half = chain.stage_for_delta(Fraction(1, 2))
     ok = M == p ** 2
@@ -560,8 +565,7 @@ def _random_invertible_levi(n: int, d: int, rnd) -> branch_mod.MPoint:
 # ---------------------------------------------------------------------------
 
 
-def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
-                      budget: int = 10 ** 6) -> dict:
+def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0) -> dict:
     checks = []
     from itertools import permutations as iperm
 
@@ -584,15 +588,13 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
     _check(checks, "iwahori.index_formula",
            "congruence index exponent equals (beta - e) n (2n - 1)",
            exp == beta * n * (2 * n - 1), exponent=exp)
+    # a, b, d mod p^2 and c over the multiples of p
+    work.charge("iwahori.gl2_enumeration", (p, 7), "tuples")
     idx = iw.gl2_index_enumeration(p, 1, 2)
     _check(checks, "iwahori.gl2_enumeration",
            "rank-one analogue index matches full enumeration", idx == p, index=idx)
 
-    total = p ** (n * (2 * n - 1))
-    if total > budget:
-        raise BudgetExceeded(
-            f"iwahori.double_coset_singleton needs {total} representatives > budget {budget}"
-            f" ({total - budget} over)")
+    work.charge("iwahori.double_coset_singleton", (p, n * (2 * n - 1)), "representatives")
     rep = iw.double_coset_singleton(n, p, beta)
     _check(checks, "iwahori.double_coset_singleton",
            "every depth representative is connected through the conjugated subgroup",
@@ -632,6 +634,9 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0,
     _check(checks, "iwahori.hecke_diagonal",
            "stepped diagonal equals the product of one-step diagonals", ok)
 
+    # the units mod p^(bp+1), p^bp (p - 1) of them, once for each nn
+    work.charge("iwahori.frobenius_twist", 2 * sum(p ** bp * (p - 1) for bp in (1, 2)),
+                "units")
     ok = all(iw.frobenius_twist_identity(nn, p, bp)["passed"]
              for nn in (2, 3) for bp in (1, 2))
     _check(checks, "iwahori.frobenius_twist",

@@ -288,6 +288,7 @@ class OverconvergenceChain:
         self.p = p
         self.r = r
         self.depth = depth
+        self._annihilator = None  # the scan's result, computed once per chain
 
     def norm_exponent(self, v: dict, s) -> Fraction | float:
         """log_p of the stage-s norm; s = None means stage infinity."""
@@ -304,13 +305,25 @@ class OverconvergenceChain:
                 best = e
         return best
 
+    def scan_size(self) -> int:
+        """The norm evaluations of the annihilator scan, known before it runs.
+
+        Class i stops at m = ((i - 1) mod q) + 1, after m + 1 evaluations.
+        """
+        q = self.p ** (self.r + 1)
+        full, rest = divmod(self.depth, q)
+        return full * q * (q + 3) // 2 + rest * (rest + 3) // 2
+
     def annihilator_exponent(self) -> int:
         """Least M with h^M killing ker(B_r+/p -> B_inf+/p) on the truncation.
 
         Certified by scanning the monomial kernel classes p^ceil(i/q) h^-i;
         requires depth >= q = p^(r+1) (else the scan cannot see the extremal
-        class and the result would not be stable under deepening).
+        class and the result would not be stable under deepening).  The scan
+        runs once per chain.
         """
+        if self._annihilator is not None:
+            return self._annihilator
         q = self.p ** (self.r + 1)
         if self.depth < q:
             raise ValueError(f"truncation too small to certify the annihilator; need depth >= {q}")
@@ -322,6 +335,7 @@ class OverconvergenceChain:
             while self.norm_exponent({m - i: Fraction(self.p) ** e}, self.r) > -1:
                 m += 1
             best = max(best, m)
+        self._annihilator = best
         return best
 
     def stage_for_delta(self, delta) -> int:

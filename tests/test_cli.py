@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -88,13 +89,13 @@ def test_iwahori_verify(capsys):
 
 
 def test_iwahori_budget_exit(capsys):
+    # the gl2 enumeration (3^7 tuples) is charged first, in report order
     code, out = run_cli(["--n", "2", "--p", "3", "--beta", "1",
                          "--budget", "10", "iwahori", "verify"], capsys)
     assert code == 2
     assert json.loads(out) == {
         "error": "budget exceeded", "suites": [],
-        "message": "iwahori.double_coset_singleton needs 729 representatives > budget 10"
-                   " (719 over)"}
+        "message": "iwahori.gl2_enumeration needs 2187 tuples > budget 10 (2177 over)"}
 
 
 def test_tate_budget_exit():
@@ -521,3 +522,33 @@ def test_bad_input_exit_does_not_depend_on_optimize():
                            "iwahori", "verify"], capture_output=True, text=True)
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"] == "bad input"
+
+
+def _stdout_lost(stdout) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "padicdesk.cli", "--seed", "7", "verify",
+                           "--suite", "mahler"], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+def test_stdout_on_a_full_device_exits_3_with_json_on_stderr():
+    with open("/dev/full", "w") as full:
+        proc = _stdout_lost(full)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr) == {"error": "cannot write output",
+                                       "message": "stdout: [Errno 28] No space left on device"}
+    assert proc.stderr.count("\n") == 1
+
+
+def test_stdout_into_a_closed_pipe_exits_3_with_json_on_stderr():
+    # as with `| head -c 0`: the reader is gone before the report is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _stdout_lost(write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr) == {"error": "cannot write output",
+                                       "message": "stdout: [Errno 32] Broken pipe"}
+    assert proc.stderr.count("\n") == 1

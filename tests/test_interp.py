@@ -237,3 +237,25 @@ def test_gauss_sum_root_scaling_recorded():
         weights[key] = weights.get(key, 0) + coeff
     scaled = zeta_power_sum(field, weights)
     assert scaled == chi(u).inverse() * gauss_sum(chi)
+
+
+def _old_alpha_p_e(data, e):
+    """alpha_p^e before the running product: every alpha_(i, tau) from scratch."""
+    out = HalfPowerValue.one(data.p)
+    for tau in range(data.d):
+        for i in range(1, 2 * data.n):
+            out = out * data.alpha(tau, i) ** e[tau]
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_alpha_p_e_running_product_matches_the_old_one(p):
+    zeta = CyclotomicElement.zeta(4, 1)
+    for n in (2, 3, 4):
+        for d in (1, 2):
+            for values in (None, {(0, 1): HalfPowerValue(p, Fraction(2, 3), 1),
+                                  (d - 1, n): HalfPowerValue(p, zeta, -3, {(d - 1, n): 1})}):
+                data = SatakeData(n, d, p, values)
+                for e in ([1] * d, [2, 1][:d], [3, 2][:d]):
+                    got, want = data.alpha_p_e(e), _old_alpha_p_e(data, e)
+                    assert got == want and got.to_json() == want.to_json()

@@ -100,6 +100,25 @@ def test_index_formula_and_enumeration():
     assert iw.gl2_index_enumeration(2, 1, 2) == 2
 
 
+def _old_gl2_counts(p, e, beta):
+    """(count_e, count_beta) of the loop before the cut, over all p^(4 beta) tuples."""
+    modulus = p ** beta
+    count_e = count_beta = 0
+    for a, b, c, d in product(range(modulus), repeat=4):
+        if (a * d - b * c) % p == 0 or a % p == 0 or d % p == 0:
+            continue
+        count_e += c % p ** e == 0
+        count_beta += c % modulus == 0
+    return count_e, count_beta
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_gl2_enumeration_over_multiples_of_p_e_matches_the_full_loop(p):
+    for e, beta in ((1, 1), (1, 2), (2, 2)):
+        count_e, count_beta = _old_gl2_counts(p, e, beta)
+        assert iw.gl2_index_enumeration(p, e, beta) == count_e // count_beta == p ** (beta - e)
+
+
 def test_double_coset_singleton_small():
     rep = iw.double_coset_singleton(2, 2, 1)
     assert rep["passed"] and rep["checked"] == 64
@@ -210,12 +229,16 @@ def test_double_coset_wrong_solution_is_caught(monkeypatch):
 
 
 def test_double_coset_budget(monkeypatch):
-    # the suite owns the budget and refuses before the enumeration starts
-    from padicdesk.suites import BudgetExceeded, run_iwahori_suite
+    # the suite charges each check before its enumeration starts; the gl2
+    # enumeration comes first in report order
+    from padicdesk import work
+    from padicdesk.suites import run_iwahori_suite
 
+    monkeypatch.setattr(iw, "gl2_index_enumeration", lambda *args: pytest.fail("enumerated"))
     monkeypatch.setattr(iw, "double_coset_singleton", lambda *args: pytest.fail("enumerated"))
-    with pytest.raises(BudgetExceeded, match="729 representatives > budget 10"):
-        run_iwahori_suite(2, 3, 1, budget=10)
+    with work.budget(10), pytest.raises(work.BudgetExceeded,
+                                        match="gl2_enumeration needs 2187 tuples > budget 10"):
+        run_iwahori_suite(2, 3, 1)
 
 
 def test_double_coset_needs_positive_beta():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -127,3 +129,49 @@ def test_fourier_unit_indicator_examples():
     assert rep.passed and rep.npoints == 9
     rep = mahler.fourier_expand_unit_indicator(3, 1, 0, 3)
     assert rep.passed
+
+
+def _old_evaluate(series, x):
+    """The evaluation before the integer binomial: each binom(t, k) from scratch."""
+    t = Fraction(x) * series.p ** series.scale
+    out = Fraction(0)
+    for k, a in enumerate(series.coeffs):
+        if a:
+            binom = Fraction(1)
+            for i in range(k):
+                binom *= t - i
+            out += a * binom / factorial(k)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_integer_binomial_evaluation_matches_the_old_one(p):
+    rnd = random.Random(p)
+    for scale in (0, 1):
+        for _ in range(20):
+            series = mahler.MahlerSeries(p, [Fraction(rnd.randrange(-9, 9), p ** rnd.randrange(3))
+                                             for _ in range(rnd.randrange(1, 3 * p))], scale)
+            for m in range(-2 * p, 3 * p):
+                x = Fraction(m, p ** scale)
+                got = series.evaluate(x)
+                assert got == _old_evaluate(series, x) and type(got) is Fraction
+
+
+def _old_d_histogram(ms, p, beta, beta_prime):
+    """The histogram before the coordinate-at-a-time build: every d-tuple visited."""
+    dvals = [p ** beta_prime * e for e in range(p ** (beta - beta_prime))]
+    weights = {}
+    for ds in product(dvals, repeat=len(ms)):
+        expo = sum(d * m for d, m in zip(ds, ms)) % p ** beta
+        weights[expo] = weights.get(expo, Fraction(0)) + 1
+    return weights
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_d_histogram_matches_the_full_tuple_loop(p):
+    for n in (2, 3):
+        for beta in (1, 2):
+            for bp in range(beta + 1):
+                for ms in product(range(p ** beta), repeat=n - 1):
+                    assert (mahler._d_histogram(ms, p, beta, bp)
+                            == _old_d_histogram(ms, p, beta, bp)), (n, beta, bp, ms)

@@ -229,3 +229,31 @@ def test_tate_norm_exponent():
     f = tate.TateSeries.monomial(1, 6, s, 1, 1)
     assert f.norm_exponent(3) == 1
     assert tate.TateSeries(1, 6, {}).norm_exponent(3) == -INF
+
+
+def _old_annihilator(chain):
+    """The scan before it was kept per chain, as a test-local copy."""
+    q = chain.p ** (chain.r + 1)
+    best = 0
+    for i in range(1, chain.depth + 1):
+        e = -(-i // q)
+        m = 0
+        while chain.norm_exponent({m - i: Fraction(chain.p) ** e}, chain.r) > -1:
+            m += 1
+        best = max(best, m)
+    return best
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_annihilator_scan_runs_once_per_chain(p, monkeypatch):
+    chain = tate.OverconvergenceChain(p, 1, 2 * p ** 2 + 3)
+    want = _old_annihilator(tate.OverconvergenceChain(p, 1, 2 * p ** 2 + 3))
+    calls = []
+    real = tate.OverconvergenceChain.norm_exponent
+    monkeypatch.setattr(tate.OverconvergenceChain, "norm_exponent",
+                        lambda self, v, s: calls.append(s) or real(self, v, s))
+    assert chain.annihilator_exponent() == want == p ** 2
+    chain.stage_for_delta(Fraction(1, 2))
+    chain.stage_for_delta(Fraction(1, 3))
+    assert chain.annihilator_exponent() == want
+    assert len(calls) == chain.scan_size()
