@@ -281,7 +281,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage errors reported as bad input (exit code 3).
 
     Prefixes of long flags are not accepted: an unknown `--d` would
-    otherwise be read as `--dmax`.
+    otherwise be read as `--dmax`.  Help that cannot be written to stdout
+    raises `_StdoutError`, where argparse would drop it and exit 0.
     """
 
     def __init__(self, *args, **kwargs):
@@ -290,6 +291,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if not message:
+            return
+        file = file or sys.stderr
+        try:
+            file.write(message)
+            file.flush()
+        except OSError as err:
+            if file is sys.stdout:
+                raise _StdoutError(str(err)) from None
 
 
 _GLOBAL_DEFAULTS = {"p": 3, "n": 2, "beta": 1, "seed": 0,
@@ -377,15 +389,15 @@ def _bad_input(args) -> str | None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    for key, default in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
-    if not hasattr(args, "k_max"):
-        args.k_max = 8
-    if not hasattr(args, "dmax"):
-        args.dmax = 12
     try:
+        args = parser.parse_args(argv)
+        for key, default in _GLOBAL_DEFAULTS.items():
+            if not hasattr(args, key):
+                setattr(args, key, default)
+        if not hasattr(args, "k_max"):
+            args.k_max = 8
+        if not hasattr(args, "dmax"):
+            args.dmax = 12
         return _run(parser, args)
     except _StdoutError as err:
         # the report was lost: say so on stderr, and point stdout at the null

@@ -7,6 +7,13 @@ on int rows mod m, through the one product `_mod_mul` and the one
 conjugation `_conjugate` by the simple open-orbit form.  The depth-beta
 Iwahori subgroup consists of matrices congruent to upper-triangular mod
 p^beta with unit diagonal.
+
+The double-coset enumeration solves and conjugates once per unit target,
+not once per representative: below depth (beta+1) the subgroup part and
+its conjugate are linear in the target, so the representatives run in
+odometer order and each step adds the images of the digits it touches
+(a wrapping digit adds its p-th copy, which vanishes).  Every
+representative is still membership-tested, with one explicit product.
 """
 
 from __future__ import annotations
@@ -183,13 +190,14 @@ def permuted_dual_matrix(sigma, ngens: int) -> ExactMatrix:
 def iwahori_member(res: list, p: int, beta: int, modulus: int) -> bool:
     """Is a residue matrix (mod `modulus`) upper-triangular-unit mod p^beta?"""
     m = len(res)
-    if modulus % p ** beta != 0:
+    pb = p ** beta
+    if modulus % pb != 0:
         raise ValueError("modulus too shallow for the depth")
     for i in range(m):
         if res[i][i] % p == 0:
             return False
         for j in range(i):
-            if res[i][j] % p ** beta != 0:
+            if res[i][j] % pb != 0:
                 return False
     return True
 
@@ -319,13 +327,23 @@ def double_coset_singleton(n: int, p: int, beta: int, max_witnesses: int = 3) ->
     """Connect every depth-beta/depth-(beta+1) representative through the
     block subgroup conjugated by the simple open-orbit matrix.
 
-    Each representative x = I + p^beta N (N strictly lower mod p) must factor
-    as (conjugated subgroup element) * (depth beta+1 element).  One F_p solve,
-    reduced once for all representatives, gives the subgroup element
-    h = I + p^beta Y; each representative is then checked by explicit
-    products mod p^(beta+1): conj = gh^-1 h gh must lie in the depth-beta
-    Iwahori and k = gh^-1 h^-1 gh x = (2I - conj) x in the depth-(beta+1)
-    one.
+    Each representative x = I + p^beta N (N strictly lower mod p, its
+    entries the digits of a target t) must factor as (conjugated subgroup
+    element) * (depth beta+1 element).  For beta >= 1, (p^beta)^2 = 0 mod
+    p^(beta+1), so h = I + p^beta Y has inverse I - p^beta Y and its
+    conjugate conj = gh^-1 h gh = I + p^beta gh^-1 Y gh is affine in Y,
+    while Y = solve(t) is linear in t mod p.  So the F_p solve and the
+    explicit conjugation mod p^(beta+1) run once per unit target e_r, and
+    their images (the coordinates of Y_r and conj_r - I) are added up:
+    the targets run in odometer order (itertools.product order, last digit
+    fastest), each step adds the image of every digit it touches, and a
+    digit that wraps from p-1 to 0 adds its image a p-th time, which
+    vanishes (p Y_r = 0 mod p, p p^beta C = 0 mod p^(beta+1)).  Every
+    representative is still checked: conj must lie in the depth-beta
+    Iwahori and k = gh^-1 h^-1 gh x = (2I - conj) x, one explicit product,
+    in the depth-(beta+1) one.  A unit target with no solution fails at the
+    first representative whose digit it is, as a per-representative solve
+    would.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -335,34 +353,61 @@ def double_coset_singleton(n: int, p: int, beta: int, max_witnesses: int = 3) ->
     pb = p ** beta
     y_basis, lower_pos, solve = _subgroup_solver(n, p)
 
-    witnesses = []
-    checked = 0
-    for digits in iproduct(range(p), repeat=nroots):
-        target = list(digits)
-        sol = solve(target)
+    # the image of each unit target: its subgroup part and the nonzero
+    # entries of conj - I, or None when the target is not reached
+    units = []
+    for r in range(nroots):
+        sol = solve([int(k == r) for k in range(nroots)])
         if sol is None:
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
-                    "detail": "no connecting subgroup element for a representative"}
+            units.append(None)
+            continue
         h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
             h[yi][yj] += pb * val
         conj = _conjugate(h, n, modulus)
+        units.append(([(c, val) for c, val in enumerate(sol) if val],
+                      [(i, j, (v - (i == j)) % modulus) for i, row in enumerate(conj)
+                       for j, v in enumerate(row) if v != (i == j)]))
+
+    digits = [0] * nroots
+    sol = [0] * len(y_basis)
+    conj = [[int(i == j) for j in range(m)] for i in range(m)]
+    # 2I - conj = gh^-1 h^-1 gh, kept alongside conj
+    conj_inv = [row[:] for row in conj]
+    x = [row[:] for row in conj]
+    witnesses = []
+    checked = 0
+    while True:
         if not iwahori_member(conj, p, beta, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
-        # (p^beta Y)^2 = 0 mod p^(beta+1) for beta >= 1, so h^-1 = I - p^beta Y
-        # and gh^-1 h^-1 gh = 2I - conj
-        x = [[int(i == j) for j in range(m)] for i in range(m)]
-        for val, (i, j) in zip(target, lower_pos):
-            x[i][j] = pb * val
-        k_res = _mod_mul([[2 * (i == j) - v for j, v in enumerate(row)]
-                          for i, row in enumerate(conj)], x, modulus)
+        k_res = _mod_mul(conj_inv, x, modulus)
         if not iwahori_member(k_res, p, beta + 1, modulus):
             return {"passed": False, "checked": checked, "witnesses": witnesses,
                     "detail": "residual factor left the depth-(beta+1) Iwahori"}
         if len(witnesses) < max_witnesses:
-            witnesses.append({"representative": target, "subgroup_part": sol})
+            witnesses.append({"representative": digits[:], "subgroup_part": sol[:]})
         checked += 1
+        # the odometer step: bump the last digit, carrying past each wrap
+        r = nroots - 1
+        while r >= 0:
+            if units[r] is None:
+                return {"passed": False, "checked": checked, "witnesses": witnesses,
+                        "detail": "no connecting subgroup element for a representative"}
+            sol_image, conj_image = units[r]
+            for c, val in sol_image:
+                sol[c] = (sol[c] + val) % p
+            for i, j, val in conj_image:
+                conj[i][j] = (conj[i][j] + val) % modulus
+                conj_inv[i][j] = (conj_inv[i][j] - val) % modulus
+            digits[r] = (digits[r] + 1) % p
+            i, j = lower_pos[r]
+            x[i][j] = pb * digits[r]
+            if digits[r]:
+                break
+            r -= 1
+        if r < 0:
+            break
     return {"passed": True, "checked": checked, "witnesses": witnesses,
             "conjugator": "simple antidiagonal open-orbit form",
             "detail": f"all {checked} representatives connected"}

@@ -369,6 +369,15 @@ def test_iwahori_benchmark_config_report_pinned(capsys):
             == "c165070b8b6fae50f5efc26fcf2c3d62951a5eefad637ee81dee66c7a9ba2108")
 
 
+def test_iwahori_p7_report_pinned(capsys):
+    # 7^6 = 117,649 double-coset representatives
+    assert main(["--n", "2", "--p", "7", "--beta", "1", "--budget", "1000000", "--seed", "7",
+                 "iwahori", "verify"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "1826e0197c3c3e944f3b44f6079156eae988edda7ad010b22234e3ab2d14c971")
+
+
 # (n, d, kappa0, kappa, j) of the eleven acceptance weights, with the sha256 of
 # the `--seed 7 branch --weight-json` report for each
 _BRANCH_PINS = [
@@ -546,6 +555,41 @@ def test_stdout_into_a_closed_pipe_exits_3_with_json_on_stderr():
     os.close(read_end)
     try:
         proc = _stdout_lost(write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr) == {"error": "cannot write output",
+                                       "message": "stdout: [Errno 32] Broken pipe"}
+    assert proc.stderr.count("\n") == 1
+
+
+def _help_lost(stdout, unbuffered) -> subprocess.CompletedProcess:
+    # argparse writes the help itself: unbuffered, the write fails at once;
+    # buffered, the flush does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "padicdesk.cli", "--help"], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_on_a_full_device_exits_3_with_json_on_stderr(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _help_lost(full, unbuffered)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr) == {"error": "cannot write output",
+                                       "message": "stdout: [Errno 28] No space left on device"}
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_into_a_closed_pipe_exits_3_with_json_on_stderr(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _help_lost(write_end, unbuffered)
     finally:
         os.close(write_end)
     assert proc.returncode == 3

@@ -205,6 +205,123 @@ def test_double_coset_singleton_matches_per_representative_solve(n, p, beta):
             == _double_coset_oracle(n, p, beta, max_witnesses=every))
 
 
+def _per_representative_loop(n, p, beta, max_witnesses=3):
+    """The enumeration with one solve and one conjugation mod p^(beta+1) per
+    representative, as it ran before the unit images were added up in
+    odometer order; it reads the solver and the conjugation through the
+    module, so a monkeypatched one reaches it too."""
+    m = 2 * n
+    modulus = p ** (beta + 1)
+    pb = p ** beta
+    y_basis, lower_pos, solve = iw._subgroup_solver(n, p)
+    witnesses = []
+    checked = 0
+    for digits in product(range(p), repeat=n * (2 * n - 1)):
+        target = list(digits)
+        sol = solve(target)
+        if sol is None:
+            return {"passed": False, "checked": checked, "witnesses": witnesses,
+                    "detail": "no connecting subgroup element for a representative"}
+        h = [[int(i == j) for j in range(m)] for i in range(m)]
+        for val, (yi, yj) in zip(sol, y_basis):
+            h[yi][yj] += pb * val
+        conj = iw._conjugate(h, n, modulus)
+        if not iw.iwahori_member(conj, p, beta, modulus):
+            return {"passed": False, "checked": checked, "witnesses": witnesses,
+                    "detail": "witness conjugate left the depth-beta Iwahori"}
+        x = [[int(i == j) for j in range(m)] for i in range(m)]
+        for val, (i, j) in zip(target, lower_pos):
+            x[i][j] = pb * val
+        k_res = iw._mod_mul([[2 * (i == j) - v for j, v in enumerate(row)]
+                             for i, row in enumerate(conj)], x, modulus)
+        if not iw.iwahori_member(k_res, p, beta + 1, modulus):
+            return {"passed": False, "checked": checked, "witnesses": witnesses,
+                    "detail": "residual factor left the depth-(beta+1) Iwahori"}
+        if len(witnesses) < max_witnesses:
+            witnesses.append({"representative": target, "subgroup_part": sol})
+        checked += 1
+    return {"passed": True, "checked": checked, "witnesses": witnesses,
+            "conjugator": "simple antidiagonal open-orbit form",
+            "detail": f"all {checked} representatives connected"}
+
+
+@pytest.mark.parametrize("n, p, beta", [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 2, 1)])
+def test_odometer_matches_per_representative_loop(n, p, beta):
+    # every representative kept as a witness, so every subgroup part is compared
+    every = p ** (n * (2 * n - 1))
+    assert (iw.double_coset_singleton(n, p, beta, max_witnesses=every)
+            == _per_representative_loop(n, p, beta, max_witnesses=every))
+
+
+@pytest.mark.parametrize("n, p, beta", [(2, 3, 1), (2, 5, 2), (3, 2, 1)])
+def test_double_coset_solves_and_conjugates_once_per_unit_target(monkeypatch, n, p, beta):
+    calls = {"solve": 0, "conjugate": 0}
+    true_solver, true_conjugate = iw._subgroup_solver, iw._conjugate
+
+    def counting_solver(n, p):
+        y_basis, lower_pos, solve = true_solver(n, p)
+
+        def counted(target):
+            calls["solve"] += 1
+            return solve(target)
+
+        return y_basis, lower_pos, counted
+
+    def counting_conjugate(h, n, modulus):
+        # the solver's own conjugations run mod p and are not counted
+        calls["conjugate"] += modulus == p ** (beta + 1)
+        return true_conjugate(h, n, modulus)
+
+    monkeypatch.setattr(iw, "_subgroup_solver", counting_solver)
+    monkeypatch.setattr(iw, "_conjugate", counting_conjugate)
+    assert iw.double_coset_singleton(n, p, beta)["passed"]
+    assert calls == {"solve": n * (2 * n - 1), "conjugate": n * (2 * n - 1)}
+
+
+@pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])
+def test_wrong_solution_for_the_slowest_digit_is_caught_after_a_carry(monkeypatch, enumerate_):
+    # the unit target of the first (slowest) digit is first reached at
+    # 3^5 = 243, after the faster digits have all wrapped
+    true_solver = iw._subgroup_solver
+
+    def tampered_solver(n, p):
+        y_basis, lower_pos, solve = true_solver(n, p)
+
+        def wrong(target):
+            sol = solve(target)
+            if target == [1, 0, 0, 0, 0, 0]:
+                sol[0] = (sol[0] + 1) % p
+            return sol
+
+        return y_basis, lower_pos, wrong
+
+    monkeypatch.setattr(iw, "_subgroup_solver", tampered_solver)
+    rep = enumerate_(2, 3, 1)
+    assert rep["passed"] is False
+    assert rep["checked"] == 243
+    assert rep["detail"] == "residual factor left the depth-(beta+1) Iwahori"
+
+
+@pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])
+def test_wrong_conjugate_is_caught(monkeypatch, enumerate_):
+    # a conjugation mod p^(beta+1) off by one below the diagonal for every
+    # h but the identity; the solver's conjugations mod p are left alone
+    true_conjugate = iw._conjugate
+
+    def tampered(h, n, modulus):
+        conj = true_conjugate(h, n, modulus)
+        identity = [[int(i == j) for j in range(len(h))] for i in range(len(h))]
+        if modulus == 3 ** 2 and h != identity:
+            conj[1][0] += 1
+        return conj
+
+    monkeypatch.setattr(iw, "_conjugate", tampered)
+    rep = enumerate_(2, 3, 1)
+    assert rep["passed"] is False
+    assert rep["checked"] == 1
+    assert rep["detail"] == "witness conjugate left the depth-beta Iwahori"
+
+
 def test_double_coset_wrong_solution_is_caught(monkeypatch):
     # one representative gets a subgroup part off by one coordinate: its
     # residual factor must leave the depth-(beta+1) Iwahori
