@@ -1,7 +1,8 @@
 """padicdesk: exact p-adic desk calculator.
 
 Modules:
-  rationals   -- p-adic valuations and unit parts of rationals
+  rationals   -- p-adic valuations and unit parts; the one coercion, lowest-terms
+                 form and derived operators of the rings over Q
   cyclotomic  -- exact cyclotomic field arithmetic
   artinian    -- truncated nilpotent coefficient rings
   matrices    -- exact matrices and determinants over any ring, permutation

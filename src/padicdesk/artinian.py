@@ -1,11 +1,13 @@
 """Truncated Artinian coefficient rings Q[T_1..T_a]/(T_i^2).
 
-An element is stored as integer numerators over one common denominator.
+An element is stored in the form `rationals.lowest_terms` gives every exact
+ring: integer numerators over one positive denominator, gcd(den, *nums) = 1.
 `nums` maps square-free monomials to nonzero ints; a monomial is a bitmask
-with bit i standing for T_(i+1), and 0 is the constant term.  `den` is a
-positive int, and gcd(den, *nums) = 1.  This form is canonical, so `==`
-and `hash` compare it directly.  The product of two monomials is their
-bitwise or, and it vanishes (T_i^2 = 0) when they share a bit.
+with bit i standing for T_(i+1), and 0 is the constant term.  This form is
+canonical, so `==` compares it directly; a constant hashes like its
+Fraction, which it equals.  The product of two monomials is their bitwise
+or, and it vanishes (T_i^2 = 0) when they share a bit.  The operators
+derived from +, -x, * and `inverse` come from `rationals.RingOps`.
 
 The interface speaks in frozensets of generator indices and `Fraction`
 coefficients: the constructor takes {frozenset: coeff}, and `terms` is a
@@ -18,14 +20,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
+from .rationals import RingOps, lowest_terms, ratio
+
 _ZERO = Fraction(0)
-
-
-def _ratio(x) -> tuple:
-    """(numerator, denominator) of a rational scalar."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.numerator, x.denominator
 
 
 def _mask(mono) -> int:
@@ -39,26 +36,17 @@ def _indices(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _lowest_terms(nums: dict, den: int) -> tuple:
-    """nums / den with the zero numerators dropped and gcd(den, *nums) = 1."""
-    if 0 in nums.values():
-        nums = {m: c for m, c in nums.items() if c}
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {m: c // g for m, c in nums.items()}
-    return nums, den
-
-
 def _element(ngens: int, nums: dict, den: int) -> "ArtinianElement":
+    """nums / den with the zero numerators dropped, in lowest terms."""
     out = ArtinianElement.__new__(ArtinianElement)
     out.ngens = ngens
-    out.nums, out.den = _lowest_terms(nums, den)
+    if 0 in nums.values():
+        nums = {m: c for m, c in nums.items() if c}
+    out.nums, out.den = lowest_terms(nums, den)
     return out
 
 
-class ArtinianElement:
+class ArtinianElement(RingOps):
     """Element of Q[T_1..T_a]/(T_i^2)."""
 
     __slots__ = ("ngens", "nums", "den")
@@ -73,8 +61,8 @@ class ArtinianElement:
             coeffs[m] = coeffs.get(m, _ZERO) + Fraction(c)
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.ngens = ngens
-        self.nums, self.den = _lowest_terms(
-            {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}, den)
+        self.nums, self.den = lowest_terms(
+            {m: c.numerator * (den // c.denominator) for m, c in coeffs.items() if c}, den)
 
     @property
     def terms(self) -> MappingProxyType:
@@ -92,9 +80,9 @@ class ArtinianElement:
     def gen(cls, ngens: int, i: int) -> "ArtinianElement":
         return cls(ngens, {frozenset([i]): 1})
 
-    def _check(self, other) -> "ArtinianElement":
+    def _coerce(self, other) -> "ArtinianElement":
         if not isinstance(other, ArtinianElement):
-            num, den = _ratio(other)
+            num, den = ratio(other)
             return _element(self.ngens, {0: num}, den)
         if other.ngens != self.ngens:
             raise ValueError("mixed Artinian rings")
@@ -103,7 +91,7 @@ class ArtinianElement:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._check(other)
+        other = self._coerce(other)
         d1, d2 = self.den, other.den
         if d1 == d2:
             out = dict(self.nums)
@@ -117,23 +105,15 @@ class ArtinianElement:
             out[m] = out.get(m, 0) + c * f2
         return _element(self.ngens, out, d1 * f1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _element(self.ngens, {m: -c for m, c in self.nums.items()}, self.den)
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, ArtinianElement):
-            num, den = _ratio(other)
+            num, den = ratio(other)
             return _element(self.ngens, {m: c * num for m, c in self.nums.items()},
                             self.den * den)
-        other = self._check(other)
+        other = self._coerce(other)
         out = {}
         for m1, c1 in self.nums.items():
             for m2, c2 in other.nums.items():
@@ -142,25 +122,17 @@ class ArtinianElement:
                     out[m] = out.get(m, 0) + c1 * c2
         return _element(self.ngens, out, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ArtinianElement.constant(self.ngens, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         try:
-            other = self._check(other)
+            other = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ngens, self.den, frozenset(self.nums.items())))
+        if self.nums.keys() <= {0}:
+            return hash(self.constant_term())
+        return hash((self.den, frozenset(self.nums.items())))
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -187,12 +159,6 @@ class ArtinianElement:
                 break
             out = out + power
         return out * c_inv
-
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def coefficient(self, mono) -> Fraction:
         mono = frozenset(mono)

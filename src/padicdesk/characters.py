@@ -68,16 +68,15 @@ def _dlog_table(p: int, c: int) -> dict:
 
 
 class PCharacter:
-    """Finite-order character of Z_p^*, with an optional value at p.
+    """Finite-order character of Z_p^* with exact conductor p^c.
 
-    The unit part has exact conductor p^c; the optional ``at_p`` extends it
-    to a smooth character of Q_p^* (used by epsilon factors), and may carry
-    half-integral p-powers or formal Satake symbols.
+    A value at p, which makes it a character of Q_p^*, is carried by
+    `interp.SmoothCharacter`.
     """
 
-    __slots__ = ("p", "conductor_exp", "log", "at_p")
+    __slots__ = ("p", "conductor_exp", "log")
 
-    def __init__(self, p: int, conductor_exp: int, log: int, at_p=None):
+    def __init__(self, p: int, conductor_exp: int, log: int):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if conductor_exp < 0:
@@ -94,7 +93,6 @@ class PCharacter:
         self.p = p
         self.conductor_exp = c if k else 0
         self.log = k
-        self.at_p = at_p
 
     # -- constructors -------------------------------------------------
 
@@ -103,9 +101,9 @@ class PCharacter:
         return cls(p, 0, 0)
 
     @classmethod
-    def from_log(cls, p: int, c: int, k: int, at_p=None) -> "PCharacter":
+    def from_log(cls, p: int, c: int, k: int) -> "PCharacter":
         """chi(g^t) = zeta_phi(p^c)^(k t) for the canonical generator g of (Z/p^c)^*."""
-        return cls(p, c, k, at_p)
+        return cls(p, c, k)
 
     @classmethod
     def all_characters(cls, p: int, c: int):
@@ -208,8 +206,9 @@ def gauss_sum(chi: PCharacter, h: int | None = None) -> CyclotomicElement:
     return _gauss_sum(chi.p, c, chi.log, h)
 
 
-# CyclotomicElement is immutable (a tuple of coefficients, and nothing
-# assigns to .m or .coeffs after __init__), so callers may share a cached sum
+# CyclotomicElement is immutable (a tuple of int numerators over one
+# denominator, and nothing assigns to .m, .nums or .den once it is built),
+# so callers may share a cached sum
 @lru_cache(maxsize=None)
 def _gauss_sum(p: int, c: int, log: int, h: int) -> CyclotomicElement:
     """gauss_sum of the character (p, c, log) at depth h; every depth is summed

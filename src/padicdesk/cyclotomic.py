@@ -1,25 +1,34 @@
 """Exact cyclotomic field arithmetic.
 
-Elements of Q(zeta_m) are stored as rational coefficient vectors of length
-deg Phi_m, i.e. residues mod the m-th cyclotomic polynomial.  The root
-zeta_m is the class of X; compatibility between orders follows the fixed
-convention zeta_k = zeta_m^(m/k) whenever k | m.
+An element of Q(zeta_m) is a residue mod the m-th cyclotomic polynomial,
+stored in the form `rationals.lowest_terms` gives every exact ring: the
+field order m, a tuple `nums` of deg Phi_m int numerators on the power
+basis and one positive denominator `den`, with gcd(den, *nums) = 1.  The
+form is canonical, so `==` compares it directly once both sides are in one
+field, and `coeffs` is a read-only Fraction view.  The root zeta_m is the
+class of X; compatibility between orders follows the fixed convention
+zeta_k = zeta_m^(m/k) whenever k | m.  `hash` is the hash of the
+normalized trace Tr/[K:Q]: it is the same in every field that holds the
+element, and it is the element itself when that is rational.
 
 Phi_m comes from the Moebius product of the x^d - 1 in integer arithmetic
 (Washington, GTM 83, on the power basis).  The table of x^k mod Phi_m
 holds sparse integer rows {i: c}, a few nonzeros each, so reductions,
-embeddings and the Gauss-sum power sums (Cohen, GTM 138) add up only
-those nonzeros and keep integral sums as ints; every stored coefficient
-is still a Fraction.  A product with a rational scalar (an int, a Fraction
-or an element of Q(zeta_1)) scales the coefficients and skips the
-deg x deg product.
+embeddings, products and the Gauss-sum power sums (Cohen, GTM 138) add up
+only those nonzeros, in ints.  A product with a rational scalar (an int, a
+Fraction or an element of Q(zeta_1)) scales the numerators and skips the
+deg x deg product.  The operators derived from +, -x, * and `inverse` come
+from `rationals.RingOps`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+
+from . import work
+from .rationals import RingOps, integer, lowest_terms, ratio
 
 
 def _poly_divmod(num, den):
@@ -102,9 +111,9 @@ def _reduction_table(m: int):
 
 def _reduce(m: int, terms) -> list:
     """Coefficients of sum c * zeta_m^k over the (k, c) pairs, summed over the
-    nonzeros of each table row; ints stay ints."""
+    nonzeros of each table row."""
     table = _reduction_table(m)
-    out = [0] * (len(cyclotomic_polynomial(m)) - 1)
+    out = [0] * _degree(m)
     for k, c in terms:
         if c:
             for i, r in table[k % m].items():
@@ -112,25 +121,51 @@ def _reduce(m: int, terms) -> list:
     return out
 
 
-class CyclotomicElement:
+def _degree(m: int) -> int:
+    return len(cyclotomic_polynomial(m)) - 1
+
+
+@lru_cache(maxsize=None)
+def _traces(m: int) -> tuple:
+    """Tr(zeta_m^k) for k < deg Phi_m: the Ramanujan sums, d mu(m/d) summed over d | (m, k)."""
+    return tuple(sum(d * _mobius(m // d) for d in divisors(gcd(m, k)))
+                 for k in range(_degree(m)))
+
+
+def _element(m: int, nums, den: int) -> "CyclotomicElement":
+    """sum of nums[k] / den * zeta_m^k, for deg Phi_m ints nums, in lowest terms."""
+    out = CyclotomicElement.__new__(CyclotomicElement)
+    out.m = m
+    out.nums, out.den = lowest_terms(tuple(nums), den)
+    return out
+
+
+class CyclotomicElement(RingOps):
     """Residue mod Phi_m with rational coefficients; zeta_m is the class of X."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "nums", "den")
 
     def __init__(self, m: int, coeffs):
-        deg = len(cyclotomic_polynomial(m)) - 1
-        if len(coeffs) > deg:
-            coeffs = _reduce(m, enumerate(coeffs))
-        cs = [Fraction(c) for c in coeffs]
-        cs += [Fraction(0)] * (deg - len(cs))
+        """sum of coeffs[k] zeta_m^k; a list longer than deg Phi_m is reduced."""
+        pairs = [ratio(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        nums = [n * (den // d) for n, d in pairs]
+        deg = _degree(m)
+        if len(nums) > deg:
+            nums = _reduce(m, enumerate(nums))
         self.m = m
-        self.coeffs = tuple(cs)
+        self.nums, self.den = lowest_terms(tuple(nums) + (0,) * (deg - len(nums)), den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """Read-only tuple of the power-basis coefficients, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, x, m: int = 1) -> "CyclotomicElement":
-        return cls(m, [Fraction(x)])
+        return cls(m, [x])
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicElement":
@@ -139,9 +174,13 @@ class CyclotomicElement:
 
     # -- ring structure -----------------------------------------------
 
+    def _coerce(self, other) -> "CyclotomicElement":
+        if isinstance(other, CyclotomicElement):
+            return other
+        return CyclotomicElement.from_rational(other, self.m)
+
     def _pair(self, other):
-        if not isinstance(other, CyclotomicElement):
-            other = CyclotomicElement.from_rational(other, self.m)
+        other = self._coerce(other)
         if self.m == other.m:
             return self, other
         m = lcm(self.m, other.m)
@@ -154,110 +193,78 @@ class CyclotomicElement:
         if m % self.m != 0:
             raise ValueError(f"no embedding Q(zeta_{self.m}) -> Q(zeta_{m})")
         step = m // self.m
-        return CyclotomicElement(m, _reduce(m, ((k * step, c) for k, c in enumerate(self.coeffs))))
+        image = CyclotomicElement(m, _reduce(m, ((k * step, c) for k, c in enumerate(self.nums))))
+        return image._scale(1, self.den)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return CyclotomicElement(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
+        g = gcd(a.den, b.den)
+        f1, f2 = b.den // g, a.den // g
+        return _element(a.m, [x * f1 + y * f2 for x, y in zip(a.nums, b.nums)], a.den * f1)
 
     def __neg__(self):
-        return CyclotomicElement(self.m, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CyclotomicElement)
-                       else CyclotomicElement.from_rational(-Fraction(other), self.m))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return _element(self.m, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         # a rational factor (an int, a Fraction or an element of Q(zeta_1))
-        # scales the other side's coefficients; the result lives where the
+        # scales the other side's numerators; the result lives where the
         # general product would put it
         if not isinstance(other, CyclotomicElement):
-            return self._scale(Fraction(other))
+            return self._scale(*ratio(other))
         if other.m == 1:
-            return self._scale(other.coeffs[0])
+            return self._scale(other.nums[0], other.den)
         if self.m == 1:
-            return other._scale(self.coeffs[0])
+            return other._scale(self.nums[0], self.den)
         a, b = self._pair(other)
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        prod = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.nums):
                     if y:
                         prod[i + j] += x * y
-        return CyclotomicElement(a.m, prod)
+        return _element(a.m, _reduce(a.m, enumerate(prod)), a.den * b.den)
 
-    __rmul__ = __mul__
-
-    def _scale(self, c: Fraction) -> "CyclotomicElement":
-        if c == 1:
+    def _scale(self, num: int, den: int) -> "CyclotomicElement":
+        """self * num / den, for ints num and den != 0."""
+        if num == den == 1:
             return self
-        return CyclotomicElement(self.m, [c * x if x else x for x in self.coeffs])
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CyclotomicElement.from_rational(1, self.m)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _element(self.m, [c * num for c in self.nums], self.den * den)
 
     def inverse(self) -> "CyclotomicElement":
         """Inverse via extended Euclid against Phi_m (monomials short-circuit)."""
         mono = self.as_monomial()
         if mono is not None:
             k, c = mono
-            if c == 0:
-                raise ZeroDivisionError("0 is not invertible")
-            return CyclotomicElement.zeta(self.m, (-k) % self.m) * (1 / c)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        a = list(self.coeffs)
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
+            return CyclotomicElement.zeta(self.m, -k)._scale(c.denominator, c.numerator)
+        if self.is_zero():
             raise ZeroDivisionError("0 is not invertible")
-        # extended gcd of a and phi in Q[x]
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0, t1 = [Fraction(1)], [Fraction(0)]
-        while r1:
+        a = [Fraction(c) for c in self.nums]
+        while not a[-1]:
+            a.pop()
+        # extended Euclid in Q[x] keeps s1 a = r1 mod Phi_m; Phi_m is
+        # irreducible, so the remainders end in a nonzero constant
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.m)], a
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        if len(r0) != 1:
-            raise ZeroDivisionError("element not invertible mod Phi_m")
-        inv = [c / r0[0] for c in s0]
-        return CyclotomicElement(self.m, inv)
-
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return CyclotomicElement.from_rational(other, self.m) / self
+            s0, s1 = s1, _poly_submul(s0, q, s1)
+        # self = a / den, so its inverse is den s1 / r1
+        scale = self.den / r1[0]
+        return CyclotomicElement(self.m, [c * scale for c in s1])
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicElement.from_rational(other, self.m)
-        if not isinstance(other, CyclotomicElement):
+        if not isinstance(other, (int, Fraction, CyclotomicElement)):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
+        trace = sum(c * t for c, t in zip(self.nums, _traces(self.m)))
+        return hash(Fraction(trace, self.den * len(self.nums)))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def as_monomial(self):
         """(k, c) if the element is c * zeta^k in reduced form, else None.
@@ -265,13 +272,10 @@ class CyclotomicElement:
         Only detects single-term reduced representations, which covers the
         character tables used for Gauss sums.
         """
-        found = None
-        for k, c in enumerate(self.coeffs):
-            if c:
-                if found is not None:
-                    return None
-                found = (k, c)
-        return found
+        support = [k for k, c in enumerate(self.nums) if c]
+        if len(support) != 1:
+            return None
+        return support[0], Fraction(self.nums[support[0]], self.den)
 
     def __repr__(self):
         terms = []
@@ -291,27 +295,19 @@ class CyclotomicElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicElement":
-        return cls(data["m"], [Fraction(c) for c in data["coeffs"]])
+        m = integer(data["m"], '"m"')
+        work.charge("cyclotomic.from_json", m, "reduction-table rows")
+        return cls(m, data["coeffs"])
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def _poly_submul(a, q, b):
+    """a - q b on coefficient lists (lowest degree first), trailing zeros dropped."""
+    out = list(a) + [Fraction(0)] * (len(q) + len(b) - 1 - len(a))
+    for i, x in enumerate(q):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
+                out[i + j] -= x * y
+    while out and not out[-1]:
         out.pop()
     return out
 
@@ -320,10 +316,10 @@ def zeta_power_sum(m: int, weights: dict) -> CyclotomicElement:
     """Sum of c * zeta_m^k over (k -> c) in one reduction pass.
 
     Fast path for Gauss sums and Fourier expansions, where every summand is
-    a root of unity times a rational; integral weights are summed as ints.
+    a root of unity times a rational; the weights are summed as int
+    numerators over their common denominator.
     """
-    terms = []
-    for k, c in weights.items():
-        c = Fraction(c)
-        terms.append((k, c.numerator if c.denominator == 1 else c))
-    return CyclotomicElement(m, _reduce(m, terms))
+    pairs = {k: ratio(c) for k, c in weights.items()}
+    den = lcm(*(d for _, d in pairs.values()))
+    image = CyclotomicElement(m, _reduce(m, ((k, n * (den // d)) for k, (n, d) in pairs.items())))
+    return image._scale(1, den)

@@ -16,17 +16,18 @@ from fractions import Fraction
 
 from .characters import PCharacter, gauss_sum
 from .cyclotomic import CyclotomicElement
+from .rationals import RingOps
 
 
-class HalfPowerValue:
-    """coeff * p^(half_exp / 2) * (monomial in formal Satake symbols)."""
+class HalfPowerValue(RingOps):
+    """coeff * p^(half_exp / 2) * (monomial in formal Satake symbols); sums need like terms."""
 
     __slots__ = ("p", "coeff", "half_exp", "theta")
 
     def __init__(self, p: int, coeff=1, half_exp: int = 0, theta=None):
         self.p = p
         if not isinstance(coeff, CyclotomicElement):
-            coeff = CyclotomicElement.from_rational(Fraction(coeff))
+            coeff = CyclotomicElement.from_rational(coeff)
         self.coeff = coeff
         self.half_exp = int(half_exp)
         th = {}
@@ -50,7 +51,7 @@ class HalfPowerValue:
     def symbol(cls, p: int, tau: int, i: int, e: int = 1) -> "HalfPowerValue":
         return cls(p, 1, 0, {(tau, i): e})
 
-    def _check(self, other) -> "HalfPowerValue":
+    def _coerce(self, other) -> "HalfPowerValue":
         if not isinstance(other, HalfPowerValue):
             return HalfPowerValue(self.p, other)
         if other.p != self.p:
@@ -58,32 +59,19 @@ class HalfPowerValue:
         return other
 
     def __mul__(self, other):
-        other = self._check(other)
+        other = self._coerce(other)
         th = dict(self.theta)
         for k, e in other.theta:
             th[k] = th.get(k, 0) + e
         return HalfPowerValue(self.p, self.coeff * other.coeff,
                               self.half_exp + other.half_exp, th)
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "HalfPowerValue":
         return HalfPowerValue(self.p, self.coeff.inverse(), -self.half_exp,
                               {k: -e for k, e in self.theta})
 
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = HalfPowerValue.one(self.p)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __add__(self, other):
-        other = self._check(other)
+        other = self._coerce(other)
         if self.coeff.is_zero():
             return other
         if other.coeff.is_zero():
@@ -98,7 +86,7 @@ class HalfPowerValue:
 
     def __eq__(self, other):
         try:
-            other = self._check(other)
+            other = self._coerce(other)
         except ValueError:
             return NotImplemented
         if self.theta != other.theta:

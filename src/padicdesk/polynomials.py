@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .matrices import row_reduce
+from .rationals import RingOps
 
 
 def _mono_mul(m1, m2):
@@ -22,7 +23,7 @@ def _mono_mul(m1, m2):
     return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
-class Poly:
+class Poly(RingOps):
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
@@ -44,9 +45,14 @@ class Poly:
     def variable(cls, v: int) -> "Poly":
         return cls({((v, 1),): Fraction(1)})
 
+    def _coerce(self, other) -> "Poly":
+        return other if isinstance(other, Poly) else Poly.constant(other)
+
+    def inverse(self):
+        raise ValueError("negative power or quotient of a polynomial")
+
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
+        other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
@@ -56,20 +62,10 @@ class Poly:
         p.terms = out
         return p
 
-    __radd__ = __add__
-
     def __neg__(self):
         p = Poly.__new__(Poly)
         p.terms = {m: -c for m, c in self.terms.items()}
         return p
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -90,24 +86,8 @@ class Poly:
         p.terms = out
         return p
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return self.terms == Poly.constant(other).terms
-        return self.terms == other.terms
+        return self.terms == self._coerce(other).terms
 
     def diff(self, var: int) -> "Poly":
         out = {}

@@ -1,14 +1,17 @@
-"""Exact rational scalars with p-adic valuation.
+"""Exact rational scalars with p-adic valuation, and the coercion rules of the rings over Q.
 
 Everything in this package is computed over Q (or cyclotomic extensions);
 the prime p is a per-computation parameter, default 3.  Valuations are
-integers, with a +infinity sentinel for zero.
+integers, with a +infinity sentinel for zero.  The rings over Q store int
+numerators over one positive denominator, made by `ratio` and
+`lowest_terms`, and derive their operators from `RingOps`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 INF = float("inf")  # valuation of 0
 
@@ -24,6 +27,73 @@ def integer(x, name: str) -> int:
     if i is None or i != x:
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return i
+
+
+def ratio(x) -> tuple:
+    """(numerator, denominator) of a rational scalar: an int, a Fraction or what Fraction reads."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def lowest_terms(nums, den: int) -> tuple:
+    """nums / den with gcd(den, *nums) = 1 and den > 0.
+
+    nums is a tuple of ints or a dict with int values, and comes back as the
+    same kind; all-zero numerators come back over 1.
+    """
+    if den == 1:
+        return nums, den
+    g = gcd(den, *(nums.values() if isinstance(nums, dict) else nums))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    if isinstance(nums, dict):
+        return {k: c // g for k, c in nums.items()}, den // g
+    return tuple(c // g for c in nums), den // g
+
+
+class RingOps:
+    """The operators a ring derives from its own.
+
+    A subclass defines `__add__`, `__neg__`, `__mul__`, `_coerce` (a scalar
+    into the ring) and, for division and negative powers, `inverse`.  A
+    reflected operator has a scalar on its left, which every element commutes with.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k: int):
+        """Square and multiply; a negative k raises the inverse, and k = 0 gives 1."""
+        if k < 0:
+            return self.inverse() ** (-k)
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return self._coerce(1) if out is None else out
 
 
 @lru_cache(maxsize=None)
@@ -42,9 +112,7 @@ def valuation(x, p: int = DEFAULT_PRIME):
     """p-adic valuation of a rational: v_p(u * p^k) = k, v_p(0) = +inf."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    num, den = x.numerator, x.denominator
+    num, den = ratio(x)
     if num == 0:
         return INF
     v = 0

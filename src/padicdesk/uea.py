@@ -20,6 +20,7 @@ from .artinian import ArtinianElement
 from .glrep import GLBlockModel
 from .matrices import ExactMatrix, cycles, perm_sign
 from .polynomials import image_kernel
+from .rationals import RingOps
 
 
 def _gen_key(g):
@@ -42,7 +43,7 @@ def bracket(g1, g2):
     return out
 
 
-class UEAElement:
+class UEAElement(RingOps):
     """Formal sum of words in the generators with rational coefficients."""
 
     __slots__ = ("terms",)
@@ -76,11 +77,11 @@ class UEAElement:
         e.terms = out
         return e
 
+    def _coerce(self, other) -> "UEAElement":
+        return other if isinstance(other, UEAElement) else UEAElement({(): other})
+
     def __neg__(self):
         return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c) -> "UEAElement":
         c = Fraction(c)
@@ -97,14 +98,6 @@ class UEAElement:
                 w = w1 + w2
                 out[w] = out.get(w, Fraction(0)) + c1 * c2
         return UEAElement(out)
-
-    __rmul__ = scale
-
-    def __pow__(self, k: int):
-        out = UEAElement.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms

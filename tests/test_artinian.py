@@ -103,3 +103,11 @@ def test_equal_elements_share_one_canonical_form():
     assert (zero.nums, zero.den) == ({}, 1)
     assert zero == ArtinianElement(2, {}) == 0
     assert hash(zero) == hash(ArtinianElement(2, {(0,): Fraction(1, 5), (0, 1): 0}) * 0)
+
+
+def test_constants_hash_like_their_rationals():
+    for c in (3, Fraction(-5, 6), 0):
+        x = ArtinianElement.constant(2, c)
+        assert x == c and hash(x) == hash(c) and len({x, c}) == 1
+    T0 = ArtinianElement.gen(2, 0)
+    assert (T0 + 3) - T0 == 3 and hash((T0 + 3) - T0) == hash(3)

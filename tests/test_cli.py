@@ -160,8 +160,9 @@ def test_interp_factor_short_list(short, capsys, tmp_path):
 @pytest.mark.parametrize("change, message", [
     ({"at_p": float("inf")}, "cannot convert Infinity to integer ratio"),
     ({"at_p": 0}, '"at_p" must be nonzero'),
+    ({"at_p": {"m": 2.5, "coeffs": ["1"]}}, '"m" must be an integer, got 2.5'),
     ({"theta_values": {"0,2": 0}}, 'theta value "0,2" must be nonzero'),
-], ids=["infinite-at-p", "zero-at-p", "zero-theta"])
+], ids=["infinite-at-p", "zero-at-p", "fractional-at-p-field", "zero-theta"])
 def test_interp_factor_bad_value_is_malformed(change, message, capsys, tmp_path):
     cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
            "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}
@@ -219,6 +220,23 @@ def test_interp_factor_gauss_sum_over_budget_exits_2(p, conductor_exp, message, 
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stderr == ""
     assert json.loads(proc.stdout) == {"error": "budget exceeded", "message": message}
+
+
+def test_interp_factor_cyclotomic_at_p_field_over_budget_exits_2(tmp_path):
+    # Phi_m and its m-row reduction table are charged before they are built
+    cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
+           "characters": [{"conductor_exp": 1, "log": 1,
+                           "at_p": {"m": 100000007, "coeffs": ["1/1"]}}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "--budget", "1000", "interp",
+                           "factor", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": "budget exceeded",
+        "message": "cyclotomic.from_json needs 100000007 reduction-table rows > budget 1000"
+                   " (99999007 over)"}
 
 
 def test_interp_factor_pinned_configs_fit_a_small_budget(capsys, tmp_path):
@@ -346,6 +364,16 @@ def test_suite_reports_pinned(suite, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (7, "24dc05c9119254ea2ae9f9f618c87ca7c3ce96791b5c6205c443ae7192db51be"),
+    (13, "519c745eff25c23f9a1147933e4a4a19650ccd6ab0c97bb8bbdb81235c1ab4f9"),
+], ids=["seed7", "seed13"])
+def test_verify_all_reports_pinned(seed, digest, capsys):
+    assert main(["--seed", str(seed), "verify", "--suite", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_parser_is_built_once():
     from padicdesk.cli import build_parser
 
@@ -460,7 +488,12 @@ def test_branch_reports_pinned_with_shared_block_models(reverse, capsys):
     ({"p": 13, "n": 2, "d": 1, "e": [2],
       "characters": [{"conductor_exp": 2, "log": 134, "at_p": "2"}]},
      "26a69daefe2647e2200ddb4f48d49ddcbccaa700a6b1ba88e2dd8f0c47c22dbe"),
-], ids=["m2028", "m1014"])
+    # field order 2028 = lcm(1014, 4), with at_p = 1/2 - 3 zeta_4 read by from_json
+    ({"p": 13, "n": 2, "d": 1, "e": [2],
+      "characters": [{"conductor_exp": 2, "log": 134,
+                      "at_p": {"m": 4, "coeffs": ["1/2", "-3"]}}]},
+     "3d6d7ba33a0732dd32af6ef9ea235510e2df19f373e901b7a8f42710ac7673e8"),
+], ids=["m2028", "m1014", "m2028-cyclotomic-at-p"])
 def test_interp_factor_large_field_pinned(config, digest, capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -97,3 +98,80 @@ def test_rational_scalar_product_matches_general_product(m):
         one = CyclotomicElement.from_rational(Fraction(2, 3))
         assert (one * one).m == 1 and (one * one).coeffs == _general_product(one, one).coeffs
         assert x * 1 is x and CyclotomicElement.from_rational(1) * x is x
+
+
+def _sparse_element(rnd, m):
+    """Up to three terms of degree below 8 over the denominator 2.  Extended
+    Euclid, ours and sympy's, takes tens of seconds per inverse on a random
+    dense element of a large field, or on a sparse one with mixed denominators."""
+    low = min(8, len(cyclotomic_polynomial(m)) - 1)
+    coeffs = [0] * low
+    for k in rnd.sample(range(low), min(3, low)):
+        coeffs[k] = Fraction(rnd.choice([-1, 1]) * rnd.randrange(1, 10), 2)
+    return CyclotomicElement(m, coeffs)
+
+
+def _sympy_poly(x, m):
+    """x in Q[X] with zeta_(x.m) sent to X^(m / x.m), as a sympy Poly over QQ."""
+    step = m // x.m
+    return sympy.Poly(sum((sympy.Rational(c.numerator, c.denominator) * X ** (k * step)
+                           for k, c in enumerate(x.coeffs)), sympy.Integer(0)), X, domain="QQ")
+
+
+def _residue(poly, m) -> list:
+    """poly mod Phi_m as Fractions, lowest degree first, padded to deg Phi_m."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain="QQ")
+    coeffs = [Fraction(int(c.numerator), int(c.denominator))
+              for c in reversed(poly.rem(phi).all_coeffs())]
+    return coeffs + [Fraction(0)] * (phi.degree() - len(coeffs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 12, 20, 294, 1014])
+def test_field_operations_match_sympy_rem_and_invert(m):
+    rnd = random.Random(m)
+    phi = sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain="QQ")
+    sub = rnd.choice([d for d in range(1, m + 1) if m % d == 0 and d != m] or [1])
+    x, y = _sparse_element(rnd, m), _sparse_element(rnd, sub)  # y in a subfield
+    q = Fraction(-7, 3)
+    mono = CyclotomicElement.zeta(m) * q  # inverted without Euclid
+    px, py = _sympy_poly(x, m), _sympy_poly(y, m)
+    # y is inverted in its own field, then embedded by X -> X^(m / sub)
+    inv_x = px.invert(phi)
+    inv_y = _sympy_poly(y, sub).invert(sympy.Poly(sympy.cyclotomic_poly(sub, X), X, domain="QQ"))
+    inv_y = inv_y.compose(sympy.Poly(X ** (m // sub), X, domain="QQ"))
+    cases = {
+        "x + y": (x + y, px + py), "y + x": (y + x, px + py), "x + q": (x + q, px + q),
+        "q + x": (q + x, px + q), "x - y": (x - y, px - py), "y - x": (y - x, py - px),
+        "q - x": (q - x, q - px), "-x": (-x, -px), "x * y": (x * y, px * py),
+        "y * x": (y * x, px * py), "q * x": (q * x, px * q), "x / y": (x / y, px * inv_y),
+        "y / x": (y / x, py * inv_x), "x / q": (x / q, px * (1 / q)),
+        "q / x": (q / x, inv_x * q), "x.inverse()": (x.inverse(), inv_x),
+        "x ** 0": (x ** 0, px ** 0), "x ** 1": (x ** 1, px), "x ** 5": (x ** 5, px ** 5),
+        "x ** -1": (x ** -1, inv_x), "x ** -2": (x ** -2, inv_x ** 2),
+        "mono.inverse()": (mono.inverse(), _sympy_poly(mono, m).invert(phi)),
+    }
+    for name, (got, poly) in cases.items():
+        assert got.m == m and list(got.coeffs) == _residue(poly, m), (m, name)
+        assert got.den > 0 and gcd(got.den, *got.nums) == 1, (m, name)  # the canonical form
+    for step in (2, 3):
+        image = x.embed(m * step)
+        assert list(image.coeffs) == _residue(_sympy_poly(x, m * step), m * step), (m, step)
+        # one element, two fields: equal both ways, and one hash
+        assert image == x and x == image and hash(image) == hash(x)
+        assert image != x + CyclotomicElement.zeta(m * step) and x != x + 1
+    assert y.embed(m) == y and hash(y.embed(m)) == hash(y)
+
+
+def test_hash_agrees_with_equality_across_fields():
+    one, also_one = CyclotomicElement.from_rational(1, 1), CyclotomicElement.from_rational(1, 4)
+    assert one == also_one and len({one, also_one}) == 1
+    z3 = CyclotomicElement.zeta(3)
+    assert z3 == z3.embed(6) and len({z3, z3.embed(6), z3.embed(12)}) == 1
+    # a rational element equals its int or Fraction, so it hashes like it
+    for q, m in ((3, 1), (3, 12), (Fraction(-2, 7), 20), (0, 5)):
+        x = CyclotomicElement.from_rational(q, m)
+        assert x == q and hash(x) == hash(q) and len({x, q}) == 1
+    # the same holds for a rational reached by arithmetic
+    z5 = CyclotomicElement.zeta(5)
+    total = z5 + z5 ** 2 + z5 ** 3 + z5 ** 4
+    assert total == -1 and hash(total) == hash(-1)
