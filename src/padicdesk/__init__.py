@@ -6,8 +6,9 @@ Modules:
   cyclotomic  -- exact cyclotomic field arithmetic
   artinian    -- truncated nilpotent coefficient rings
   matrices    -- exact matrices and determinants over any ring, permutation
-                 signs and cycles, row reduction over Q and Z/m
-  polynomials -- fraction-free echelon, nullspace; `Poly`, kept as the test oracle
+                 signs and cycles, the fraction-free echelon over Q and row
+                 reduction over Z/m
+  polynomials -- nullspaces on the echelon; `Poly`, kept as the test oracle
   mahler      -- binomial calculus, unit boxes, root-of-unity expansions
   tate        -- nilpotent derivations on truncated Tate algebras
   glrep       -- GL weight combinatorics and irreducible function models

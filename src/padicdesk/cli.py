@@ -251,6 +251,9 @@ def _run_interp_factor(args) -> int:
         values = {}
         for key, val in (cfg.get("theta_values") or {}).items():
             tau, i = (int(x) for x in key.split(","))
+            if not (0 <= tau < d and 1 <= i <= n):
+                raise ValueError(f'theta value "{key}" is outside 0 <= tau < d = {d},'
+                                 f' 1 <= i <= n = {n}')
             theta = HalfPowerValue(p, Fraction(val))
             if theta.coeff.is_zero():
                 raise ValueError(f'theta value "{key}" must be nonzero')
@@ -384,6 +387,8 @@ def _bad_input(args) -> str | None:
         return f"--dmax {args.dmax} must be >= 3"
     if args.budget < 1:
         return f"--budget {args.budget} must be >= 1"
+    if getattr(args, "dim_cap", 1) < 1:
+        return f"--dim-cap {args.dim_cap} must be >= 1"
     return None
 
 

@@ -17,8 +17,9 @@ holds sparse integer rows {i: c}, a few nonzeros each, so reductions,
 embeddings, products and the Gauss-sum power sums (Cohen, GTM 138) add up
 only those nonzeros, in ints.  A product with a rational scalar (an int, a
 Fraction or an element of Q(zeta_1)) scales the numerators and skips the
-deg x deg product.  The operators derived from +, -x, * and `inverse` come
-from `rationals.RingOps`.
+deg x deg product.  `inverse` solves on the rows x * zeta^j in a
+`SparseEchelon` (Cohen, GTM 138, ch. 4), charged deg^2 entries first.  The
+operators derived from +, -x, * and `inverse` come from `rationals.RingOps`.
 """
 
 from __future__ import annotations
@@ -28,24 +29,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import work
+from .matrices import SparseEchelon
 from .rationals import RingOps, integer, lowest_terms, ratio
-
-
-def _poly_divmod(num, den):
-    """Divide coefficient lists (lowest degree first) over Q; den monic-leading."""
-    num = list(num)
-    out = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] / lead
-        out[shift] = c
-        if c:
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    rem = num[: len(den) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return out, rem
 
 
 def divisors(m: int):
@@ -231,27 +216,27 @@ class CyclotomicElement(RingOps):
         return _element(self.m, [c * num for c in self.nums], self.den * den)
 
     def inverse(self) -> "CyclotomicElement":
-        """Inverse via extended Euclid against Phi_m (monomials short-circuit)."""
+        """Inverse by a linear solve on the multiplication map (monomials short-circuit).
+
+        The rows self * zeta^j, j < deg Phi_m, are independent because Phi_m
+        is irreducible; the coordinates of 1 on them are the power-basis
+        coefficients of the inverse.  All of it runs on int numerators.
+        """
         mono = self.as_monomial()
         if mono is not None:
             k, c = mono
             return CyclotomicElement.zeta(self.m, -k)._scale(c.denominator, c.numerator)
         if self.is_zero():
             raise ZeroDivisionError("0 is not invertible")
-        a = [Fraction(c) for c in self.nums]
-        while not a[-1]:
-            a.pop()
-        # extended Euclid in Q[x] keeps s1 a = r1 mod Phi_m; Phi_m is
-        # irreducible, so the remainders end in a nonzero constant
-        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.m)], a
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_submul(s0, q, s1)
-        # self = a / den, so its inverse is den s1 / r1
-        scale = self.den / r1[0]
-        return CyclotomicElement(self.m, [c * scale for c in s1])
+        deg = len(self.nums)
+        work.charge("cyclotomic.inverse", deg * deg, "echelon entries")
+        ech = SparseEchelon()
+        for j in range(deg):
+            row = _reduce(self.m, ((k + j, c) for k, c in enumerate(self.nums)))
+            ech.add(dict(enumerate(row)), j)
+        coords, scale = ech.coordinates({0: 1})
+        # self = nums / den, so its inverse is den * sum of coords[j] / scale * zeta^j
+        return _element(self.m, [coords.get(j, 0) * self.den for j in range(deg)], scale)
 
     def __eq__(self, other):
         if not isinstance(other, (int, Fraction, CyclotomicElement)):
@@ -298,18 +283,6 @@ class CyclotomicElement(RingOps):
         m = integer(data["m"], '"m"')
         work.charge("cyclotomic.from_json", m, "reduction-table rows")
         return cls(m, data["coeffs"])
-
-
-def _poly_submul(a, q, b):
-    """a - q b on coefficient lists (lowest degree first), trailing zeros dropped."""
-    out = list(a) + [Fraction(0)] * (len(q) + len(b) - 1 - len(a))
-    for i, x in enumerate(q):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] -= x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def zeta_power_sum(m: int, weights: dict) -> CyclotomicElement:

@@ -34,8 +34,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
-from .matrices import ExactMatrix, perm_sign, rational_inverse
-from .polynomials import SparseEchelon
+from .matrices import ExactMatrix, SparseEchelon, perm_sign, rational_inverse
 from .rationals import integer
 
 
@@ -407,9 +406,8 @@ class _Closure:
 
     `packed` holds the basis as packed int-coefficient polynomials of field
     width `width`, each homogeneous of the seed's `degree`; it is the only
-    stored form of the basis.  Echelon rows carry the basis index idx as the
-    tag key ~idx < 0 next to the packed monomial keys >= 0, which is how
-    coordinates are read off a reduction.
+    stored form of the basis.  The echelon holds basis vector idx under tag
+    idx, so `echelon.coordinates` gives a packed polynomial's coordinates.
     """
 
     __slots__ = ("width", "degree", "packed", "weights", "echelon")
@@ -419,13 +417,6 @@ class _Closure:
         self.packed = tuple(packed)
         self.weights = tuple(weights)
         self.echelon = echelon
-
-    def coordinates(self, vec: dict, den: int = 1) -> dict:
-        """Coordinates {basis index: c} of the packed polynomial vec / den."""
-        residual, scale = self.echelon.reduce(vec)
-        if residual and max(residual) >= 0:
-            raise ValueError("polynomial not in the model span")
-        return {~k: Fraction(-c, scale * den) for k, c in sorted(residual.items(), reverse=True)}
 
 
 @lru_cache(maxsize=None)
@@ -452,12 +443,8 @@ def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
     packed, weights, ech = [], [], SparseEchelon()
 
     def insert(f: dict, wvec) -> bool:
-        vec = dict(f)
-        vec[~len(packed)] = 1
-        residual, _ = ech.reduce(vec)
-        if max(residual) < 0:
-            return False  # dependent: only the tag bookkeeping is left
-        ech.insert(residual)
+        if ech.add(f, len(packed)) is not None:
+            return False
         packed.append(f)
         weights.append(wvec)
         return True
@@ -520,7 +507,8 @@ class GLBlockModel:
         f = closure.packed[idx]
         for (a, b) in reversed(word):
             f = _polarize(self.m, a, b, f, closure.width)
-        return closure.coordinates(f)
+        coords, den = closure.echelon.coordinates(f)
+        return {k: Fraction(c, den) for k, c in coords.items()}
 
     def basis_group_action(self, h: ExactMatrix, idx: int) -> dict:
         """Coordinates {idx2: c} of (h . f)(g) = f(h^-1 g) for basis vector idx.
@@ -544,7 +532,9 @@ class GLBlockModel:
                     term = _packed_mul(term, forms[v])
             for k, t in term.items():
                 image[k] = image.get(k, 0) + t
-        return closure.coordinates(image, scale ** closure.degree)
+        coords, den = closure.echelon.coordinates(image)
+        den *= scale ** closure.degree
+        return {k: Fraction(c, den) for k, c in coords.items()}
 
     def basis_values(self, g: ExactMatrix, indices, with_twist: bool = True) -> dict:
         """{idx: value of basis vector idx at g}, with det(g) computed once.

@@ -25,6 +25,7 @@ from itertools import product as iproduct
 
 from .artinian import ArtinianElement
 from .matrices import ExactMatrix, cycles, rational_inverse, row_reduce
+from .polynomials import nullspace
 from .rationals import valuation
 
 
@@ -511,10 +512,10 @@ def orbit_stabilizer_gammahat(n: int) -> dict:
                           for c in range(m)] for r in range(m)])
         conj = (gh_inv * x * gh).rows
         rows.append([conj[r][c] for r in range(m) for c in range(r)])
-    rank = len(row_reduce(rows)[1])
     dim_h = 2 * n * n
     dim_b = n * (2 * n + 1)
-    dim_stab = dim_h - rank
+    # the combinations of the X whose conditions all vanish
+    dim_stab = len(nullspace(list(zip(*rows)), dim_h))
     return {"stabilizer_dim": dim_stab,
             "open": dim_h + dim_b - dim_stab == m * m,
             "ambient_dim": m * m}
@@ -549,33 +550,24 @@ def orbit_stabilizer_uv(n: int, distinguished: bool = True) -> dict:
     for (i, j) in hpairs:
         x = ExactMatrix([[Fraction(1) if (r, c) == (i, j) else Fraction(0)
                           for c in range(m)] for r in range(m)])
-        cond = []
-        xu = u_inv * x * u
-        # condition 1: strict lower part of the Levi-conjugate vanishes
-        for r in range(m):
-            for c in range(m):
-                if r > c:
-                    cond.append(xu.rows[r][c])
-        xv = v_inv * x * v
-        # condition 2: the sub-(1, n-1) parabolic condition in the lower factor
-        for r in range(n + 1, m):
-            cond.append(xv.rows[r][n])
-        rows.append([Fraction(val) for val in cond])
-    rank = len(row_reduce(rows)[1])
+        xu, xv = u_inv * x * u, v_inv * x * v
+        # the strict lower part of the Levi-conjugate vanishes, and so does the
+        # sub-(1, n-1) parabolic condition in the lower factor
+        rows.append([xu.rows[r][c] for r in range(m) for c in range(r)]
+                    + [xv.rows[r][n] for r in range(n + 1, m)])
     dim_h = len(hpairs)
-    dim_stab = dim_h - rank
+    dim_stab = len(nullspace(list(zip(*rows)), dim_h))
     if distinguished:
         dim_mg = 1 + (2 * n - 1) ** 2
         dim_borel = 1 + (2 * n - 1) * n  # upper triangular of diag(GL_1, GL_(2n-1))
         dim_mh = 1 + (n - 1) ** 2 + n * n
         dim_q = 1 + (n - 1) ** 2 + (1 + (n - 1) ** 2 + (n - 1))
-        expected_open = dim_h + (dim_borel + dim_q) - dim_stab == dim_mg + dim_mh
     else:
         dim_mg = (2 * n) ** 2
         dim_borel = n * (2 * n + 1)
         dim_mh = 2 * n * n
         dim_q = dim_mh
-        expected_open = dim_h + (dim_borel + dim_q) - dim_stab == dim_mg + dim_mh
+    expected_open = dim_h + (dim_borel + dim_q) - dim_stab == dim_mg + dim_mh
     return {"stabilizer_dim": dim_stab, "open": expected_open,
             "orbit_codim": dim_mg + dim_mh - (dim_h + dim_borel + dim_q - dim_stab)}
 

@@ -1,19 +1,22 @@
-"""Dense exact matrices over any commutative ring, and permutation helpers.
+"""Dense exact matrices over any commutative ring, exact elimination, and permutation helpers.
 
 Entries need only +, * and unary -: rationals, cyclotomic and Artinian
 elements and commuting enveloping-algebra elements all work.  Sizes in this
 package stay small (<= 6 for minors and group elements), so `ExactMatrix.det`
 is the Leibniz expansion (glrep runs the same sum on packed monomials);
 `perm_sign` and `cycles` are the one inversion count and the one cycle
-walk.  All exact elimination over Q or Z/m (inverses, nullspaces, ranks,
-solves) goes through `row_reduce`.
+walk.  The fraction-free `SparseEchelon` is the one elimination over Q (span
+closures, inverses, nullspaces, cyclotomic inverses); `row_reduce` is
+Gauss-Jordan over Z/m only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
+
+from .rationals import ratio
 
 
 def perm_sign(perm) -> int:
@@ -130,63 +133,150 @@ class ExactMatrix:
         return "ExactMatrix(" + ", ".join(str(r) for r in self.rows) + ")"
 
 
-def row_reduce(rows, modulus=None):
-    """Reduced row echelon form over Q, or over Z/modulus when one is given.
+class SparseEchelon:
+    """Incremental fraction-free reduced row echelon form over Z.
 
-    Each column takes as pivot its first nonzero entry (over Q) or first unit
-    (mod m) at or below the rows already pivoted; a column without one is
-    skipped.  Returns (reduced rows, pivot columns), pivot rows first.
+    Vectors are sparse {key: value} with int keys >= 0.  A vector stored
+    with `add` may have rational values; it is kept as an int row with its
+    tag t at the extra key ~t < 0, so every row is an integer combination of
+    the stored vectors: its keys >= 0 hold the combination and its tag keys
+    the coefficients.  A row has its content removed and a positive pivot,
+    its largest key, and no other row has an entry at that pivot.
+    Elimination scales the vector being reduced by an integer instead of
+    dividing by the pivot (Bareiss), so no fraction ever arises.
     """
-    if modulus is None:
-        mat = [[Fraction(x) for x in r] for r in rows]
-    else:
-        mat = [[int(x) % modulus for x in r] for r in rows]
+
+    def __init__(self):
+        self.rows = {}  # pivot key -> row {key: int}
+
+    def reduce(self, vec: dict):
+        """(residual, scale) with residual = scale * vec - (an integer combination of rows).
+
+        scale is a positive int and the residual has no entry at any pivot.
+        Because the rows are reduced, eliminating one pivot never brings in
+        another, so each pivot of vec is met once.
+        """
+        vec = {k: c for k, c in vec.items() if c}
+        scale = 1
+        for piv in [k for k in vec if k in self.rows]:
+            vec, r = _eliminate(vec, self.rows[piv], piv)
+            scale *= r
+        return vec, scale
+
+    def add(self, vec: dict, tag: int):
+        """Store a rational vec under a new tag if it is independent of the stored vectors.
+
+        Returns None when it is stored.  Otherwise returns the tag-only
+        residual {~t: c}, a relation: the sum of c times the vector tagged t
+        is 0, and c is positive at ~tag.
+        """
+        pairs = {k: ratio(x) for k, x in vec.items()}
+        den = lcm(*(d for _, d in pairs.values()))
+        ints = {k: n * (den // d) for k, (n, d) in pairs.items()}
+        ints[~tag] = den  # den * (vec + the tag), in ints
+        residual, _ = self.reduce(ints)
+        piv = max(residual)
+        if piv < 0:
+            return residual
+        g = gcd(*residual.values())
+        if residual[piv] < 0:
+            g = -g
+        row = {k: v // g for k, v in residual.items()}
+        for p, other in self.rows.items():
+            if other.get(piv):
+                self.rows[p] = _content_free(_eliminate(other, row, piv)[0])
+        self.rows[piv] = row
+        return None
+
+    def coordinates(self, vec: dict) -> tuple:
+        """(coords, den): the int vec is the sum of coords[t] / den times the vector tagged t.
+
+        den is a positive int, and the coordinates come in increasing tag
+        order.  Raises ValueError when vec is not in the span.
+        """
+        residual, scale = self.reduce(vec)
+        if residual and max(residual) >= 0:
+            raise ValueError("vector not in the span")
+        return {~k: -c for k, c in sorted(residual.items(), reverse=True)}, scale
+
+
+def _eliminate(vec: dict, row: dict, piv) -> tuple:
+    """(r * vec - c * row, r) for the least r > 0 and c that clear vec at piv.
+
+    row[piv] must be positive.
+    """
+    r, c = row[piv], vec[piv]
+    g = gcd(r, c)
+    r, c = r // g, c // g
+    out = {k: v * r for k, v in vec.items()} if r != 1 else dict(vec)
+    for k, v in row.items():
+        nv = out.get(k, 0) - c * v
+        if nv:
+            out[k] = nv
+        else:
+            del out[k]
+    return out, r
+
+
+def _content_free(vec: dict) -> dict:
+    g = gcd(*vec.values())
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
+
+
+def rational_inverse(mat: ExactMatrix) -> ExactMatrix:
+    """Inverse of a matrix over Q.
+
+    Row i of mat is stored with tag i; row j of the inverse is the
+    coordinates of the unit vector e_j on those rows.
+    """
+    ech = SparseEchelon()
+    for i, row in enumerate(mat.rows):
+        if ech.add(dict(enumerate(row)), i) is not None:
+            raise ZeroDivisionError("singular matrix")
+    out = []
+    for j in range(mat.nrows):
+        coords, den = ech.coordinates({j: 1})
+        out.append([Fraction(coords.get(i, 0), den) for i in range(mat.nrows)])
+    return ExactMatrix(out)
+
+
+def row_reduce(rows, modulus: int):
+    """Reduced row echelon form over Z/modulus.
+
+    Each column takes as pivot its first unit mod m at or below the rows
+    already pivoted; a column without one is skipped.  Returns (reduced
+    rows, pivot columns), pivot rows first.
+    """
+    mat = [[int(x) % modulus for x in r] for r in rows]
     ncols = len(mat[0]) if mat else 0
     pivots = []
     for c in range(ncols):
         r = len(pivots)
-        if modulus is None:
-            piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        else:
-            piv = next((i for i in range(r, len(mat)) if gcd(mat[i][c], modulus) == 1), None)
+        piv = next((i for i in range(r, len(mat)) if gcd(mat[i][c], modulus) == 1), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        if modulus is None:
-            inv = 1 / mat[r][c]
-            mat[r] = prow = [x * inv for x in mat[r]]
-        else:
-            inv = pow(mat[r][c], -1, modulus)
-            mat[r] = prow = [x * inv % modulus for x in mat[r]]
+        inv = pow(mat[r][c], -1, modulus)
+        mat[r] = prow = [x * inv % modulus for x in mat[r]]
         for i, row in enumerate(mat):
             f = row[c]
             if i != r and f:
-                if modulus is None:
-                    mat[i] = [x - f * y for x, y in zip(row, prow)]
-                else:
-                    mat[i] = [(x - f * y) % modulus for x, y in zip(row, prow)]
+                mat[i] = [(x - f * y) % modulus for x, y in zip(row, prow)]
         pivots.append(c)
         if len(pivots) == len(mat):
             break
     return mat, pivots
 
 
-def _inverse(mat: ExactMatrix, modulus, message: str) -> ExactMatrix:
-    """Reduce [A | I]; A is invertible iff its columns are the first n pivots."""
+def modular_inverse(mat: ExactMatrix, modulus: int) -> ExactMatrix:
+    """Inverse of an integer matrix mod m (pivots must be units of Z/m).
+
+    Reduces [A | I]; A is invertible iff its columns are the first n pivots.
+    """
     n = mat.nrows
     reduced, pivots = row_reduce(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat.rows)],
         modulus)
     if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError(message)
+        raise ZeroDivisionError("no unit pivot mod modulus")
     return ExactMatrix([row[n:] for row in reduced])
-
-
-def rational_inverse(mat: ExactMatrix) -> ExactMatrix:
-    """Inverse of a matrix over Q."""
-    return _inverse(mat, None, "singular matrix")
-
-
-def modular_inverse(mat: ExactMatrix, modulus: int) -> ExactMatrix:
-    """Inverse of an integer matrix mod m (pivots must be units of Z/m)."""
-    return _inverse(mat, modulus, "no unit pivot mod modulus")

@@ -1,5 +1,8 @@
-"""Fraction-free sparse echelon and exact nullspaces; `Poly`, the test oracle.
+"""Exact nullspaces on the fraction-free echelon; `Poly`, the test oracle.
 
+`nullspace` and `image_kernel` solve over Q on `matrices.SparseEchelon`,
+one tagged column at a time; the benchmark tracer patches `nullspace` by
+name.
 `Poly` (sparse polynomials over Q; monomials are sorted (variable, exponent)
 tuples) is on no library code path: the GL models run on packed int
 polynomials.  It is the tests' independent oracle for that kernel, and it
@@ -10,9 +13,8 @@ stays here because the benchmark tracer patches `Poly.__mul__` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .matrices import row_reduce
+from .matrices import SparseEchelon
 from .rationals import RingOps
 
 
@@ -133,79 +135,21 @@ def _mono_key(m):
     return (sum(e for _, e in m), m)
 
 
-class SparseEchelon:
-    """Incremental fraction-free reduced row echelon form over Z.
-
-    Vectors are sparse {key: int} with orderable keys.  A stored row has its
-    content removed and a positive pivot, its largest key, and no other row
-    has an entry at that pivot.  Elimination scales the vector being reduced
-    by an integer instead of dividing by the pivot, so no fraction ever
-    arises; callers read exact ratios off the residual and its scale.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot key -> row {key: int}
-
-    def reduce(self, vec: dict):
-        """(residual, scale) with residual = scale * vec - (an integer combination of rows).
-
-        scale is a positive int and the residual has no entry at any pivot.
-        Because the rows are reduced, eliminating one pivot never brings in
-        another, so each pivot of vec is met once.
-        """
-        vec = {k: c for k, c in vec.items() if c}
-        scale = 1
-        for piv in [k for k in vec if k in self.rows]:
-            vec, r = _eliminate(vec, self.rows[piv], piv)
-            scale *= r
-        return vec, scale
-
-    def insert(self, residual: dict) -> None:
-        """Store a nonzero residual of `reduce` as a row, keeping the rows reduced."""
-        piv = max(residual)
-        g = gcd(*residual.values())
-        if residual[piv] < 0:
-            g = -g
-        row = {k: v // g for k, v in residual.items()}
-        for p, other in self.rows.items():
-            if other.get(piv):
-                self.rows[p] = _content_free(_eliminate(other, row, piv)[0])
-        self.rows[piv] = row
-
-
-def _eliminate(vec: dict, row: dict, piv) -> tuple:
-    """(r * vec - c * row, r) for the least r > 0 and c that clear vec at piv.
-
-    row[piv] must be positive.
-    """
-    r, c = row[piv], vec[piv]
-    g = gcd(r, c)
-    r, c = r // g, c // g
-    out = {k: v * r for k, v in vec.items()} if r != 1 else dict(vec)
-    for k, v in row.items():
-        nv = out.get(k, 0) - c * v
-        if nv:
-            out[k] = nv
-        else:
-            del out[k]
-    return out, r
-
-
-def _content_free(vec: dict) -> dict:
-    g = gcd(*vec.values())
-    return vec if g == 1 else {k: v // g for k, v in vec.items()}
-
-
 def nullspace(rows: list, ncols: int) -> list:
-    """Exact nullspace basis over Q of a list of dense rows: one vector per free column."""
-    reduced, pivots = row_reduce(rows)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
+    """Exact nullspace basis over Q of a list of dense rows.
+
+    Column c is stored in a `SparseEchelon` with tag c; a column that
+    depends on the columns before it gives one basis vector, the relation
+    scaled to a 1 at c.
+    """
+    ech, basis = SparseEchelon(), []
+    for c in range(ncols):
+        relation = ech.add({r: row[c] for r, row in enumerate(rows)}, c)
+        if relation is not None:
+            vec = [Fraction(0)] * ncols
+            for k, x in relation.items():
+                vec[~k] = Fraction(x, relation[~c])
+            basis.append(vec)
     return basis
 
 

@@ -3,15 +3,15 @@
 The library's GL models store packed int polynomials only.  These helpers
 unpack a model's basis to `Poly` (once per shared closure) and recompute the
 Lie action, the coordinates and the values with `Poly.diff`, `Poly.eval` and
-Fraction row reduction, so that the tests check the packed kernel against
-code that shares nothing with it but `_fields`, the bit-field reader.
+a Gauss-Jordan reduction over Fraction of their own, so that the tests check
+the packed kernel against code that shares nothing with it but `_fields`,
+the bit-field reader.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from padicdesk.glrep import _fields
-from padicdesk.matrices import row_reduce
 from padicdesk.polynomials import Poly
 
 
@@ -42,15 +42,35 @@ def lie_action(m: int, a: int, b: int, f: Poly) -> Poly:
     return out
 
 
+def _rref(rows) -> tuple:
+    """(reduced rows, pivot columns) of rows over Q, by Gauss-Jordan on Fractions."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = prow = [x * inv for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(c)
+    return mat, pivots
+
+
 @lru_cache(maxsize=None)
 def _reduced(closure):
     """Sparse rows of rref [B | I], B the basis as rows over its monomials."""
     polys = _basis(closure)
     monos = sorted(set().union(*(f.terms for f in polys)))
     dim = len(polys)
-    reduced, pivots = row_reduce([[f.terms.get(mono, 0) for mono in monos]
-                                  + [int(i == k) for k in range(dim)]
-                                  for i, f in enumerate(polys)])
+    reduced, pivots = _rref([[f.terms.get(mono, 0) for mono in monos]
+                             + [int(i == k) for k in range(dim)]
+                             for i, f in enumerate(polys)])
     assert len(pivots) == dim and pivots[-1] < len(monos)  # the basis is independent
     return [(monos[pc], [(monos[c], x) for c, x in enumerate(row[:len(monos)]) if x],
              [(k, x) for k, x in enumerate(row[len(monos):]) if x])

@@ -1,12 +1,16 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from padicdesk.cli import main
+
+_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
 def run_cli(args, capsys):
@@ -162,7 +166,15 @@ def test_interp_factor_short_list(short, capsys, tmp_path):
     ({"at_p": 0}, '"at_p" must be nonzero'),
     ({"at_p": {"m": 2.5, "coeffs": ["1"]}}, '"m" must be an integer, got 2.5'),
     ({"theta_values": {"0,2": 0}}, 'theta value "0,2" must be nonzero'),
-], ids=["infinite-at-p", "zero-at-p", "fractional-at-p-field", "zero-theta"])
+    # a key outside the identity's range would be ignored
+    ({"theta_values": {"0,99": "2"}},
+     'theta value "0,99" is outside 0 <= tau < d = 1, 1 <= i <= n = 2'),
+    ({"theta_values": {"3,1": "2"}},
+     'theta value "3,1" is outside 0 <= tau < d = 1, 1 <= i <= n = 2'),
+    ({"theta_values": {"0,0": "2"}},
+     'theta value "0,0" is outside 0 <= tau < d = 1, 1 <= i <= n = 2'),
+], ids=["infinite-at-p", "zero-at-p", "fractional-at-p-field", "zero-theta", "theta-i-past-n",
+        "theta-tau-past-d", "theta-i-zero"])
 def test_interp_factor_bad_value_is_malformed(change, message, capsys, tmp_path):
     cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
            "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}
@@ -239,14 +251,37 @@ def test_interp_factor_cyclotomic_at_p_field_over_budget_exits_2(tmp_path):
                    " (99999007 over)"}
 
 
+@pytest.mark.parametrize("budget, message", [
+    (["--budget", "1000"], "cyclotomic.inverse needs 992016 echelon entries > budget 1000"
+                           " (991016 over)"),
+    # at the default budget the inverse in Q(zeta_19940), 19940 = lcm(997, 20), is refused
+    ([], "cyclotomic.inverse needs 63489024 echelon entries > budget 1000000 (62489024 over)"),
+], ids=["small-budget", "default-budget"])
+def test_interp_factor_dense_inverse_over_budget_exits_2(budget, message, tmp_path):
+    # in a subprocess with a timeout: extended Euclid once ran past 120 s here
+    cfg = {"p": 5, "n": 2, "d": 1, "e": [1],
+           "characters": [{"conductor_exp": 1, "log": 1,
+                           "at_p": {"m": 997, "coeffs": ["1", "1"]}}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", *budget, "interp",
+                           "factor", "--config", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": "budget exceeded", "message": message}
+
+
 def test_interp_factor_pinned_configs_fit_a_small_budget(capsys, tmp_path):
-    # the largest pinned conductor, 13^2, is charged 169 units
+    # the largest pinned conductor, 13^2, is charged 169 units, and its epsilon
+    # factor is inverted in Q(zeta_2028): 624 rows of 624 echelon entries
     cfg = {"p": 13, "n": 2, "d": 1, "e": [2],
            "characters": [{"conductor_exp": 2, "log": 1, "at_p": "1"}]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run_cli(["--budget", "168", "interp", "factor", "--config", str(path)], capsys)[0] == 2
-    assert run_cli(["--budget", "169", "interp", "factor", "--config", str(path)], capsys)[0] == 0
+    assert run_cli(["--budget", "389375", "interp", "factor", "--config", str(path)],
+                   capsys)[0] == 2
+    assert run_cli(["--budget", "389376", "interp", "factor", "--config", str(path)],
+                   capsys)[0] == 0
 
 
 def test_interp_factor_character_entry_must_be_an_object(capsys, tmp_path):
@@ -502,6 +537,26 @@ def test_interp_factor_large_field_pinned(config, digest, capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_interp_factor_benchmark_round_pinned(capsys, tmp_path):
+    # exit code and stdout of the 100 operations of the seed-7 interp-factor round,
+    # with the round built by the benchmark's own generator
+    spec = importlib.util.spec_from_file_location("padicdesk_bench_gen", _GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    ops = gen.build_round("interp-factor", 7)
+    gen.materialize(ops, str(tmp_path))
+    digest = hashlib.sha256()
+    for op in ops:
+        code = main(op["argv"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert len(ops) == 100
+    assert digest.hexdigest() == (
+        "803b40f8996b025deec62ee763bab6dc232f7ddf6d7e632f5fc6e49c5b14d0f0")
+
+
+_TRIVIAL_WEIGHT = '{"n": 2, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0]], "j": [0]}'
+
+
 @pytest.mark.parametrize("args, message", [
     (["--p", "4", "verify", "--suite", "mahler"], "--p 4 is not prime"),
     (["--p", "1", "tate", "verify"], "--p 1 is not prime"),
@@ -514,8 +569,11 @@ def test_interp_factor_large_field_pinned(config, digest, capsys, tmp_path):
     (["--p", "2", "verify", "--suite", "all"], "--p 2: the mahler suite needs an odd prime"),
     (["--budget", "-5", "iwahori", "verify"], "--budget -5 must be >= 1"),
     (["--budget", "0", "tate", "verify"], "--budget 0 must be >= 1"),
+    (["branch", "--dim-cap", "-1", "--weight-json", _TRIVIAL_WEIGHT], "--dim-cap -1 must be >= 1"),
+    (["branch", "--dim-cap", "0", "--weight-json", _TRIVIAL_WEIGHT], "--dim-cap 0 must be >= 1"),
 ], ids=["p-composite", "p-one", "beta-zero", "k-max-negative", "n-one", "n-zero",
-        "dmax-two", "p-two-mahler", "p-two-all", "budget-negative", "budget-zero"])
+        "dmax-two", "p-two-mahler", "p-two-all", "budget-negative", "budget-zero",
+        "dim-cap-negative", "dim-cap-zero"])
 def test_bad_global_option(args, message, capsys):
     code, out = run_cli(args, capsys)
     assert code == 3

@@ -101,9 +101,9 @@ def test_rational_scalar_product_matches_general_product(m):
 
 
 def _sparse_element(rnd, m):
-    """Up to three terms of degree below 8 over the denominator 2.  Extended
-    Euclid, ours and sympy's, takes tens of seconds per inverse on a random
-    dense element of a large field, or on a sparse one with mixed denominators."""
+    """Up to three terms of degree below 8 over the denominator 2.  sympy's
+    extended Euclid takes tens of seconds per inverse on a random dense
+    element of a large field, or on a sparse one with mixed denominators."""
     low = min(8, len(cyclotomic_polynomial(m)) - 1)
     coeffs = [0] * low
     for k in rnd.sample(range(low), min(3, low)):
@@ -133,7 +133,7 @@ def test_field_operations_match_sympy_rem_and_invert(m):
     sub = rnd.choice([d for d in range(1, m + 1) if m % d == 0 and d != m] or [1])
     x, y = _sparse_element(rnd, m), _sparse_element(rnd, sub)  # y in a subfield
     q = Fraction(-7, 3)
-    mono = CyclotomicElement.zeta(m) * q  # inverted without Euclid
+    mono = CyclotomicElement.zeta(m) * q  # inverted by the monomial short-cut
     px, py = _sympy_poly(x, m), _sympy_poly(y, m)
     # y is inverted in its own field, then embedded by X -> X^(m / sub)
     inv_x = px.invert(phi)
@@ -160,6 +160,22 @@ def test_field_operations_match_sympy_rem_and_invert(m):
         assert image == x and x == image and hash(image) == hash(x)
         assert image != x + CyclotomicElement.zeta(m * step) and x != x + 1
     assert y.embed(m) == y and hash(y.embed(m)) == hash(y)
+
+
+@pytest.mark.parametrize("m", [21, 42, 147, 294])
+def test_dense_inverse_matches_sympy_invert(m):
+    # every power-basis coefficient nonzero, over mixed denominators
+    rnd = random.Random(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    x = CyclotomicElement(m, [Fraction(rnd.choice([-1, 1]) * rnd.randrange(1, 10),
+                                       rnd.randrange(1, 4)) for _ in range(deg)])
+    assert all(x.nums)
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert inv.den > 0 and gcd(inv.den, *inv.nums) == 1
+    if m <= 42:
+        phi = sympy.Poly(sympy.cyclotomic_poly(m, X), X, domain="QQ")
+        assert list(inv.coeffs) == _residue(_sympy_poly(x, m).invert(phi), m)
 
 
 def test_hash_agrees_with_equality_across_fields():

@@ -1,4 +1,5 @@
-"""row_reduce, its inverses and nullspaces, det and the permutation helpers, against sympy."""
+"""The echelon over Q and its inverses and nullspaces, row_reduce mod m, det and the
+permutation helpers, against sympy."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.matrices import (ExactMatrix, cycles, modular_inverse, perm_sign,
-                                rational_inverse, row_reduce)
+from padicdesk.matrices import (ExactMatrix, SparseEchelon, cycles, modular_inverse,
+                                perm_sign, rational_inverse, row_reduce)
 from padicdesk.polynomials import nullspace
 
 sympy = pytest.importorskip("sympy")
@@ -29,13 +30,31 @@ def _to_sympy(rows):
 
 
 def test_row_reduce_examples():
-    assert row_reduce([[2, 4, 6], [1, 2, 4]]) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
     # mod 9 the pivot of column 0 is the first unit, not the first nonzero entry
     assert row_reduce([[3, 1], [1, 0]], 9) == ([[1, 0], [0, 1]], [0, 1])
     # a column with no unit mod 9 is skipped
     assert row_reduce([[3, 1], [6, 2]], 9) == ([[3, 1], [0, 0]], [1])
-    assert row_reduce([]) == ([], [])
+    assert row_reduce([], 9) == ([], [])
+    assert nullspace([[2, 4, 6], [1, 2, 4]], 3) == [[-2, 1, 0]]
     assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_echelon_stores_independent_vectors_and_reads_coordinates():
+    def fractions(coords_den):
+        coords, den = coords_den
+        assert den > 0 and all(isinstance(c, int) for c in coords.values())
+        return {t: Fraction(c, den) for t, c in coords.items()}
+
+    ech = SparseEchelon()
+    assert ech.add({0: 2, 1: 4}, 0) is None
+    assert ech.add({1: 3, 2: 1}, 1) is None
+    # v2 = v0 / 2 + v1: the relation -2 v0 - 4 v1 + 4 v2 = 0, positive at the new tag
+    assert ech.add({0: 1, 1: 5, 2: 1}, 2) == {~0: -2, ~1: -4, ~2: 4}
+    assert fractions(ech.coordinates({0: 2, 1: 7, 2: 1})) == {0: 1, 1: 1}
+    assert fractions(ech.coordinates({0: 1, 1: 2})) == {0: Fraction(1, 2)}
+    assert fractions(ech.coordinates({})) == {}
+    with pytest.raises(ValueError, match="not in the span"):
+        ech.coordinates({0: 1})
 
 
 def test_inverses_reject_singular_and_non_unit_matrices():
@@ -47,16 +66,15 @@ def test_inverses_reject_singular_and_non_unit_matrices():
 
 @given(_matrices(st.integers(1, 4), st.integers(1, 5)))
 @settings(max_examples=80, deadline=None)
-def test_rref_rank_and_nullspace_match_sympy(rows):
+def test_rank_and_nullspace_match_sympy(rows):
     ref = sympy.Matrix(rows)
-    reduced, pivots = row_reduce(rows)
-    ref_rref, ref_pivots = ref.rref()
-    assert _to_sympy(reduced) == ref_rref
-    assert tuple(pivots) == ref_pivots
-    assert len(pivots) == ref.rank()
+    ech = SparseEchelon()
+    rank = sum(ech.add(dict(enumerate(row)), i) is None for i, row in enumerate(rows))
+    assert rank == ref.rank()
     basis = nullspace(rows, len(rows[0]))
     ref_basis = ref.nullspace()
-    assert len(basis) == len(ref_basis)
+    # both put a 1 at the free column and 0 at the other free columns
+    assert basis == [list(v) for v in ref_basis]
     if basis:
         ours = _to_sympy(basis)
         assert (ref * ours.T).is_zero_matrix

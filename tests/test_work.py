@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from itertools import product
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,13 @@ def test_mahler_charges_count_their_loops(p, monkeypatch):
     # every table point against every Mahler coefficient of its table
     assert seen.pop("mahler.reconstruction") == sum(
         1 for depth in (1, 2) for _x in range(p ** depth) for _k in range(p ** depth))
+    # the last slice check divides by a Gauss sum in Q(zeta_f), f = lcm(p^beta, order):
+    # an echelon of deg Phi_f rows of deg Phi_f entries
+    slices = [c["id"] for c in report["checks"] if c["id"].startswith("mahler.fourier_slice")]
+    beta, order = map(int, re.fullmatch(r".*\.b(\d+)\.bp\d+\.o(\d+)", slices[-1]).groups())
+    f = lcm(p ** beta, order)
+    deg = sum(1 for k in range(f) if gcd(k, f) == 1)
+    assert seen.pop("cyclotomic.inverse") == deg * deg
     fourier = {c["id"] for c in report["checks"] if c["id"].startswith("mahler.fourier")}
     assert set(seen) == fourier
     for cid, count in seen.items():
@@ -173,7 +181,9 @@ def test_interp_factor_charges_the_satake_factors(n, d, monkeypatch, capsys, tmp
     assert main(["interp", "factor", "--config", str(path)]) == 0
     # alpha_(i, tau) is the product of theta_1 .. theta_i, for i < 2n, per component
     factors = sum(1 for _tau in range(d) for i in range(1, 2 * n) for _j in range(1, i + 1))
-    assert seen == {"interp.gauss_sum": 3, "interp.alpha_p_e": factors}
+    # the identity divides by an epsilon factor in Q(zeta_6): 2 rows of 2 entries
+    assert seen == {"interp.gauss_sum": 3, "interp.alpha_p_e": factors,
+                    "cyclotomic.inverse": 2 * 2}
 
 
 # ---------------------------------------------------------------------------
