@@ -22,7 +22,7 @@ from functools import lru_cache
 from . import work
 from .glrep import WeightData, cone_decompose
 from .rationals import integer, is_prime
-from .suites import SUITES
+from .suites import CPR_IDENTITY, SUITES, Suite
 
 
 EXIT_OK = 0
@@ -250,7 +250,11 @@ def _run_interp_factor(args) -> int:
                 raise ValueError(f'"{key}" has {len(items)} entries, need d = {d}')
         values = {}
         for key, val in (cfg.get("theta_values") or {}).items():
-            tau, i = (int(x) for x in key.split(","))
+            try:
+                tau, i = map(int, key.split(","))
+            except ValueError:
+                raise ValueError(f'theta value key "{key}" must be "tau,i",'
+                                 ' two integers') from None
             if not (0 <= tau < d and 1 <= i <= n):
                 raise ValueError(f'theta value "{key}" is outside 0 <= tau < d = {d},'
                                  f' 1 <= i <= n = {n}')
@@ -269,12 +273,12 @@ def _run_interp_factor(args) -> int:
         _emit({"error": "malformed config", "message": str(err)}, args.out)
         return EXIT_INPUT
     vj = value.to_json()
+    factor = Suite("interp")
+    factor.check(CPR_IDENTITY, "both epsilon-factor forms agree").expect(rep["passed"])
     report = {
         "value": {"coeffs": vj["coeff"]["coeffs"], "field_order": vj["coeff"]["m"],
                   "half_exp": vj["half_exp"], "theta": vj["theta"]},
-        "checks": [{"id": "interp.cpr_identity",
-                    "description": "both epsilon-factor forms agree",
-                    "passed": rep["passed"]}],
+        "checks": factor.checks,
     }
     _emit(report, args.out, args.csv)
     return EXIT_OK if rep["passed"] else EXIT_FALSIFIED

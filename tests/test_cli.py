@@ -173,8 +173,14 @@ def test_interp_factor_short_list(short, capsys, tmp_path):
      'theta value "3,1" is outside 0 <= tau < d = 1, 1 <= i <= n = 2'),
     ({"theta_values": {"0,0": "2"}},
      'theta value "0,0" is outside 0 <= tau < d = 1, 1 <= i <= n = 2'),
+    # a key that is not two integers
+    ({"theta_values": {"1": "2"}}, 'theta value key "1" must be "tau,i", two integers'),
+    ({"theta_values": {"a,1": "2"}}, 'theta value key "a,1" must be "tau,i", two integers'),
+    ({"theta_values": {"0,1,2": "2"}},
+     'theta value key "0,1,2" must be "tau,i", two integers'),
 ], ids=["infinite-at-p", "zero-at-p", "fractional-at-p-field", "zero-theta", "theta-i-past-n",
-        "theta-tau-past-d", "theta-i-zero"])
+        "theta-tau-past-d", "theta-i-zero", "theta-key-one-part", "theta-key-not-integer",
+        "theta-key-three-parts"])
 def test_interp_factor_bad_value_is_malformed(change, message, capsys, tmp_path):
     cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
            "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}
@@ -399,12 +405,17 @@ def test_suite_reports_pinned(suite, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (7, "24dc05c9119254ea2ae9f9f618c87ca7c3ce96791b5c6205c443ae7192db51be"),
-    (13, "519c745eff25c23f9a1147933e4a4a19650ccd6ab0c97bb8bbdb81235c1ab4f9"),
-], ids=["seed7", "seed13"])
-def test_verify_all_reports_pinned(seed, digest, capsys):
-    assert main(["--seed", str(seed), "verify", "--suite", "all"]) == 0
+@pytest.mark.parametrize("flags, digest", [
+    (["--seed", "7"], "24dc05c9119254ea2ae9f9f618c87ca7c3ce96791b5c6205c443ae7192db51be"),
+    (["--seed", "13"], "519c745eff25c23f9a1147933e4a4a19650ccd6ab0c97bb8bbdb81235c1ab4f9"),
+    # p = 5 changes the mahler check ids and every charged count
+    (["--p", "5", "--seed", "7"],
+     "5a67b37236ebeec50c8f07c9ad4b4ce01915a6b3d4f740a8ef9fae0e1f8a95c3"),
+    # the CSV rows are the other reader of the check entries
+    (["--seed", "7", "--csv"], "df9d15890724e0641f354cb1f5a1022741d4c903bcbc1c0d5cc4e2e8b95984fc"),
+], ids=["seed7", "seed13", "p5-seed7", "csv-seed7"])
+def test_verify_all_reports_pinned(flags, digest, capsys):
+    assert main(flags + ["verify", "--suite", "all"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
