@@ -14,10 +14,8 @@ Norms are exact exponents (p^e with e rational, -inf for zero).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import comb, factorial
-from operator import add
 
 from .artinian import ArtinianElement, combination
 from .matrices import ExactMatrix
@@ -108,17 +106,21 @@ class TateSeries:
 class ShiftDerivation:
     """The operator with X -> lam*Y, Y -> 0, restricting to `base` on coefficients.
 
-    `base` may be any linear map on the coefficient ring; the closed
-    combinatorial formula below only needs linearity.  The full Leibniz rule
-    on products holds exactly when `base` is an honest derivation of the
-    truncated ring, i.e. base(T_i) lies in the ideal (T_i) (differentiating
-    a generator to a unit is only the reduction of a derivation of the
-    untruncated ring, and products can shed the discarded square terms).
+    `base` must be a pure linear map on the coefficient ring: its value
+    depends on its argument only, so the products prod_(i in I) (D - i) s of
+    the closed form are kept in `products`, by s and then by I, for the
+    lifetime of the derivation.  The closed combinatorial formula below only
+    needs linearity.  The full Leibniz rule on products holds exactly when
+    `base` is an honest derivation of the truncated ring, i.e. base(T_i)
+    lies in the ideal (T_i) (differentiating a generator to a unit is only
+    the reduction of a derivation of the untruncated ring, and products can
+    shed the discarded square terms).
     """
 
     def __init__(self, base, lam):
         self.base = base  # callable ArtinianElement -> ArtinianElement
         self.lam = Fraction(lam)
+        self.products = {}  # {s: {I: prod_(i in I) (D - i) s}}, I a sorted tuple
 
     def shifted(self, f: TateSeries, j: int = 0, den: int = 1) -> TateSeries:
         """(D - j) f / den in one pass over f, each output coefficient built once.
@@ -162,12 +164,14 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
     comb(a, r) / (comb(k, r) * multinomial(k - r; run lengths)); the run
     factorials cancel, which leaves the same weight for every I.  Each
     product is (D - max I) applied to the product for I without its largest
-    element, and is computed once per call.
+    element, and is computed once per derivation and s (`deriv.products`);
+    every call still sums each of its own patterns, S_r in one pass with its
+    weight folded in.
     """
     if a + b + k > dmax:
         raise ValueError("a + b + k exceeds the truncation degree")
     base = deriv.base
-    products = {(): s}
+    products = deriv.products.setdefault(s, {(): s})
 
     def product(subset: tuple) -> ArtinianElement:
         out = products.get(subset)
@@ -178,9 +182,10 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
 
     terms = {}
     for r in range(min(k, a) + 1):
-        total = reduce(add, map(product, combinations(range(k), k - r)))
         weight = Fraction(comb(a, r) * factorial(r), factorial(k)) * deriv.lam ** r
-        terms[(a - r, b + r)] = total * weight
+        c, d = weight.numerator, weight.denominator
+        terms[(a - r, b + r)] = combination(
+            [(product(subset), c, d) for subset in combinations(range(k), k - r)])
     return TateSeries(s.ngens, dmax, terms)
 
 
@@ -212,6 +217,32 @@ def matrix_min_valuation(rows, p: int):
     return min((valuation(c, p) for row in rows for c in row.values()), default=INF)
 
 
+def _sparse_rows(T: ExactMatrix) -> list:
+    return [{j: e for j, e in enumerate(row) if e} for row in T.rows]
+
+
+def epsilon_action_work(T: ExactMatrix, K: int) -> int:
+    """Row entries the recurrence of `epsilon_action_bound(T, ., K, .)` visits at most.
+
+    Row i of binom(T, k) lies on the columns reachable from i along the
+    nonzero entries of T, and visiting column j costs its row of T and the
+    diagonal term, so each of the K steps costs at most the sum over i, and
+    over j reachable from i, of nnz(row j of T) + 1.  The reach is found in
+    at most rows * (nnz(T) + rows) steps, whatever K.
+    """
+    t_rows = _sparse_rows(T)
+    per_step = 0
+    for i in range(T.nrows):
+        reach, todo = {i}, [i]
+        while todo:
+            for col in t_rows[todo.pop()]:
+                if col not in reach:
+                    reach.add(col)
+                    todo.append(col)
+        per_step += sum(len(t_rows[j]) + 1 for j in reach)
+    return K * per_step
+
+
 def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,
                          target_exponent=Fraction(0)) -> dict:
     """Exponent table e_k of p^(-k eps) ||binom(T, k)|| for k <= K.
@@ -222,7 +253,7 @@ def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,
     {col: Fraction}, so the work follows the nonzero entries of T.
     """
     eps = Fraction(eps)
-    t_rows = [{j: e for j, e in enumerate(row) if e} for row in T.rows]
+    t_rows = _sparse_rows(T)
     fk = [{i: Fraction(1)} for i in range(T.nrows)]
     exps = []
     for k in range(K + 1):

@@ -129,6 +129,25 @@ def test_tate_report_past_default_k_pinned(capsys):
             == "1e7a788cd2d8fcad09d89a5089903bf6c82d0ec35d7cd0fd99407be981f58c9e")
 
 
+def test_tate_report_larger_truncation_pinned(capsys):
+    assert main(["--seed", "7", "tate", "verify", "--k-max", "10", "--dmax", "14"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "a9f17b27a9f9a7b07d88c9b6531dd188d9137ea63da15cf431b771568626c79d")
+
+
+def test_tate_weighted_norm_recurrence_over_budget_exits_2():
+    # 2,000 recurrence steps on the 56x56 derivation matrix, charged before they run
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "--seed", "7", "--budget", "1000",
+                           "tate", "verify", "--k-max", "2000", "--dmax", "3"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "budget exceeded", "suites": [],
+        "message": "tate.weighted_norm_bound needs 1008000 row entries > budget 1000"
+                   " (1007000 over)"}
+
+
 def test_interp_factor_config(capsys, tmp_path):
     cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
            "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}

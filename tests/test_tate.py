@@ -124,6 +124,45 @@ def test_closed_equals_direct_two_generators():
                 assert closed == direct
 
 
+def _memo_bases(ngens):
+    """Linear maps on the ring: an honest derivation, unit images, a product."""
+    gens = [ArtinianElement.gen(ngens, t) for t in range(ngens)]
+    honest = derivation_from_images([g * (t + 2) for t, g in enumerate(gens)])
+    # D(T_i) a unit: linear, but no derivation of the truncated ring
+    units = derivation_from_images([g * -1 + Fraction(t + 1, 2) for t, g in enumerate(gens)])
+    m = gens[-1] * Fraction(-3, 2) + 2
+    return [honest, units, lambda x: x * m]
+
+
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+def test_products_kept_per_derivation_match_fresh_and_direct(ngens):
+    rnd = random.Random(30 + ngens)
+    dmax = 11
+    coeffs = [-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-5, 3)]
+    pool = []
+    for _ in range(3):
+        s = ArtinianElement.constant(ngens, rnd.choice([1, Fraction(2, 3)]))
+        for t in range(ngens):
+            s = s + ArtinianElement.gen(ngens, t) * rnd.choice(coeffs)
+        pool.append(s)
+    for base in _memo_bases(ngens):
+        # two lambdas on one base: each derivation keeps its own products
+        ders = [tate.ShiftDerivation(base, lam) for lam in (Fraction(1), Fraction(-7, 2))]
+        calls = [(der, k, a, b, s) for der in ders for s in pool
+                 for k in range(6) for a in range(4) for b in range(2)
+                 if rnd.random() < 0.3]
+        rnd.shuffle(calls)
+        for der, k, a, b, s in calls:
+            kept = tate.binomial_of_derivation_closed(k, s, a, b, der, dmax)
+            fresh = tate.binomial_of_derivation_closed(
+                k, s, a, b, tate.ShiftDerivation(base, der.lam), dmax)
+            direct = tate.binomial_of_derivation_direct(
+                k, tate.TateSeries.monomial(ngens, dmax, s, a, b), der)
+            assert kept == fresh == direct, (k, a, b, s, der.lam)
+        for der in ders:
+            assert len(der.products) == len({s for d, *_, s in calls if d is der})
+
+
 def test_degree_overflow_error():
     der = one_gen_setup()
     with pytest.raises(ValueError, match="truncation"):
@@ -185,6 +224,39 @@ def test_epsilon_action_bound_derivation_matrix_pinned():
     assert rep["eventually_below_target_from"] == 1
     assert rep["strictly_decreasing_from"] == 6
     assert rep["passed"]
+
+
+def _recurrence_visits(T: ExactMatrix, K: int) -> int:
+    """Row entries the binomial recurrence of `epsilon_action_bound` visits, counted."""
+    t_rows = [{j: e for j, e in enumerate(row) if e} for row in T.rows]
+    fk = [{i: Fraction(1)} for i in range(T.nrows)]
+    visits = 0
+    for k in range(1, K + 1):
+        nxt = []
+        for row in fk:
+            out = {}
+            for j, c in row.items():
+                visits += len(t_rows[j]) + 1
+                for col, t in t_rows[j].items():
+                    out[col] = out.get(col, 0) + c * t
+                out[j] = out.get(j, 0) - (k - 1) * c
+            nxt.append({col: x / k for col, x in out.items() if x})
+        fk = nxt
+    return visits
+
+
+@pytest.mark.parametrize("K", [0, 1, 8, 20])
+def test_epsilon_action_work_bounds_the_recurrence(K):
+    mat, _basis = tate.derivation_matrix(one_gen_setup(), 1, 6)
+    assert tate.epsilon_action_work(mat, K) == 504 * K
+    rnd = random.Random(K)
+    sparse = ExactMatrix([[Fraction(rnd.randrange(-2, 3)) if rnd.random() < 0.2 else Fraction(0)
+                           for _ in range(7)] for _ in range(7)])
+    for T in (mat, tate.shift_matrix(5, 3), tate.cyclic_shift_matrix(4, 2), sparse,
+              ExactMatrix([[Fraction(0)]])):
+        assert _recurrence_visits(T, K) <= tate.epsilon_action_work(T, K)
+    # a single shift reaches every lower index: row i costs 2i + 1
+    assert tate.epsilon_action_work(tate.shift_matrix(5, 3), K) == 25 * K
 
 
 def test_perturbation_threshold_empirical():

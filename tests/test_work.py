@@ -167,7 +167,10 @@ def test_annihilator_scan_size_counts_its_norm_evaluations(p, r, depth, monkeypa
 def test_tate_charges_the_chain_scan(monkeypatch):
     seen = _record(monkeypatch)
     suites.run_tate_suite(3, seed=7)
-    assert list(seen) == ["tate.closed_equals_direct", "tate.overconvergence_chain"]
+    assert list(seen) == ["tate.closed_equals_direct", "tate.weighted_norm_bound",
+                          "tate.overconvergence_chain"]
+    # eight steps of the binomial recurrence on the 56x56 derivation matrix
+    assert seen["tate.weighted_norm_bound"] == 8 * 504
     assert seen["tate.overconvergence_chain"] == tate.OverconvergenceChain(3, 1, 20).scan_size()
 
 
