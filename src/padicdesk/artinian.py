@@ -74,11 +74,14 @@ class ArtinianElement(RingOps):
 
     @classmethod
     def constant(cls, ngens: int, c) -> "ArtinianElement":
-        return cls(ngens, {frozenset(): c})
+        num, den = ratio(c)
+        return _element(ngens, {0: num}, den)
 
     @classmethod
     def gen(cls, ngens: int, i: int) -> "ArtinianElement":
-        return cls(ngens, {frozenset([i]): 1})
+        if not 0 <= i < ngens:
+            raise ValueError("generator index out of range")
+        return _element(ngens, {1 << i: 1}, 1)
 
     def _coerce(self, other) -> "ArtinianElement":
         if not isinstance(other, ArtinianElement):
@@ -91,7 +94,8 @@ class ArtinianElement(RingOps):
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if type(other) is not ArtinianElement or other.ngens != self.ngens:
+            other = self._coerce(other)
         d1, d2 = self.den, other.den
         if d1 == d2:
             out = dict(self.nums)
@@ -113,7 +117,8 @@ class ArtinianElement(RingOps):
             num, den = ratio(other)
             return _element(self.ngens, {m: c * num for m, c in self.nums.items()},
                             self.den * den)
-        other = self._coerce(other)
+        if other.ngens != self.ngens:
+            other = self._coerce(other)  # raises
         out = {}
         for m1, c1 in self.nums.items():
             for m2, c2 in other.nums.items():
@@ -186,10 +191,13 @@ def combination(parts, den: int = 1) -> ArtinianElement:
     The parts are elements of one ring and are summed as integer numerators
     over one common denominator, with no intermediate element.
     """
-    common = lcm(*(x.den * d for x, _, d in parts))
-    out = {}
+    common, out = 1, {}
     for x, c, d in parts:
-        f = c * (common // (x.den * d))
+        d *= x.den
+        if common % d:  # a new denominator: rescale what is summed so far
+            g = d // gcd(common, d)
+            common, out = common * g, {m: v * g for m, v in out.items()}
+        f = c * (common // d)
         for m, v in x.nums.items():
             out[m] = out.get(m, 0) + v * f
     return _element(parts[0][0].ngens, out, common * den)

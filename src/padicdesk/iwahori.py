@@ -140,13 +140,15 @@ def iwahori_factor(mat: ExactMatrix):
         factors = [upper[k][j] * piv_inv for j in range(k)]
         for j in range(k):
             f = factors[j]
-            if f == 0:
+            if not f:
                 continue
             for i in range(m):
-                upper[i][j] = upper[i][j] - upper[i][k] * f
+                if upper[i][k]:
+                    upper[i][j] = upper[i][j] - upper[i][k] * f
             # record the inverse column operation in the lower-unipotent factor
             for col in range(m):
-                lower[k][col] = lower[k][col] + f * lower[j][col]
+                if lower[j][col]:
+                    lower[k][col] = lower[k][col] + f * lower[j][col]
     return ExactMatrix(upper), ExactMatrix(lower)
 
 

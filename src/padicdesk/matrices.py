@@ -80,24 +80,26 @@ class ExactMatrix:
                             for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            brows = other.rows
-            out = []
-            for row in self.rows:
-                # the first term fixes the entry ring; past it a zero left entry
-                # (only int and Fraction zeros are falsy) adds nothing
-                rest = [(a, brows[k]) for k, a in enumerate(row) if k and a]
-                out_row = []
-                for j in range(other.ncols):
-                    acc = row[0] * brows[0][j]
-                    for a, brow in rest:
-                        acc = acc + a * brow[j]
-                    out_row.append(acc)
-                out.append(out_row)
-            return ExactMatrix(out)
-        return ExactMatrix([[a * other for a in r] for r in self.rows])
+        if not isinstance(other, ExactMatrix):
+            return ExactMatrix([[a * other for a in r] for r in self.rows])
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        # Gustavson's row-by-row product: the nonzero (j, b) of each row of
+        # `other` are listed once, and a term a * b is formed only for nonzero
+        # a and b (the zeros of every ring are falsy).  An entry with no term
+        # is `zero`, the zero of the first entries' product.
+        nonzero = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        zero = self.rows[0][0] * other.rows[0][0] * 0 if self.ncols and other.ncols else None
+        out = []
+        for row in self.rows:
+            acc = [None] * other.ncols
+            for a, bs in zip(row, nonzero):
+                if a:
+                    for j, b in bs:
+                        t = acc[j]
+                        acc[j] = a * b if t is None else t + a * b
+            out.append([zero if t is None else t for t in acc])
+        return ExactMatrix(out)
 
     def __rmul__(self, scalar):
         return ExactMatrix([[scalar * a for a in r] for r in self.rows])

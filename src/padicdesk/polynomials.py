@@ -91,6 +91,9 @@ class Poly(RingOps):
     def __eq__(self, other):
         return self.terms == self._coerce(other).terms
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
     def diff(self, var: int) -> "Poly":
         out = {}
         for m, c in self.terms.items():

@@ -57,12 +57,16 @@ def lowest_terms(nums, den: int) -> tuple:
 class RingOps:
     """The operators a ring derives from its own.
 
-    A subclass defines `__add__`, `__neg__`, `__mul__`, `_coerce` (a scalar
-    into the ring) and, for division and negative powers, `inverse`.  A
+    A subclass defines `__add__`, `__neg__`, `__mul__`, `is_zero`, `_coerce`
+    (a scalar into the ring) and, for division and negative powers,
+    `inverse`.  Its zeros are falsy, as int and Fraction zeros are.  A
     reflected operator has a scalar on its left, which every element commutes with.
     """
 
     __slots__ = ()
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __radd__(self, other):
         return self + other

@@ -4,7 +4,8 @@ scale and returns a JSON-serializable report.
 Each check opens with `Suite.check`, which writes its identifier once,
 charges the size of an enumeration that grows with p or n to `work.charge`
 under that identifier before the enumeration starts (so `--budget` refuses
-it without running it), and appends its report entry: `id`, `description`,
+it without running it; `Check.charge` adds a finer count under the same
+identifier), and appends its report entry: `id`, `description`,
 `passed` and the check's own fields.  `Check.expect` marks a check failed at
 its first false condition and records that instance as `first_failure`.
 Loops never stop at a failure, so every random draw is made and a later
@@ -55,6 +56,9 @@ class Check(dict):
 
     note = dict.update  # fields known only after the instances ran
 
+    def charge(self, count, unit: str) -> None:  # under this check's id
+        work.charge(self["id"], count, unit)
+
 
 class Suite:
     """The checks of one suite run, in the order they open."""
@@ -66,9 +70,9 @@ class Suite:
     def check(self, cid: str, description: str, count=None, unit: str | None = None,
               **fields) -> Check:
         """Open check `cid`; a `count` of `unit`s is charged before the check runs."""
-        if count is not None:
-            work.charge(cid, count, unit)
         entry = Check(id=cid, description=description, passed=True, **fields)
+        if count is not None:
+            entry.charge(count, unit)
         self.checks.append(entry)
         return entry
 
@@ -209,6 +213,7 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12) ->
     c = suite.check("tate.weighted_norm_bound",
                     "formula outputs respect the matrix-certified weighted norm constant",
                     tate.epsilon_action_work(mat, k_max), "row entries")
+    c.charge(tate.epsilon_action_words(mat, k_max), "entry words")
     bound_rep = tate.epsilon_action_bound(mat, eps, k_max, p)
     cert = max(e for e in bound_rep["exponents"] if e != -INF)
     c.note(certified_exponent=str(cert))

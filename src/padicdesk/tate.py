@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .artinian import ArtinianElement, combination
 from .matrices import ExactMatrix
-from .rationals import INF, valuation
+from .rationals import INF, ratio, valuation
 
 
 class TateSeries:
@@ -241,6 +241,21 @@ def epsilon_action_work(T: ExactMatrix, K: int) -> int:
                     todo.append(col)
         per_step += sum(len(t_rows[j]) + 1 for j in reach)
     return K * per_step
+
+
+def epsilon_action_words(T: ExactMatrix, K: int) -> int:
+    """The row entries of `epsilon_action_work(T, K)`, each weighed by its 64-bit words.
+
+    With D the common denominator of T and R the largest absolute row sum of
+    D T, an entry of binom(T, k) is an integer of absolute value at most
+    prod_(i<k) (R + i D) over D^k k!, so k (bitlen(R + k D) + bitlen(D) +
+    bitlen(k)) bits hold it.  This sums over the K steps: charge `epsilon_action_work` first.
+    """
+    den = lcm(*(ratio(x)[1] for row in T.rows for x in row))
+    rows = int(max((sum(abs(x) for x in row) for row in T.rows), default=0) * den)
+    return epsilon_action_work(T, 1) * sum(
+        k * ((rows + k * den).bit_length() + den.bit_length() + k.bit_length()) // 64 + 1
+        for k in range(1, K + 1))
 
 
 def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.artinian import ArtinianElement, derivation_from_images
+from padicdesk.artinian import ArtinianElement, combination, derivation_from_images
 
 sympy = pytest.importorskip("sympy")
 
@@ -111,3 +111,40 @@ def test_constants_hash_like_their_rationals():
         assert x == c and hash(x) == hash(c) and len({x, c}) == 1
     T0 = ArtinianElement.gen(2, 0)
     assert (T0 + 3) - T0 == 3 and hash((T0 + 3) - T0) == hash(3)
+
+
+def _form(x):
+    return x.ngens, x.nums, x.den
+
+
+@pytest.mark.parametrize("c", [3, -1, 0, Fraction(0), Fraction(-5, 6), Fraction(4, 2), "7/21"])
+def test_constant_is_the_constructor_element(c):
+    for ngens in (0, 1, 3):
+        x = ArtinianElement.constant(ngens, c)
+        assert _form(x) == _form(ArtinianElement(ngens, {frozenset(): c}))
+        _assert_canonical(x)
+
+
+def test_gen_is_the_constructor_element():
+    for ngens in (1, 2, 4):
+        for i in range(ngens):
+            x = ArtinianElement.gen(ngens, i)
+            assert _form(x) == _form(ArtinianElement(ngens, {frozenset([i]): 1}))
+        for i in (-1, ngens, ngens + 3):
+            with pytest.raises(ValueError, match="generator index out of range"):
+                ArtinianElement.gen(ngens, i)
+            with pytest.raises(ValueError, match="generator index out of range"):
+                ArtinianElement(ngens, {frozenset([i]): 1})
+
+
+@given(st.integers(1, 3).flatmap(lambda ngens: st.lists(st.tuples(
+    _element(ngens), st.integers(-6, 6), st.integers(1, 12)), min_size=1, max_size=6)))
+@settings(max_examples=150, deadline=None)
+def test_combination_equals_the_sum_of_scaled_parts(parts):
+    for den in (1, 4):
+        want = ArtinianElement(parts[0][0].ngens, {})
+        for x, c, d in parts:
+            want = want + x * c * Fraction(1, d)
+        got = combination(parts, den)
+        _assert_canonical(got)
+        assert _form(got) == _form(want * Fraction(1, den))

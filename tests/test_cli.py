@@ -148,6 +148,18 @@ def test_tate_weighted_norm_recurrence_over_budget_exits_2():
                    " (1007000 over)"}
 
 
+def test_tate_weighted_norm_entry_words_over_budget_exits_2(capsys):
+    # 1,983 steps fit the default budget as row entries (999,432), not as the
+    # words that the growing entries of binom(T, k) take
+    code, out = run_cli(["--seed", "7", "tate", "verify", "--k-max", "1983", "--dmax", "3"],
+                        capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "budget exceeded", "suites": [],
+        "message": "tate.weighted_norm_bound needs 345920904 entry words > budget 1000000"
+                   " (344920904 over)"}
+
+
 def test_interp_factor_config(capsys, tmp_path):
     cfg = {"p": 3, "n": 2, "d": 1, "e": [1],
            "characters": [{"conductor_exp": 1, "log": 1, "at_p": 1}]}

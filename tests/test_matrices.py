@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdesk.artinian import ArtinianElement
 from padicdesk.matrices import (ExactMatrix, SparseEchelon, cycles, modular_inverse,
                                 perm_sign, rational_inverse, row_reduce)
 from padicdesk.polynomials import nullspace
@@ -149,19 +150,17 @@ _entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
 
 
 @st.composite
-def _product_operands(draw):
+def _product_operands(draw, entry=_entry, zero=Fraction(0)):
     r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
-    a = draw(st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=r, max_size=r))
-    b = draw(st.lists(st.lists(_entry, min_size=c, max_size=c), min_size=k, max_size=k))
-    # zero rows and columns of either operand, the first column of a included
-    for i in draw(st.sets(st.integers(0, r - 1))):
-        a[i] = [Fraction(0)] * k
-    for j in draw(st.sets(st.integers(0, k - 1))):
-        for row in a:
-            row[j] = Fraction(0)
-    for j in draw(st.sets(st.integers(0, c - 1))):
-        for row in b:
-            row[j] = Fraction(0)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    # zero rows and columns of either operand, the first row and column included
+    for m, nrows, ncols in ((a, r, k), (b, k, c)):
+        for i in draw(st.sets(st.integers(0, nrows - 1))):
+            m[i] = [zero] * ncols
+        for j in draw(st.sets(st.integers(0, ncols - 1))):
+            for row in m:
+                row[j] = zero
     return a, b
 
 
@@ -174,8 +173,28 @@ def test_matmul_matches_naive_loop_and_sympy(operands):
     assert sympy.Matrix(got) == _to_sympy(a) * _to_sympy(b)
 
 
+_ARTINIAN_ZERO = ArtinianElement(3, {})
+_artinian_entry = st.one_of(st.just(_ARTINIAN_ZERO), st.dictionaries(
+    st.frozensets(st.integers(0, 2)), st.fractions(-3, 3, max_denominator=4),
+    max_size=3).map(lambda t: ArtinianElement(3, t)))
+
+
+@given(_product_operands(_artinian_entry, _ARTINIAN_ZERO))
+@settings(max_examples=150, deadline=None)
+def test_matmul_artinian_entries_match_naive_loop(operands):
+    a, b = operands
+    _assert_same_entries((ExactMatrix(a) * ExactMatrix(b)).rows, _naive_product(a, b))
+
+
+def test_matmul_empty_shapes():
+    # no rows, or an empty inner dimension: the rows there are, with no entries
+    assert (ExactMatrix([]) * ExactMatrix([])).rows == []
+    assert (ExactMatrix([[], []]) * ExactMatrix([])).rows == [[], []]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ExactMatrix([]) * ExactMatrix([[Fraction(1)]])
+
+
 def _ring_cases():
-    from padicdesk.artinian import ArtinianElement
     from padicdesk.cyclotomic import CyclotomicElement
     from padicdesk.polynomials import Poly
     from padicdesk.uea import UEAElement
@@ -205,3 +224,25 @@ def test_matmul_ring_entries_match_naive_loop(ring):
     # rational left entries, zeros in every column, against ring entries on the right
     left = [[Fraction(0), 2, Fraction(0)], [Fraction(1, 2), Fraction(0), 0]]
     _assert_same_entries((ExactMatrix(left) * ExactMatrix(b)).rows, _naive_product(left, b))
+
+
+def test_ring_zeros_are_falsy():
+    from padicdesk.cyclotomic import CyclotomicElement
+    from padicdesk.interp import HalfPowerValue
+    from padicdesk.polynomials import Poly
+    from padicdesk.rationals import RingOps
+    from padicdesk.uea import UEAElement
+
+    t = ArtinianElement.gen(2, 0)
+    z = CyclotomicElement.zeta(12)
+    h = HalfPowerValue.p_power(3, 1)
+    x = Poly.variable(0)
+    e = UEAElement.generator(0, 1, 2)
+    pairs = [(ArtinianElement(2, {}), t), (t * t, t + 1), (CyclotomicElement.from_rational(0, 12), z),
+             (z - z, z + 1), (HalfPowerValue(3, 0), h), (h * 0, h), (Poly(), x), (x - x, x * x),
+             (UEAElement(), e), (e - e, UEAElement.one())]
+    # every ring in the package, a zero and a nonzero element of each
+    assert {type(a) for a, _ in pairs} == set(RingOps.__subclasses__())
+    for zero, nonzero in pairs:
+        assert zero.is_zero() and not nonzero.is_zero()
+        assert bool(zero) is False and bool(nonzero) is True

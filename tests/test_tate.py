@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -257,6 +257,35 @@ def test_epsilon_action_work_bounds_the_recurrence(K):
         assert _recurrence_visits(T, K) <= tate.epsilon_action_work(T, K)
     # a single shift reaches every lower index: row i costs 2i + 1
     assert tate.epsilon_action_work(tate.shift_matrix(5, 3), K) == 25 * K
+
+
+@pytest.mark.parametrize("K", [1, 8, 20])
+def test_epsilon_action_words_bound_the_entries(K):
+    # an entry of binom(T, k) is N / (D^k k!) with |N| <= prod_(i<k) (R + i D), so
+    # its numerator and denominator fit in k (bitlen(R + k D) + bitlen(D) + bitlen(k)) bits
+    mat, _basis = tate.derivation_matrix(one_gen_setup(), 1, 6)
+    rnd = random.Random(K)
+    sparse = ExactMatrix([[Fraction(rnd.randrange(-5, 6), rnd.randrange(1, 4))
+                           if rnd.random() < 0.3 else Fraction(0) for _ in range(6)]
+                          for _ in range(6)])
+    for T in (mat, tate.shift_matrix(5, 3), tate.cyclic_shift_matrix(4, Fraction(2, 3)),
+              sparse, ExactMatrix([[Fraction(1)]]), ExactMatrix([[Fraction(0)]])):
+        den = lcm(*(x.denominator for row in T.rows for x in row))
+        rows = max(sum(abs(x) for x in row) for row in T.rows) * den
+        binom = ExactMatrix.identity(T.nrows)
+        bits = []
+        for k in range(1, K + 1):
+            shifted = T + ExactMatrix.identity(T.nrows, Fraction(1 - k), Fraction(0))
+            binom = (binom * shifted).scale(Fraction(1, k))
+            bound = prod(rows + i * den for i in range(k))
+            bits.append(k * (int(rows + k * den).bit_length() + den.bit_length()
+                             + k.bit_length()))
+            for x in (x for row in binom.rows for x in row):
+                assert abs(x) * den ** k * factorial(k) <= bound
+                assert x.numerator.bit_length() + x.denominator.bit_length() <= bits[-1]
+        assert tate.epsilon_action_words(T, K) == \
+            tate.epsilon_action_work(T, 1) * sum(b // 64 + 1 for b in bits)
+    assert tate.epsilon_action_words(mat, 8) == 504 * 9  # the eighth step takes two words
 
 
 def test_perturbation_threshold_empirical():

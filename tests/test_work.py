@@ -169,8 +169,9 @@ def test_tate_charges_the_chain_scan(monkeypatch):
     suites.run_tate_suite(3, seed=7)
     assert list(seen) == ["tate.closed_equals_direct", "tate.weighted_norm_bound",
                           "tate.overconvergence_chain"]
-    # eight steps of the binomial recurrence on the 56x56 derivation matrix
-    assert seen["tate.weighted_norm_bound"] == 8 * 504
+    # eight steps of the binomial recurrence on the 56x56 derivation matrix, 504
+    # row entries each, weighed by their words: one word each, two at the eighth step
+    assert seen["tate.weighted_norm_bound"] == 9 * 504
     assert seen["tate.overconvergence_chain"] == tate.OverconvergenceChain(3, 1, 20).scan_size()
 
 
