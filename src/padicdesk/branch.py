@@ -408,7 +408,7 @@ class GeneratorFamily:
     similitude generator is a pure character and needs no model.
     """
 
-    def __init__(self, n: int, d: int, dim_cap: int = 500):
+    def __init__(self, n: int, d: int):
         self.n = n
         self.d = d
         self.weights = generator_weights(n, d)
@@ -416,7 +416,7 @@ class GeneratorFamily:
         for key, wd in self.weights.items():
             if key == "mu0":
                 continue
-            self.models[key] = BranchModel(wd, dim_cap)
+            self.models[key] = BranchModel(wd)
 
     def generator_values(self, g: MPoint, a_coords) -> dict:
         """Box-restriction value of every generator at the same point pair."""

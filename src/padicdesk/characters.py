@@ -167,13 +167,6 @@ class PCharacter:
     def __repr__(self):
         return f"PCharacter(p={self.p}, cond=p^{self.conductor_exp}, order={self.order()})"
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "conductor_exp": self.conductor_exp, "log": self.log}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PCharacter":
-        return cls(data["p"], data["conductor_exp"], data["log"])
-
 
 def unit_powers(p: int, c: int, log: int, h: int, field_order: int) -> list:
     """[(a, j)] over a in (Z/p^h)^*, with chi(a) = zeta_field_order^j for the

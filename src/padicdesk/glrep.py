@@ -146,8 +146,8 @@ def generator_weights(n: int, d: int) -> dict:
     out = {}
     out["mu0"] = WeightData(n, d, 1, zero, zs)
 
-    def wd(rows, j=None, k0=0):
-        return WeightData(n, d, k0, rows, j if j is not None else zs)
+    def wd(rows):
+        return WeightData(n, d, 0, rows, zs)
 
     rows = [r[:] for r in zero]
     for i in range(n, 2 * n):
@@ -536,7 +536,7 @@ class GLBlockModel:
         den *= scale ** closure.degree
         return {k: Fraction(c, den) for k, c in coords.items()}
 
-    def basis_values(self, g: ExactMatrix, indices, with_twist: bool = True) -> dict:
+    def basis_values(self, g: ExactMatrix, indices) -> dict:
         """{idx: value of basis vector idx at g}, with det(g) computed once.
 
         Entries may be rationals or ring elements.  The true function is
@@ -545,6 +545,6 @@ class GLBlockModel:
         the sum runs in int arithmetic and each value is a Fraction.
         """
         closure = self._closure
-        point = _Point(g, self.shift if with_twist else 0)
+        point = _Point(g, self.shift)
         return {idx: point.value(closure.packed[idx], closure.width, closure.degree)
                 for idx in indices}

@@ -48,8 +48,8 @@ class HalfPowerValue(RingOps):
         return cls(p, 1, half_exp)
 
     @classmethod
-    def symbol(cls, p: int, tau: int, i: int, e: int = 1) -> "HalfPowerValue":
-        return cls(p, 1, 0, {(tau, i): e})
+    def symbol(cls, p: int, tau: int, i: int) -> "HalfPowerValue":
+        return cls(p, 1, 0, {(tau, i): 1})
 
     def _coerce(self, other) -> "HalfPowerValue":
         if not isinstance(other, HalfPowerValue):
@@ -279,9 +279,8 @@ def _factor_tail(data: SatakeData, chi: list, e, n: int) -> HalfPowerValue:
     out = HalfPowerValue.one(p)
     for tau in range(data.d):
         out = out * HalfPowerValue(p, chi[tau].finite.parity() ** n)
-    denom = data.alpha_p_e(e) * modulus_deltaB(
-        [[Fraction(p) ** k for k in row] for row in t_p_e_exponents(n, e)], n, p)
-    return out / denom
+    delta = HalfPowerValue.p_power(p, 2 * modulus_character_exponent(t_p_e_exponents(n, e), n))
+    return out / (data.alpha_p_e(e) * delta)
 
 
 def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:

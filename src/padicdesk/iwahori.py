@@ -63,35 +63,27 @@ def u_element(n: int, distinguished: bool = True) -> ExactMatrix:
     the lower-left n x n block, which is also the simple open-orbit
     representative (the gammahat of the subgroup and coset checks below).
     """
-    m = 2 * n
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    u = ExactMatrix.identity(2 * n)
     if distinguished:
         for i in range(1, n):
-            rows[n + i][n - i] = Fraction(1)
+            u.rows[n + i][n - i] = Fraction(1)
     else:
         for i in range(n):
-            rows[n + i][n - 1 - i] = Fraction(1)
-    return ExactMatrix(rows)
+            u.rows[n + i][n - 1 - i] = Fraction(1)
+    return u
 
 
-def gamma_element(n: int, distinguished: bool = True) -> ExactMatrix:
+def gamma_element(n: int) -> ExactMatrix:
     """gamma = u * (unipotent with 1 in the (1, n+1) slot) at the distinguished
-    component; gamma = u elsewhere."""
-    u = u_element(n, distinguished)
-    if not distinguished:
-        return u
-    m = 2 * n
-    ins = ExactMatrix.identity(m)
+    component (elsewhere gamma is u itself, the simple form)."""
+    ins = ExactMatrix.identity(2 * n)
     ins.rows[0][n] = Fraction(1)
-    return u * ins
+    return u_element(n) * ins
 
 
-def gammahat_element(n: int, distinguished: bool = True) -> ExactMatrix:
-    """gammahat = gamma * w at the distinguished component; gamma elsewhere."""
-    g = gamma_element(n, distinguished)
-    if not distinguished:
-        return g
-    return g * w_cycle(n)
+def gammahat_element(n: int) -> ExactMatrix:
+    """gammahat = gamma * w at the distinguished component."""
+    return gamma_element(n) * w_cycle(n)
 
 
 def t_p_matrix(n: int, p: int, e: int = 1) -> ExactMatrix:
@@ -470,13 +462,10 @@ def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> di
         lhs = iwahori_member(conj, p, beta + 1, modulus)
         rhs = intrinsic_subgroup_member(h, n, p, beta + 1)
         if lhs != rhs:
-            return {"passed": False, "samples": k + 1,
-                    "detail": "membership equivalence failed"}
+            return {"passed": False, "samples": k + 1}
         if lhs:
             nontrivial += 1
-    return {"passed": True, "samples": samples, "deep_members": nontrivial,
-            "conjugator": "simple antidiagonal open-orbit form",
-            "detail": "two-sided membership equivalence holds"}
+    return {"passed": True, "samples": samples, "deep_members": nontrivial}
 
 
 def similitude_congruence_check(n: int, p: int, beta: int, samples: int, seed: int) -> dict:
@@ -490,9 +479,9 @@ def similitude_congruence_check(n: int, p: int, beta: int, samples: int, seed: i
         b = ExactMatrix([row[n:] for row in h[n:]])
         ratio = Fraction(b.det(), a.det())
         if valuation(ratio - 1, p) < beta:
-            return {"passed": False, "samples": ok, "detail": "similitude escaped 1 + p^beta"}
+            return {"passed": False, "samples": ok}
         ok += 1
-    return {"passed": True, "samples": ok, "detail": "similitude values in 1 + p^beta"}
+    return {"passed": True, "samples": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +579,7 @@ def coset_witness_identity(n: int, beta: int, p: int) -> dict:
     ok = all(valuation(x, p) >= 0 for row in k.rows for x in row)
     ok = ok and all(valuation(k.rows[i][i], p) == 0 for i in range(m))
     ok = ok and all(valuation(k.rows[i][j], p) >= 1 for i in range(m) for j in range(i))
-    return {"passed": ok, "witness": [[str(x) for x in row] for row in k.rows]}
+    return {"passed": ok}
 
 
 def hecke_diagonal_multiplicativity(n: int, p: int, e: int) -> bool:
@@ -638,14 +627,14 @@ def frobenius_twist_identity(n: int, p: int, beta_prime: int) -> dict:
         if l != r:
             numeric = False
             break
-    return {"passed": symbolic and numeric, "symbolic": symbolic, "numeric": numeric}
+    return {"passed": symbolic and numeric, "symbolic": symbolic}
 
 
 def gammahat_coset_relation(n: int) -> dict:
     """gammahat = zeta * (simple form) * b with b integral upper-triangular unit.
 
     zeta is block diag(X, 1) with X the composition of the two antidiagonal
-    reversals; returns b and the verification verdict.
+    reversals; returns the verdict and det X.
     """
     m = 2 * n
     gh = gammahat_element(n)
@@ -654,8 +643,7 @@ def gammahat_coset_relation(n: int) -> dict:
     blockx = ExactMatrix([[Fraction(1) if i == j == 0 else
                            (Fraction(1) if 1 <= i < n and j == n - i else Fraction(0))
                            for j in range(n)] for i in range(n)]) * wn
-    zeta = ExactMatrix([[Fraction(1) if i == j else Fraction(0) for j in range(m)]
-                        for i in range(m)])
+    zeta = ExactMatrix.identity(m)
     for i in range(n):
         for j in range(n):
             zeta.rows[i][j] = blockx.rows[i][j]
@@ -663,5 +651,4 @@ def gammahat_coset_relation(n: int) -> dict:
     ok = all(b.rows[i][j] == 0 for i in range(m) for j in range(i))
     ok = ok and all(b.rows[i][j].denominator == 1 for i in range(m) for j in range(m))
     ok = ok and all(abs(b.rows[i][i]) == 1 for i in range(m))
-    return {"passed": ok, "b": [[str(v) for v in row] for row in b.rows],
-            "det_zeta_block": blockx.det()}
+    return {"passed": ok, "det_zeta_block": blockx.det()}

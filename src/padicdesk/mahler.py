@@ -19,23 +19,22 @@ from .rationals import INF, valuation
 
 
 class MahlerSeries:
-    """Truncated expansion f(x) = sum a_k binom(p^scale * x, k)."""
+    """Truncated expansion f(x) = sum a_k binom(x, k) on the integers."""
 
-    __slots__ = ("p", "coeffs", "scale")
+    __slots__ = ("p", "coeffs")
 
-    def __init__(self, p: int, coeffs, scale: int = 0):
+    def __init__(self, p: int, coeffs):
         self.p = p
         self.coeffs = [Fraction(c) for c in coeffs]
-        self.scale = scale
 
     @property
     def depth(self) -> int:
         return len(self.coeffs)
 
     def evaluate(self, x) -> Fraction:
-        t = Fraction(x) * self.p ** self.scale
+        t = Fraction(x)
         if t.denominator != 1:
-            raise ValueError("argument outside the domain p^-scale Z")
+            raise ValueError("argument outside the domain Z")
         t = t.numerator
         out = Fraction(0)
         binom = 1  # binom(t, k) = binom(t, k-1) (t - k + 1) / k, an exact int division
@@ -47,14 +46,14 @@ class MahlerSeries:
         return out
 
     def __repr__(self):
-        return f"MahlerSeries(p={self.p}, K={self.depth}, scale={self.scale})"
+        return f"MahlerSeries(p={self.p}, K={self.depth})"
 
 
-def mahler_coefficients(values, p: int, K: int | None = None, scale: int = 0) -> MahlerSeries:
+def mahler_coefficients(values, p: int, K: int | None = None) -> MahlerSeries:
     """Coefficients a_k = (forward difference)^k f(0) from a value table.
 
-    The table lists f on {0, ..., len-1} (scaled domain); reconstruction
-    through binomials reproduces the first K table entries exactly.
+    The table lists f on {0, ..., len-1}; reconstruction through binomials
+    reproduces the first K table entries exactly.
     """
     vals = [Fraction(v) for v in values]
     if K is None:
@@ -69,7 +68,7 @@ def mahler_coefficients(values, p: int, K: int | None = None, scale: int = 0) ->
         if not row:
             break
     coeffs += [Fraction(0)] * (K - len(coeffs))
-    return MahlerSeries(p, coeffs, scale)
+    return MahlerSeries(p, coeffs)
 
 
 def epsilon_norm(series: MahlerSeries, eps) -> Fraction | float:
@@ -89,12 +88,10 @@ def epsilon_norm(series: MahlerSeries, eps) -> Fraction | float:
 
 def series_product(f: MahlerSeries, g: MahlerSeries) -> MahlerSeries:
     """Product series, computed through value tables (exact convolution)."""
-    if f.p != g.p or f.scale != g.scale:
-        raise ValueError("mixed series domains")
+    if f.p != g.p:
+        raise ValueError("mixed series primes")
     K = f.depth + g.depth - 1
-    vals = [f.evaluate(Fraction(x, f.p ** f.scale)) * g.evaluate(Fraction(x, f.p ** f.scale))
-            for x in range(K)]
-    return mahler_coefficients(vals, f.p, K, f.scale)
+    return mahler_coefficients([f.evaluate(x) * g.evaluate(x) for x in range(K)], f.p, K)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +110,12 @@ def in_unit_box(point, n: int, p: int) -> bool:
     return all(valuation(a, p) >= 1 for a in tail)
 
 
-def weighted_indicator(beta: int, chi: PCharacter, point, M: int | None = None):
+def weighted_indicator(beta: int, chi: PCharacter, point):
     """chi(a_(n+1)) on the unit box, 0 elsewhere on the ambient box.
 
     ``point`` lists the 2n-1 coordinates (a_2, ..., a_2n); the first n may
-    have denominator up to p^beta, the rest must be p-integral.  M is the
-    table depth; it must cover beta plus the conductor.
+    have denominator up to p^beta, the rest must be p-integral, and the
+    conductor of chi must divide p^beta.
     """
     p = chi.p
     n = (len(point) + 1) // 2
@@ -127,8 +124,6 @@ def weighted_indicator(beta: int, chi: PCharacter, point, M: int | None = None):
     c = chi.conductor_exp
     if c > beta:
         raise ValueError("conductor must divide p^beta")
-    if M is not None and M < beta + c:
-        raise ValueError(f"depth M = {M} too small; need >= beta + conductor = {beta + c}")
     for pos, a in enumerate(point):
         v = valuation(a, p)
         bound = -beta if pos < n else 0
@@ -146,22 +141,10 @@ def weighted_indicator(beta: int, chi: PCharacter, point, M: int | None = None):
 class EqualityReport:
     """Outcome of a pointwise identity check on a finite quotient."""
 
-    def __init__(self, passed: bool, npoints: int, counterexample=None, detail: str = ""):
+    def __init__(self, passed: bool, npoints: int, counterexample=None):
         self.passed = passed
         self.npoints = npoints
         self.counterexample = counterexample
-        self.detail = detail
-
-    def __bool__(self):
-        return self.passed
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "points_checked": self.npoints,
-            "counterexample": None if self.counterexample is None else list(map(str, self.counterexample)),
-            "detail": self.detail,
-        }
 
 
 def fourier_expand_fchi(beta: int, beta_prime: int, chi: PCharacter) -> EqualityReport:
@@ -195,8 +178,8 @@ def fourier_expand_fchi(beta: int, beta_prime: int, chi: PCharacter) -> Equality
         rhs = zeta_power_sum(field, weights) * scale
         npoints += 1
         if lhs != rhs:
-            return EqualityReport(False, npoints, (a,), "slice-function expansion mismatch")
-    return EqualityReport(True, npoints, detail="slice-function expansion")
+            return EqualityReport(False, npoints, (a,))
+    return EqualityReport(True, npoints)
 
 
 def _slice_value(chi: PCharacter, beta_prime: int, a: Fraction) -> CyclotomicElement:
@@ -226,8 +209,8 @@ def fourier_expand_unit_indicator(p: int, beta: int, beta_prime: int, n: int) ->
         rhs = zeta_power_sum(root_order, weights) * scale
         npoints += 1
         if rhs != CyclotomicElement.from_rational(lhs, root_order):
-            return EqualityReport(False, npoints, avals, "unit-indicator expansion mismatch")
-    return EqualityReport(True, npoints, detail="unit-indicator expansion")
+            return EqualityReport(False, npoints, avals)
+    return EqualityReport(True, npoints)
 
 
 def _d_histogram(ms, p: int, beta: int, beta_prime: int) -> dict:

@@ -68,10 +68,6 @@ class ExactMatrix:
     def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "ExactMatrix":
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
 

@@ -266,11 +266,12 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12) ->
 # ---------------------------------------------------------------------------
 
 
-def _random_cone_weight(n: int, d: int, rnd, bound: int = 6) -> WeightData:
-    """Rejection-sample a weight in the cone with entries bounded by `bound`."""
+def _random_cone_weight(n: int, d: int, rnd) -> WeightData:
+    """Rejection-sample a weight in the cone with head entries bounded by 6
+    and the other components' entries by 3."""
     while True:
         w = -rnd.randrange(0, 3)
-        head = sorted([rnd.randrange(-bound, bound + 1) for _ in range(n - 1)],
+        head = sorted([rnd.randrange(-6, 7) for _ in range(n - 1)],
                       reverse=True)  # positions 2..n
         k_mid = min(w, head[-1]) - rnd.randrange(0, 2)  # position n+1
         kap = [rnd.randrange(-2, 3)] + head + [k_mid]
@@ -280,7 +281,7 @@ def _random_cone_weight(n: int, d: int, rnd, bound: int = 6) -> WeightData:
         rows = [kap]
         js = [rnd.randrange(0, jmax + 1) if jmax >= 0 else -1]
         for _ in range(d - 1):
-            half = sorted([rnd.randrange(0, bound // 2 + 1) for _ in range(n)],
+            half = sorted([rnd.randrange(0, 4) for _ in range(n)],
                           reverse=True)
             rows.append(half + [-x for x in reversed(half)])
             js.append(rnd.randrange(0, half[n - 1] + 1))
@@ -379,47 +380,44 @@ def run_rep_suite(p: int = 3, seed: int = 0) -> dict:
     return suite.report()
 
 
-def random_subgroup_point(n: int, d: int, rnd, spread: int = 2) -> branch_mod.MPoint:
+def random_subgroup_point(n: int, d: int, rnd) -> branch_mod.MPoint:
     def rand_unimod(m):
-        mat = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+        mat = ExactMatrix.identity(m).rows
         for _ in range(2 * m):
             i, j = rnd.randrange(m), rnd.randrange(m)
             if i != j:
-                c = rnd.randint(-spread, spread)
+                c = rnd.randint(-2, 2)
                 for k in range(m):
                     mat[i][k] += c * mat[j][k]
         return mat
 
-    blk = [[Fraction(1) if i == j else Fraction(0) for j in range(2 * n - 1)]
-           for i in range(2 * n - 1)]
+    blk = ExactMatrix.identity(2 * n - 1)
     m2, m3 = rand_unimod(n - 1), rand_unimod(n)
     for i in range(n - 1):
         for j in range(n - 1):
-            blk[i][j] = m2[i][j]
+            blk.rows[i][j] = m2[i][j]
     for i in range(n):
         for j in range(n):
-            blk[n - 1 + i][n - 1 + j] = m3[i][j]
-    blocks = [ExactMatrix(blk)]
+            blk.rows[n - 1 + i][n - 1 + j] = m3[i][j]
+    blocks = [blk]
     for _ in range(d - 1):
-        big = [[Fraction(1) if i == j else Fraction(0) for j in range(2 * n)]
-               for i in range(2 * n)]
+        big = ExactMatrix.identity(2 * n)
         z1, z2 = rand_unimod(n), rand_unimod(n)
         for i in range(n):
             for j in range(n):
-                big[i][j] = z1[i][j]
-                big[n + i][n + j] = z2[i][j]
-        blocks.append(ExactMatrix(big))
+                big.rows[i][j] = z1[i][j]
+                big.rows[n + i][n + j] = z2[i][j]
+        blocks.append(big)
     return branch_mod.MPoint(Fraction(rnd.choice([1, -1, 2])),
                              Fraction(rnd.choice([1, -1, 2, 3])), blocks)
 
 
 def random_congruence_unipotent(n: int, d: int, p: int, beta: int, M: int, rnd):
-    mdim = 2 * n - 1
-    blk = [[Fraction(1) if i == j else Fraction(0) for j in range(mdim)] for i in range(mdim)]
-    for i in range(mdim):
+    blk = ExactMatrix.identity(2 * n - 1)
+    for i in range(blk.nrows):
         for j in range(i):
-            blk[i][j] = Fraction(p ** beta * rnd.randrange(0, p ** (M - beta)))
-    return branch_mod.MPoint(1, 1, [ExactMatrix(blk)] +
+            blk.rows[i][j] = Fraction(p ** beta * rnd.randrange(0, p ** (M - beta)))
+    return branch_mod.MPoint(1, 1, [blk] +
                              [ExactMatrix.identity(2 * n) for _ in range(d - 1)])
 
 

@@ -258,13 +258,12 @@ def epsilon_action_words(T: ExactMatrix, K: int) -> int:
         for k in range(1, K + 1))
 
 
-def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,
-                         target_exponent=Fraction(0)) -> dict:
+def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int) -> dict:
     """Exponent table e_k of p^(-k eps) ||binom(T, k)|| for k <= K.
 
     ||.|| is the sup norm on matrix entries (p-adic); reports whether the
-    weighted exponents eventually stay strictly below the target and the
-    first index from which they do.  The binomials are kept as sparse rows
+    weighted exponents eventually stay strictly below 0 and the first index
+    from which they do.  The binomials are kept as sparse rows
     {col: Fraction}, so the work follows the nonzero entries of T.
     """
     eps = Fraction(eps)
@@ -287,21 +286,12 @@ def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int,
         exps.append(-INF if v == INF else -k * eps - v)
     tail_start = None
     for k in range(K + 1):
-        if all(e == -INF or e < target_exponent for e in exps[k:]):
+        if all(e == -INF or e < 0 for e in exps[k:]):
             tail_start = k
             break
-    decreasing_from = None
-    for k in range(K):
-        tail = exps[k:]
-        finite = [e for e in tail if e != -INF]
-        if all(x > y for x, y in zip(finite, finite[1:])):
-            decreasing_from = k
-            break
     return {
-        "eps": eps,
         "exponents": exps,
         "eventually_below_target_from": tail_start,
-        "strictly_decreasing_from": decreasing_from,
         "passed": tail_start is not None,
     }
 
@@ -400,17 +390,12 @@ class OverconvergenceChain:
         delta = Fraction(delta)
         if s is None:
             s = self.stage_for_delta(delta)
-        e_r = self.norm_exponent(v, self.r)
-        e_inf = self.norm_exponent(v, None)
-        if e_r == -INF:
-            return {"s": s, "m": None, "passed": True}
-        c = e_r
-        m = int(c - e_inf)  # largest integer with ||v||_inf <= p^(c - m)
-        if m < 0:
-            m = 0
-        e_s = self.norm_exponent(v, s)
-        return {"s": s, "c": c, "m": m, "e_s": e_s,
-                "bound": c - delta * m, "passed": e_s <= c - delta * m}
+        c = self.norm_exponent(v, self.r)
+        if c == -INF:
+            return {"passed": True}
+        # the largest integer m >= 0 with ||v||_inf <= p^(c - m)
+        m = max(0, int(c - self.norm_exponent(v, None)))
+        return {"passed": self.norm_exponent(v, s) <= c - delta * m}
 
 
 def derivation_matrix(der: ShiftDerivation, ngens: int, dmax: int) -> tuple:
@@ -445,16 +430,12 @@ def perturbation_threshold(T1: ExactMatrix, T2: ExactMatrix, eps, K: int, p: int
                            n_max: int = 8) -> dict:
     """Empirical least congruence depth n with decaying weighted exponents.
 
-    Scans T1 + p^n T2 for n = 0..n_max and reports the first n from which
-    the weighted exponent table eventually stays below zero; no closed
-    formula for the threshold is claimed, only the per-instance scan.
+    Scans T1 + p^n T2 for n = 0, 1, ..., n_max and reports the first n
+    whose weighted exponent table eventually stays below zero (None if no
+    n does); no closed formula for the threshold is claimed, only the
+    per-instance scan.
     """
-    table = {}
-    first = None
     for n in range(n_max + 1):
-        op = T1 + T2.scale(Fraction(p) ** n)
-        rep = epsilon_action_bound(op, eps, K, p)
-        table[n] = rep["passed"]
-        if rep["passed"] and first is None:
-            first = n
-    return {"first_passing_depth": first, "scan": table}
+        if epsilon_action_bound(T1 + T2.scale(Fraction(p) ** n), eps, K, p)["passed"]:
+            return {"first_passing_depth": n}
+    return {"first_passing_depth": None}

@@ -81,7 +81,8 @@ def test_group_action_matches_translation():
         moved = rational_inverse(h) * g
         want = evaluate(model, polys[idx], moved, with_twist=False)
         assert evaluate(model, image, g, with_twist=False) == want
-        assert model.basis_values(moved, [idx], with_twist=False) == {idx: want}
+        if moved.det():  # the det twist of the values is defined at invertible points
+            assert model.basis_values(moved, [idx]) == {idx: evaluate(model, polys[idx], moved)}
 
 
 def test_lie_action_weights():
@@ -199,11 +200,10 @@ def test_rational_evaluation_matches_fraction_path():
                       ExactMatrix([[Fraction(x, i + 2 * j + 1) for j, x in enumerate(r)]
                                    for i, r in enumerate(ints)])]
             for g in points:
-                for twist in (True, False):
-                    values = model.basis_values(g, range(model.dimension), twist)
-                    for idx, f in enumerate(basis(model)):
-                        got = values[idx]
-                        assert got == evaluate(model, f, g, twist) and type(got) is Fraction
+                values = model.basis_values(g, range(model.dimension))
+                for idx, f in enumerate(basis(model)):
+                    got = values[idx]
+                    assert got == evaluate(model, f, g) and type(got) is Fraction
 
 
 def test_ring_element_evaluation_matches_rational_specialization():

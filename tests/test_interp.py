@@ -36,11 +36,6 @@ def test_character_group_law():
         assert sq(a) == chi(a) * chi(a)
 
 
-def test_character_serialization():
-    chi = PCharacter.from_log(5, 1, 1)
-    assert PCharacter.from_json(chi.to_json()) == chi
-
-
 def test_gauss_sum_quadratic():
     chi = PCharacter.from_log(3, 1, 1)
     z = CyclotomicElement.zeta(3)

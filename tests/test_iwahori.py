@@ -540,8 +540,8 @@ def test_frobenius_twist_identity_fails_for_a_perturbed_gamma(monkeypatch):
         if i == j:
             continue
 
-        def perturbed(n, distinguished=True, i=i, j=j):
-            g = true_gamma(n, distinguished)
+        def perturbed(n, i=i, j=j):
+            g = true_gamma(n)
             g.rows[i][j] += 1
             return g
 

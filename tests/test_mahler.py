@@ -88,8 +88,6 @@ def test_weighted_indicator_values():
 
 def test_weighted_indicator_preconditions():
     chi = PCharacter.from_log(3, 1, 1)
-    with pytest.raises(ValueError, match="too small"):
-        mahler.weighted_indicator(1, chi, (Fraction(0), Fraction(1), Fraction(0)), M=1)
     deep_chi = PCharacter.from_log(3, 2, 1)
     with pytest.raises(ValueError, match="conductor"):
         mahler.weighted_indicator(1, deep_chi, (Fraction(0), Fraction(1), Fraction(0)))
@@ -133,7 +131,7 @@ def test_fourier_unit_indicator_examples():
 
 def _old_evaluate(series, x):
     """The evaluation before the integer binomial: each binom(t, k) from scratch."""
-    t = Fraction(x) * series.p ** series.scale
+    t = Fraction(x)
     out = Fraction(0)
     for k, a in enumerate(series.coeffs):
         if a:
@@ -147,14 +145,15 @@ def _old_evaluate(series, x):
 @pytest.mark.parametrize("p", [3, 5])
 def test_integer_binomial_evaluation_matches_the_old_one(p):
     rnd = random.Random(p)
-    for scale in (0, 1):
-        for _ in range(20):
-            series = mahler.MahlerSeries(p, [Fraction(rnd.randrange(-9, 9), p ** rnd.randrange(3))
-                                             for _ in range(rnd.randrange(1, 3 * p))], scale)
-            for m in range(-2 * p, 3 * p):
-                x = Fraction(m, p ** scale)
-                got = series.evaluate(x)
-                assert got == _old_evaluate(series, x) and type(got) is Fraction
+    for _ in range(20):
+        series = mahler.MahlerSeries(p, [Fraction(rnd.randrange(-9, 9), p ** rnd.randrange(3))
+                                         for _ in range(rnd.randrange(1, 3 * p))])
+        for x in range(-2 * p, 3 * p):
+            got = series.evaluate(x)
+            assert got == _old_evaluate(series, x) and type(got) is Fraction
+            assert series.evaluate(Fraction(x)) == got
+        with pytest.raises(ValueError, match="domain Z"):
+            series.evaluate(Fraction(1, p))
 
 
 def _old_d_histogram(ms, p, beta, beta_prime):

@@ -19,10 +19,10 @@ def _mahler(monkeypatch):
     # p = 3, x = 2 at depth 1 and x = 2..8 at depth 2
     real = mahler.mahler_coefficients
 
-    def fault(values, p, K=None, scale=0):
+    def fault(values, p, K=None):
         if K is None:  # only the reconstruction check sizes the series by its table
             values = values[:2] + [v + 1 for v in values[2:]]
-        return real(values, p, K, scale)
+        return real(values, p, K)
 
     monkeypatch.setattr(mahler, "mahler_coefficients", fault)
     return "mahler.reconstruction", {"depth": 1, "x": 2}

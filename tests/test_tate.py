@@ -222,7 +222,6 @@ def test_epsilon_action_bound_derivation_matrix_pinned():
     assert rep["exponents"] == [Fraction(e) for e in
                                 ("0", "-1/2", "-1", "-1/2", "-1", "-3/2", "-1", "-5/2", "-3")]
     assert rep["eventually_below_target_from"] == 1
-    assert rep["strictly_decreasing_from"] == 6
     assert rep["passed"]
 
 

@@ -33,3 +33,27 @@ def test_every_traced_name_resolves():
     assert {("padicdesk.artinian", "ArtinianElement.__mul__"),
             ("padicdesk.tate", "binomial_of_derivation_closed")} <= set(names)
     assert missing == []
+
+
+def test_the_hooks_read_the_work_off_the_results(capsys):
+    # the hooks read `npoints` off the Fourier checks' reports and "checked"
+    # off the double-coset result; the counts must match the reports' own
+    import json
+
+    import padicdesk.cli as cli
+
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        reports = []
+        for suite in ("mahler", "iwahori"):
+            assert cli.main(["verify", "--suite", suite]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["suites"][0])
+    finally:
+        tracer.restore()
+    mahler_report, iwahori_report = reports
+    points = sum(c["points"] for c in mahler_report["checks"] if "points" in c)
+    checked = {c["id"]: c for c in iwahori_report["checks"]}[
+        "iwahori.double_coset_singleton"]["checked"]
+    assert tracer.counts["mahler.fourier_points"] == points > 0
+    assert tracer.counts["iwahori.representatives_checked"] == checked > 0

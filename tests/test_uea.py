@@ -119,7 +119,9 @@ def test_commutator_leibniz_on_function_model():
             continue
         pts.append(cand)
     for mono in [(), (3,), (3, 4), (4, 4)]:
-        assert commutator_leibniz_check(2, 2, mono, func=f, points=pts)
+        lhs, rhs = commutator_leibniz_words(2, 2, mono)
+        for pt in pts:
+            assert uea_act_at(lhs, f, pt) == uea_act_at(rhs, f, pt), (mono, pt)
 
 
 def test_uea_act_identity_element():
@@ -222,6 +224,7 @@ def test_step_constant_matches_dual_number_oracle():
 
 
 def test_uea_serialization():
+    # the form `branch` reports its operator in: sorted words of [i, j, component]
     x = E(0, 1) * E(1, 2) + E(2, 0).scale(Fraction(-3, 2))
-    data = x.to_json()
-    assert UEAElement.from_json(data) == x
+    assert x.to_json() == [{"coeff": "1/1", "word": [[0, 1, 0], [1, 2, 0]]},
+                           {"coeff": "-3/2", "word": [[2, 0, 0]]}]
