@@ -19,11 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .glrep import GLBlockModel, WeightData, cone_decompose, generator_weights, weyl_dimension
 from .iwahori import u_element
 from .matrices import ExactMatrix, rational_inverse
 from .polynomials import image_kernel
+from .rationals import integer
 
 
 class MPoint:
@@ -49,12 +51,15 @@ def u_conjugator(n: int, d: int) -> MPoint:
 
     Distinguished block: identity plus lower entries feeding coordinate
     a_(n+1-i) into a_(n+1+i); other components: unipotent with the
-    antidiagonal in the lower-left n x n block.  Built once per (n, d) and
+    antidiagonal in the lower-left n x n block.  Its entries are ints, so
+    u g is int arithmetic at an integral g.  Built once per (n, d) and
     shared: callers must not mutate it.
     """
-    u0 = u_element(n, True)
-    return MPoint(1, 1, [ExactMatrix(row[1:] for row in u0.rows[1:])]
-                  + [u_element(n, False) for _ in range(d - 1)])
+    def ints(rows):
+        return ExactMatrix([integer(x, "u entry") for x in row] for row in rows)
+
+    return MPoint(1, 1, [ints(row[1:] for row in u_element(n, True).rows[1:])]
+                  + [ints(u_element(n, False).rows)] * (d - 1))
 
 
 def v_basepoint(n: int, d: int) -> MPoint:
@@ -228,33 +233,36 @@ class BranchModel:
 
     # -- evaluation -------------------------------------------------------
 
-    def _v_values(self, g: MPoint, qs) -> dict:
-        """{block indices: value at a Levi point of that V_kappa basis vector} over qs.
+    def _pairing(self, g: MPoint, column, coords: dict):
+        """sum over coords of c_q * V_q(g) * x^(J_q)(column): every pairing goes through here.
 
-        Each block evaluates each of its basis vectors that qs use once, with
-        one det per block.
+        The sum runs over numerators, as one int at a rational point g: the
+        coordinates over their common denominator, the column over its own L
+        (every J_q has j_0 entries) and each block's basis numerators over
+        its factor, which carries the block's 1/L^degree and det twist.  The
+        denominators and factors are applied once, at the end.
         """
         wd = self.wd
-        keys = {self.index[q][0] for q in qs}
-        tables = [model.basis_values(g.blocks[t], {key[t] for key in keys})
-                  for t, model in enumerate(self.blocks)]
-        head = g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
-        out = {}
-        for key in keys:
-            val = head
-            for t, i in enumerate(key):
-                val = val * tables[t][i]
-            out[key] = val
-        return out
-
-    def _pairing(self, g: MPoint, column, coords: dict):
-        """sum over coords of c_q * V_q(g) * x^(J_q)(column): every pairing goes through here."""
-        values = self._v_values(g, coords)
-        out = Fraction(0)
+        factor = g.sim ** (-wd.kappa0) * g.g1 ** (-wd.kappa[0][0])
+        tables = []
+        for t, model in enumerate(self.blocks):
+            numerators, block_factor = model.basis_numerators(
+                g.blocks[t], {self.index[q][0][t] for q in coords})
+            tables.append(numerators)
+            factor = factor * block_factor
+        col_den = lcm(*(x.denominator for x in column))
+        col = [x.numerator * (col_den // x.denominator) for x in column]
+        den = lcm(*(c.denominator for c in coords.values()))
+        total = 0
         for q, c in coords.items():
             block_idx, J = self.index[q]
-            out += c * values[block_idx] * _monomial_value(J, column)
-        return out
+            term = c.numerator * (den // c.denominator)
+            for t, i in enumerate(block_idx):
+                term = term * tables[t][i]
+            for v in J:
+                term = term * col[v]
+            total = total + term
+        return total * factor / (den * col_den ** wd.j[0])
 
     def pair_value(self, g: MPoint, h: MPoint):
         """Value of the solved vector as a function on (Levi) x (subgroup)."""
@@ -284,6 +292,28 @@ class BranchModel:
         for i in range(1, n):
             folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
         return self._pairing(_mpoint_mul(u_conjugator(n, self.wd.d), g), folded, self.coords)
+
+    def box_value_bits(self, entry_bits: int) -> int:
+        """A bound on the bit lengths of the numerator and the denominator of
+        `box_restriction_value` at an integral point with unit similitude and
+        GL_1 entry and det-1 blocks, as `suites.random_congruence_unipotent`
+        draws, and at integral box coordinates, all below 2^entry_bits in
+        absolute value.
+
+        A row of u has at most two nonzero entries, both 1, so each entry of
+        u g and each folded coordinate is below 2^(entry_bits + 1).  Every
+        factor of the pairing is 1, so the value's denominator divides the
+        coordinates' common denominator.
+        """
+        den = lcm(*(c.denominator for c in self.coords.values()))
+        bits = entry_bits + 1
+        top = 0  # the most bits of one term c_q den * prod N_(t,q) * x^(J_q)
+        for q, c in self.coords.items():
+            block_idx, J = self.index[q]
+            term = (c.numerator * (den // c.denominator)).bit_length() + len(J) * bits
+            term += sum(model.numerator_bits(i, bits) for model, i in zip(self.blocks, block_idx))
+            top = max(top, term)
+        return max(top + len(self.coords).bit_length(), den.bit_length())
 
     def cpol_value(self, g: MPoint, a_coords, coords=None):
         """Raw pairing against big-cell column coordinates (no conjugation).
@@ -361,14 +391,6 @@ class BranchModel:
 
 def _acc(d: dict, k, v):
     d[k] = d.get(k, Fraction(0)) + v
-
-
-def _monomial_value(J: tuple, values):
-    """prod over v in the multiset J of values[v]."""
-    out = Fraction(1)
-    for v in J:
-        out *= values[v]
-    return out
 
 
 def _substitute_multiset(J: tuple, forms) -> dict:

@@ -162,6 +162,11 @@ def _run_branch(args) -> int:
 
     p, beta = args.p, args.beta
     M = beta + 2
+    # every sample entry is an int below p^M < 2^(M bitlen(p^16) / 16): before the
+    # first draw, refuse a box point or value too long for the budget or to write out
+    entry_bits = -(-M * (p ** 16).bit_length() // 16)
+    digits = max(entry_bits, bm.box_value_bits(entry_bits)) * 30103 // 100000 + 1
+    work.charge_digits("branch.restriction_samples", digits)
     samples = []
     for _ in range(5):
         g = random_congruence_unipotent(wd.n, wd.d, p, beta, M, rnd)

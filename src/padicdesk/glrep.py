@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import lcm
 
-from .matrices import ExactMatrix, SparseEchelon, perm_sign, rational_inverse
+from .matrices import ExactMatrix, SparseEchelon, rational_inverse, signed_permutations
 from .rationals import integer
 
 
@@ -339,8 +338,8 @@ def _leibniz(cells) -> dict:
     Distinct permutations must give distinct monomials, as they do for a
     minor of the generic matrix and for an alternant of distinct exponents.
     """
-    return {sum(row[c] for row, c in zip(cells, perm)): perm_sign(perm)
-            for perm in permutations(range(len(cells)))}
+    return {sum(row[c] for row, c in zip(cells, perm)): sign
+            for perm, sign in signed_permutations(len(cells))}
 
 
 def _polarize(m: int, a: int, b: int, f: dict, width: int) -> dict:
@@ -364,41 +363,38 @@ def _polarize(m: int, a: int, b: int, f: dict, width: int) -> dict:
 
 
 class _Point:
-    """A group point prepared for evaluation, with det^|shift| computed once.
+    """A group point prepared for evaluation: cleared once, det^|shift| computed once.
 
     A point with rational entries is cleared to the integer matrix L g, for
     L the common denominator of its entries; a point with ring-element
-    entries keeps them, with L = 1.  `value` sums a packed polynomial,
-    homogeneous of a known degree, in one loop over prod (L x_v)^e and
-    divides once by L^degree.
+    entries keeps them, with L = 1.  A basis vector homogeneous of degree k
+    takes the value numerator(vec) * factor at g: `numerator` sums the packed
+    polynomial in one loop over prod (L x_v)^e, and factor is det(g)^(-shift) / L^k.
     """
 
-    def __init__(self, g: ExactMatrix, shift: int):
-        self.shift, self.scale, self.twist = shift, 1, None
-        if all(type(x) is int or type(x) is Fraction for row in g.rows for x in row):
-            self.scale = lcm(*(x.denominator for row in g.rows for x in row))
-            g = ExactMatrix([[int(x * self.scale) for x in row] for row in g.rows])
-        self.values = [x for row in g.rows for x in row]
+    def __init__(self, g: ExactMatrix, shift: int, degree: int):
+        values = [x for row in g.rows for x in row]
+        scale = 1
+        if all(type(x) is int or type(x) is Fraction for x in values):
+            scale = lcm(*(x.denominator for x in values))
+            values = [x.numerator * (scale // x.denominator) for x in values]
+        self.values = values
+        self.factor = Fraction(1, scale ** degree)
         if shift:
-            self.twist = (g.det() * Fraction(1, self.scale ** g.nrows)) ** abs(shift)
+            m = g.nrows
+            cleared = ExactMatrix([values[r * m:(r + 1) * m] for r in range(m)])
+            twist = (cleared.det() * Fraction(1, scale ** m)) ** abs(shift)
+            self.factor = self.factor * twist if shift < 0 else self.factor / twist
 
-    def value(self, vec: dict, width: int, degree: int):
-        """The value of the packed polynomial vec, homogeneous of degree, det twist included.
-
-        A Fraction at a rational point, a ring element at a ring point.
-        """
-        entries = self.values
+    def numerator(self, vec: dict, width: int):
+        """sum over the packed polynomial vec of c * prod (L x_v)^e: an int at a rational point."""
+        values = self.values
         total = 0
         for key, t in vec.items():
             for v, e in _fields(key, width):
-                t = t * (entries[v] if e == 1 else entries[v] ** e)
+                t = t * (values[v] if e == 1 else values[v] ** e)
             total = total + t
-        val = total * Fraction(1, self.scale ** degree)
-        if self.shift < 0:
-            val = val * self.twist
-        elif self.shift > 0:
-            val = val / self.twist
-        return val
+        return total
 
 
 class _Closure:
@@ -536,15 +532,30 @@ class GLBlockModel:
         den *= scale ** closure.degree
         return {k: Fraction(c, den) for k, c in coords.items()}
 
-    def basis_values(self, g: ExactMatrix, indices) -> dict:
-        """{idx: value of basis vector idx at g}, with det(g) computed once.
+    def basis_numerators(self, g: ExactMatrix, indices) -> tuple:
+        """({idx: N_idx}, factor): basis vector idx takes the value N_idx * factor at g.
 
-        Entries may be rationals or ring elements.  The true function is
-        (polynomial) * det^(-shift), so the shifted model weight mu satisfies
-        true weight = mu + shift*(1,..,1).  On a point with rational entries
-        the sum runs in int arithmetic and each value is a Fraction.
+        det(g) is computed once.  The true function is (polynomial) *
+        det^(-shift), so the shifted model weight mu satisfies true weight =
+        mu + shift*(1,..,1).  At a point with rational entries each N_idx is
+        an int and factor the Fraction det(g)^(-shift) / L^degree; at a point
+        with ring-element entries both are ring elements.
         """
         closure = self._closure
-        point = _Point(g, self.shift)
-        return {idx: point.value(closure.packed[idx], closure.width, closure.degree)
-                for idx in indices}
+        point = _Point(g, self.shift, closure.degree)
+        return ({idx: point.numerator(closure.packed[idx], closure.width) for idx in indices},
+                point.factor)
+
+    def numerator_bits(self, idx: int, entry_bits: int) -> int:
+        """A bound on the bit length of basis vector idx's numerator at a point
+        with int entries below 2^entry_bits in absolute value: its coefficient
+        sum times 2^(entry_bits * degree)."""
+        closure = self._closure
+        return (sum(map(abs, closure.packed[idx].values())).bit_length()
+                + closure.degree * entry_bits)
+
+    def basis_values(self, g: ExactMatrix, indices) -> dict:
+        """{idx: value of basis vector idx at g}: a Fraction at a point with
+        rational entries, a ring element at a point with ring-element entries."""
+        numerators, factor = self.basis_numerators(g, indices)
+        return {idx: v * factor for idx, v in numerators.items()}

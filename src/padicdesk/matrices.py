@@ -3,16 +3,19 @@
 Entries need only +, * and unary -: rationals, cyclotomic and Artinian
 elements and commuting enveloping-algebra elements all work.  Sizes in this
 package stay small (<= 6 for minors and group elements), so `ExactMatrix.det`
-is the Leibniz expansion (glrep runs the same sum on packed monomials);
-`perm_sign` and `cycles` are the one inversion count and the one cycle
-walk.  The fraction-free `SparseEchelon` is the one elimination over Q (span
-closures, inverses, nullspaces, cyclotomic inverses); `row_reduce` is
-Gauss-Jordan over Z/m only.
+is the Leibniz expansion (glrep runs the same sum on packed monomials).
+Both read the (permutation, sign) pairs of a size from
+`signed_permutations`, a table built once per size; `perm_sign` and
+`cycles` are the one inversion count and the one cycle walk.  The
+fraction-free `SparseEchelon` is the one elimination over Q (span closures,
+inverses, nullspaces, cyclotomic inverses); `row_reduce` is Gauss-Jordan
+over Z/m only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
 
@@ -31,6 +34,12 @@ def perm_sign(perm) -> int:
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def signed_permutations(n: int) -> tuple:
+    """The (permutation, sign) pairs of range(n), in `permutations` order, built once per n."""
+    return tuple((perm, perm_sign(perm)) for perm in permutations(range(n)))
 
 
 def cycles(perm) -> list:
@@ -113,13 +122,13 @@ class ExactMatrix:
             raise ValueError("det of non-square matrix")
         if not self.rows:
             raise ValueError("det of an empty matrix: the ring of its entries is unknown")
-        n = self.nrows
+        n, rows = self.nrows, self.rows
         total = None
-        for perm in permutations(range(n)):
-            term = self.rows[0][perm[0]]
+        for perm, sign in signed_permutations(n):
+            term = rows[0][perm[0]]
             for i in range(1, n):
-                term = term * self.rows[i][perm[i]]
-            if perm_sign(perm) < 0:
+                term = term * rows[i][perm[i]]
+            if sign < 0:
                 term = -term
             total = term if total is None else total + term
         return total

@@ -100,16 +100,44 @@ class RingOps:
         return self._coerce(1) if out is None else out
 
 
+# Below this bound the strong-probable-prime test to the first 13 prime bases
+# decides primality exactly (Sorenson and Webster, 2015); above it trial division does.
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
+    if p < _SPRP_BOUND:
+        return all(_strong_probable_prime(p, a) for a in _SPRP_BASES)
     d = 2
     while d * d <= p:
         if p % d == 0:
             return False
         d += 1
     return True
+
+
+def _strong_probable_prime(p: int, a: int) -> bool:
+    """Whether p > 1 passes the Miller-Rabin test to base a.
+
+    A p divisible by a passes only if p = a.
+    """
+    if p % a == 0:
+        return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, p)
+    if x == 1 or x == p - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % p
+        if x == p - 1:
+            return True
+    return False
 
 
 def valuation(x, p: int = DEFAULT_PRIME):

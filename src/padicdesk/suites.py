@@ -413,12 +413,14 @@ def random_subgroup_point(n: int, d: int, rnd) -> branch_mod.MPoint:
 
 
 def random_congruence_unipotent(n: int, d: int, p: int, beta: int, M: int, rnd):
-    blk = ExactMatrix.identity(2 * n - 1)
+    """A Levi point with int entries: lower unitriangular at component 0, with
+    entries below the diagonal in p^beta Z / p^M, and the identity elsewhere."""
+    blk = ExactMatrix.identity(2 * n - 1, 1, 0)
     for i in range(blk.nrows):
         for j in range(i):
-            blk.rows[i][j] = Fraction(p ** beta * rnd.randrange(0, p ** (M - beta)))
+            blk.rows[i][j] = p ** beta * rnd.randrange(0, p ** (M - beta))
     return branch_mod.MPoint(1, 1, [blk] +
-                             [ExactMatrix.identity(2 * n) for _ in range(d - 1)])
+                             [ExactMatrix.identity(2 * n, 1, 0) for _ in range(d - 1)])
 
 
 def random_unit_box_point(n: int, p: int, beta: int, M: int, rnd) -> list:

@@ -9,6 +9,7 @@ outside `budget(...)` runs under the default budget of 10^6.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -56,3 +57,16 @@ def charge(check: str, count, unit: str) -> None:
         raise BudgetExceeded(f"{check} needs at least 2^{count.bit_length() - 1} {unit}"
                              f" > budget {limit}")
     raise BudgetExceeded(f"{check} needs {count} {unit} > budget {limit} ({count - limit} over)")
+
+
+def charge_digits(check: str, digits: int) -> None:
+    """`charge` the decimal digits of a number `check` is about to build and write.
+
+    Past `sys.get_int_max_str_digits()` (when it is set), writing it with
+    str() would raise, so a count past that limit is refused as well.
+    """
+    charge(check, digits, "digits")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise BudgetExceeded(f"{check} needs {digits} digits > the int-to-str limit"
+                             f" of {limit} digits")

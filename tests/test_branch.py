@@ -7,7 +7,7 @@ from padicdesk.branch import (BranchModel, GeneratorFamily, MPoint,
                               algebraic_product_value, column_point,
                               twisted_product_value, u_conjugator, v_basepoint)
 from padicdesk.characters import PCharacter
-from padicdesk.glrep import WeightData
+from padicdesk.glrep import GLBlockModel, WeightData
 from padicdesk.iwahori import u_element
 from padicdesk.mahler import weighted_indicator
 from padicdesk.matrices import ExactMatrix
@@ -277,29 +277,75 @@ def _pairing_oracle(bm, g, column, coords):
     return out
 
 
-@pytest.mark.parametrize("n, d, kappa0, kappa, j", _ORACLE_WEIGHTS)
+def _rational_point(point, rnd, den):
+    """The point with every block times an int matrix over den(i, j): non-integral
+    entries and a det other than +-1."""
+    blocks = []
+    for b in point.blocks:
+        while True:
+            ints = [[rnd.randrange(-4, 5) for _ in range(b.ncols)] for _ in range(b.nrows)]
+            factor = ExactMatrix([[Fraction(x, den(i, j)) for j, x in enumerate(r)]
+                                  for i, r in enumerate(ints)])
+            if factor.det() not in (0, 1, -1):
+                break
+        blocks.append(b * factor)
+    return MPoint(point.sim, point.g1, blocks)
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", _ORACLE_WEIGHTS + [
+    (2, 2, 0, [[0, 0, -1, -1], [1, 1, -1, -1]], [0, 1]),  # block shifts 0 and 1
+])
 def test_every_pairing_matches_the_coordinate_oracle(n, d, kappa0, kappa, j):
     p, beta, M = 3, 1, 3
     rnd = random.Random(17)
     bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
     u = u_conjugator(n, d)
-    other = {q: Fraction(q + 1, 3) for q in range(0, bm.dimension, 2)}
-    for _ in range(3):
-        # a nontrivial similitude and GL_1 entry exercise the character factor
-        g = MPoint(2, 3, random_congruence_unipotent(n, d, p, beta, M, rnd).blocks)
-        a = random_unit_box_point(n, p, beta, M, rnd)
-        h = MPoint(1, 5, column_point(n, a).blocks)
-        h_column = [h.blocks[0].rows[i][n - 1] / h.g1 for i in range(2 * n - 1)]
-        ug = MPoint(u.sim * g.sim, u.g1 * g.g1,
-                    [ub * gb for ub, gb in zip(u.blocks, g.blocks)])
-        folded = list(a)
-        for i in range(1, n):
-            folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
-        assert bm.pair_value(g, h) == _pairing_oracle(bm, g, h_column, bm.coords)
-        assert bm.open_orbit_value(g, h) == _pairing_oracle(bm, ug, h_column, bm.coords)
-        assert bm.box_restriction_value(g, a) == _pairing_oracle(bm, ug, folded, bm.coords)
-        assert bm.cpol_value(g, a) == _pairing_oracle(bm, g, a, bm.coords)
-        assert bm.cpol_value(g, a, coords=other) == _pairing_oracle(bm, g, a, other)
+    other = {q: Fraction(q + 1, 3 + q % 4) for q in range(0, bm.dimension, 2)}
+    cone_blocks = bm.blocks
+    assert all(model.shift >= 0 for model in cone_blocks)
+    # then every block swapped for the model of its weight minus 3: the same
+    # closure with shift < 0, where the det twist multiplies instead of divides.
+    # The pairing is an identity in the blocks, so it still matches the oracle.
+    lowered = [GLBlockModel(model.m, [w - 3 for w in model.weight], "upper")
+               for model in cone_blocks]
+    assert all(model.shift < 0 for model in lowered)
+    for bm.blocks in (cone_blocks, lowered):
+        for den in (None, lambda i, k: 2, lambda i, k: i + 2 * k + 1):
+            # a nontrivial similitude and GL_1 entry exercise the character factor
+            g = MPoint(2, 3, random_congruence_unipotent(n, d, p, beta, M, rnd).blocks)
+            a = random_unit_box_point(n, p, beta, M, rnd)
+            if den is not None:  # L > 1 at g and at the column
+                g = _rational_point(g, rnd, den)
+                a = [x / den(i, 1) for i, x in enumerate(a)]
+            h = MPoint(1, 5, column_point(n, a).blocks)
+            h_column = [h.blocks[0].rows[i][n - 1] / h.g1 for i in range(2 * n - 1)]
+            ug = MPoint(u.sim * g.sim, u.g1 * g.g1,
+                        [ub * gb for ub, gb in zip(u.blocks, g.blocks)])
+            folded = list(a)
+            for i in range(1, n):
+                folded[n - 1 + i] = a[n - 1 + i] + a[n - 1 - i]
+            for got, want in [
+                    (bm.pair_value(g, h), _pairing_oracle(bm, g, h_column, bm.coords)),
+                    (bm.open_orbit_value(g, h), _pairing_oracle(bm, ug, h_column, bm.coords)),
+                    (bm.box_restriction_value(g, a), _pairing_oracle(bm, ug, folded, bm.coords)),
+                    (bm.cpol_value(g, a), _pairing_oracle(bm, g, a, bm.coords)),
+                    (bm.cpol_value(g, a, coords=other), _pairing_oracle(bm, g, a, other))]:
+                assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("n, d, kappa0, kappa, j", _ORACLE_WEIGHTS)
+def test_box_value_bits_bounds_the_sampled_values(n, d, kappa0, kappa, j):
+    # the bound the branch command charges before it draws its samples
+    bm = BranchModel(WeightData(n, d, kappa0, kappa, j))
+    rnd = random.Random(23)
+    for p, beta in [(3, 1), (3, 4), (5, 2), (101, 1)]:
+        M = beta + 2
+        bits = bm.box_value_bits(-(-M * (p ** 16).bit_length() // 16))
+        for _ in range(3):
+            g = random_congruence_unipotent(n, d, p, beta, M, rnd)
+            val = bm.box_restriction_value(g, random_unit_box_point(n, p, beta, M, rnd))
+            assert abs(val.numerator).bit_length() <= bits
+            assert val.denominator.bit_length() <= bits
 
 
 def test_u_conjugator_is_shared_and_left_unchanged():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -596,7 +597,60 @@ def test_interp_factor_benchmark_round_pinned(capsys, tmp_path):
         "803b40f8996b025deec62ee763bab6dc232f7ddf6d7e632f5fc6e49c5b14d0f0")
 
 
+def test_branch_batch_benchmark_round_pinned(capsys, tmp_path):
+    # exit code and stdout of the 100 operations of the seed-7 branch-batch round,
+    # with the round built by the benchmark's own generator
+    spec = importlib.util.spec_from_file_location("padicdesk_bench_gen", _GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    ops = gen.build_round("branch-batch", 7)
+    gen.materialize(ops, str(tmp_path))
+    digest = hashlib.sha256()
+    for op in ops:
+        code = main(op["argv"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert len(ops) == 100
+    assert digest.hexdigest() == (
+        "55132014efee615a47c4b107de16d008e67075cdff19979e36b5797ee1f267fc")
+
+
 _TRIVIAL_WEIGHT = '{"n": 2, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0]], "j": [0]}'
+_DEGREE_12_WEIGHT = '{"n":2,"d":1,"tau0":0,"kappa0":0,"kappa":[[0,3,-2,-3]],"j":[1]}'
+
+
+@pytest.mark.parametrize("args, digits", [
+    (["--p", "3", "--beta", "1000"], 5894),
+    (["--p", "2305843009213693951", "--beta", "2000"], 441158),
+], ids=["p3-beta1000", "mersenne61-beta2000"])
+def test_branch_samples_past_the_int_to_str_limit_exit_2(args, digits, capsys):
+    # a sample value would have thousands of digits: the bound on its size is
+    # charged before the first draw, and is checked against the int-to-str limit
+    # that str(value) would trip
+    limit = sys.get_int_max_str_digits()
+    if not 0 < limit < digits:
+        pytest.skip(f"int-to-str limit {limit} does not refuse {digits} digits")
+    start = time.perf_counter()
+    code, out = run_cli(args + ["--seed", "7", "branch", "--weight-json", _DEGREE_12_WEIGHT],
+                        capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "budget exceeded",
+        "message": f"branch.restriction_samples needs {digits} digits"
+                   f" > the int-to-str limit of {limit} digits"}
+
+
+def test_branch_samples_are_charged_against_the_budget(capsys):
+    code, out = run_cli(["--p", "3", "--beta", "1000", "--budget", "1000", "branch",
+                         "--weight-json", _DEGREE_12_WEIGHT], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "budget exceeded",
+        "message": "branch.restriction_samples needs 5894 digits > budget 1000 (4894 over)"}
+    # the same samples at beta 10 are short enough to draw and write
+    code, out = run_cli(["--p", "3", "--beta", "10", "--budget", "1000", "branch",
+                         "--weight-json", _DEGREE_12_WEIGHT], capsys)
+    assert code == 0 and len(json.loads(out)["restriction_samples"]) == 5
 
 
 @pytest.mark.parametrize("args, message", [

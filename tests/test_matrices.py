@@ -1,6 +1,7 @@
 """The echelon over Q and its inverses and nullspaces, row_reduce mod m, det and the
 permutation helpers, against sympy."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from padicdesk.artinian import ArtinianElement
 from padicdesk.matrices import (ExactMatrix, SparseEchelon, cycles, modular_inverse,
-                                perm_sign, rational_inverse, row_reduce)
+                                perm_sign, rational_inverse, row_reduce, signed_permutations)
 from padicdesk.polynomials import nullspace
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 
 def _matrices(rows, cols):
@@ -113,6 +115,47 @@ def test_modular_inverse_matches_sympy(rows, k):
 @settings(max_examples=60, deadline=None)
 def test_det_matches_sympy(rows):
     assert ExactMatrix(rows).det() == _to_sympy(rows).det()
+
+
+def _random_artinian(rnd):
+    """A random element of Q[T_1, T_2]/(T_1^2, T_2^2) with every monomial present."""
+    return ArtinianElement(2, {mono: Fraction(rnd.randrange(-4, 5), rnd.randrange(1, 4))
+                               for mono in (frozenset(), frozenset({0}), frozenset({1}),
+                                            frozenset({0, 1}))})
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_signed_permutation_det_matches_sympy(size):
+    # the det reads its signs from one table per size; sympy's det is the oracle
+    # for int, Fraction and Artinian entries (the latter as polynomials in T_1,
+    # T_2, expanded and then cut down mod T_1^2, T_2^2)
+    assert signed_permutations(size) is signed_permutations(size)
+    assert signed_permutations(size) == tuple((perm, perm_sign(perm))
+                                              for perm in permutations(range(size)))
+    rnd = random.Random(size)
+    ints = [[rnd.randrange(-5, 6) for _ in range(size)] for _ in range(size)]
+    det = ExactMatrix(ints).det()
+    assert type(det) is int and det == sympy.Matrix(ints).det()
+    fracs = [[Fraction(rnd.randrange(-5, 6), rnd.randrange(1, 5)) for _ in range(size)]
+             for _ in range(size)]
+    assert ExactMatrix(fracs).det() == _to_sympy(fracs).det()
+    arts = [[_random_artinian(rnd) for _ in range(size)] for _ in range(size)]
+    t = sympy.symbols("t1 t2")
+    ring = sympy.QQ[t]
+    ref = sympy.Poly(ring.to_sympy(DomainMatrix(
+        [[ring.from_sympy(sum(sympy.Rational(c.numerator, c.denominator)
+                              * sympy.Mul(*(t[i] for i in mono)) for mono, c in x.terms.items()))
+          for x in row] for row in arts], (size, size), ring).det()), *t)
+    want = {frozenset(i for i, e in enumerate(exps) if e): Fraction(int(c.p), int(c.q))
+            for exps, c in ref.terms() if max(exps) <= 1 and c}
+    assert dict(ExactMatrix(arts).det().terms) == want
+
+
+def test_det_of_empty_or_non_square_matrix_raises():
+    with pytest.raises(ValueError, match="empty"):
+        ExactMatrix([]).det()
+    with pytest.raises(ValueError, match="non-square"):
+        ExactMatrix([[1, 2, 3], [4, 5, 6]]).det()
 
 
 def test_perm_sign_and_cycles_match_sympy():

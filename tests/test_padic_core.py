@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from padicdesk.artinian import ArtinianElement
 from padicdesk.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from padicdesk.matrices import ExactMatrix
-from padicdesk.rationals import INF, valuation
+from padicdesk.rationals import INF, is_prime, valuation
 
 
 def test_valuation_examples():
@@ -140,3 +140,14 @@ def test_det_of_empty_matrix_is_an_error():
     # with no entries there is no ring to take the 1 of
     with pytest.raises(ValueError, match="ring of its entries is unknown"):
         ExactMatrix([]).det()
+
+
+def test_is_prime_matches_sympy_and_decides_large_primes_quickly():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(-3, 5000) if is_prime(n)] == list(sympy.primerange(0, 5000))
+    # Mersenne primes and composites, a Carmichael number, and strong
+    # pseudoprimes to every base up to 23 and up to 37, which base 41 exposes;
+    # trial division would not finish on any of the large ones
+    for n in (2 ** 61 - 1, 2 ** 31 - 1, 2 ** 67 - 1, (2 ** 61 - 1) * 1000003, 561,
+              3825123056546413051, 318665857834031151167461, 3317044064679887385961979):
+        assert is_prime(n) == sympy.isprime(n), n
