@@ -11,7 +11,8 @@ derived from +, -x, * and `inverse` come from `rationals.RingOps`.
 
 The interface speaks in frozensets of generator indices and `Fraction`
 coefficients: the constructor takes {frozenset: coeff}, and `terms` is a
-read-only {frozenset: Fraction} view.
+read-only {frozenset: Fraction} view.  Code that computes on the integer
+form itself builds its results with `from_numerators`.
 """
 
 from __future__ import annotations
@@ -22,21 +23,11 @@ from types import MappingProxyType
 
 from .rationals import RingOps, lowest_terms, ratio
 
-_ZERO = Fraction(0)
-
-
-def _mask(mono) -> int:
-    out = 0
-    for i in mono:
-        out |= 1 << i
-    return out
-
-
 def _indices(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _element(ngens: int, nums: dict, den: int) -> "ArtinianElement":
+def from_numerators(ngens: int, nums: dict, den: int) -> "ArtinianElement":
     """nums / den with the zero numerators dropped, in lowest terms."""
     out = ArtinianElement.__new__(ArtinianElement)
     out.ngens = ngens
@@ -57,8 +48,8 @@ class ArtinianElement(RingOps):
             mono = frozenset(mono)
             if any(i < 0 or i >= ngens for i in mono):
                 raise ValueError("generator index out of range")
-            m = _mask(mono)
-            coeffs[m] = coeffs.get(m, _ZERO) + Fraction(c)
+            m = sum(1 << i for i in mono)
+            coeffs[m] = coeffs.get(m, 0) + Fraction(c)
         den = lcm(*(c.denominator for c in coeffs.values()))
         self.ngens = ngens
         self.nums, self.den = lowest_terms(
@@ -75,18 +66,18 @@ class ArtinianElement(RingOps):
     @classmethod
     def constant(cls, ngens: int, c) -> "ArtinianElement":
         num, den = ratio(c)
-        return _element(ngens, {0: num}, den)
+        return from_numerators(ngens, {0: num}, den)
 
     @classmethod
     def gen(cls, ngens: int, i: int) -> "ArtinianElement":
         if not 0 <= i < ngens:
             raise ValueError("generator index out of range")
-        return _element(ngens, {1 << i: 1}, 1)
+        return from_numerators(ngens, {1 << i: 1}, 1)
 
     def _coerce(self, other) -> "ArtinianElement":
         if not isinstance(other, ArtinianElement):
             num, den = ratio(other)
-            return _element(self.ngens, {0: num}, den)
+            return from_numerators(self.ngens, {0: num}, den)
         if other.ngens != self.ngens:
             raise ValueError("mixed Artinian rings")
         return other
@@ -101,22 +92,22 @@ class ArtinianElement(RingOps):
             out = dict(self.nums)
             for m, c in other.nums.items():
                 out[m] = out.get(m, 0) + c
-            return _element(self.ngens, out, d1)
+            return from_numerators(self.ngens, out, d1)
         g = gcd(d1, d2)
         f1, f2 = d2 // g, d1 // g
         out = {m: c * f1 for m, c in self.nums.items()}
         for m, c in other.nums.items():
             out[m] = out.get(m, 0) + c * f2
-        return _element(self.ngens, out, d1 * f1)
+        return from_numerators(self.ngens, out, d1 * f1)
 
     def __neg__(self):
-        return _element(self.ngens, {m: -c for m, c in self.nums.items()}, self.den)
+        return from_numerators(self.ngens, {m: -c for m, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, ArtinianElement):
             num, den = ratio(other)
-            return _element(self.ngens, {m: c * num for m, c in self.nums.items()},
-                            self.den * den)
+            return from_numerators(self.ngens, {m: c * num for m, c in self.nums.items()},
+                                   self.den * den)
         if other.ngens != self.ngens:
             other = self._coerce(other)  # raises
         out = {}
@@ -125,7 +116,7 @@ class ArtinianElement(RingOps):
                 if not m1 & m2:  # else T_i^2 = 0
                     m = m1 | m2
                     out[m] = out.get(m, 0) + c1 * c2
-        return _element(self.ngens, out, self.den * other.den)
+        return from_numerators(self.ngens, out, self.den * other.den)
 
     def __eq__(self, other):
         try:
@@ -146,7 +137,7 @@ class ArtinianElement(RingOps):
         return Fraction(self.nums.get(0, 0), self.den)
 
     def nilpotent_part(self) -> "ArtinianElement":
-        return _element(self.ngens, {m: c for m, c in self.nums.items() if m}, self.den)
+        return from_numerators(self.ngens, {m: c for m, c in self.nums.items() if m}, self.den)
 
     def is_unit(self) -> bool:
         return 0 in self.nums
@@ -165,15 +156,9 @@ class ArtinianElement(RingOps):
             out = out + power
         return out * c_inv
 
-    def coefficient(self, mono) -> Fraction:
-        mono = frozenset(mono)
-        if not all(0 <= i < self.ngens for i in mono):
-            return _ZERO  # not a monomial of this ring
-        return Fraction(self.nums.get(_mask(mono), 0), self.den)
-
     def top_coefficient(self) -> Fraction:
         """Coefficient of the full monomial T_1...T_a."""
-        return self.coefficient(range(self.ngens))
+        return Fraction(self.nums.get((1 << self.ngens) - 1, 0), self.den)
 
     def __repr__(self):
         if not self.nums:
@@ -183,24 +168,6 @@ class ArtinianElement(RingOps):
             mono = "*".join(f"T{i+1}" for i in sorted(_indices(m))) if m else "1"
             parts.append(f"({Fraction(self.nums[m], self.den)})*{mono}")
         return " + ".join(parts)
-
-
-def combination(parts, den: int = 1) -> ArtinianElement:
-    """sum of (c / d) * x over the (x, c, d) in parts, divided by den, built as one element.
-
-    The parts are elements of one ring and are summed as integer numerators
-    over one common denominator, with no intermediate element.
-    """
-    common, out = 1, {}
-    for x, c, d in parts:
-        d *= x.den
-        if common % d:  # a new denominator: rescale what is summed so far
-            g = d // gcd(common, d)
-            common, out = common * g, {m: v * g for m, v in out.items()}
-        f = c * (common // d)
-        for m, v in x.nums.items():
-            out[m] = out.get(m, 0) + v * f
-    return _element(parts[0][0].ngens, out, common * den)
 
 
 def derivation_from_images(images: list) -> "callable":
@@ -228,6 +195,6 @@ def derivation_from_images(images: list) -> "callable":
                     if not m & lower:
                         key = m | lower
                         out[key] = out.get(key, 0) + c * t
-        return _element(elem.ngens, out, elem.den * den)
+        return from_numerators(elem.ngens, out, elem.den * den)
 
     return apply

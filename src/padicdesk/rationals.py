@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
+
+from . import work
 
 INF = float("inf")  # valuation of 0
 
@@ -101,7 +103,8 @@ class RingOps:
 
 
 # Below this bound the strong-probable-prime test to the first 13 prime bases
-# decides primality exactly (Sorenson and Webster, 2015); above it trial division does.
+# decides primality exactly (Sorenson and Webster, 2015); above it trial division
+# does, and its isqrt(p) - 1 divisions are charged before the first.
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _SPRP_BOUND = 3317044064679887385961981
 
@@ -112,6 +115,7 @@ def is_prime(p: int) -> bool:
         return False
     if p < _SPRP_BOUND:
         return all(_strong_probable_prime(p, a) for a in _SPRP_BASES)
+    work.charge("rationals.is_prime", isqrt(p) - 1, "trial divisions")
     d = 2
     while d * d <= p:
         if p % d == 0:

@@ -1,12 +1,13 @@
 """Iterated nilpotent derivations on truncated two-variable Tate algebras.
 
 The derivation under study sends X -> lam*Y, Y -> 0 and restricts to a given
-base derivation on the Artinian coefficient ring.  Binomial polynomials of
+linear base map on the Artinian coefficient ring.  Binomial polynomials of
 the derivation are computed two ways: by direct iteration, and by the
 closed combinatorial formula over subset patterns; the two must agree
-exactly on the truncation.  The epsilon-analytic bounds run the binomial
-recurrence of a matrix operator over sparse rows {col: Fraction}: the
-derivation matrices are almost all zeros (70 nonzeros of 3,136 at 56x56).
+exactly on the truncation, both run on integers over one denominator.  The
+epsilon-analytic bounds run the binomial recurrence of a matrix operator
+over sparse rows {col: Fraction}: the derivation matrices are almost all
+zeros (70 nonzeros of 3,136 at 56x56).
 
 Norms are exact exponents (p^e with e rational, -inf for zero).
 """
@@ -17,9 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
 
-from .artinian import ArtinianElement, combination
+from .artinian import ArtinianElement, from_numerators
 from .matrices import ExactMatrix
-from .rationals import INF, ratio, valuation
+from .rationals import INF, lowest_terms, ratio, valuation
 
 
 class TateSeries:
@@ -37,10 +38,7 @@ class TateSeries:
             if not isinstance(s, ArtinianElement):
                 s = ArtinianElement.constant(ngens, s)
             if not s.is_zero():
-                prev = clean.get((a, b))
-                clean[(a, b)] = s if prev is None else prev + s
-                if clean[(a, b)].is_zero():
-                    del clean[(a, b)]
+                clean[(a, b)] = s
         self.terms = clean
 
     @classmethod
@@ -58,9 +56,6 @@ class TateSeries:
         for k, v in other.terms.items():
             out[k] = out[k] + v if k in out else v
         return self._like(out)
-
-    def __sub__(self, other: "TateSeries") -> "TateSeries":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "TateSeries":
         return self._like({k: v * c for k, v in self.terms.items()})
@@ -106,41 +101,75 @@ class TateSeries:
 class ShiftDerivation:
     """The operator with X -> lam*Y, Y -> 0, restricting to `base` on coefficients.
 
-    `base` must be a pure linear map on the coefficient ring: its value
-    depends on its argument only, so the products prod_(i in I) (D - i) s of
-    the closed form are kept in `products`, by s and then by I, for the
-    lifetime of the derivation.  The closed combinatorial formula below only
-    needs linearity.  The full Leibniz rule on products holds exactly when
-    `base` is an honest derivation of the truncated ring, i.e. base(T_i)
-    lies in the ideal (T_i) (differentiating a generator to a unit is only
-    the reduction of a derivation of the untruncated ring, and products can
-    shed the discarded square terms).
+    `base` must be linear, so `table(ngens)` reads it once per ring size off
+    the 2^ngens bitmask monomials: rows[m] holds the (monomial, numerator)
+    pairs of base(T^m) over one denominator den.  `products` keeps, by s and
+    by the sorted tuple I, the numerators of prod_(i in I) (D - i) s over
+    s.den * den^|I|, unreduced so that subsets of one size share it.  The
+    Leibniz rule on products holds exactly when `base` is an honest
+    derivation of the truncated ring, i.e. base(T_i) lies in (T_i) (a
+    generator sent to a unit only reduces a derivation of the untruncated
+    ring, and products can shed the discarded square terms).
     """
 
     def __init__(self, base, lam):
         self.base = base  # callable ArtinianElement -> ArtinianElement
         self.lam = Fraction(lam)
-        self.products = {}  # {s: {I: prod_(i in I) (D - i) s}}, I a sorted tuple
+        self.products = {}  # {s: {I: numerators of prod_(i in I) (D - i) s}}
+        self._tables = {}  # {ngens: (rows, den)}
 
-    def shifted(self, f: TateSeries, j: int = 0, den: int = 1) -> TateSeries:
-        """(D - j) f / den in one pass over f, each output coefficient built once.
+    def table(self, ngens: int) -> tuple:
+        """(rows, den): base(T^m) = sum of c T^m2 / den over the (m2, c) in rows[m]."""
+        if ngens not in self._tables:
+            images = [self.base(from_numerators(ngens, {m: 1}, 1)) for m in range(1 << ngens)]
+            den = lcm(*(im.den for im in images))
+            self._tables[ngens] = ([tuple((m, c * (den // im.den)) for m, c in im.nums.items())
+                                    for im in images], den)
+        return self._tables[ngens]
 
-        A term s X^a Y^b contributes base(s) - j s at X^a Y^b and
-        lam a s at X^(a-1) Y^(b+1).
-        """
+    def step(self, ngens: int, nums: dict, den: int, j: int, div: int) -> tuple:
+        """(D - j)/div of {(a, b, monomial): numerator} / den, in lowest terms."""
+        rows, tden = self.table(ngens)
         lam_num, lam_den = self.lam.numerator, self.lam.denominator
-        parts: dict = {}
-        for (a, b), s in f.terms.items():
-            here = parts.setdefault((a, b), [])
-            here.append((self.base(s), 1, 1))
+        shift, slide = -j * tden * lam_den, lam_num * tden
+        out: dict = {}
+        get = out.get
+        for key, c in nums.items():
+            a, b, m = key
+            cb = c * lam_den
+            for m2, t in rows[m]:
+                here = (a, b, m2)
+                out[here] = get(here, 0) + cb * t
             if j:
-                here.append((s, -j, 1))
+                out[key] = get(key, 0) + c * shift
             if a:
-                parts.setdefault((a - 1, b + 1), []).append((s, lam_num * a, lam_den))
-        return f._like({key: combination(ps, den) for key, ps in parts.items()})
+                down = (a - 1, b + 1, m)
+                out[down] = get(down, 0) + c * a * slide
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        return lowest_terms(out, den * tden * lam_den * div)
+
+    def shifted(self, f: TateSeries, j: int = 0) -> TateSeries:
+        """(D - j) f in one `step`, each output coefficient built once."""
+        return _series(f, *self.step(f.ngens, *_numerators(f), j, 1))
 
     def __call__(self, f: TateSeries) -> TateSeries:
         return self.shifted(f)
+
+
+def _numerators(f: TateSeries) -> tuple:
+    """f as integer numerators {(a, b, monomial): int} over one denominator."""
+    den = lcm(*(s.den for s in f.terms.values()))
+    return {(a, b, m): c * (den // s.den) for (a, b), s in f.terms.items()
+            for m, c in s.nums.items()}, den
+
+
+def _series(f: TateSeries, nums: dict, den: int) -> TateSeries:
+    """The series of f's ring with numerators {(a, b, monomial): int} over den."""
+    coeffs: dict = {}
+    for (a, b, m), c in nums.items():
+        coeffs.setdefault((a, b), {})[m] = c
+    return f._like({key: from_numerators(f.ngens, cs, den) for key, cs in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -165,40 +194,49 @@ def binomial_of_derivation_closed(k: int, s: ArtinianElement, a: int, b: int,
     factorials cancel, which leaves the same weight for every I.  Each
     product is (D - max I) applied to the product for I without its largest
     element, and is computed once per derivation and s (`deriv.products`);
-    every call still sums each of its own patterns, S_r in one pass with its
-    weight folded in.
+    every call still sums each of its own patterns, S_r as one column-wise
+    integer sum over its subsets, which share their denominator.
     """
     if a + b + k > dmax:
         raise ValueError("a + b + k exceeds the truncation degree")
-    base = deriv.base
-    products = deriv.products.setdefault(s, {(): s})
+    rows, tden = deriv.table(s.ngens)
+    products = deriv.products.get(s) or deriv.products.setdefault(
+        s, {(): tuple(s.nums.get(m, 0) for m in range(1 << s.ngens))})
 
-    def product(subset: tuple) -> ArtinianElement:
+    def product(subset: tuple) -> tuple:
         out = products.get(subset)
         if out is None:
             prev = product(subset[:-1])
-            out = products[subset] = base(prev) + prev * -subset[-1]
+            shift = -subset[-1] * tden
+            acc = [c * shift for c in prev]
+            for m, c in enumerate(prev):
+                if c:
+                    for m2, t in rows[m]:
+                        acc[m2] += c * t
+            out = products[subset] = tuple(acc)
         return out
 
+    lam_num, lam_den = deriv.lam.numerator, deriv.lam.denominator
     terms = {}
     for r in range(min(k, a) + 1):
-        weight = Fraction(comb(a, r) * factorial(r), factorial(k)) * deriv.lam ** r
-        c, d = weight.numerator, weight.denominator
-        terms[(a - r, b + r)] = combination(
-            [(product(subset), c, d) for subset in combinations(range(k), k - r)])
+        weight = comb(a, r) * factorial(r) * lam_num ** r
+        sums = map(sum, zip(*map(product, combinations(range(k), k - r))))
+        terms[(a - r, b + r)] = from_numerators(
+            s.ngens, {m: c * weight for m, c in enumerate(sums) if c},
+            factorial(k) * lam_den ** r * s.den * tden ** (k - r))
     return TateSeries(s.ngens, dmax, terms)
 
 
 def binomial_of_derivation_direct(k: int, f: TateSeries, deriv: ShiftDerivation) -> TateSeries:
     """binom(T, k) f by the operator recursion binom(T,k) = binom(T,k-1)(T-k+1)/k.
 
-    Step j applies (D - j)/(j + 1) through `ShiftDerivation.shifted`, one
-    pass over the series.
+    Step j is `ShiftDerivation.step` with div = j + 1; the output
+    coefficients are built once, after the last step.
     """
-    out = f
+    nums, den = _numerators(f)
     for j in range(k):
-        out = deriv.shifted(out, j, j + 1)
-    return out
+        nums, den = deriv.step(f.ngens, nums, den, j, j + 1)
+    return _series(f, nums, den)
 
 
 def binomial_operator_recursion_check(k: int, f: TateSeries, deriv: ShiftDerivation) -> bool:
@@ -401,26 +439,17 @@ class OverconvergenceChain:
 def derivation_matrix(der: ShiftDerivation, ngens: int, dmax: int) -> tuple:
     """Matrix of the derivation on the monomial lattice of the truncation.
 
-    Basis: (coefficient monomial, X-degree, Y-degree) triples in a fixed
-    order; returns (ExactMatrix, basis list).
+    Basis: (coefficient monomial bitmask, X-degree, Y-degree) triples in a
+    fixed order; returns (ExactMatrix, basis list).
     """
-    basis = []
-    for total in range(dmax + 1):
-        for a in range(total + 1):
-            b = total - a
-            for size in range(ngens + 1):
-                for mono in combinations(range(ngens), size):
-                    basis.append((frozenset(mono), a, b))
+    basis = [(sum(1 << i for i in mono), a, total - a) for total in range(dmax + 1)
+             for a in range(total + 1) for size in range(ngens + 1)
+             for mono in combinations(range(ngens), size)]
     index = {key: i for i, key in enumerate(basis)}
     cols = []
-    for (mono, a, b) in basis:
-        elem = TateSeries.monomial(ngens, dmax, ArtinianElement(ngens, {mono: 1}), a, b)
-        img = der(elem)
-        col = {}
-        for (aa, bb), s in img.terms.items():
-            for mono2, c in s.terms.items():
-                col[index[(mono2, aa, bb)]] = c
-        cols.append(col)
+    for m, a, b in basis:
+        nums, den = der.step(ngens, {(a, b, m): 1}, 1, 0, 1)
+        cols.append({index[(m2, aa, bb)]: Fraction(c, den) for (aa, bb, m2), c in nums.items()})
     rows = [[cols[j].get(i, Fraction(0)) for j in range(len(basis))]
             for i in range(len(basis))]
     return ExactMatrix(rows), basis

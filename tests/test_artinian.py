@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdesk.artinian import ArtinianElement, combination, derivation_from_images
+from padicdesk.artinian import ArtinianElement, derivation_from_images
 
 sympy = pytest.importorskip("sympy")
 
@@ -135,16 +135,3 @@ def test_gen_is_the_constructor_element():
                 ArtinianElement.gen(ngens, i)
             with pytest.raises(ValueError, match="generator index out of range"):
                 ArtinianElement(ngens, {frozenset([i]): 1})
-
-
-@given(st.integers(1, 3).flatmap(lambda ngens: st.lists(st.tuples(
-    _element(ngens), st.integers(-6, 6), st.integers(1, 12)), min_size=1, max_size=6)))
-@settings(max_examples=150, deadline=None)
-def test_combination_equals_the_sum_of_scaled_parts(parts):
-    for den in (1, 4):
-        want = ArtinianElement(parts[0][0].ngens, {})
-        for x, c, d in parts:
-            want = want + x * c * Fraction(1, d)
-        got = combination(parts, den)
-        _assert_canonical(got)
-        assert _form(got) == _form(want * Fraction(1, den))

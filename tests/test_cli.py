@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +136,15 @@ def test_tate_report_larger_truncation_pinned(capsys):
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "a9f17b27a9f9a7b07d88c9b6531dd188d9137ea63da15cf431b771568626c79d")
+
+
+def test_tate_report_two_generators_large_truncation_pinned(capsys):
+    # integers past the default truncation's, on both rings and all three lambdas
+    assert main(["--p", "3", "--seed", "13", "tate", "verify", "--k-max", "12",
+                 "--dmax", "16"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "bdcb02c11bdd1298144999e842b527c5b793a0829fe1da9d8f67118b5c9a9591")
 
 
 def test_tate_weighted_norm_recurrence_over_budget_exits_2():
@@ -638,6 +648,20 @@ def test_branch_samples_past_the_int_to_str_limit_exit_2(args, digits, capsys):
         "error": "budget exceeded",
         "message": f"branch.restriction_samples needs {digits} digits"
                    f" > the int-to-str limit of {limit} digits"}
+
+
+def test_prime_past_the_exact_test_bound_is_charged_exit_2():
+    # (2^61 - 1)(2^31 - 1) is past the bound of the exact Miller-Rabin test:
+    # its 7 * 10^13 trial divisions are refused before the first one
+    p = (2 ** 61 - 1) * (2 ** 31 - 1)
+    proc = subprocess.run([sys.executable, "-m", "padicdesk.cli", "--p", str(p), "tate",
+                           "verify"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr == ""
+    count = math.isqrt(p) - 1
+    assert json.loads(proc.stdout) == {
+        "error": "budget exceeded",
+        "message": f"rationals.is_prime needs {count} trial divisions > budget 1000000"
+                   f" ({count - 10 ** 6} over)"}
 
 
 def test_branch_samples_are_charged_against_the_budget(capsys):

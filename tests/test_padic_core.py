@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdesk import work
 from padicdesk.artinian import ArtinianElement
 from padicdesk.cyclotomic import CyclotomicElement, cyclotomic_polynomial
 from padicdesk.matrices import ExactMatrix
@@ -151,3 +153,20 @@ def test_is_prime_matches_sympy_and_decides_large_primes_quickly():
     for n in (2 ** 61 - 1, 2 ** 31 - 1, 2 ** 67 - 1, (2 ** 61 - 1) * 1000003, 561,
               3825123056546413051, 318665857834031151167461, 3317044064679887385961979):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_charges_trial_division_only_past_the_exact_bound():
+    sympy = pytest.importorskip("sympy")
+    is_prime.cache_clear()  # answers cached under the default budget were never charged
+    with work.budget(1):
+        assert [n for n in range(-3, 3000) if is_prime(n)] == list(sympy.primerange(0, 3000))
+        for n in (2 ** 61 - 1, 2 ** 67 - 1, (2 ** 61 - 1) * 1000003, 3825123056546413051,
+                  3317044064679887385961979, 3317044064679887385961981 - 2):
+            assert is_prime(n) == sympy.isprime(n), n
+        for n in (3317044064679887385961981, (2 ** 61 - 1) * (2 ** 31 - 1)):
+            with pytest.raises(work.BudgetExceeded, match="rationals.is_prime needs"
+                                                          f" {isqrt(n) - 1} trial divisions"):
+                is_prime(n)
+    # past the bound, under a budget that allows the divisions: 3 divides it
+    with work.budget(10 ** 13):
+        assert is_prime(3317044064679887385961981 + 2) is False

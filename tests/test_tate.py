@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 
 from padicdesk import tate
-from padicdesk.artinian import ArtinianElement, derivation_from_images
+from padicdesk.artinian import ArtinianElement, derivation_from_images, from_numerators
 from padicdesk.matrices import ExactMatrix
 from padicdesk.rationals import INF
 
@@ -161,6 +161,121 @@ def test_products_kept_per_derivation_match_fresh_and_direct(ngens):
             assert kept == fresh == direct, (k, a, b, s, der.lam)
         for der in ders:
             assert len(der.products) == len({s for d, *_, s in calls if d is der})
+
+
+def _zero_base(ngens):
+    return derivation_from_images([ArtinianElement(ngens, {})] * ngens)
+
+
+def _random_element(rnd, ngens):
+    coeffs = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    return ArtinianElement(ngens, {mono: rnd.choice(coeffs) for size in range(ngens + 1)
+                                   for mono in combinations(range(ngens), size)})
+
+
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+def test_action_table_reproduces_base(ngens):
+    rnd = random.Random(60 + ngens)
+    for base in [*_memo_bases(ngens), _zero_base(ngens)]:
+        calls = []
+        der = tate.ShiftDerivation(lambda x: calls.append(x) or base(x), Fraction(2))
+        rows, den = der.table(ngens)
+        assert der.table(ngens) == (rows, den) and len(calls) == 2 ** ngens
+        for _ in range(20):
+            x = _random_element(rnd, ngens)
+            got = ArtinianElement(ngens, {})
+            for mono, c in x.terms.items():
+                image = {frozenset(i for i in range(ngens) if m >> i & 1): Fraction(t, den)
+                         for m, t in rows[sum(1 << i for i in mono)]}
+                got = got + ArtinianElement(ngens, image) * c
+            assert got == base(x)
+        assert len(calls) == 2 ** ngens
+
+
+def _combination(parts, den):
+    """sum of (c / d) * x over the (x, c, d) in parts, divided by den, as one element.
+
+    Summed as integer numerators over one common denominator, with no
+    intermediate element.
+    """
+    common, out = 1, {}
+    for x, c, d in parts:
+        d *= x.den
+        if common % d:  # a new denominator: rescale what is summed so far
+            g = d // gcd(common, d)
+            common, out = common * g, {m: v * g for m, v in out.items()}
+        f = c * (common // d)
+        for m, v in x.nums.items():
+            out[m] = out.get(m, 0) + v * f
+    return from_numerators(parts[0][0].ngens, out, common * den)
+
+
+def _shifted_by_elements(der, f, j, den):
+    """(D - j) f / den, each coefficient combined from its parts as elements.
+
+    A term s X^a Y^b contributes base(s) - j s at X^a Y^b and lam a s at
+    X^(a-1) Y^(b+1); each combination is checked against the element sum.
+    """
+    lam = der.lam
+    parts = {}
+    for (a, b), s in f.terms.items():
+        here = parts.setdefault((a, b), [])
+        here.append((der.base(s), 1, 1))
+        if j:
+            here.append((s, -j, 1))
+        if a:
+            parts.setdefault((a - 1, b + 1), []).append((s, lam.numerator * a, lam.denominator))
+    out = {}
+    for key, ps in parts.items():
+        got = _combination(ps, den)
+        assert gcd(got.den, *got.nums.values()) == 1 and 0 not in got.nums.values()
+        want = ArtinianElement(f.ngens, {})
+        for x, c, d in ps:
+            want = want + x * c * Fraction(1, d)
+        assert got == want * Fraction(1, den)
+        out[key] = got
+    return tate.TateSeries(f.ngens, f.dmax, out)
+
+
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+def test_flat_direct_equals_the_elementwise_shifted_oracle(ngens):
+    rnd = random.Random(70 + ngens)
+    dmax, k_max = 10, 6
+    for base in [*_memo_bases(ngens), _zero_base(ngens)]:
+        for lam in (Fraction(1), Fraction(-7, 2), Fraction(9)):
+            der = tate.ShiftDerivation(base, lam)
+            for _ in range(3):
+                terms = {}
+                while len(terms) < 3:
+                    a = rnd.randrange(dmax - k_max + 1)
+                    terms[(a, rnd.randrange(dmax - k_max - a + 1))] = _random_element(rnd, ngens)
+                f = tate.TateSeries(ngens, dmax, terms)
+                want = f
+                for k in range(k_max + 1):
+                    assert tate.binomial_of_derivation_direct(k, f, der) == want, (k, lam)
+                    assert der.shifted(want, k) == _shifted_by_elements(der, want, k, 1)
+                    want = _shifted_by_elements(der, want, k, k + 1)
+
+
+def test_closed_form_sums_every_pattern(monkeypatch):
+    yielded = []
+
+    def counted(pool, size):
+        for subset in combinations(pool, size):
+            yielded.append(subset)
+            yield subset
+
+    monkeypatch.setattr(tate, "combinations", counted)
+    rnd = random.Random(9)
+    for ngens in (1, 2):
+        der = tate.ShiftDerivation(_memo_bases(ngens)[0], Fraction(-7, 2))
+        s = _random_element(rnd, ngens)
+        for k in range(8):
+            for a in range(5):
+                for _ in range(2):  # the second call reads every product from `products`
+                    yielded.clear()
+                    tate.binomial_of_derivation_closed(k, s, a, 1, der, 14)
+                    assert len(yielded) == tate.closed_form_patterns(k, a), (k, a)
 
 
 def test_degree_overflow_error():
