@@ -12,8 +12,9 @@ The double-coset enumeration solves and conjugates once per unit target,
 not once per representative: below depth (beta+1) the subgroup part and
 its conjugate are linear in the target, so the representatives run in
 odometer order and each step adds the images of the digits it touches
-(a wrapping digit adds its p-th copy, which vanishes).  Every
-representative is still membership-tested, with one explicit product.
+(a wrapping digit adds its p-th copy, which vanishes).  The residual
+factor is kept up to date exactly through the same sparse images, and
+every representative is membership-tested on the entries its step changed.
 """
 
 from __future__ import annotations
@@ -329,16 +330,23 @@ def double_coset_singleton(n: int, p: int, beta: int, max_witnesses: int = 3) ->
     conjugate conj = gh^-1 h gh = I + p^beta gh^-1 Y gh is affine in Y,
     while Y = solve(t) is linear in t mod p.  So the F_p solve and the
     explicit conjugation mod p^(beta+1) run once per unit target e_r, and
-    their images (the coordinates of Y_r and conj_r - I) are added up:
-    the targets run in odometer order (itertools.product order, last digit
-    fastest), each step adds the image of every digit it touches, and a
-    digit that wraps from p-1 to 0 adds its image a p-th time, which
-    vanishes (p Y_r = 0 mod p, p p^beta C = 0 mod p^(beta+1)).  Every
-    representative is still checked: conj must lie in the depth-beta
-    Iwahori and k = gh^-1 h^-1 gh x = (2I - conj) x, one explicit product,
-    in the depth-(beta+1) one.  A unit target with no solution fails at the
-    first representative whose digit it is, as a per-representative solve
-    would.
+    their images (the coordinates of Y_r and C_r = conj_r - I) are added
+    up: the targets run in odometer order (itertools.product order, last
+    digit fastest), each step adds the image of every digit it touches, and
+    a digit that wraps from p-1 to 0 adds its image a p-th time, which
+    vanishes (p Y_r = 0 mod p, p p^beta C = 0 mod p^(beta+1)).
+
+    The residual factor k = gh^-1 h^-1 gh x = (2I - conj) x is kept up to
+    date exactly alongside conj: a digit r moving its entry (a, b) of x by
+    d first takes C_r x (x before the move) off k, then adds d times column
+    a of the new 2I - conj to column b.  Every representative is checked:
+    the first by the full membership tests (conj in the depth-beta Iwahori,
+    k in the depth-(beta+1) one), each later one on the entries of conj and
+    k that its step (carries included) changed.  The entries a step leaves
+    alone passed at the representative before, since the enumeration stops
+    at its first failure, so this is the full check of every
+    representative.  A unit target with no solution fails at the first
+    representative whose digit it is, as a per-representative solve would.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -367,42 +375,70 @@ def double_coset_singleton(n: int, p: int, beta: int, max_witnesses: int = 3) ->
     digits = [0] * nroots
     sol = [0] * len(y_basis)
     conj = [[int(i == j) for j in range(m)] for i in range(m)]
-    # 2I - conj = gh^-1 h^-1 gh, kept alongside conj
+    # 2I - conj = gh^-1 h^-1 gh, and k = (2I - conj) x, kept alongside conj
     conj_inv = [row[:] for row in conj]
     x = [row[:] for row in conj]
+    k = [row[:] for row in conj]
     witnesses = []
     checked = 0
+
+    def failed(detail):
+        return {"passed": False, "checked": checked, "witnesses": witnesses, "detail": detail}
+
+    conj_left = "witness conjugate left the depth-beta Iwahori"
+    k_left = "residual factor left the depth-(beta+1) Iwahori"
+    if not iwahori_member(conj, p, beta, modulus):
+        return failed(conj_left)
+    if not iwahori_member(k, p, beta + 1, modulus):
+        return failed(k_left)
     while True:
-        if not iwahori_member(conj, p, beta, modulus):
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
-                    "detail": "witness conjugate left the depth-beta Iwahori"}
-        k_res = _mod_mul(conj_inv, x, modulus)
-        if not iwahori_member(k_res, p, beta + 1, modulus):
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
-                    "detail": "residual factor left the depth-(beta+1) Iwahori"}
         if len(witnesses) < max_witnesses:
             witnesses.append({"representative": digits[:], "subgroup_part": sol[:]})
         checked += 1
-        # the odometer step: bump the last digit, carrying past each wrap
+        # the odometer step: bump the last digit, carrying past each wrap,
+        # and note the entries of conj and k that it changes
+        conj_changed = []
+        k_changed = []
         r = nroots - 1
         while r >= 0:
             if units[r] is None:
-                return {"passed": False, "checked": checked, "witnesses": witnesses,
-                        "detail": "no connecting subgroup element for a representative"}
+                return failed("no connecting subgroup element for a representative")
             sol_image, conj_image = units[r]
             for c, val in sol_image:
                 sol[c] = (sol[c] + val) % p
             for i, j, val in conj_image:
+                # k -= C_r x over the nonzero entries of row j of x, which is
+                # unit lower-triangular
+                x_row, k_row = x[j], k[i]
+                for c in range(j + 1):
+                    if x_row[c]:
+                        k_row[c] -= val * x_row[c]
+                        k_changed.append((i, c))
                 conj[i][j] = (conj[i][j] + val) % modulus
                 conj_inv[i][j] = (conj_inv[i][j] - val) % modulus
+                conj_changed.append((i, j))
             digits[r] = (digits[r] + 1) % p
-            i, j = lower_pos[r]
-            x[i][j] = pb * digits[r]
+            a, b = lower_pos[r]
+            delta = pb * digits[r] - x[a][b]
+            x[a][b] += delta
+            for i in range(m):
+                if conj_inv[i][a]:
+                    k[i][b] += conj_inv[i][a] * delta
+                    k_changed.append((i, b))
             if digits[r]:
                 break
             r -= 1
         if r < 0:
             break
+        for i, j in conj_changed:
+            v = conj[i][j]
+            if (v % p == 0) if i == j else (i > j and v % pb):
+                return failed(conj_left)
+        for i, j in k_changed:
+            v = k[i][j] = k[i][j] % modulus
+            # below the diagonal, depth beta+1 means 0 mod the modulus
+            if (v % p == 0) if i == j else (i > j and v):
+                return failed(k_left)
     return {"passed": True, "checked": checked, "witnesses": witnesses,
             "conjugator": "simple antidiagonal open-orbit form",
             "detail": f"all {checked} representatives connected"}

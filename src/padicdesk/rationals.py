@@ -151,13 +151,43 @@ def valuation(x, p: int = DEFAULT_PRIME):
     num, den = ratio(x)
     if num == 0:
         return INF
+    # most arguments are p-adic units: one % each and no call
+    v = _multiplicity(num, p) if num % p == 0 else 0
+    return v - _multiplicity(den, p) if den % p == 0 else v
+
+
+_PLAIN_STRIP = 16  # factors of p taken off one division at a time
+
+
+def _multiplicity(num: int, p: int) -> int:
+    """The largest v with p^v dividing the nonzero int num.
+
+    The first _PLAIN_STRIP factors come off one division each.  Past them,
+    num is divided by p, p^2, p^4, ... while these divide, then by the same
+    powers back down, each at most once: O(log v) big divisions, where one
+    division per factor would make a large v cost quadratic time.
+    """
     v = 0
     while num % p == 0:
         num //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+        if v < _PLAIN_STRIP:
+            continue
+        powers = [p]
+        while True:
+            q, rem = divmod(num, powers[-1])
+            if rem:
+                break
+            num = q
+            v += 1 << (len(powers) - 1)
+            powers.append(powers[-1] * powers[-1])
+        # what is left is below the last power: one bit of it per smaller one
+        for i in range(len(powers) - 2, -1, -1):
+            q, rem = divmod(num, powers[i])
+            if not rem:
+                num = q
+                v += 1 << i
+        return v
     return v
 
 

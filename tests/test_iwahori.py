@@ -278,28 +278,93 @@ def test_double_coset_solves_and_conjugates_once_per_unit_target(monkeypatch, n,
     assert calls == {"solve": n * (2 * n - 1), "conjugate": n * (2 * n - 1)}
 
 
+def test_double_coset_work_does_not_grow_with_the_representatives(monkeypatch):
+    # the products and the full membership tests run per unit target and
+    # for the first representative; each later one updates and re-checks
+    # the entries its step changed
+    true_mod_mul, true_member = iw._mod_mul, iw.iwahori_member
+
+    def calls(p):
+        count = {"mod_mul": 0, "iwahori_member": 0}
+
+        def counting_mod_mul(*args):
+            count["mod_mul"] += 1
+            return true_mod_mul(*args)
+
+        def counting_member(*args):
+            count["iwahori_member"] += 1
+            return true_member(*args)
+
+        monkeypatch.setattr(iw, "_mod_mul", counting_mod_mul)
+        monkeypatch.setattr(iw, "iwahori_member", counting_member)
+        assert iw.double_coset_singleton(2, p, 1)["checked"] == p ** 6
+        return count
+
+    at_3 = calls(3)
+    assert at_3 == calls(5)
+    assert at_3["iwahori_member"] == 2
+
+
+_CONJ_LEFT = "witness conjugate left the depth-beta Iwahori"
+_K_LEFT = "residual factor left the depth-(beta+1) Iwahori"
+
+# (checked, detail) for each unit target r, as the enumeration with one
+# explicit product (2I - conj) x and two full membership tests per
+# representative returned them
+_TAMPERED_UNIT_PINS = {
+    (2, 3, 1): {"solve": ([243, 81, 27, 9, 3, 1], _K_LEFT),
+                "conjugate": ([243, 81, 27, 9, 3, 1], _CONJ_LEFT),
+                "diagonal": ([243, 81, 27, 9, 3, 1], _K_LEFT)},
+    (3, 2, 1): {mode: ([16384, 8192, 4096, 2048, 1024, 512, 256, 128, 64, 32, 16,
+                        8, 4, 2, 1], detail)
+                for mode, detail in [("solve", _K_LEFT), ("conjugate", _CONJ_LEFT),
+                                     ("diagonal", _CONJ_LEFT)]},
+}
+
+
 @pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])
 def test_wrong_solution_for_the_slowest_digit_is_caught_after_a_carry(monkeypatch, enumerate_):
-    # the unit target of the first (slowest) digit is first reached at
-    # 3^5 = 243, after the faster digits have all wrapped
-    true_solver = iw._subgroup_solver
+    # each unit target e_r gets a wrong image: its subgroup part off by one
+    # coordinate ("solve"), or its conjugate mod p^(beta+1) off by one below
+    # the diagonal ("conjugate") or on it ("diagonal").  e_r is first reached
+    # at p^(nroots-1-r), after every faster digit has wrapped, and the
+    # failures there cover each branch of both membership tests.
+    true_solver, true_conjugate = iw._subgroup_solver, iw._conjugate
+    for (n, p, beta), modes in _TAMPERED_UNIT_PINS.items():
+        m, nroots = 2 * n, n * (2 * n - 1)
+        y_basis, _, solve = true_solver(n, p)
+        for mode, (pinned_checked, detail) in modes.items():
+            for r, checked in enumerate(pinned_checked):
+                unit = [int(k == r) for k in range(nroots)]
+                unit_h = [[int(i == j) for j in range(m)] for i in range(m)]
+                for val, (yi, yj) in zip(solve(unit), y_basis):
+                    unit_h[yi][yj] += p ** beta * val
 
-    def tampered_solver(n, p):
-        y_basis, lower_pos, solve = true_solver(n, p)
+                def tampered_solver(n_, p_):
+                    y_basis_, lower_pos_, solve_ = true_solver(n_, p_)
 
-        def wrong(target):
-            sol = solve(target)
-            if target == [1, 0, 0, 0, 0, 0]:
-                sol[0] = (sol[0] + 1) % p
-            return sol
+                    def wrong(target):
+                        sol = solve_(target)
+                        if mode == "solve" and target == unit:
+                            sol[0] = (sol[0] + 1) % p_
+                        return sol
 
-        return y_basis, lower_pos, wrong
+                    return y_basis_, lower_pos_, wrong
 
-    monkeypatch.setattr(iw, "_subgroup_solver", tampered_solver)
-    rep = enumerate_(2, 3, 1)
-    assert rep["passed"] is False
-    assert rep["checked"] == 243
-    assert rep["detail"] == "residual factor left the depth-(beta+1) Iwahori"
+                def tampered_conjugate(h, n_, modulus):
+                    conj = true_conjugate(h, n_, modulus)
+                    if modulus == p ** (beta + 1) and h == unit_h:
+                        if mode == "conjugate":
+                            conj[1][0] += 1
+                        elif mode == "diagonal":
+                            conj[0][0] += 1
+                    return conj
+
+                monkeypatch.setattr(iw, "_subgroup_solver", tampered_solver)
+                monkeypatch.setattr(iw, "_conjugate", tampered_conjugate)
+                rep = enumerate_(n, p, beta)
+                assert (rep["passed"], rep["checked"], rep["detail"]) == (False, checked, detail), \
+                    (n, p, beta, mode, r)
 
 
 @pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])

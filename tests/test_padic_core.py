@@ -45,6 +45,30 @@ def test_valuation_multiplicative_and_ultrametric(x, y, p):
             assert v == min(vx, vy)
 
 
+def _naive_multiplicity(num, p):
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    return v
+
+
+def test_valuation_matches_one_division_per_factor():
+    # small and large multiplicities, in the numerator and the denominator,
+    # on both sides of the switch from single divisions to squared powers
+    rnd = random.Random(11)
+    for _ in range(400):
+        p = rnd.choice([2, 3, 5, 7, 11])
+        a, b = rnd.choice([(rnd.randrange(400), 0), (0, rnd.randrange(400)),
+                           (rnd.randrange(40), rnd.randrange(40))])
+        x = Fraction(rnd.choice([1, -1]) * rnd.randrange(1, 10 ** 6) * p ** a,
+                     rnd.randrange(1, 10 ** 6) * p ** b)
+        assert valuation(x, p) == (_naive_multiplicity(x.numerator, p)
+                                   - _naive_multiplicity(x.denominator, p))
+    assert valuation(3 ** 100000 * 7, 3) == 100000
+    assert valuation(Fraction(2, 5 ** 1000), 5) == -1000
+
+
 def test_cyclotomic_reduction_is_ring_map():
     rnd = random.Random(3)
     for m in (3, 4, 5, 8):
