@@ -223,8 +223,7 @@ def _run_interp_factor(args) -> int:
         return EXIT_INPUT
     from .characters import PCharacter
     from .cyclotomic import CyclotomicElement
-    from .interp import (HalfPowerValue, SatakeData, SmoothCharacter,
-                         cpr_identity_check, interpolation_factor)
+    from .interp import HalfPowerValue, SatakeData, SmoothCharacter, cpr_identity_check
 
     try:
         p, n, d = (integer(cfg[key], f'"{key}"') for key in ("p", "n", "d"))
@@ -272,12 +271,11 @@ def _run_interp_factor(args) -> int:
         _emit({"error": "malformed config", "message": _malformed(err)}, args.out)
         return EXIT_INPUT
     try:
-        value = interpolation_factor(data, chis, e, n)
         rep = cpr_identity_check(data, chis, e, n)
     except ValueError as err:
         _emit({"error": "malformed config", "message": str(err)}, args.out)
         return EXIT_INPUT
-    vj = value.to_json()
+    vj = rep["direct"].to_json()
     factor = Suite("interp")
     factor.check(CPR_IDENTITY, "both epsilon-factor forms agree").expect(rep["passed"])
     report = {
@@ -316,8 +314,8 @@ class _Parser(argparse.ArgumentParser):
                 raise _StdoutError(str(err)) from None
 
 
-_GLOBAL_DEFAULTS = {"p": 3, "n": 2, "beta": 1, "seed": 0,
-                    "budget": 10 ** 6, "out": None, "csv": False}
+_DEFAULTS = {"p": 3, "n": 2, "beta": 1, "seed": 0, "budget": 10 ** 6, "out": None,
+             "csv": False, "k_max": 8, "dmax": 12}
 
 
 def _add_global_flags(parser) -> None:
@@ -405,13 +403,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for key, default in _GLOBAL_DEFAULTS.items():
+        for key, default in _DEFAULTS.items():
             if not hasattr(args, key):
                 setattr(args, key, default)
-        if not hasattr(args, "k_max"):
-            args.k_max = 8
-        if not hasattr(args, "dmax"):
-            args.dmax = 12
         return _run(parser, args)
     except _StdoutError as err:
         # the report was lost: say so on stderr, and point stdout at the null

@@ -287,7 +287,8 @@ def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:
     """Both epsilon-factor expressions for the interpolation factor, exactly.
 
     Form 1: eps(theta_n chi0^-1) * (prod chi_tau(-1)^n) / (alpha_p^e delta_B);
-    form 2: chi0(-1) * eps(theta_(n+1) chi0)^-1 * (same tail).
+    form 2: chi0(-1) * eps(theta_(n+1) chi0)^-1 * (same tail).  Returns the
+    direct value and whether both forms equal it.
     """
     p = data.p
     direct = interpolation_factor(data, chi, e, n)
@@ -300,10 +301,7 @@ def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:
     theta_n1 = SmoothCharacter(PCharacter.trivial(p), data.theta_at_p(0, n + 1))
     eta2 = theta_n1 * chi0
     form2 = HalfPowerValue(p, chi0.finite.parity()) * epsilon_factor(eta2).inverse() * tail
-    return {
-        "direct": direct, "epsilon_form": form1, "inverse_epsilon_form": form2,
-        "passed": direct == form1 == form2,
-    }
+    return {"direct": direct, "passed": direct == form1 == form2}
 
 
 def depletion_eigen_factor(alpha0: HalfPowerValue, alpha1: HalfPowerValue,

@@ -633,10 +633,8 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0) -> d
         for e in (1, 2):
             c.expect(iw.hecke_diagonal_multiplicativity(nn, p, e), nn=nn, e=e)
 
-    # the units mod p^(bp+1), p^bp (p - 1) of them, once for each nn
     c = suite.check("iwahori.frobenius_twist",
-                    "scaled-unit conjugation shifts the unipotent coordinate by c",
-                    2 * sum(p ** bp * (p - 1) for bp in (1, 2)), "units")
+                    "scaled-unit conjugation shifts the unipotent coordinate by c")
     for nn in (2, 3):
         for bp in (1, 2):
             c.expect(iw.frobenius_twist_identity(nn, p, bp)["passed"], nn=nn, bp=bp)

@@ -121,11 +121,10 @@ def test_gl2_enumeration_over_multiples_of_p_e_matches_the_full_loop(p):
 
 def test_double_coset_singleton_small():
     rep = iw.double_coset_singleton(2, 2, 1)
-    assert rep["passed"] and rep["checked"] == 64
-    assert rep["witnesses"]
+    assert rep == {"passed": True, "checked": 64, "detail": "all 64 representatives connected"}
 
 
-def _double_coset_oracle(n, p, beta, max_witnesses=3):
+def _double_coset_oracle(n, p, beta):
     """The enumeration with [A | t] row-reduced for every representative t and
     explicit products mod p^(beta+1), h^-1 taken as I - p^beta Y; the
     residual factor is gh^-1 (h^-1 (gh x)), not (2I - conj) x."""
@@ -163,13 +162,12 @@ def _double_coset_oracle(n, p, beta, max_witnesses=3):
     a_rows = list(zip(*cols))
     ncols = len(y_basis)
     pb = p ** beta
-    witnesses = []
     checked = 0
     for digits in product(range(p), repeat=len(lower_pos)):
         target = list(digits)
         reduced, piv = row_reduce([[*row, t] for row, t in zip(a_rows, target)], p)
         if piv and piv[-1] == ncols:
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
+            return {"passed": False, "checked": checked,
                     "detail": "no connecting subgroup element for a representative"}
         sol = [0] * ncols
         for row, c in zip(reduced, piv):
@@ -183,29 +181,23 @@ def _double_coset_oracle(n, p, beta, max_witnesses=3):
         for val, (i, j) in zip(target, lower_pos):
             x[i][j] = pb * val
         if not upper_unit(mul(ghi_res, mul(h, gh_res, modulus), modulus), beta):
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
+            return {"passed": False, "checked": checked,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
         k_res = mul(ghi_res, mul(h_inv, mul(gh_res, x, modulus), modulus), modulus)
         if not upper_unit(k_res, beta + 1):
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
+            return {"passed": False, "checked": checked,
                     "detail": "residual factor left the depth-(beta+1) Iwahori"}
-        if len(witnesses) < max_witnesses:
-            witnesses.append({"representative": target, "subgroup_part": sol})
         checked += 1
-    return {"passed": True, "checked": checked, "witnesses": witnesses,
-            "conjugator": "simple antidiagonal open-orbit form",
+    return {"passed": True, "checked": checked,
             "detail": f"all {checked} representatives connected"}
 
 
 @pytest.mark.parametrize("n, p, beta", [(2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)])
 def test_double_coset_singleton_matches_per_representative_solve(n, p, beta):
-    # every representative kept as a witness, so every subgroup part is compared
-    every = p ** (n * (2 * n - 1))
-    assert (iw.double_coset_singleton(n, p, beta, max_witnesses=every)
-            == _double_coset_oracle(n, p, beta, max_witnesses=every))
+    assert iw.double_coset_singleton(n, p, beta) == _double_coset_oracle(n, p, beta)
 
 
-def _per_representative_loop(n, p, beta, max_witnesses=3):
+def _per_representative_loop(n, p, beta):
     """The enumeration with one solve and one conjugation mod p^(beta+1) per
     representative, as it ran before the unit images were added up in
     odometer order; it reads the solver and the conjugation through the
@@ -214,20 +206,19 @@ def _per_representative_loop(n, p, beta, max_witnesses=3):
     modulus = p ** (beta + 1)
     pb = p ** beta
     y_basis, lower_pos, solve = iw._subgroup_solver(n, p)
-    witnesses = []
     checked = 0
     for digits in product(range(p), repeat=n * (2 * n - 1)):
         target = list(digits)
         sol = solve(target)
         if sol is None:
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
+            return {"passed": False, "checked": checked,
                     "detail": "no connecting subgroup element for a representative"}
         h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
             h[yi][yj] += pb * val
         conj = iw._conjugate(h, n, modulus)
         if not iw.iwahori_member(conj, p, beta, modulus):
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
+            return {"passed": False, "checked": checked,
                     "detail": "witness conjugate left the depth-beta Iwahori"}
         x = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (i, j) in zip(target, lower_pos):
@@ -235,22 +226,16 @@ def _per_representative_loop(n, p, beta, max_witnesses=3):
         k_res = iw._mod_mul([[2 * (i == j) - v for j, v in enumerate(row)]
                              for i, row in enumerate(conj)], x, modulus)
         if not iw.iwahori_member(k_res, p, beta + 1, modulus):
-            return {"passed": False, "checked": checked, "witnesses": witnesses,
+            return {"passed": False, "checked": checked,
                     "detail": "residual factor left the depth-(beta+1) Iwahori"}
-        if len(witnesses) < max_witnesses:
-            witnesses.append({"representative": target, "subgroup_part": sol})
         checked += 1
-    return {"passed": True, "checked": checked, "witnesses": witnesses,
-            "conjugator": "simple antidiagonal open-orbit form",
+    return {"passed": True, "checked": checked,
             "detail": f"all {checked} representatives connected"}
 
 
 @pytest.mark.parametrize("n, p, beta", [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 2, 1)])
 def test_odometer_matches_per_representative_loop(n, p, beta):
-    # every representative kept as a witness, so every subgroup part is compared
-    every = p ** (n * (2 * n - 1))
-    assert (iw.double_coset_singleton(n, p, beta, max_witnesses=every)
-            == _per_representative_loop(n, p, beta, max_witnesses=every))
+    assert iw.double_coset_singleton(n, p, beta) == _per_representative_loop(n, p, beta)
 
 
 @pytest.mark.parametrize("n, p, beta", [(2, 3, 1), (2, 5, 2), (3, 2, 1)])
@@ -611,10 +596,10 @@ def test_frobenius_twist_identity_fails_for_a_perturbed_gamma(monkeypatch):
             return g
 
         monkeypatch.setattr(iw, "gamma_element", perturbed)
-        symbolic = iw.frobenius_twist_identity(n, p, bp)["symbolic"]
-        assert symbolic == _symbolic_twist_oracle(n, p, bp), (i, j)
+        passed = iw.frobenius_twist_identity(n, p, bp)["passed"]
+        assert passed == _symbolic_twist_oracle(n, p, bp), (i, j)
         if (i, j) == (1, 0):
-            assert symbolic is False
+            assert passed is False
 
 
 def test_membership_predicates():

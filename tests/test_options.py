@@ -23,12 +23,10 @@ import padicdesk
 _SRC = Path(padicdesk.__file__).resolve().parent
 
 # parameters that only a caller outside the package sets: the suite
-# configuration, the argv of the entry point, argparse's output stream, and
-# the witness cap whose whole dict the differential oracles compare
+# configuration, the argv of the entry point and argparse's output stream
 _ALLOWED = {
     "cli.main(argv)",
     "cli._Parser._print_message(file)",
-    "iwahori.double_coset_singleton(max_witnesses)",
 }
 
 
@@ -165,8 +163,7 @@ def test_the_scan_follows_positions_keywords_and_forwards():
     # with nothing set from outside, the suite configuration and what it
     # forwards (run_tate_suite's p as the scale of shift_matrix) are unset
     unset = _unset(allowed=lambda option: False)
-    assert {"iwahori.double_coset_singleton(max_witnesses)", "suites.run_tate_suite(k_max)",
-            "tate.shift_matrix(scale)"} <= unset
+    assert {"suites.run_tate_suite(k_max)", "tate.shift_matrix(scale)"} <= unset
     unset = _unset()
     assert "tate.shift_matrix(scale)" not in unset
     # set by position, by keyword, and through a forward from `--dim-cap`

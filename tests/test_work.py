@@ -147,10 +147,7 @@ def test_iwahori_charges_count_their_loops(monkeypatch):
         1 for _ in product(range(p ** 2), range(p ** 2), range(0, p ** 2, p), range(p ** 2)))
     assert (seen["iwahori.double_coset_singleton"]
             == checked["iwahori.double_coset_singleton"]["checked"] == p ** 6)
-    assert seen["iwahori.frobenius_twist"] == sum(
-        1 for _nn in (2, 3) for bp in (1, 2) for c in range(1, p ** (bp + 1)) if c % p)
-    assert list(seen) == ["iwahori.gl2_enumeration", "iwahori.double_coset_singleton",
-                          "iwahori.frobenius_twist"]
+    assert list(seen) == ["iwahori.gl2_enumeration", "iwahori.double_coset_singleton"]
 
 
 @pytest.mark.parametrize("p, r, depth", [(3, 1, 20), (3, 1, 30), (5, 1, 50), (2, 2, 19)])
@@ -202,34 +199,20 @@ def test_interp_factor_charges_the_satake_factors(n, d, monkeypatch, capsys, tmp
     (["--budget", "500", "verify", "--suite", "mahler"],
      "mahler.fourier_indicator.n3.b2.bp0 needs 1458 histogram entries > budget 500"
      " (958 over)"),
+    (["--budget", "2186", "iwahori", "verify"],
+     "iwahori.gl2_enumeration needs 2187 tuples > budget 2186 (1 over)"),
     (["--n", "3", "--budget", "10000", "iwahori", "verify"],
      "iwahori.double_coset_singleton needs 14348907 representatives > budget 10000"
      " (14338907 over)"),
     (["--budget", "100", "tate", "verify", "--k-max", "0", "--dmax", "3"],
      "tate.overconvergence_chain needs 113 norm evaluations > budget 100 (13 over)"),
-], ids=["reconstruction", "fourier-slice", "fourier-indicator", "double-coset", "chain"])
+], ids=["reconstruction", "fourier-slice", "fourier-indicator", "gl2", "double-coset",
+        "chain"])
 def test_small_budget_exits_2_naming_the_check(args, message, capsys):
     code, out = _cli(["--p", "3", "--seed", "7"] + args, capsys)
     assert code == 2
     assert out["error"] == "budget exceeded" and out["message"] == message
     assert "suites" in out
-
-
-def test_frobenius_charge_comes_before_its_loop(monkeypatch):
-    # its count is below the gl2 and double-coset counts at every p, so only
-    # its own charge is put under the budget here
-    real = work.charge
-
-    def frobenius_only(check, count, unit):
-        if check == "iwahori.frobenius_twist":
-            real(check, count, unit)
-
-    monkeypatch.setattr(work, "charge", frobenius_only)
-    monkeypatch.setattr(suites.iw, "frobenius_twist_identity",
-                        lambda *args: pytest.fail("enumerated"))
-    with work.budget(47), pytest.raises(work.BudgetExceeded) as err:
-        suites.run_iwahori_suite(2, 3, 1, seed=7)
-    assert str(err.value) == "iwahori.frobenius_twist needs 48 units > budget 47 (1 over)"
 
 
 def test_interp_factor_n_over_budget_exits_2(capsys, tmp_path):
