@@ -18,6 +18,11 @@ by first-order polynomial derivations.
 The span closure depends only on (m, weight - weight[0], convention), so it
 is built once per process for each such key and shared, read-only, by every
 model with that key.  Each model keeps its own shift and reruns its checks.
+Every basis vector is a weight vector, and the dimension of each weight space
+is known in advance: it is the number of Gelfand-Tsetlin patterns of that
+weight.  The closure polarizes a vector only into a weight space that is not
+yet full, and is certified weight by weight against those counts; the Weyl
+dimension formula checks the total independently.
 
 Every basis polynomial has integer coefficients, and the basis is stored in
 one form only: packed monomials with int coefficients.  The seed minors, the
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 from .matrices import ExactMatrix, SparseEchelon, rational_inverse, signed_permutations
@@ -397,6 +403,33 @@ class _Point:
         return total
 
 
+def _gt_multiplicities(shifted) -> dict:
+    """{weight: multiplicity} for the GL_m irreducible of dominant weight `shifted`.
+
+    One count per Gelfand-Tsetlin pattern: rows of lengths m, m-1, ..., 1
+    from the top row `shifted` down, each interlacing the row above
+    (above[i] >= row[i] >= above[i + 1]).  A pattern's weight has entry k
+    = (sum of its row of length k) - (sum of its row of length k - 1).
+    Patterns are merged by their current row, so each row is expanded once
+    per distinct row above it.  The counts are Kostka numbers, invariant
+    under permuting the weight's entries, so any weight tuple can be
+    looked up directly.
+    """
+    level = {tuple(shifted): {(): 1}}  # row -> {weight entries below the row: count}
+    for _ in range(len(shifted)):
+        below = {}
+        for row, tails in level.items():
+            total = sum(row)
+            for sub in product(*(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))):
+                entry = total - sum(sub)
+                acc = below.setdefault(sub, {})
+                for tail, c in tails.items():
+                    key = (entry,) + tail
+                    acc[key] = acc.get(key, 0) + c
+        level = below
+    return level[()]
+
+
 class _Closure:
     """The span closure of one (m, shifted weight, convention), shared read-only.
 
@@ -419,7 +452,15 @@ class _Closure:
 def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
     """The closure of the model with first weight entry 0, in the integer kernel.
 
-    Shared by every model of the same (m, shifted weight, convention).
+    Shared by every model of the same (m, shifted weight, convention).  A
+    breadth-first search from the seed applies each raising (or lowering)
+    E_(a,b) to each new basis vector, and keeps an image independent of the
+    basis.  The image has weight w + e_a - e_b; once the basis holds the
+    Gelfand-Tsetlin multiplicity of that weight, the weight space is spanned
+    and the image would be dependent, so it is skipped without being built.
+    The basis and its order are those of the search without the skip.
+    Raises ArithmeticError unless every weight ends with exactly its
+    multiplicity.
     """
     exps = [shifted[m - 1 - i] - shifted[m - i] for i in range(1, m)]  # size i = 1..m-1
     degree = sum(i * e for i, e in enumerate(exps, start=1))
@@ -436,13 +477,15 @@ def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
     else:
         seed_weight = shifted  # highest
         ops = [(a, b) for a in range(m) for b in range(m) if a > b]
-    packed, weights, ech = [], [], SparseEchelon()
+    mult = _gt_multiplicities(shifted)
+    packed, weights, held, ech = [], [], {}, SparseEchelon()
 
     def insert(f: dict, wvec) -> bool:
         if ech.add(f, len(packed)) is not None:
             return False
         packed.append(f)
         weights.append(wvec)
+        held[wvec] = held.get(wvec, 0) + 1
         return True
 
     insert(seed, seed_weight)
@@ -452,14 +495,18 @@ def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
         for idx in frontier:
             f, wvec = packed[idx], weights[idx]
             for (a, b) in ops:
-                g = _polarize(m, a, b, f, width)
-                if not g:
-                    continue
                 nw = tuple(wvec[i] + (1 if i == a else 0) - (1 if i == b else 0)
                            for i in range(m))
-                if insert(g, nw):
+                if held.get(nw, 0) >= mult.get(nw, 0):
+                    continue  # weight space full (or no weight): E_(a,b) f is dependent
+                g = _polarize(m, a, b, f, width)
+                if g and insert(g, nw):
                     new.append(len(packed) - 1)
         frontier = new
+    if held != mult:
+        w = min(w for w in mult.keys() | held.keys() if held.get(w, 0) != mult.get(w, 0))
+        raise ArithmeticError(f"span closure holds {held.get(w, 0)} vectors of weight {w},"
+                              f" Gelfand-Tsetlin multiplicity is {mult.get(w, 0)}")
     return _Closure(width, degree, packed, weights, ech)
 
 

@@ -254,6 +254,11 @@ def interpolation_factor(data: SatakeData, chi: list, e, n: int) -> HalfPowerVal
     first); e lists the per-component depths, with e_tau = max(1, c_tau);
     the distinguished conductor exponent must be >= 1.
     """
+    return _factor_head(data, chi, e, n) * _factor_tail(data, chi, e, n)
+
+
+def _factor_head(data: SatakeData, chi: list, e, n: int) -> HalfPowerValue:
+    """The interpolation factor without its tail: the part no epsilon-factor form shares."""
     chi0 = chi[0]
     c0 = chi0.finite.conductor_exp
     if c0 == 0:
@@ -269,8 +274,7 @@ def interpolation_factor(data: SatakeData, chi: list, e, n: int) -> HalfPowerVal
     out = out * (data.alpha(0, n) / data.alpha(0, n - 1)) ** e0
     out = out * HalfPowerValue(p, chi0.finite.parity())
     out = out * chi0.at_p ** (-e0)
-    out = out * HalfPowerValue(p, gauss_sum(chi0.finite))
-    return out * _factor_tail(data, chi, e, n)
+    return out * HalfPowerValue(p, gauss_sum(chi0.finite))
 
 
 def _factor_tail(data: SatakeData, chi: list, e, n: int) -> HalfPowerValue:
@@ -291,9 +295,10 @@ def cpr_identity_check(data: SatakeData, chi: list, e, n: int) -> dict:
     direct value and whether both forms equal it.
     """
     p = data.p
-    direct = interpolation_factor(data, chi, e, n)
-    chi0 = chi[0]
+    head = _factor_head(data, chi, e, n)  # checks chi and e before the tail reads them
     tail = _factor_tail(data, chi, e, n)
+    direct = head * tail
+    chi0 = chi[0]
 
     theta_n = SmoothCharacter(PCharacter.trivial(p), data.theta_at_p(0, n))
     eta1 = theta_n * chi0.inverse()

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import padicdesk
 from padicdesk.glrep import (GLBlockModel, WeightData, _alternant, _field_width, _fields,
-                             _minor, _polarize, _span_closure, cone_decompose,
-                             cone_reconstruct, generator_weights, is_dominant,
-                             pieri_character_check, pieri_decompose, weyl_dimension)
-from padicdesk.matrices import ExactMatrix, rational_inverse
+                             _gt_multiplicities, _minor, _packed_mul, _polarize,
+                             _span_closure, cone_decompose, cone_reconstruct,
+                             generator_weights, is_dominant, pieri_character_check,
+                             pieri_decompose, weyl_dimension)
+from padicdesk.matrices import ExactMatrix, SparseEchelon, rational_inverse
 from padicdesk.polynomials import Poly
 from poly_oracle import basis, coordinates, evaluate, lie_action, pack, unpack
 
@@ -395,3 +396,201 @@ def test_poly_is_named_only_in_polynomials():
             if "Poly" in {getattr(node, k, None) for k in ("id", "attr", "name", "asname")}:
                 where.add(path.name)
     assert where == {"polynomials.py"}
+
+
+# -- the span closure against its search without the multiplicity skip -------
+
+
+def _closure_without_skip(m, shifted, convention):
+    """The breadth-first span closure that polarizes every vector by every operator."""
+    exps = [shifted[m - 1 - i] - shifted[m - i] for i in range(1, m)]
+    width = _field_width(sum(i * e for i, e in enumerate(exps, start=1)))
+    seed = {0: 1}
+    for i, e in enumerate(exps, start=1):
+        for _ in range(e):
+            seed = _packed_mul(seed, _minor(m, i, convention == "lower", width))
+    if convention == "upper":
+        seed_weight = tuple(shifted[m - 1 - i] for i in range(m))
+        ops = [(a, b) for a in range(m) for b in range(m) if a < b]
+    else:
+        seed_weight = shifted
+        ops = [(a, b) for a in range(m) for b in range(m) if a > b]
+    packed, weights, ech = [], [], SparseEchelon()
+
+    def insert(f, wvec):
+        if ech.add(f, len(packed)) is not None:
+            return False
+        packed.append(f)
+        weights.append(wvec)
+        return True
+
+    insert(seed, seed_weight)
+    frontier = [0]
+    while frontier:
+        new = []
+        for idx in frontier:
+            f, wvec = packed[idx], weights[idx]
+            for (a, b) in ops:
+                g = _polarize(m, a, b, f, width)
+                if not g:
+                    continue
+                nw = tuple(wvec[i] + (1 if i == a else 0) - (1 if i == b else 0)
+                           for i in range(m))
+                if insert(g, nw):
+                    new.append(len(packed) - 1)
+        frontier = new
+    return tuple(packed), tuple(weights), ech.rows
+
+
+def _blocks(wd):
+    """The (m, block weight) pairs of a branching weight's block models."""
+    n = wd.n
+    return [(2 * n - 1, tuple(wd.kappa[0][1:]))] + [(2 * n, tuple(r)) for r in wd.kappa[1:]]
+
+
+# the branching acceptance criterion's 11 weights
+_ACCEPTANCE_WEIGHTS = [
+    WeightData(2, 1, 0, [[0, 0, 0, 0]], [0]),
+    WeightData(2, 1, 0, [[2, 1, -2, -2]], [0]),
+    WeightData(2, 1, 0, [[3, 2, -2, -3]], [1]),
+    WeightData(2, 1, 0, [[0, 2, -1, -3]], [2]),
+    WeightData(2, 1, 0, [[0, 2, -1, -3]], [1]),
+    WeightData(2, 1, 1, [[1, 1, -1, -2]], [1]),
+    WeightData(2, 1, 0, [[0, 3, -2, -3]], [0]),
+    WeightData(2, 1, 0, [[0, 3, -2, -3]], [1]),
+    WeightData(2, 2, 0, [[0, 1, -1, -1], [1, 1, -1, -1]], [0, 1]),
+    WeightData(3, 1, 0, [[0, 1, 1, 0, -1, -1]], [1]),
+    WeightData(3, 1, 2, [[0, 1, 0, 0, 0, -1]], [0]),
+]
+# one cone weight per shape class of the seeded branch benchmark: the
+# GL_(2n-1) block is the class's shape plus an offset, later rows as listed
+_SHAPE_CLASS_WEIGHTS = [
+    WeightData(2, 1, 0, [[1, 0, 0, 0]], [0]),
+    WeightData(2, 1, 0, [[-1, 0, -1, -1]], [0]),
+    WeightData(2, 1, 0, [[2, 0, -2, -2]], [0]),
+    WeightData(2, 1, 0, [[0, 0, -3, -3]], [0]),
+    WeightData(2, 1, 0, [[1, 1, 0, -1]], [1]),
+    WeightData(3, 1, 0, [[0, 0, 0, 0, 0, 0]], [0]),
+    WeightData(2, 2, 0, [[-2, 0, 0, 0], [0, 0, 0, 0]], [0, 0]),
+    WeightData(2, 1, 0, [[0, 0, -4, -4]], [0]),
+    WeightData(3, 1, 0, [[1, 0, 0, -1, -1, -1]], [0]),
+    WeightData(2, 1, 0, [[0, 1, -1, -2]], [1]),
+    WeightData(2, 1, 0, [[2, 2, -1, -2]], [0]),
+    WeightData(2, 2, 0, [[0, 0, -2, -2], [1, 1, -1, -1]], [0, 0]),
+    WeightData(2, 2, 0, [[1, 0, -1, -1], [1, 1, -1, -1]], [0, 1]),
+    WeightData(2, 2, 0, [[0, 0, -3, -3], [1, 0, 0, -1]], [0, 0]),
+    WeightData(2, 1, 0, [[-2, 2, -1, -2]], [1]),
+]
+# the block weights of the rep suite (its branching instances and generator
+# family) and of the uea suite's block-determinant eigenlines
+_SUITE_BLOCKS = [
+    (3, (0, 0, 0)), (3, (2, -2, -2)), (3, (2, -2, -3)), (3, (1, -1, -2)), (3, (2, -1, -3)),
+    (3, (1, -1, -1)), (3, (0, -3, -3)), (3, (0, -4, -5)), (3, (0, -3, -5)),
+    (4, (1, 1, -1, -1)), (5, (1, 1, 0, -1, -1)),
+    (2, (2, -1)), (3, (1, 0, -1)), (4, (1, 1, 0, 0)), (4, (1, 0, 0, -1)), (5, (1, 1, 1, 0, 0)),
+]
+# the slowest known branch weight: a GL_5 block of dimension 200
+_SLOW_WEIGHT = WeightData.from_json(
+    {"n": 3, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 2, 0, 0, 0, -2]], "j": [0]})
+
+
+def _closure_cases():
+    blocks = set(_SUITE_BLOCKS)
+    for wd in _ACCEPTANCE_WEIGHTS + _SHAPE_CLASS_WEIGHTS + [_SLOW_WEIGHT]:
+        assert wd.in_cone(), wd
+        blocks.update(_blocks(wd))
+    shifted = {(m, tuple(x - w[0] for x in w)) for m, w in blocks}
+    return sorted((m, w, c) for m, w in shifted for c in ("upper", "lower"))
+
+
+@pytest.mark.parametrize("m, shifted, convention", _closure_cases(), ids=str)
+def test_span_closure_matches_the_search_without_the_skip(m, shifted, convention):
+    closure = _span_closure(m, shifted, convention)
+    packed, weights, rows = _closure_without_skip(m, shifted, convention)
+    assert closure.packed == packed
+    assert closure.weights == weights
+    assert closure.echelon.rows == rows
+
+
+def _tableau_counts(shape, m):
+    """{content: count} over the semistandard tableaux of `shape` with entries 0..m-1."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    counts, fill = {}, {}
+
+    def place(k):
+        if k == len(cells):
+            content = [0] * m
+            for v in fill.values():
+                content[v] += 1
+            counts[tuple(content)] = counts.get(tuple(content), 0) + 1
+            return
+        r, c = cells[k]
+        low = max(fill.get((r, c - 1), 0), fill.get((r - 1, c), -1) + 1)
+        for v in range(low, m):
+            fill[r, c] = v
+            place(k + 1)
+        fill.pop((r, c), None)
+
+    place(0)
+    return counts
+
+
+def _dominant_weights(m, spread):
+    """Every dominant GL_m weight with first entry 0 and spread <= spread."""
+    def rec(prefix):
+        if len(prefix) == m:
+            yield tuple(prefix)
+            return
+        for x in range(prefix[-1], -spread - 1, -1):
+            yield from rec(prefix + [x])
+    return list(rec([0]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gt_multiplicities_match_semistandard_tableaux(m):
+    # Kostka numbers counted on tableaux of shape lambda - lambda_m with
+    # content mu - lambda_m; no Gelfand-Tsetlin pattern is built here
+    for weight in _dominant_weights(m, 3):
+        low = weight[-1]
+        want = {tuple(x + low for x in content): count
+                for content, count in _tableau_counts([x - low for x in weight], m).items()}
+        got = _gt_multiplicities(weight)
+        assert got == want, weight
+        assert sum(got.values()) == weyl_dimension(weight)
+
+
+@pytest.mark.parametrize("m, shifted, convention", [
+    (3, (0, -1, -2), "upper"), (4, (0, -1, -1, -2), "lower")])
+def test_span_closure_certifies_every_weight(monkeypatch, m, shifted, convention):
+    # one multiplicity one too high and another one too low keep the total,
+    # so only the per-weight certificate can see them
+    import padicdesk.glrep as glrep
+
+    table = _gt_multiplicities(shifted)
+    high = max(table, key=lambda w: (table[w], w))
+    low = min(w for w in table if w != high)
+    wrong = dict(table)
+    wrong[high] += 1
+    wrong[low] -= 1
+    monkeypatch.setattr(glrep, "_gt_multiplicities", lambda w: dict(wrong))
+    with pytest.raises(ArithmeticError, match="Gelfand-Tsetlin multiplicity"):
+        _span_closure.__wrapped__(m, shifted, convention)
+
+
+@pytest.mark.parametrize("m, shifted, polarizations", [
+    (5, (0, 0, -1, -2, -2), 100), (5, (0, -2, -2, -2, -4), 300)])
+def test_span_closure_polarizes_only_into_unfilled_weight_spaces(monkeypatch, m, shifted,
+                                                                 polarizations):
+    # without the skip these closures make dim x 10 polarizations: 750 and 2,000
+    import padicdesk.glrep as glrep
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return _polarize(*args)
+
+    monkeypatch.setattr(glrep, "_polarize", counted)
+    closure = _span_closure.__wrapped__(m, shifted, "upper")
+    assert len(closure.packed) == weyl_dimension(shifted)
+    assert len(calls) == polarizations

@@ -183,6 +183,26 @@ def test_cpr_identity_instances():
     assert rep["passed"]
 
 
+def test_cpr_identity_builds_one_tail_and_keeps_the_direct_value(monkeypatch):
+    import padicdesk.interp as interp
+
+    p = 3
+    chis = [SmoothCharacter(PCharacter.from_log(p, 2, 1), HalfPowerValue(p, CyclotomicElement.zeta(6))),
+            SmoothCharacter(PCharacter.trivial(p), HalfPowerValue(p, 1))]
+    sd = SatakeData(3, 2, p)
+    tails = []
+
+    def counted(*args):
+        tails.append(args)
+        return raw_tail(*args)
+
+    raw_tail = interp._factor_tail
+    monkeypatch.setattr(interp, "_factor_tail", counted)
+    rep = cpr_identity_check(sd, chis, [2, 1], 3)
+    assert rep["passed"] and len(tails) == 1
+    assert rep["direct"] == interpolation_factor(sd, chis, [2, 1], 3)
+
+
 def test_depletion_eigen_factor():
     p = 3
     quad = PCharacter.from_log(p, 1, 1)
