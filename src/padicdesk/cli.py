@@ -58,8 +58,44 @@ def _unwritable(out_path: str) -> str | None:
     return None
 
 
+# stands in for the labels: no other string of a branch report holds a NUL
+_LABELS = "\0basis_labels"
+
+
+def _label_list(labels, depth: int) -> str:
+    """json.dumps(labels, indent=2) nested `depth` levels deep, for a list of
+    [[int, ...], [int, ...]] pairs, written without the pure-Python encoder
+    that an indent selects."""
+    if not labels:
+        return "[]"
+    pad = "\n" + "  " * depth
+    item, pair, entry = pad + "  ", pad + "    ", pad + "      "
+
+    def ints(xs):
+        return "[" + entry + ("," + entry).join(map(str, xs)) + pair + "]" if xs else "[]"
+
+    return ("[" + item + ("," + item).join(
+        "[" + pair + ints(b) + "," + pair + ints(J) + item + "]" for b, J in labels)
+        + pad + "]")
+
+
+def _dumps(report: dict) -> str:
+    """json.dumps(report, indent=2, sort_keys=True, default=str).
+
+    A branch report's basis labels, most of its bytes, are written by
+    `_label_list` and spliced in at their place in the dump of the rest.
+    """
+    vector = report.get("branch_vector")
+    if vector is None:
+        return json.dumps(report, indent=2, sort_keys=True, default=str)
+    rest = {**report, "branch_vector": {**vector, "basis_labels": _LABELS}}
+    head, _, tail = json.dumps(rest, indent=2, sort_keys=True, default=str).partition(
+        json.dumps(_LABELS))
+    return head + _label_list(vector["basis_labels"], 2) + tail
+
+
 def _emit(report: dict, out_path: str | None, csv: bool = False) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
+    text = _dumps(report)
     if out_path:
         path = _resolve(out_path)
         try:

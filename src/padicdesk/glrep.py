@@ -24,12 +24,15 @@ weight.  The closure polarizes a vector only into a weight space that is not
 yet full, and is certified weight by weight against those counts; the Weyl
 dimension formula checks the total independently.
 
-Every basis polynomial has integer coefficients, and the basis is stored in
-one form only: packed monomials with int coefficients.  The seed minors, the
-Pieri alternants, the closure, the polarizations, the group action,
-evaluation at a point and the coordinate solves (by the fraction-free
-`SparseEchelon`) all run on that form; a model is read only through its
-basis indices.
+Every basis polynomial has integer coefficients, and the basis is stored as
+packed monomials with int coefficients.  The seed minors, the Pieri
+alternants, the closure, the polarizations and the coordinate solves (by the
+fraction-free `SparseEchelon`) all run on that form; a model is read only
+through its basis indices.  A closure also keeps two tables derived from it
+and filled on first use, since they depend on the block alone and every
+model with the closure's key asks for the same entries: the coordinates of
+E_(a,b) applied to each basis vector, and each basis vector's monomials
+decoded into (variable, exponent) pairs for evaluation and the group action.
 """
 
 from __future__ import annotations
@@ -374,8 +377,9 @@ class _Point:
     A point with rational entries is cleared to the integer matrix L g, for
     L the common denominator of its entries; a point with ring-element
     entries keeps them, with L = 1.  A basis vector homogeneous of degree k
-    takes the value numerator(vec) * factor at g: `numerator` sums the packed
-    polynomial in one loop over prod (L x_v)^e, and factor is det(g)^(-shift) / L^k.
+    takes the value numerator(terms) * factor at g: `numerator` sums its
+    decoded terms in one loop over prod (L x_v)^e, and factor is
+    det(g)^(-shift) / L^k.
     """
 
     def __init__(self, g: ExactMatrix, shift: int, degree: int):
@@ -392,12 +396,13 @@ class _Point:
             twist = (cleared.det() * Fraction(1, scale ** m)) ** abs(shift)
             self.factor = self.factor * twist if shift < 0 else self.factor / twist
 
-    def numerator(self, vec: dict, width: int):
-        """sum over the packed polynomial vec of c * prod (L x_v)^e: an int at a rational point."""
+    def numerator(self, terms):
+        """sum over the decoded terms (c, ((v, e), ...)) of c * prod (L x_v)^e:
+        an int at a rational point."""
         values = self.values
         total = 0
-        for key, t in vec.items():
-            for v, e in _fields(key, width):
+        for t, fields in terms:
+            for v, e in fields:
                 t = t * (values[v] if e == 1 else values[v] ** e)
             total = total + t
         return total
@@ -434,18 +439,40 @@ class _Closure:
     """The span closure of one (m, shifted weight, convention), shared read-only.
 
     `packed` holds the basis as packed int-coefficient polynomials of field
-    width `width`, each homogeneous of the seed's `degree`; it is the only
-    stored form of the basis.  The echelon holds basis vector idx under tag
-    idx, so `echelon.coordinates` gives a packed polynomial's coordinates.
+    width `width`, each homogeneous of the seed's `degree`.  The echelon
+    holds basis vector idx under tag idx, so `echelon.coordinates` gives a
+    packed polynomial's coordinates.  `action` and `terms` read tables
+    derived from `packed`, each entry computed on its first request.
     """
 
-    __slots__ = ("width", "degree", "packed", "weights", "echelon")
+    __slots__ = ("m", "width", "degree", "packed", "weights", "echelon", "_actions", "_terms")
 
-    def __init__(self, width, degree, packed, weights, echelon):
-        self.width, self.degree = width, degree
+    def __init__(self, m, width, degree, packed, weights, echelon):
+        self.m, self.width, self.degree = m, width, degree
         self.packed = tuple(packed)
         self.weights = tuple(weights)
         self.echelon = echelon
+        self._actions = {}  # (a, b, idx) -> {idx2: Fraction}
+        self._terms = {}  # idx -> ((c, ((v, e), ...)), ...)
+
+    def action(self, a: int, b: int, idx: int) -> dict:
+        """Coordinates {idx2: c} of E_(a,b) applied to basis vector idx, as a new dict."""
+        coords = self._actions.get((a, b, idx))
+        if coords is None:
+            f = _polarize(self.m, a, b, self.packed[idx], self.width)
+            ints, den = self.echelon.coordinates(f)
+            coords = self._actions[a, b, idx] = {k: Fraction(c, den) for k, c in ints.items()}
+        return dict(coords)
+
+    def terms(self, idx: int) -> tuple:
+        """Basis vector idx as ((c, ((v, e), ...)), ...): each packed monomial
+        decoded into its (variable, exponent) pairs, in the order of `packed`."""
+        decoded = self._terms.get(idx)
+        if decoded is None:
+            width = self.width
+            decoded = self._terms[idx] = tuple((c, tuple(_fields(key, width)))
+                                               for key, c in self.packed[idx].items())
+        return decoded
 
 
 @lru_cache(maxsize=None)
@@ -507,7 +534,7 @@ def _span_closure(m: int, shifted: tuple, convention: str) -> _Closure:
         w = min(w for w in mult.keys() | held.keys() if held.get(w, 0) != mult.get(w, 0))
         raise ArithmeticError(f"span closure holds {held.get(w, 0)} vectors of weight {w},"
                               f" Gelfand-Tsetlin multiplicity is {mult.get(w, 0)}")
-    return _Closure(width, degree, packed, weights, ech)
+    return _Closure(m, width, degree, packed, weights, ech)
 
 
 class GLBlockModel:
@@ -545,8 +572,14 @@ class GLBlockModel:
     # -- actions and evaluation -----------------------------------------
 
     def basis_word_action(self, word, idx: int) -> dict:
-        """Coordinates {idx2: c} of a word of E's on basis vector idx: (XY) f = X (Y f)."""
+        """Coordinates {idx2: c} of a word of E's on basis vector idx: (XY) f = X (Y f).
+
+        A one-letter word is read from the closure's table of actions.
+        """
         closure = self._closure
+        if len(word) == 1:
+            (a, b), = word
+            return closure.action(a, b, idx)
         f = closure.packed[idx]
         for (a, b) in reversed(word):
             f = _polarize(self.m, a, b, f, closure.width)
@@ -568,9 +601,9 @@ class GLBlockModel:
         forms = [{1 << (k * m + v % m) * width: int(x * scale)
                   for k, x in enumerate(inv.rows[v // m]) if x} for v in range(m * m)]
         image = {}
-        for key, c in closure.packed[idx].items():
+        for c, fields in closure.terms(idx):
             term = {0: c}
-            for v, e in _fields(key, width):
+            for v, e in fields:
                 for _ in range(e):
                     term = _packed_mul(term, forms[v])
             for k, t in term.items():
@@ -590,8 +623,7 @@ class GLBlockModel:
         """
         closure = self._closure
         point = _Point(g, self.shift, closure.degree)
-        return ({idx: point.numerator(closure.packed[idx], closure.width) for idx in indices},
-                point.factor)
+        return {idx: point.numerator(closure.terms(idx)) for idx in indices}, point.factor
 
     def numerator_bits(self, idx: int, entry_bits: int) -> int:
         """A bound on the bit length of basis vector idx's numerator at a point

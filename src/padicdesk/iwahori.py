@@ -437,6 +437,12 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
             "detail": f"all {checked} representatives connected"}
 
 
+def residue_words(p: int, beta: int) -> int:
+    """64-bit words of a residue mod p^(beta+2), from a bound on its bit
+    length that does not build the power: p^(beta+2) < 2^((beta+2) bitlen(p^16) / 16)."""
+    return -(-(beta + 2) * (p ** 16).bit_length() // 16) // 64 + 1
+
+
 def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> list:
     """A random element of the conjugated-subgroup intersection with the blocks,
     as int rows mod p^M.

@@ -593,9 +593,13 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0) -> d
     c.expect(idx == p)
     c.note(index=idx)
 
+    # the residue arithmetic of a representative or a sample grows with the
+    # size of p^(beta+2): a product of two residues costs words^2 word-products
+    words = iw.residue_words(p, beta)
     c = suite.check("iwahori.double_coset_singleton",
                     "every depth representative is connected through the conjugated subgroup",
                     (p, n * (2 * n - 1)), "representatives")
+    c.charge(p ** (n * (2 * n - 1)) * words ** 2, "word-products")
     rep = iw.double_coset_singleton(n, p, beta)
     c.expect(rep["passed"])
     c.note(checked=rep["checked"])
@@ -605,10 +609,13 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0) -> d
                 "membership equivalence between conjugate depth subgroups",
                 samples=ri["samples"]).expect(ri["passed"])
 
-    rs = iw.similitude_congruence_check(n, p, beta, 500, seed)
-    suite.check("iwahori.similitude_congruence",
-                "block determinant ratio lies in 1 + p^beta",
-                samples=rs["samples"]).expect(rs["passed"])
+    samples = 500
+    c = suite.check("iwahori.similitude_congruence",
+                    "block determinant ratio lies in 1 + p^beta",
+                    samples * words ** 2, "word-products")
+    rs = iw.similitude_congruence_check(n, p, beta, samples, seed)
+    c.note(samples=rs["samples"])
+    c.expect(rs["passed"])
 
     r_uv = iw.orbit_stabilizer_uv(n)
     suite.check("iwahori.orbit_uv",

@@ -9,8 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicdesk.cli import main
+from padicdesk.cli import _dumps, main
 
 _GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
@@ -590,14 +592,20 @@ def test_interp_factor_large_field_pinned(config, digest, capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_interp_factor_benchmark_round_pinned(capsys, tmp_path):
-    # exit code and stdout of the 100 operations of the seed-7 interp-factor round,
-    # with the round built by the benchmark's own generator
+def _bench_round(workload, seed, tmp_path):
+    """The operations of one round, built and written out by the benchmark's own generator."""
     spec = importlib.util.spec_from_file_location("padicdesk_bench_gen", _GEN)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    ops = gen.build_round("interp-factor", 7)
+    ops = gen.build_round(workload, seed)
     gen.materialize(ops, str(tmp_path))
+    return ops
+
+
+def test_interp_factor_benchmark_round_pinned(capsys, tmp_path):
+    # exit code and stdout of the 100 operations of the seed-7 interp-factor round,
+    # with the round built by the benchmark's own generator
+    ops = _bench_round("interp-factor", 7, tmp_path)
     digest = hashlib.sha256()
     for op in ops:
         code = main(op["argv"])
@@ -610,11 +618,7 @@ def test_interp_factor_benchmark_round_pinned(capsys, tmp_path):
 def test_branch_batch_benchmark_round_pinned(capsys, tmp_path):
     # exit code and stdout of the 100 operations of the seed-7 branch-batch round,
     # with the round built by the benchmark's own generator
-    spec = importlib.util.spec_from_file_location("padicdesk_bench_gen", _GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    ops = gen.build_round("branch-batch", 7)
-    gen.materialize(ops, str(tmp_path))
+    ops = _bench_round("branch-batch", 7, tmp_path)
     digest = hashlib.sha256()
     for op in ops:
         code = main(op["argv"])
@@ -622,6 +626,78 @@ def test_branch_batch_benchmark_round_pinned(capsys, tmp_path):
     assert len(ops) == 100
     assert digest.hexdigest() == (
         "55132014efee615a47c4b107de16d008e67075cdff19979e36b5797ee1f267fc")
+
+
+def test_branch_batch_round_computes_each_block_action_once(monkeypatch, capsys, tmp_path):
+    # the seed-7 round from an empty closure cache asks for 889 word actions on
+    # block basis vectors; its 836 one-letter words are 236 distinct (closure,
+    # E_(a,b), index) triples, each polarized and solved once
+    from padicdesk import glrep
+
+    glrep._span_closure.cache_clear()
+    words, closures = [], {}
+    real = glrep.GLBlockModel.basis_word_action
+
+    def counted(self, word, idx):
+        words.append(len(word))
+        closures[id(self._closure)] = self._closure
+        return real(self, word, idx)
+
+    monkeypatch.setattr(glrep.GLBlockModel, "basis_word_action", counted)
+    for op in _bench_round("branch-batch", 7, tmp_path):
+        assert main(op["argv"]) == 0
+    capsys.readouterr()
+    assert len(words) == 889 and words.count(1) == 836
+    assert sum(len(c._actions) for c in closures.values()) == 236
+
+
+_label_ints = st.integers(min_value=0, max_value=10 ** 12)
+_branch_labels = st.lists(st.tuples(st.lists(_label_ints, min_size=1, max_size=3),
+                                    st.lists(_label_ints, max_size=4).map(sorted)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_branch_labels, dimension=_label_ints,
+       coordinates=st.dictionaries(st.integers(0, 300).map(str), st.text(max_size=6), max_size=3),
+       extra=st.dictionaries(st.sampled_from(["operator", "operator_constant", "seed"]),
+                             st.integers() | st.text(max_size=4), max_size=3))
+def test_branch_report_dump_matches_json_dumps(labels, dimension, coordinates, extra):
+    # the labels writer against the indented encoder, on branch-shaped reports
+    report = {"weight": {"n": 2, "kappa": [[0, 1, -1, -2]], "j": [1]}, "p": 3, "beta": 1,
+              "branch_vector": {"basis_labels": [[list(b), list(J)] for b, J in labels],
+                                "coordinates": coordinates, "dimension": dimension,
+                                "eigenspace_dimension": 1, "weight": {"d": 1}},
+              "restriction_samples": [{"box_point": ["1", "2"], "unit_congruent": True}],
+              **extra}
+    assert _dumps(report) == json.dumps(report, indent=2, sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("report", [
+    {"error": "budget exceeded", "message": "x needs 2 units > budget 1 (1 over)"},
+    {"suites": [{"suite": "rep", "passed": True, "checks": []}], "passed": True},
+    {"error": "internal error", "type": "KeyError", "message": "'basis_labels'"},
+])
+def test_reports_without_a_branch_vector_go_through_json_dumps(report):
+    assert _dumps(report) == json.dumps(report, indent=2, sort_keys=True, default=str)
+
+
+def test_branch_report_out_and_csv_files_match_stdout(capsys, tmp_path):
+    # the branch report on stdout, in an --out file and with --csv is the
+    # indented encoding of its own JSON
+    args = ["--seed", "7", "branch", "--weight-json", json.dumps(
+        {"n": 2, "d": 2, "tau0": 0, "kappa0": 0,
+         "kappa": [[0, 1, -1, -1], [1, 1, -1, -1]], "j": [0, 1]})]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert len(json.loads(out)["branch_vector"]["basis_labels"]) > 1
+    path = tmp_path / "report.json"
+    code, rest = run_cli(["--out", str(path), "--csv"] + args, capsys)
+    assert code == 0 and rest == ""
+    assert path.read_text() == out
+    assert (tmp_path / "report.json.csv").read_text() == "suite,check,passed\n"
+    code, with_csv = run_cli(["--csv"] + args, capsys)
+    assert code == 0 and with_csv == out + "suite,check,passed\n"
 
 
 _TRIVIAL_WEIGHT = '{"n": 2, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 0, 0, 0]], "j": [0]}'

@@ -494,9 +494,9 @@ _SLOW_WEIGHT = WeightData.from_json(
     {"n": 3, "d": 1, "tau0": 0, "kappa0": 0, "kappa": [[0, 2, 0, 0, 0, -2]], "j": [0]})
 
 
-def _closure_cases():
+def _closure_cases(weights=(*_ACCEPTANCE_WEIGHTS, *_SHAPE_CLASS_WEIGHTS, _SLOW_WEIGHT)):
     blocks = set(_SUITE_BLOCKS)
-    for wd in _ACCEPTANCE_WEIGHTS + _SHAPE_CLASS_WEIGHTS + [_SLOW_WEIGHT]:
+    for wd in weights:
         assert wd.in_cone(), wd
         blocks.update(_blocks(wd))
     shifted = {(m, tuple(x - w[0] for x in w)) for m, w in blocks}
@@ -594,3 +594,95 @@ def test_span_closure_polarizes_only_into_unfilled_weight_spaces(monkeypatch, m,
     closure = _span_closure.__wrapped__(m, shifted, "upper")
     assert len(closure.packed) == weyl_dimension(shifted)
     assert len(calls) == polarizations
+
+
+# -- the tables a closure derives from its basis ------------------------------
+
+
+@pytest.mark.parametrize("m, shifted, convention",
+                         _closure_cases(_ACCEPTANCE_WEIGHTS + _SHAPE_CLASS_WEIGHTS), ids=str)
+def test_closure_actions_match_a_fresh_polarization(m, shifted, convention):
+    # every E_(a,b) on every basis vector, read from the table, against its
+    # polarization solved on the echelon; a changed result leaves the table alone
+    closure = _span_closure(m, shifted, convention)
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            for idx, f in enumerate(closure.packed):
+                ints, den = closure.echelon.coordinates(_polarize(m, a, b, f, closure.width))
+                want = {k: Fraction(c, den) for k, c in ints.items()}
+                got = closure.action(a, b, idx)
+                assert got == want, (a, b, idx)
+                got.clear()
+                got[len(closure.packed)] = Fraction(1)
+                assert closure.action(a, b, idx) == want
+
+
+def test_one_letter_words_come_from_the_table_and_longer_words_are_polarized(monkeypatch):
+    import padicdesk.glrep as glrep
+
+    model = GLBlockModel(3, (1, -1, -2), "lower")
+    fresh = GLBlockModel(3, (4, 2, 1), "lower")  # the same closure
+    assert fresh._closure is model._closure
+    want = model.basis_word_action([(1, 0)], 0)
+    calls = []
+    monkeypatch.setattr(glrep, "_polarize", lambda *args: calls.append(args[1:3]) or
+                        _polarize(*args))
+    got = fresh.basis_word_action([(1, 0)], 0)
+    assert got == want and calls == []
+    got.clear()
+    assert fresh.basis_word_action(((1, 0),), 0) == want
+    assert calls == []
+    model.basis_word_action([(2, 1), (1, 0)], 0)
+    assert calls == [(1, 0), (2, 1)]
+
+
+def _numerator_by_fields(closure, values, idx):
+    """The numerator of basis vector idx at cleared entries `values`, decoding
+    each packed monomial with `_fields` on every call."""
+    total = 0
+    for key, t in closure.packed[idx].items():
+        for v, e in _fields(key, closure.width):
+            t = t * (values[v] if e == 1 else values[v] ** e)
+        total = total + t
+    return total
+
+
+def _evaluation_points(m, rnd):
+    from padicdesk.artinian import ArtinianElement
+    from padicdesk.cyclotomic import CyclotomicElement
+
+    ints = [[rnd.randrange(-4, 5) + 9 * (i == j) for j in range(m)] for i in range(m)]
+    yield ExactMatrix(ints)
+    yield ExactMatrix([[Fraction(x, rnd.randrange(1, 6)) for x in row] for row in ints])
+    eps = ArtinianElement.gen(2, 0) + ArtinianElement.gen(2, 1) * Fraction(1, 3)
+    yield ExactMatrix([[ArtinianElement.constant(2, x) + (eps if i < j else 0)
+                        for j, x in enumerate(row)] for i, row in enumerate(ints)])
+    zeta = CyclotomicElement.zeta(5)
+    yield ExactMatrix([[CyclotomicElement.from_rational(x, 5) + (zeta * (i - j) if i > j else 0)
+                        for j, x in enumerate(row)] for i, row in enumerate(ints)])
+
+
+@pytest.mark.parametrize("m, weight, convention", [
+    (2, (2, -1), "upper"), (3, (1, -1, -2), "upper"), (3, (0, -2, -3), "lower"),
+    (3, (-1, -2, -4), "upper"), (4, (1, 0, 0, -1), "lower")])
+def test_decoded_evaluation_matches_the_fields_loop(m, weight, convention):
+    # basis_numerators and basis_values read the closure's decoded terms; the
+    # oracle decodes every monomial again, at rational and ring-element points
+    from padicdesk.glrep import _Point
+
+    rnd = random.Random(m * 31 + sum(weight))
+    model = GLBlockModel(m, weight, convention)
+    closure = model._closure
+    indices = range(model.dimension)
+    for g in _evaluation_points(m, rnd):
+        point = _Point(g, model.shift, closure.degree)
+        want = {idx: _numerator_by_fields(closure, point.values, idx) for idx in indices}
+        numerators, factor = model.basis_numerators(g, indices)
+        assert numerators == want and factor == point.factor
+        assert model.basis_values(g, indices) == {idx: v * factor for idx, v in want.items()}
+    for idx in indices:
+        coefficient_sum = sum(abs(c) for c in closure.packed[idx].values())
+        assert model.numerator_bits(idx, 5) == (coefficient_sum.bit_length()
+                                                + closure.degree * 5)

@@ -147,7 +147,44 @@ def test_iwahori_charges_count_their_loops(monkeypatch):
         1 for _ in product(range(p ** 2), range(p ** 2), range(0, p ** 2, p), range(p ** 2)))
     assert (seen["iwahori.double_coset_singleton"]
             == checked["iwahori.double_coset_singleton"]["checked"] == p ** 6)
-    assert list(seen) == ["iwahori.gl2_enumeration", "iwahori.double_coset_singleton"]
+    # at beta = 1 every residue fits one word: word-products count the loops
+    assert (seen["iwahori.similitude_congruence"]
+            == checked["iwahori.similitude_congruence"]["samples"] == 500)
+    assert list(seen) == ["iwahori.gl2_enumeration", "iwahori.double_coset_singleton",
+                          "iwahori.similitude_congruence"]
+
+
+@pytest.mark.parametrize("p, beta, unreached, message", [
+    # residues mod 3^20002 take 508 words: 729 representatives of 508^2 products each
+    (3, 20000, ["double_coset_singleton", "similitude_congruence_check"],
+     "iwahori.double_coset_singleton needs 188128656 word-products"
+     " > budget 1000000 (187128656 over)"),
+    # mod 2^6002, 100 words: the 64 representatives fit, the 500 samples do not
+    (2, 6000, ["similitude_congruence_check"],
+     "iwahori.similitude_congruence needs 5000000 word-products"
+     " > budget 1000000 (4000000 over)"),
+], ids=["double-coset", "similitude"])
+def test_iwahori_residue_size_is_charged_before_the_loops(p, beta, unreached, message,
+                                                          monkeypatch, capsys):
+    from padicdesk import iwahori
+
+    def loop(*args):
+        raise AssertionError("the loop ran before its charge")
+
+    for name in unreached:
+        monkeypatch.setattr(iwahori, name, loop)
+    code, out = _cli(["--p", str(p), "--beta", str(beta), "iwahori", "verify"], capsys)
+    assert code == 2
+    assert out["error"] == "budget exceeded" and out["message"] == message
+
+
+def test_iwahori_residue_words_bound_the_modulus():
+    from padicdesk.iwahori import residue_words
+
+    for p in (2, 3, 5, 7, 2 ** 61 - 1):
+        for beta in (1, 2, 30, 31, 1000):
+            assert (p ** (beta + 2)).bit_length() <= 64 * residue_words(p, beta)
+    assert residue_words(3, 1) == residue_words(5, 1) == 1
 
 
 @pytest.mark.parametrize("p, r, depth", [(3, 1, 20), (3, 1, 30), (5, 1, 50), (2, 2, 19)])
