@@ -16,6 +16,7 @@ Only odd p is supported for nontrivial characters.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -168,17 +169,23 @@ class PCharacter:
         return f"PCharacter(p={self.p}, cond=p^{self.conductor_exp}, order={self.order()})"
 
 
-def unit_powers(p: int, c: int, log: int, h: int, field_order: int) -> list:
-    """[(a, j)] over a in (Z/p^h)^*, with chi(a) = zeta_field_order^j for the
-    character chi of conductor p^c and discrete log ``log``.
+def _log_multiplier(p: int, c: int, log: int, field_order: int) -> int:
+    """mult with chi(a) = zeta_field_order^(mult * t) for the character chi of
+    conductor p^c and discrete log ``log``, where t = _dlog_table(p, c)[a mod p^c].
 
-    The order of chi must divide field_order.  Each j is read off the integer
-    discrete-log table: chi(g^t) = zeta_order^(k t) with order = phi/s and
-    k = log/s for s = gcd(phi, log).
+    The order of chi must divide field_order: chi(g^t) = zeta_order^(k t)
+    with order = phi/s and k = log/s for s = gcd(phi, log).
     """
     phi = _phi(p, c)
     s = gcd(phi, log)
-    mult = log // s * (field_order // (phi // s))
+    return log // s * (field_order // (phi // s))
+
+
+def unit_powers(p: int, c: int, log: int, h: int, field_order: int) -> list:
+    """[(a, j)] over a in (Z/p^h)^*, with chi(a) = zeta_field_order^j for the
+    character chi of conductor p^c and discrete log ``log``; the order of chi
+    must divide field_order."""
+    mult = _log_multiplier(p, c, log, field_order)
     table, modulus = _dlog_table(p, c), p ** c
     return [(a, table[a % modulus] * mult % field_order) for a in range(1, p ** h) if a % p]
 
@@ -210,9 +217,8 @@ def _gauss_sum(p: int, c: int, log: int, h: int) -> CyclotomicElement:
     phi = _phi(p, c)
     field_order = lcm(root_order, phi // gcd(phi, log))
     step = field_order // root_order
-    weights: dict = {}
-    # the summand chi(a) zeta_{p^c}^a is one power of zeta_field
-    for a, j in unit_powers(p, c, log, h, field_order):
-        key = (j + a * step) % field_order
-        weights[key] = weights.get(key, 0) + 1
+    mult, table = _log_multiplier(p, c, log, field_order), _dlog_table(p, c)
+    # the summand chi(a) zeta_{p^c}^a is one power of zeta_field, counted in one pass
+    weights = Counter((table[a % root_order] * mult + a * step) % field_order
+                      for a in range(1, p ** h) if a % p)
     return zeta_power_sum(field_order, weights) * Fraction(1, p ** (h - c))

@@ -17,9 +17,16 @@ holds sparse integer rows {i: c}, a few nonzeros each, so reductions,
 embeddings, products and the Gauss-sum power sums (Cohen, GTM 138) add up
 only those nonzeros, in ints.  A product with a rational scalar (an int, a
 Fraction or an element of Q(zeta_1)) scales the numerators and skips the
-deg x deg product.  `inverse` solves on the rows x * zeta^j in a
-`SparseEchelon` (Cohen, GTM 138, ch. 4), charged deg^2 entries first.  The
-operators derived from +, -x, * and `inverse` come from `rationals.RingOps`.
+deg x deg product.
+
+`inverse` multiplies x by its Galois conjugates until it reaches the norm
+N(x), a nonzero integer, and divides by it: Itoh and Tsujii's inversion by
+the norm (Inform. and Comput. 78, 1988), carried from GF(2^n) to the Galois
+group (Z/m)^* of Q(zeta_m), where sigma_a sends zeta to zeta^a (Washington,
+ch. 2; Cohen, ch. 4 for norms).  It walks (Z/m)^* one cyclic step at a
+time, so each step's conjugate product comes from a doubling chain of
+schoolbook products, and it is charged deg^2 first.  The operators derived
+from +, -x, * and `inverse` come from `rationals.RingOps`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import work
-from .matrices import SparseEchelon
 from .rationals import RingOps, integer, lowest_terms, ratio
 
 
@@ -117,6 +123,69 @@ def _traces(m: int) -> tuple:
                  for k in range(_degree(m)))
 
 
+def _product(m: int, a, b) -> list:
+    """The schoolbook product of two deg Phi_m numerator lists, reduced mod Phi_m."""
+    prod = [0] * (2 * len(a) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                prod[i + j] += x * y
+    return _reduce(m, enumerate(prod))
+
+
+def _nonzeros(nums) -> int:
+    return sum(1 for c in nums if c)
+
+
+def _conjugate(m: int, nums, a: int) -> list:
+    """sigma_a of sum nums[k] zeta_m^k, which is sum nums[k] zeta_m^(a k)."""
+    return _reduce(m, ((a * k, c) for k, c in enumerate(nums)))
+
+
+def _order_modulo(u: int, m: int, subgroup: set) -> int:
+    """The least d >= 1 with u^d mod m in subgroup."""
+    d, v = 1, u
+    while v not in subgroup:
+        v, d = v * u % m, d + 1
+    return d
+
+
+@lru_cache(maxsize=None)
+def _galois_steps(m: int) -> tuple:
+    """((a, d), ...): (Z/m)^* reached from {1} one cyclic step at a time.
+
+    Each step takes the unit a of least order d modulo the subgroup H built
+    so far, the smaller a on a tie, and H becomes H <a>.
+    """
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+    reached, steps = {1 % m}, []
+    while len(reached) < _degree(m):
+        a = min((u for u in units if u not in reached),
+                key=lambda u: _order_modulo(u, m, reached))
+        d = _order_modulo(a, m, reached)
+        reached = {h * pow(a, j, m) % m for h in reached for j in range(d)}
+        steps.append((a, d))
+    return tuple(steps)
+
+
+def _conjugates_product(m: int, y, a: int, d: int) -> list:
+    """sigma_a(y) sigma_a^2(y) ... sigma_a^(d-1)(y), for d >= 2.
+
+    P_k = y sigma_a(y) ... sigma_a^(k-1)(y) follows the bits of d - 1 by
+    P_2k = P_k sigma_a^k(P_k) and P_(k+1) = y sigma_a(P_k); the product
+    wanted is sigma_a(P_(d-1)).
+    """
+    chain, k = y, 1
+    for bit in bin(d - 1)[3:]:
+        chain = _product(m, chain, _conjugate(m, chain, pow(a, k, m)))
+        k *= 2
+        if bit == "1":
+            chain = _product(m, y, _conjugate(m, chain, a))
+            k += 1
+    return _conjugate(m, chain, a)
+
+
 def _element(m: int, nums, den: int) -> "CyclotomicElement":
     """sum of nums[k] / den * zeta_m^k, for deg Phi_m ints nums, in lowest terms."""
     out = CyclotomicElement.__new__(CyclotomicElement)
@@ -132,9 +201,12 @@ class CyclotomicElement(RingOps):
 
     def __init__(self, m: int, coeffs):
         """sum of coeffs[k] zeta_m^k; a list longer than deg Phi_m is reduced."""
-        pairs = [ratio(c) for c in coeffs]
-        den = lcm(*(d for _, d in pairs))
-        nums = [n * (den // d) for n, d in pairs]
+        if all(type(c) is int for c in coeffs):
+            nums, den = coeffs, 1
+        else:
+            pairs = [ratio(c) for c in coeffs]
+            den = lcm(*(d for _, d in pairs))
+            nums = [n * (den // d) for n, d in pairs]
         deg = _degree(m)
         if len(nums) > deg:
             nums = _reduce(m, enumerate(nums))
@@ -201,13 +273,7 @@ class CyclotomicElement(RingOps):
         if self.m == 1:
             return other._scale(self.nums[0], self.den)
         a, b = self._pair(other)
-        prod = [0] * (2 * len(a.nums) - 1)
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in enumerate(b.nums):
-                    if y:
-                        prod[i + j] += x * y
-        return _element(a.m, _reduce(a.m, enumerate(prod)), a.den * b.den)
+        return _element(a.m, _product(a.m, a.nums, b.nums), a.den * b.den)
 
     def _scale(self, num: int, den: int) -> "CyclotomicElement":
         """self * num / den, for ints num and den != 0."""
@@ -216,11 +282,17 @@ class CyclotomicElement(RingOps):
         return _element(self.m, [c * num for c in self.nums], self.den * den)
 
     def inverse(self) -> "CyclotomicElement":
-        """Inverse by a linear solve on the multiplication map (monomials short-circuit).
+        """Inverse by the Galois norm (monomials short-circuit).
 
-        The rows self * zeta^j, j < deg Phi_m, are independent because Phi_m
-        is irreducible; the coordinates of 1 on them are the power-basis
-        coefficients of the inverse.  All of it runs on int numerators.
+        With x = nums / den, keep y = nums * c for an integer element c,
+        from c = 1.  Each step (a, d) of `_galois_steps` multiplies y and c
+        by Q = sigma_a(y) ... sigma_a^(d-1)(y) and divides both by the
+        content of c; y stays fixed by the subgroup reached, so once that
+        is all of (Z/m)^*, y is N(nums) over those contents, an integer, and
+        x^-1 = den * c / y.
+
+        No Gauss-sum identity is used, so the interp checks that divide by
+        Gauss sums do not check themselves.
         """
         mono = self.as_monomial()
         if mono is not None:
@@ -230,13 +302,20 @@ class CyclotomicElement(RingOps):
             raise ZeroDivisionError("0 is not invertible")
         deg = len(self.nums)
         work.charge("cyclotomic.inverse", deg * deg, "echelon entries")
-        ech = SparseEchelon()
-        for j in range(deg):
-            row = _reduce(self.m, ((k + j, c) for k, c in enumerate(self.nums)))
-            ech.add(dict(enumerate(row)), j)
-        coords, scale = ech.coordinates({0: 1})
-        # self = nums / den, so its inverse is den * sum of coords[j] / scale * zeta^j
-        return _element(self.m, [coords.get(j, 0) * self.den for j in range(deg)], scale)
+        m, y, c = self.m, self.nums, [1] + [0] * (deg - 1)
+        for a, d in _galois_steps(m):
+            q = _conjugates_product(m, y, a, d)
+            c = _product(m, c, q)
+            g = gcd(*c)  # it divides y * Q = nums * c too
+            c = [v // g for v in c]
+            # y * Q / g = nums * c: form whichever product has fewer term pairs
+            if _nonzeros(self.nums) * _nonzeros(c) < _nonzeros(y) * _nonzeros(q):
+                y = _product(m, self.nums, c)
+            else:
+                y = [v // g for v in _product(m, y, q)]
+        # y is rational, so only its constant term is nonzero; a negative
+        # y's sign moves to the numerators in lowest_terms
+        return _element(m, [v * self.den for v in c], y[0])
 
     def __eq__(self, other):
         if not isinstance(other, (int, Fraction, CyclotomicElement)):

@@ -19,6 +19,36 @@ from .cyclotomic import CyclotomicElement
 from .rationals import RingOps
 
 
+def _merge(s: tuple, t: tuple) -> tuple:
+    """The product of two sorted theta monomials: like keys add their exponents,
+    and a zero exponent is dropped."""
+    if not s or not t:
+        return s or t
+    out, i, j = [], 0, 0
+    while i < len(s) and j < len(t):
+        (ks, es), (kt, et) = s[i], t[j]
+        if ks < kt:
+            out.append(s[i])
+            i += 1
+        elif kt < ks:
+            out.append(t[j])
+            j += 1
+        else:
+            if es + et:
+                out.append((ks, es + et))
+            i, j = i + 1, j + 1
+    return tuple(out) + s[i:] + t[j:]
+
+
+def _value(p: int, coeff: CyclotomicElement, half_exp: int, theta: tuple) -> "HalfPowerValue":
+    """HalfPowerValue from a sorted theta tuple with no zero exponent, in the
+    form __init__ gives it."""
+    out = HalfPowerValue.__new__(HalfPowerValue)
+    out.p, out.coeff = p, coeff
+    out.half_exp, out.theta = (0, ()) if coeff.is_zero() else (half_exp, theta)
+    return out
+
+
 class HalfPowerValue(RingOps):
     """coeff * p^(half_exp / 2) * (monomial in formal Satake symbols); sums need like terms."""
 
@@ -60,15 +90,12 @@ class HalfPowerValue(RingOps):
 
     def __mul__(self, other):
         other = self._coerce(other)
-        th = dict(self.theta)
-        for k, e in other.theta:
-            th[k] = th.get(k, 0) + e
-        return HalfPowerValue(self.p, self.coeff * other.coeff,
-                              self.half_exp + other.half_exp, th)
+        return _value(self.p, self.coeff * other.coeff, self.half_exp + other.half_exp,
+                      _merge(self.theta, other.theta))
 
     def inverse(self) -> "HalfPowerValue":
-        return HalfPowerValue(self.p, self.coeff.inverse(), -self.half_exp,
-                              {k: -e for k, e in self.theta})
+        return _value(self.p, self.coeff.inverse(), -self.half_exp,
+                      tuple((k, -e) for k, e in self.theta))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -78,11 +105,10 @@ class HalfPowerValue(RingOps):
             return self
         if self.theta != other.theta or self.half_exp != other.half_exp:
             raise ValueError("sum of unlike interpolation values")
-        return HalfPowerValue(self.p, self.coeff + other.coeff, self.half_exp,
-                              dict(self.theta))
+        return _value(self.p, self.coeff + other.coeff, self.half_exp, self.theta)
 
     def __neg__(self):
-        return HalfPowerValue(self.p, -self.coeff, self.half_exp, dict(self.theta))
+        return _value(self.p, -self.coeff, self.half_exp, self.theta)
 
     def __eq__(self, other):
         try:

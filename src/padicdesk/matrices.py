@@ -8,8 +8,7 @@ Both read the (permutation, sign) pairs of a size from
 `signed_permutations`, a table built once per size; `perm_sign` and
 `cycles` are the one inversion count and the one cycle walk.  The
 fraction-free `SparseEchelon` is the one elimination over Q (span closures,
-inverses, nullspaces, cyclotomic inverses); `row_reduce` is Gauss-Jordan
-over Z/m only.
+matrix inverses, nullspaces); `row_reduce` is Gauss-Jordan over Z/m only.
 """
 
 from __future__ import annotations

@@ -323,7 +323,7 @@ def test_interp_factor_dense_inverse_over_budget_exits_2(budget, message, tmp_pa
 
 def test_interp_factor_pinned_configs_fit_a_small_budget(capsys, tmp_path):
     # the largest pinned conductor, 13^2, is charged 169 units, and its epsilon
-    # factor is inverted in Q(zeta_2028): 624 rows of 624 echelon entries
+    # factor is inverted in Q(zeta_2028), charged deg Phi_2028 squared = 624^2
     cfg = {"p": 13, "n": 2, "d": 1, "e": [2],
            "characters": [{"conductor_exp": 2, "log": 1, "at_p": "1"}]}
     path = tmp_path / "cfg.json"

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdesk import cyclotomic
 from padicdesk.cyclotomic import CyclotomicElement, _reduce, cyclotomic_polynomial, zeta_power_sum
+from padicdesk.matrices import SparseEchelon
 
 sympy = pytest.importorskip("sympy")
 
@@ -191,3 +193,96 @@ def test_hash_agrees_with_equality_across_fields():
     z5 = CyclotomicElement.zeta(5)
     total = z5 + z5 ** 2 + z5 ** 3 + z5 ** 4
     assert total == -1 and hash(total) == hash(-1)
+
+
+def _echelon_inverse(x):
+    """x^-1 by a linear solve, the oracle for the norm chain: the rows x * zeta^j,
+    j < deg Phi_m, go into a fraction-free echelon, and the coordinates of 1 on
+    them are the power-basis coefficients of the inverse."""
+    m, deg = x.m, len(x.nums)
+    ech = SparseEchelon()
+    for j in range(deg):
+        ech.add(dict(enumerate(_reduce(m, ((k + j, c) for k, c in enumerate(x.nums))))), j)
+    coords, scale = ech.coordinates({0: 1})
+    return CyclotomicElement(m, [Fraction(coords.get(j, 0) * x.den, scale) for j in range(deg)])
+
+
+def _dense_element(rnd, m):
+    """Every power-basis coefficient nonzero, over mixed denominators."""
+    deg = len(cyclotomic_polynomial(m)) - 1
+    return CyclotomicElement(m, [Fraction(rnd.choice([-1, 1]) * rnd.randrange(1, 10),
+                                          rnd.randrange(1, 4)) for _ in range(deg)])
+
+
+# every order in which `verify --suite interp` (seeds 7 and 13) or an `interp
+# factor` round of bench/gen.py (seeds 1-11) inverts an element that is not a
+# monomial, and 2028 = lcm(13^2, 12), the m = 2028 stratum the benchmark leaves out
+_INTERP_ORDERS = [3, 6, 9, 10, 14, 18, 20, 21, 22, 25, 42, 49, 50, 52, 55, 78, 100, 110,
+                  147, 156, 242, 294, 338, 1014, 2028]
+
+
+@pytest.mark.parametrize("m", _INTERP_ORDERS)
+def test_inverse_matches_the_echelon_solve(m):
+    rnd = random.Random(m)
+    # sparse: two terms, then three below zeta^8 (the echelon takes 20 s on
+    # some three-term elements of Q(zeta_2028), so that field gets two)
+    sparse = [CyclotomicElement(m, [rnd.randrange(1, 5), 0, rnd.choice([-3, 2])])]
+    if m != 2028:
+        sparse.append(_sparse_element(rnd, m))
+    for x in sparse:
+        assert x.as_monomial() is None
+        inv, expected = x.inverse(), _echelon_inverse(x)
+        assert (inv.nums, inv.den) == (expected.nums, expected.den), m
+    # dense: the echelon is cubic in deg Phi_m (4.6 s at m = 338), so above
+    # degree 84 the dense inverse is checked by its product with x alone
+    x = _dense_element(rnd, m)
+    inv = x.inverse()
+    assert x * inv == 1 and inv.den > 0 and gcd(inv.den, *inv.nums) == 1
+    if len(x.nums) <= 84:
+        assert inv == _echelon_inverse(x), m
+
+
+@given(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30]),
+       st.lists(_WEIGHTS, min_size=1, max_size=16))
+@settings(max_examples=120, deadline=None)
+def test_inverse_is_an_involution_with_product_one(m, coeffs):
+    x = CyclotomicElement(m, coeffs)
+    if x.is_zero():
+        return
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert inv.inverse() == x
+
+
+# the chain makes at most 17 products at these orders, each of at most deg^2
+# coefficient products; in all they form at most 11.1 deg^2 (a dense element
+# of Q(zeta_338))
+_CHARGE_MULTIPLE = 12
+
+
+@pytest.mark.parametrize("m, kind", [
+    *((m, kind) for m in (6, 9, 10, 14, 18, 20, 21, 22, 25, 42, 49, 50, 52, 55, 78, 100, 110,
+                          156, 242, 294, 338, 1014, 2028) for kind in ("sparse", "dense")),
+    (997, "1 + zeta")])
+def test_inverse_work_is_bounded_by_its_charge(m, kind, monkeypatch):
+    # the orders of the interp-factor strata, 2028, and the slowest small element
+    # known, 1 + zeta_997, whose order-83 step forms most of its products
+    rnd = random.Random(m)
+    x = {"sparse": lambda: _sparse_element(rnd, m), "dense": lambda: _dense_element(rnd, m),
+         "1 + zeta": lambda: CyclotomicElement(m, [1, 1])}[kind]()
+    formed = []
+    product = cyclotomic._product
+
+    def counted(m, a, b):
+        formed.append(sum(1 for v in a if v) * sum(1 for v in b if v))
+        return product(m, a, b)
+
+    monkeypatch.setattr(cyclotomic, "_product", counted)
+    charges = []
+    monkeypatch.setattr(cyclotomic.work, "charge", lambda *args: charges.append(args))
+    inv = x.inverse()
+    deg = len(x.nums)
+    assert charges == [("cyclotomic.inverse", deg * deg, "echelon entries")]
+    assert sum(formed) <= _CHARGE_MULTIPLE * deg * deg, (m, kind, sum(formed) / deg ** 2)
+    monkeypatch.setattr(cyclotomic, "_product", product)
+    assert x * inv == 1

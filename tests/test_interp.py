@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdesk.characters import PCharacter, gauss_sum, primitive_root
 from padicdesk.cyclotomic import CyclotomicElement
@@ -86,6 +88,39 @@ def test_half_power_algebra():
     assert HalfPowerValue(p, 1, 1) != HalfPowerValue(p, 1, 0)
     with pytest.raises(ValueError):
         a + b
+
+
+def _fields(v):
+    return v.p, v.coeff, v.half_exp, v.theta
+
+
+_VALUES = st.builds(
+    lambda coeff, half_exp, theta: HalfPowerValue(3, coeff, half_exp, theta),
+    st.sampled_from([0, 1, -2, Fraction(5, 7), CyclotomicElement.zeta(3),
+                     CyclotomicElement(6, [1, Fraction(-1, 2)])]),
+    st.integers(-4, 4),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(1, 3)), st.integers(-2, 2),
+                    max_size=5))
+
+
+@given(_VALUES, _VALUES)
+@settings(max_examples=150, deadline=None)
+def test_half_power_ring_operations_match_the_constructor(a, b):
+    # each operation builds its result directly; __init__ is the reference
+    summed = dict(a.theta)
+    for key, e in b.theta:
+        summed[key] = summed.get(key, 0) + e
+    assert _fields(a * b) == _fields(HalfPowerValue(3, a.coeff * b.coeff,
+                                                    a.half_exp + b.half_exp, summed))
+    assert _fields(-a) == _fields(HalfPowerValue(3, -a.coeff, a.half_exp, dict(a.theta)))
+    if a:
+        assert _fields(a.inverse()) == _fields(HalfPowerValue(
+            3, a.coeff.inverse(), -a.half_exp, {k: -e for k, e in a.theta}))
+        # like terms, including a sum that cancels to zero
+        like = HalfPowerValue(3, b.coeff, a.half_exp, dict(a.theta))
+        assert _fields(a + like) == _fields(HalfPowerValue(3, a.coeff + b.coeff, a.half_exp,
+                                                           dict(a.theta)))
+        assert _fields(a + -a) == (3, CyclotomicElement.from_rational(0), 0, ())
 
 
 def test_satake_alpha():

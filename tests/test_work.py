@@ -112,8 +112,8 @@ def test_mahler_charges_count_their_loops(p, monkeypatch):
     # every table point against every Mahler coefficient of its table
     assert seen.pop("mahler.reconstruction") == sum(
         1 for depth in (1, 2) for _x in range(p ** depth) for _k in range(p ** depth))
-    # the last slice check divides by a Gauss sum in Q(zeta_f), f = lcm(p^beta, order):
-    # an echelon of deg Phi_f rows of deg Phi_f entries
+    # the last slice check divides by a Gauss sum in Q(zeta_f), f = lcm(p^beta, order),
+    # charged (deg Phi_f)^2
     slices = [c["id"] for c in report["checks"] if c["id"].startswith("mahler.fourier_slice")]
     beta, order = map(int, re.fullmatch(r".*\.b(\d+)\.bp\d+\.o(\d+)", slices[-1]).groups())
     f = lcm(p ** beta, order)
