@@ -37,6 +37,17 @@ def from_numerators(ngens: int, nums: dict, den: int) -> "ArtinianElement":
     return out
 
 
+def _product(xs, ys) -> dict:
+    """The integer product of two sequences of (monomial, int) pairs, as a dict."""
+    out = {}
+    for m1, c1 in xs:
+        for m2, c2 in ys:
+            if not m1 & m2:  # else T_i^2 = 0
+                m = m1 | m2
+                out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 class ArtinianElement(RingOps):
     """Element of Q[T_1..T_a]/(T_i^2)."""
 
@@ -110,13 +121,8 @@ class ArtinianElement(RingOps):
                                    self.den * den)
         if other.ngens != self.ngens:
             other = self._coerce(other)  # raises
-        out = {}
-        for m1, c1 in self.nums.items():
-            for m2, c2 in other.nums.items():
-                if not m1 & m2:  # else T_i^2 = 0
-                    m = m1 | m2
-                    out[m] = out.get(m, 0) + c1 * c2
-        return from_numerators(self.ngens, out, self.den * other.den)
+        return from_numerators(self.ngens, _product(self.nums.items(), other.nums.items()),
+                               self.den * other.den)
 
     def __eq__(self, other):
         try:
@@ -136,25 +142,36 @@ class ArtinianElement(RingOps):
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get(0, 0), self.den)
 
-    def nilpotent_part(self) -> "ArtinianElement":
-        return from_numerators(self.ngens, {m: c for m, c in self.nums.items() if m}, self.den)
-
     def is_unit(self) -> bool:
         return 0 in self.nums
 
     def inverse(self) -> "ArtinianElement":
-        """Geometric series against the nilpotent part; needs a unit constant term."""
-        if not self.is_unit():
+        """The geometric series against the nilpotent part, summed in integers;
+        needs a unit constant term.
+
+        For self = (c + N) / den, with N the integer nilpotent part and
+        (-N)^(K+1) = 0, the inverse is den S_K / c^(K+1), where
+        S_K = sum over k <= K of (-N)^k c^(K-k).
+        """
+        c = self.nums.get(0)
+        if c is None:
             raise ZeroDivisionError("not a unit: constant term not invertible")
-        c_inv = 1 / self.constant_term()
-        n = self.nilpotent_part() * c_inv
-        out = power = ArtinianElement.constant(self.ngens, 1)
+        if len(self.nums) == 1:
+            return from_numerators(self.ngens, {0: self.den}, c)
+        neg = [(m, -v) for m, v in self.nums.items() if m]
+        total = power = {0: 1}
+        c_power = c
         for _ in range(self.ngens):
-            power = power * (-n)
-            if power.is_zero():
+            # S_k = c S_(k-1) + (-N)^k
+            power = {m: v for m, v in _product(power.items(), neg).items() if v}
+            if not power:
                 break
-            out = out + power
-        return out * c_inv
+            total = {m: v * c for m, v in total.items()}
+            for m, v in power.items():
+                total[m] = total.get(m, 0) + v
+            c_power *= c
+        return from_numerators(self.ngens, {m: v * self.den for m, v in total.items()},
+                               c_power)
 
     def top_coefficient(self) -> Fraction:
         """Coefficient of the full monomial T_1...T_a."""

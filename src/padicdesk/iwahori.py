@@ -15,6 +15,11 @@ odometer order and each step adds the images of the digits it touches
 (a wrapping digit adds its p-th copy, which vanishes).  The residual
 factor is kept up to date exactly through the same sparse images, and
 every representative is membership-tested on the entries its step changed.
+The images C_r are 0 mod p^beta, so p^beta C_r = 0 mod p^(beta+1): between
+two carries each step of the last digit moves the conjugate and the
+residual factor by the same sparse amounts, worked out before the first
+step and again when a general step moves them; a carry, or a last-digit
+image that is not 0 mod p^beta, takes the general step.
 """
 
 from __future__ import annotations
@@ -237,21 +242,21 @@ def iwahori_index_exponent(n: int, e: int, beta: int) -> int:
 def gl2_index_enumeration(p: int, e: int, beta: int) -> int:
     """[Iwahori_e : Iwahori_beta] in GL_2(Z/p^beta) by enumeration.
 
-    A tuple with c not divisible by p^e adds to neither count, so c runs over
-    the multiples of p^e only: p^(4 beta - e) tuples.
+    A tuple with c not divisible by p^e, or with a or d not a unit, adds to
+    neither count, so c runs over the multiples of p^e and a and d over the
+    units only: ((p - 1) p^(beta - 1))^2 p^(2 beta - e) tuples, each still
+    given its determinant test.
     """
     modulus = p ** beta
-    count_e = 0
-    count_beta = 0
     residues = range(modulus)
-    for a, b, c, d in iproduct(residues, residues, range(0, modulus, p ** e), residues):
-        if (a * d - b * c) % p == 0:
-            continue
-        if a % p == 0 or d % p == 0:
-            continue
-        count_e += 1
+    units = [u for u in residues if u % p]
+    count_e = count_beta = 0
+    for c in range(0, modulus, p ** e):
+        # the tuples (a, b, c, d) with a unit determinant
+        found = sum(1 for a, b, d in iproduct(units, residues, units) if (a * d - b * c) % p)
+        count_e += found
         if c == 0:
-            count_beta += 1
+            count_beta = found
     if count_e % count_beta:
         raise ArithmeticError("index enumeration is not a multiple of the deeper count")
     return count_e // count_beta
@@ -347,6 +352,17 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     at its first failure, so this is the full check of every
     representative.  A unit target with no solution fails at the first
     representative whose digit it is, as a per-representative solve would.
+
+    A step of the last digit r that carries nowhere is a fixed increment.
+    C_r = conj_r - I is 0 mod p^beta, and x - I is too, so C_r x = C_r and
+    p^beta C_r = 0 mod p^(beta+1): conj moves by C_r, 2I - conj by -C_r, and
+    k by -C_r plus p^beta times column a of 2I - conj in column b.  That
+    column moves mod p only with an image that is not 0 mod p^beta, so the
+    amounts are worked out at the start and again after a general step
+    through such an image, and added on every step up to the next carry;
+    the step checks the entries they move, as the general step does.
+    Carries, and every step when C_r is not 0 mod p^beta (checked once per
+    enumeration), take the general step.
     Returns the verdict, the number of representatives that passed and a
     detail line.
     """
@@ -390,16 +406,54 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
         return failed(conj_left)
     if not iwahori_member(k, p, beta + 1, modulus):
         return failed(k_left)
+    last = nroots - 1
+    a_last, b_last = lower_pos[last]
+    fast_conj = units[last]
+    # the premise of the fast step, checked once: C_last = 0 mod p^beta
+    fast = fast_conj is not None and all(val % pb == 0 for _, _, val in fast_conj)
+    # the images that move p^beta (column a_last of 2I - conj) mod p^(beta+1)
+    moves_column = [u is not None and any(j == a_last and val % p for _, j, val in u)
+                    for u in units]
+
+    def fast_k_step():
+        # k moves by -C_last x + p^beta (column a_last of 2I - conj) in column
+        # b_last; mod p^(beta+1) that is -C_last plus a column that only a
+        # general step through a `moves_column` image changes
+        step = {(i, j): -val for i, j, val in fast_conj}
+        for i in range(m):
+            if conj_inv[i][a_last]:
+                step[i, b_last] = step.get((i, b_last), 0) + pb * conj_inv[i][a_last]
+        return [(i, j, v % modulus) for (i, j), v in step.items() if v % modulus]
+
+    if fast:
+        k_step = fast_k_step()
     while True:
         checked += 1
-        # the odometer step: bump the last digit, carrying past each wrap,
-        # and note the entries of conj and k that it changes
+        if fast and digits[last] < p - 1:
+            # the fast step: the last digit moves without a carry, and conj,
+            # conj_inv and k move by fixed amounts
+            digits[last] += 1
+            x[a_last][b_last] += pb
+            for i, j, val in fast_conj:
+                v = conj[i][j] = (conj[i][j] + val) % modulus
+                conj_inv[i][j] = (conj_inv[i][j] - val) % modulus
+                if (v % p == 0) if i == j else (i > j and v % pb):
+                    return failed(conj_left)
+            for i, j, val in k_step:
+                v = k[i][j] = (k[i][j] + val) % modulus
+                if (v % p == 0) if i == j else (i > j and v):
+                    return failed(k_left)
+            continue
+        # the general step: bump the last digit, carrying past each
+        # wrap, and note the entries of conj and k that it changes
         conj_changed = []
         k_changed = []
-        r = nroots - 1
+        rework = False
+        r = last
         while r >= 0:
             if units[r] is None:
                 return failed("no connecting subgroup element for a representative")
+            rework = rework or moves_column[r]
             for i, j, val in units[r]:
                 # k -= C_r x over the nonzero entries of row j of x, which is
                 # unit lower-triangular
@@ -424,6 +478,8 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
             r -= 1
         if r < 0:
             break
+        if fast and rework:
+            k_step = fast_k_step()
         for i, j in conj_changed:
             v = conj[i][j]
             if (v % p == 0) if i == j else (i > j and v % pb):

@@ -85,7 +85,7 @@ class ExactMatrix:
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
-            return ExactMatrix([[a * other for a in r] for r in self.rows])
+            return NotImplemented  # a scalar multiplies through `scale`
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         # Gustavson's row-by-row product: the nonzero (j, b) of each row of
@@ -104,9 +104,6 @@ class ExactMatrix:
                         acc[j] = a * b if t is None else t + a * b
             out.append([zero if t is None else t for t in acc])
         return ExactMatrix(out)
-
-    def __rmul__(self, scalar):
-        return ExactMatrix([[scalar * a for a in r] for r in self.rows])
 
     def scale(self, scalar) -> "ExactMatrix":
         return ExactMatrix([[a * scalar for a in r] for r in self.rows])

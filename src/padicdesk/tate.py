@@ -289,8 +289,9 @@ def epsilon_action_words(T: ExactMatrix, K: int) -> int:
     prod_(i<k) (R + i D) over D^k k!, so k (bitlen(R + k D) + bitlen(D) +
     bitlen(k)) bits hold it.  This sums over the K steps: charge `epsilon_action_work` first.
     """
-    den = lcm(*(ratio(x)[1] for row in T.rows for x in row))
-    rows = int(max((sum(abs(x) for x in row) for row in T.rows), default=0) * den)
+    t_rows = _sparse_rows(T)
+    den = lcm(*(ratio(x)[1] for row in t_rows for x in row.values()))
+    rows = int(max((sum(abs(x) for x in row.values()) for row in t_rows), default=0) * den)
     return epsilon_action_work(T, 1) * sum(
         k * ((rows + k * den).bit_length() + den.bit_length() + k.bit_length()) // 64 + 1
         for k in range(1, K + 1))

@@ -135,3 +135,51 @@ def test_gen_is_the_constructor_element():
                 ArtinianElement.gen(ngens, i)
             with pytest.raises(ValueError, match="generator index out of range"):
                 ArtinianElement(ngens, {frozenset([i]): 1})
+
+
+def _series_inverse(x):
+    """The inverse as a geometric series in Fraction arithmetic, one ring
+    operation per term: the oracle for the integer series of `inverse`."""
+    c = x.constant_term()
+    c_inv = 1 / c
+    n = (x - c) * c_inv
+    out = power = ArtinianElement.constant(x.ngens, 1)
+    for _ in range(x.ngens):
+        power = power * (-n)
+        if power.is_zero():
+            break
+        out = out + power
+    return out * c_inv
+
+
+_WIDE = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+
+@st.composite
+def _inverse_operands(draw):
+    ngens = draw(st.integers(0, 5))
+    const = draw(_WIDE)
+    monos = [frozenset(i for i in range(ngens) if m >> i & 1) for m in range(1, 1 << ngens)]
+    if monos and draw(st.booleans()):
+        # dense: every nilpotent monomial, its coefficient nonzero
+        nil = {m: draw(_WIDE.filter(bool)) for m in monos}
+    elif monos:
+        nil = draw(st.dictionaries(st.sampled_from(monos), _WIDE, max_size=6))
+    else:
+        nil = {}
+    return ngens, const, nil
+
+
+@given(_inverse_operands())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_the_fraction_series(operands):
+    ngens, const, nil = operands
+    x = ArtinianElement(ngens, {frozenset(): const, **nil})
+    if const == 0:
+        with pytest.raises(ZeroDivisionError, match="not a unit"):
+            x.inverse()
+        return
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert _form(inv) == _form(_series_inverse(x))
+    assert x * inv == 1 and inv * x == 1

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -350,6 +352,66 @@ def test_wrong_solution_for_the_slowest_digit_is_caught_after_a_carry(monkeypatc
                 rep = enumerate_(n, p, beta)
                 assert (rep["passed"], rep["checked"], rep["detail"]) == (False, checked, detail), \
                     (n, p, beta, mode, r)
+
+
+# sha256 of the JSON list of (passed, checked, detail) that the odometer
+# with a general step on every representative returned for the tampers of
+# `test_odometer_fast_step_matches_the_general_step_under_tampering`
+_TAMPERED_IMAGE_OUTCOMES = "5679e57d68956c2b71ea96197f2505996babd3fed329c5b934fb05398addeb39"
+
+
+def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch):
+    # every entry of every unit image mod p^(beta+1) is moved by +1, -1, p
+    # and p^beta (at (2, 5, 1) only the fastest digit's): some moves break
+    # the premise C = 0 mod p^beta of the fast step, some keep it and some
+    # keep the representatives connected.  The per-representative loop is
+    # no oracle here: it tampers the exact unit h only, not the sums of
+    # unit images that the odometer adds up.
+    true_conjugate = iw._conjugate
+    outcomes = []
+    for (n, p, beta), fastest_only in [((2, 3, 1), False), ((2, 3, 2), False),
+                                       ((2, 2, 2), False), ((2, 5, 1), True)]:
+        m, nroots, modulus = 2 * n, n * (2 * n - 1), p ** (beta + 1)
+        y_basis, _, solve = iw._subgroup_solver(n, p)
+        for r in [nroots - 1] if fastest_only else range(nroots):
+            unit_h = [[int(i == j) for j in range(m)] for i in range(m)]
+            for val, (yi, yj) in zip(solve([int(k == r) for k in range(nroots)]), y_basis):
+                unit_h[yi][yj] += p ** beta * val
+            for i, j, delta in product(range(m), range(m), (1, -1, p, p ** beta)):
+                def tampered(h, n_, modulus_):
+                    conj = true_conjugate(h, n_, modulus_)
+                    if modulus_ == modulus and h == unit_h:
+                        conj[i][j] = (conj[i][j] + delta) % modulus
+                    return conj
+
+                monkeypatch.setattr(iw, "_conjugate", tampered)
+                rep = iw.double_coset_singleton(n, p, beta)
+                outcomes.append([rep["passed"], rep["checked"], rep["detail"]])
+    assert len(outcomes) == 3 * 6 * 16 * 4 + 16 * 4
+    assert 0 < sum(passed for passed, _, _ in outcomes) < len(outcomes)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == _TAMPERED_IMAGE_OUTCOMES
+
+    # a slower image moved by 2 or 3 on the diagonal entry (a, a) of the
+    # fastest digit's position (a, b) keeps both diagonals units mod 5 at
+    # its first digit, and moves p^beta times column a of 2I - conj, which
+    # the fast step adds to k: its amounts must be reworked after the carry
+    y_basis, lower_pos, solve = iw._subgroup_solver(2, 5)
+    a = lower_pos[-1][0]
+    for r, checked in enumerate([3126, 626, 126, 25, 5]):
+        unit_h = [[int(i == j) for j in range(4)] for i in range(4)]
+        for val, (yi, yj) in zip(solve([int(k == r) for k in range(6)]), y_basis):
+            unit_h[yi][yj] += 5 * val
+        for delta in (2, 3):
+            def tampered(h, n_, modulus_):
+                conj = true_conjugate(h, n_, modulus_)
+                if modulus_ == 25 and h == unit_h:
+                    conj[a][a] = (conj[a][a] + delta) % 25
+                return conj
+
+            monkeypatch.setattr(iw, "_conjugate", tampered)
+            assert iw.double_coset_singleton(2, 5, 1) == \
+                {"passed": False, "checked": checked, "detail": _K_LEFT}, (r, delta)
 
 
 @pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])
