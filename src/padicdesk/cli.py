@@ -7,7 +7,8 @@ mathematical check failed, 2 a resource budget was exceeded, 3 bad input
 (an unwritable --out or stdout included), 4 an internal error: any other
 exception, reported as {"error": "internal error", "type": ..., "message":
 ...} on stdout with no traceback.  `--budget` is set once per call, for
-`work.charge`.
+`work.charge`.  Several suites on several cores run in forked children
+(`_forked`), and the parent writes exactly what the serial loop would.
 """
 
 from __future__ import annotations
@@ -218,22 +219,135 @@ def _run_branch(args) -> int:
     return EXIT_OK
 
 
-def _run_suites(names, args) -> int:
-    reports = []
-    code = EXIT_OK
+def _run_suite(name: str, args) -> dict:
+    kwargs = {"seed": args.seed}
+    if name in ("mahler", "rep"):
+        kwargs["p"] = args.p
+    elif name == "tate":
+        kwargs.update(p=args.p, k_max=args.k_max, dmax=args.dmax)
+    elif name == "iwahori":
+        kwargs.update(n=args.n, p=args.p, beta=args.beta)
+    return SUITES[name](**kwargs)
+
+
+class _ChildError(Exception):
+    """An exception a suite raised in a child process; its args are (type name, message)."""
+
+    def __str__(self):
+        return self.args[1]
+
+
+# the order children start in: the longest suites first, so none is left to run alone
+_HEAVIEST_FIRST = ("tate", "interp", "iwahori", "rep", "uea", "mahler")
+
+
+def _workers(names) -> int:
+    """How many child processes run the suites; 1 runs them here, one after another.
+
+    Several suites on several usable cores run in children, unless fork is
+    missing, another thread is alive, or something observes the run: a
+    profiler, a tracer, or a wrapper on a SUITES entry (the benchmark tracer
+    wraps them), whose counts a child could not bring back.
+    """
+    if len(names) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")
+    if (threading and threading.active_count() > 1) or sys.getprofile() or sys.gettrace() \
+            or any(hasattr(SUITES[name], "__wrapped__") for name in names):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(names))
+
+
+def _child(name: str, args, write_fd: int) -> None:
+    """In a forked child: run suite `name`, send its outcome down `write_fd`, exit.
+
+    The outcome is (report, None), or (None, the exception to raise in the
+    parent): the BudgetExceeded itself, or any other exception as a
+    `_ChildError`.  `os._exit` runs no atexit hook and flushes no stdio
+    inherited from the parent.
+    """
+    status = 1
+    try:
+        import pickle
+
+        try:
+            outcome = (_run_suite(name, args), None)
+        except work.BudgetExceeded as err:
+            outcome = (None, err)
+        except Exception as err:
+            outcome = (None, _ChildError(type(err).__name__, str(err)))
+        with open(write_fd, "wb") as fh:
+            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(names, args, workers: int):
+    """The suites' reports in the order of `names`, each suite run in a forked child.
+
+    At most `workers` children are alive at once.  When a suite's turn comes,
+    its budget exit or exception is raised here as the serial loop would
+    raise it, and the children still running are killed: they would not be
+    run serially.  Every child is reaped before this generator ends, however
+    it ends.  Each pipe is read as its data comes, so no child blocks on a
+    full pipe.
+    """
+    import pickle
+    import selectors
+    import signal
+
+    queue = sorted(names, key=_HEAVIEST_FIRST.index)
+    live, done = {}, {}  # read fd -> [name, pid, chunks]; name -> outcome
+    selector = selectors.DefaultSelector()
     try:
         for name in names:
-            fn = SUITES[name]
-            kwargs = {"seed": args.seed}
-            if name == "mahler":
-                kwargs["p"] = args.p
-            elif name == "tate":
-                kwargs.update(p=args.p, k_max=args.k_max, dmax=args.dmax)
-            elif name == "rep":
-                kwargs.update(p=args.p)
-            elif name == "iwahori":
-                kwargs.update(n=args.n, p=args.p, beta=args.beta)
-            reports.append(fn(**kwargs))
+            while name not in done:
+                while queue and len(live) < workers:
+                    read_fd, write_fd = os.pipe()
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(queue[0], args, write_fd)
+                    live[read_fd] = [queue.pop(0), pid, []]
+                    os.close(write_fd)
+                    selector.register(read_fd, selectors.EVENT_READ)
+                for key, _ in selector.select():
+                    suite, pid, chunks = live[key.fd]
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del live[key.fd]
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    if status == 0:
+                        done[suite] = pickle.loads(b"".join(chunks))
+                        continue
+                    how = (f"was killed by {signal.Signals(-status).name}" if status < 0
+                           else f"exited with status {status}")
+                    done[suite] = (None, _ChildError(
+                        "ChildProcessError", f"suite {suite}: its child process {how} before"
+                        " reporting"))
+            report, err = done[name]
+            if err is not None:
+                raise err
+            yield report
+    finally:
+        for read_fd, (_, pid, _) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+        selector.close()
+
+
+def _run_suites(names, args) -> int:
+    workers = _workers(names)
+    reports = []
+    try:
+        for report in _forked(names, args, workers) if workers > 1 else (
+                _run_suite(name, args) for name in names):
+            reports.append(report)
     except work.BudgetExceeded as err:
         _emit({"error": "budget exceeded", "message": str(err),
                "suites": reports}, args.out)
@@ -241,9 +355,7 @@ def _run_suites(names, args) -> int:
     merged = {"suites": reports, "passed": all(r["passed"] for r in reports),
               "seed": args.seed}
     _emit(merged, args.out, args.csv)
-    if not merged["passed"]:
-        code = EXIT_FALSIFIED
-    return code
+    return EXIT_OK if merged["passed"] else EXIT_FALSIFIED
 
 
 def _run_interp_factor(args) -> int:
@@ -477,8 +589,8 @@ def _run(parser, args) -> int:
         _emit({"error": "cannot write output", "message": str(err)}, None)
         return EXIT_INPUT
     except Exception as err:  # the boundary of the process: no traceback escapes
-        _emit({"error": "internal error", "type": type(err).__name__,
-               "message": str(err)}, None)
+        kind = err.args[0] if isinstance(err, _ChildError) else type(err).__name__
+        _emit({"error": "internal error", "type": kind, "message": str(err)}, None)
         return EXIT_INTERNAL
 
 

@@ -40,8 +40,7 @@ from .rationals import valuation
 
 
 def antidiag(m: int) -> ExactMatrix:
-    return ExactMatrix([[Fraction(1) if j == m - 1 - i else Fraction(0)
-                         for j in range(m)] for i in range(m)])
+    return ExactMatrix.sparse(m, {(i, m - 1 - i): Fraction(1) for i in range(m)})
 
 
 def w_cycle(n: int) -> ExactMatrix:
@@ -51,14 +50,11 @@ def w_cycle(n: int) -> ExactMatrix:
     by the (1, 2n-1)-parabolic Weyl group, realized with +1 entries; the
     coset relations below fix it up to right multiplication by the Borel.
     """
-    m = 2 * n
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(n):
-        rows[i + 1][i] = Fraction(1)  # e_(i+1) -> e_(i+2)
-    rows[0][n] = Fraction(1)          # e_(n+1) -> e_1
-    for i in range(n + 1, m):
-        rows[i][i] = Fraction(1)
-    return ExactMatrix(rows)
+    one = Fraction(1)
+    entries = {(i + 1, i): one for i in range(n)}  # e_(i+1) -> e_(i+2)
+    entries[0, n] = one                             # e_(n+1) -> e_1
+    entries.update(((i, i), one) for i in range(n + 1, 2 * n))
+    return ExactMatrix.sparse(2 * n, entries)
 
 
 def u_element(n: int, distinguished: bool = True) -> ExactMatrix:
@@ -94,8 +90,7 @@ def gammahat_element(n: int) -> ExactMatrix:
 
 def t_p_matrix(n: int, p: int, e: int = 1) -> ExactMatrix:
     m = 2 * n
-    return ExactMatrix([[Fraction(p) ** (e * (m - 1 - i)) if i == j else Fraction(0)
-                         for j in range(m)] for i in range(m)])
+    return ExactMatrix.sparse(m, {(i, i): Fraction(p) ** (e * (m - 1 - i)) for i in range(m)})
 
 
 def s_p_matrix(n: int, p: int, e: int = 1) -> ExactMatrix:
@@ -105,10 +100,8 @@ def s_p_matrix(n: int, p: int, e: int = 1) -> ExactMatrix:
 
 def t_p_i_matrix(n: int, p: int, i: int) -> ExactMatrix:
     """diag(p, ..., p, 1, ..., 1) with i entries equal to p."""
-    m = 2 * n
-    return ExactMatrix([[Fraction(p) if r == c and r < i else
-                         (Fraction(1) if r == c else Fraction(0))
-                         for c in range(m)] for r in range(m)])
+    return ExactMatrix.sparse(2 * n, {(r, r): Fraction(p if r < i else 1)
+                                      for r in range(2 * n)})
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +583,7 @@ def orbit_stabilizer_gammahat(n: int) -> dict:
     gh_inv = rational_inverse(gh)
     rows = []
     for (i, j) in [(i, j) for i in range(m) for j in range(m) if (i < n) == (j < n)]:
-        x = ExactMatrix([[Fraction(1) if (r, c) == (i, j) else Fraction(0)
-                          for c in range(m)] for r in range(m)])
+        x = ExactMatrix.sparse(m, {(i, j): Fraction(1)})
         conj = (gh_inv * x * gh).rows
         rows.append([conj[r][c] for r in range(m) for c in range(r)])
     dim_h = 2 * n * n
@@ -630,8 +622,7 @@ def orbit_stabilizer_uv(n: int, distinguished: bool = True) -> dict:
     v_inv = rational_inverse(v)
     rows = []
     for (i, j) in hpairs:
-        x = ExactMatrix([[Fraction(1) if (r, c) == (i, j) else Fraction(0)
-                          for c in range(m)] for r in range(m)])
+        x = ExactMatrix.sparse(m, {(i, j): Fraction(1)})
         xu, xv = u_inv * x * u, v_inv * x * v
         # the strict lower part of the Levi-conjugate vanishes, and so does the
         # sub-(1, n-1) parabolic condition in the lower factor
@@ -662,9 +653,7 @@ def coset_witness_identity(n: int, beta: int, p: int) -> dict:
     """
     gh = u_element(n, False)
     m = 2 * n
-    sign = ExactMatrix([[Fraction(-1) if i == j and i < n else
-                         (Fraction(1) if i == j else Fraction(0))
-                         for j in range(m)] for i in range(m)])
+    sign = ExactMatrix.sparse(m, {(i, i): Fraction(-1 if i < n else 1) for i in range(m)})
     lhs = sign * rational_inverse(gh.transpose()) * t_p_matrix(n, p, beta)
     k = rational_inverse(lhs) * gh * s_p_matrix(n, p, beta) * antidiag(m)
     ok = all(valuation(x, p) >= 0 for row in k.rows for x in row)
@@ -714,9 +703,8 @@ def gammahat_coset_relation(n: int) -> dict:
     gh = gammahat_element(n)
     # X = diag(1, w_(n-1)) * w_n
     wn = antidiag(n)
-    blockx = ExactMatrix([[Fraction(1) if i == j == 0 else
-                           (Fraction(1) if 1 <= i < n and j == n - i else Fraction(0))
-                           for j in range(n)] for i in range(n)]) * wn
+    blockx = ExactMatrix.sparse(n, {(i, n - i if i else 0): Fraction(1)
+                                    for i in range(n)}) * wn
     zeta = ExactMatrix.identity(m)
     for i in range(n):
         for j in range(n):

@@ -74,7 +74,12 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "ExactMatrix":
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.sparse(n, {(i, i): one for i in range(n)}, zero)
+
+    @classmethod
+    def sparse(cls, n: int, entries: dict, zero=Fraction(0)) -> "ExactMatrix":
+        """The n x n matrix with the {(i, j): value} `entries`, `zero` elsewhere."""
+        return cls([[entries.get((i, j), zero) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows

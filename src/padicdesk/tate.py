@@ -337,13 +337,11 @@ def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int) -> dict:
 
 def shift_matrix(n: int, scale=1) -> ExactMatrix:
     """Nilpotent single shift e_i -> scale * e_(i+1)."""
-    rows = [[Fraction(scale) if i == j + 1 else Fraction(0) for j in range(n)] for i in range(n)]
-    return ExactMatrix(rows)
+    return ExactMatrix.sparse(n, {(j + 1, j): Fraction(scale) for j in range(n - 1)})
 
 
 def cyclic_shift_matrix(n: int, scale=1) -> ExactMatrix:
-    rows = [[Fraction(scale) if i == (j + 1) % n else Fraction(0) for j in range(n)] for i in range(n)]
-    return ExactMatrix(rows)
+    return ExactMatrix.sparse(n, {((j + 1) % n, j): Fraction(scale) for j in range(n)})
 
 
 # ---------------------------------------------------------------------------
