@@ -64,10 +64,10 @@ def u_conjugator(n: int, d: int) -> MPoint:
 
 def v_basepoint(n: int, d: int) -> MPoint:
     """The normalization point v (lower unipotent in the second block column)."""
-    v2 = ExactMatrix.identity(2 * n - 1)
-    for i in range(1, n):
-        v2.rows[n - 1 + i][n - 1] = Fraction(1)
-    return MPoint(1, 1, [v2] + [ExactMatrix.identity(2 * n) for _ in range(d - 1)])
+    one, zero = Fraction(1), Fraction(0)
+    v2 = [[one if i == j or (j == n - 1 and i > j) else zero for j in range(2 * n - 1)]
+          for i in range(2 * n - 1)]
+    return MPoint(1, 1, [ExactMatrix(v2)] + [ExactMatrix.identity(2 * n) for _ in range(d - 1)])
 
 
 def column_point(n: int, a_coords) -> MPoint:
@@ -77,11 +77,10 @@ def column_point(n: int, a_coords) -> MPoint:
     coordinates a_(n+1-i) + a_(n+1+i).
     """
     a = [Fraction(x) for x in a_coords]
-    z2 = ExactMatrix.identity(2 * n - 1)
-    z2.rows[n - 1][n - 1] = a[n - 1]
-    for i in range(1, n):
-        z2.rows[n - 1 + i][n - 1] = a[n - 1 - i] + a[n - 1 + i]
-    return MPoint(1, 1, [z2])
+    z2 = {(i, i): Fraction(1) for i in range(2 * n - 1)}
+    z2[n - 1, n - 1] = a[n - 1]
+    z2.update(((n - 1 + i, n - 1), a[n - 1 - i] + a[n - 1 + i]) for i in range(1, n))
+    return MPoint(1, 1, [ExactMatrix.sparse(2 * n - 1, z2)])
 
 
 # ---------------------------------------------------------------------------

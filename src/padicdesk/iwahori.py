@@ -11,15 +11,12 @@ p^beta with unit diagonal.
 The double-coset enumeration solves and conjugates once per unit target,
 not once per representative: below depth (beta+1) the subgroup part and
 its conjugate are linear in the target, so the representatives run in
-odometer order and each step adds the images of the digits it touches
-(a wrapping digit adds its p-th copy, which vanishes).  The residual
-factor is kept up to date exactly through the same sparse images, and
-every representative is membership-tested on the entries its step changed.
-The images C_r are 0 mod p^beta, so p^beta C_r = 0 mod p^(beta+1): between
-two carries each step of the last digit moves the conjugate and the
-residual factor by the same sparse amounts, worked out before the first
-step and again when a general step moves them; a carry, or a last-digit
-image that is not 0 mod p^beta, takes the general step.
+odometer order.  The unit images C_r are 0 mod p^beta, so every move of a
+digit, a wrap included, adds fixed sparse increments to the conjugate and
+to the residual factor, and each representative is membership-tested on
+the entries its moves changed.  A wrong image, one that is not 0 mod
+p^beta, voids the increments; the enumeration then multiplies out the
+residual factor and runs both full tests per representative.
 """
 
 from __future__ import annotations
@@ -41,6 +38,11 @@ from .rationals import valuation
 
 def antidiag(m: int) -> ExactMatrix:
     return ExactMatrix.sparse(m, {(i, m - 1 - i): Fraction(1) for i in range(m)})
+
+
+def _identity_with(m: int, entries: dict) -> ExactMatrix:
+    """The m x m identity over Fraction with `entries` written over it."""
+    return ExactMatrix.sparse(m, {**{(i, i): Fraction(1) for i in range(m)}, **entries})
 
 
 def w_cycle(n: int) -> ExactMatrix:
@@ -65,22 +67,15 @@ def u_element(n: int, distinguished: bool = True) -> ExactMatrix:
     the lower-left n x n block, which is also the simple open-orbit
     representative (the gammahat of the subgroup and coset checks below).
     """
-    u = ExactMatrix.identity(2 * n)
     if distinguished:
-        for i in range(1, n):
-            u.rows[n + i][n - i] = Fraction(1)
-    else:
-        for i in range(n):
-            u.rows[n + i][n - 1 - i] = Fraction(1)
-    return u
+        return _identity_with(2 * n, {(n + i, n - i): Fraction(1) for i in range(1, n)})
+    return _identity_with(2 * n, {(n + i, n - 1 - i): Fraction(1) for i in range(n)})
 
 
 def gamma_element(n: int) -> ExactMatrix:
     """gamma = u * (unipotent with 1 in the (1, n+1) slot) at the distinguished
     component (elsewhere gamma is u itself, the simple form)."""
-    ins = ExactMatrix.identity(2 * n)
-    ins.rows[0][n] = Fraction(1)
-    return u_element(n) * ins
+    return u_element(n) * _identity_with(2 * n, {(0, n): Fraction(1)})
 
 
 def gammahat_element(n: int) -> ExactMatrix:
@@ -328,36 +323,36 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     conjugate conj = gh^-1 h gh = I + p^beta gh^-1 Y gh is affine in Y,
     while Y = solve(t) is linear in t mod p.  So the F_p solve and the
     explicit conjugation mod p^(beta+1) run once per unit target e_r, and
-    their images C_r = conj_r - I are added up: the targets run in
-    odometer order (itertools.product order, last digit fastest), each step
-    adds the image of every digit it touches, and a digit that wraps from
-    p-1 to 0 adds its image a p-th time, which vanishes
-    (p p^beta C = 0 mod p^(beta+1)).
+    their images C_r = conj_r - I are added up: the targets run in odometer
+    order (itertools.product order, last digit fastest), and every move of
+    digit r adds C_r to conj, a wrap from p-1 to 0 included.  The residual
+    factor is k = gh^-1 h^-1 gh x = (2I - conj) x.
 
-    The residual factor k = gh^-1 h^-1 gh x = (2I - conj) x is kept up to
-    date exactly alongside conj: a digit r moving its entry (a, b) of x by
-    d first takes C_r x (x before the move) off k, then adds d times column
-    a of the new 2I - conj to column b.  Every representative is checked:
-    the first by the full membership tests (conj in the depth-beta Iwahori,
-    k in the depth-(beta+1) one), each later one on the entries of conj and
-    k that its step (carries included) changed.  The entries a step leaves
-    alone passed at the representative before, since the enumeration stops
-    at its first failure, so this is the full check of every
-    representative.  A unit target with no solution fails at the first
-    representative whose digit it is, as a per-representative solve would.
+    The images are 0 mod p^beta, since gh is integral and h - I = p^beta Y;
+    this is checked once.  Mod p^(beta+1) it gives p C_r = 0, so a wrap's
+    p-th image vanishes, and C_r x = C_r, since x - I is 0 mod p^beta, so
+    k = x - (conj - I).  A move of digit r at position (a, b) therefore adds
+    C_r to conj and p^beta E_(a,b) - C_r to k, whether it wraps or not (a
+    wrap moves x by -(p-1) p^beta, which is p^beta mod p^(beta+1)).  The
+    entries each digit moves are checked right after it moves, conj in the
+    depth-beta Iwahori and then k in the depth-(beta+1) one; the entries
+    above the diagonal, which no check reads, are not kept.  A state in the
+    middle of a carry, its faster digits back at 0, is an earlier
+    representative, which passed; an entry that no move touched passed at
+    the representative before.  So this is the full check of every
+    representative, conj before k, with no product per representative.
+    With such images the conj entries stay 1 mod p on the diagonal and 0
+    mod p^beta below it, so the conj checks cannot fail; they stay as the
+    check's definition, which a wrong image breaks.
 
-    A step of the last digit r that carries nowhere is a fixed increment.
-    C_r = conj_r - I is 0 mod p^beta, and x - I is too, so C_r x = C_r and
-    p^beta C_r = 0 mod p^(beta+1): conj moves by C_r, 2I - conj by -C_r, and
-    k by -C_r plus p^beta times column a of 2I - conj in column b.  That
-    column moves mod p only with an image that is not 0 mod p^beta, so the
-    amounts are worked out at the start and again after a general step
-    through such an image, and added on every step up to the next carry;
-    the step checks the entries they move, as the general step does.
-    Carries, and every step when C_r is not 0 mod p^beta (checked once per
-    enumeration), take the general step.
-    Returns the verdict, the number of representatives that passed and a
-    detail line.
+    An image that is not 0 mod p^beta, which only a wrong solve or
+    conjugation gives, voids the increments.  Then conj is the sum of the
+    images added so far, k = (2I - conj) x is multiplied out, and both full
+    membership tests run at the end of each step.  The first representative
+    gets the full tests either way.  A unit target with no solution fails
+    at the first representative whose digit it is, as a per-representative
+    solve would.  Returns the verdict, the number of representatives that
+    passed and a detail line.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -367,26 +362,34 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     pb = p ** beta
     y_basis, lower_pos, solve = _subgroup_solver(n, p)
 
-    # the image of each unit target: the nonzero entries of conj - I, or
-    # None when the target is not reached
-    units = []
-    for r in range(nroots):
+    # each digit's move: the nonzero entries of C_r, which it adds to conj,
+    # and of p^beta E_(a,b) - C_r, which it adds to k; None when e_r is not
+    # reached
+    moves = []
+    for r, (a, b) in enumerate(lower_pos):
         sol = solve([int(k == r) for k in range(nroots)])
         if sol is None:
-            units.append(None)
+            moves.append(None)
             continue
         h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
             h[yi][yj] += pb * val
-        conj = _conjugate(h, n, modulus)
-        units.append([(i, j, (v - (i == j)) % modulus) for i, row in enumerate(conj)
-                      for j, v in enumerate(row) if v != (i == j)])
+        image = [(i, j, (v - (i == j)) % modulus)
+                 for i, row in enumerate(_conjugate(h, n, modulus))
+                 for j, v in enumerate(row) if v != (i == j)]
+        k_move = {(i, j): -val for i, j, val in image}
+        k_move[a, b] = k_move.get((a, b), 0) + pb
+        moves.append((image, [(i, j, v % modulus) for (i, j), v in k_move.items() if v % modulus]))
+    # the increments are exact when every image is 0 mod p^beta
+    exact = all(val % pb == 0 for move in moves if move for _, _, val in move[0])
+    if exact:
+        # no check reads an entry above the diagonal, and no product runs,
+        # so the moves keep the entries on and below it
+        moves = [move and tuple([e for e in part if e[0] >= e[1]] for part in move)
+                 for move in moves]
 
     digits = [0] * nroots
     conj = [[int(i == j) for j in range(m)] for i in range(m)]
-    # 2I - conj = gh^-1 h^-1 gh, and k = (2I - conj) x, kept alongside conj
-    conj_inv = [row[:] for row in conj]
-    x = [row[:] for row in conj]
     k = [row[:] for row in conj]
     checked = 0
 
@@ -399,91 +402,39 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
         return failed(conj_left)
     if not iwahori_member(k, p, beta + 1, modulus):
         return failed(k_left)
-    last = nroots - 1
-    a_last, b_last = lower_pos[last]
-    fast_conj = units[last]
-    # the premise of the fast step, checked once: C_last = 0 mod p^beta
-    fast = fast_conj is not None and all(val % pb == 0 for _, _, val in fast_conj)
-    # the images that move p^beta (column a_last of 2I - conj) mod p^(beta+1)
-    moves_column = [u is not None and any(j == a_last and val % p for _, j, val in u)
-                    for u in units]
-
-    def fast_k_step():
-        # k moves by -C_last x + p^beta (column a_last of 2I - conj) in column
-        # b_last; mod p^(beta+1) that is -C_last plus a column that only a
-        # general step through a `moves_column` image changes
-        step = {(i, j): -val for i, j, val in fast_conj}
-        for i in range(m):
-            if conj_inv[i][a_last]:
-                step[i, b_last] = step.get((i, b_last), 0) + pb * conj_inv[i][a_last]
-        return [(i, j, v % modulus) for (i, j), v in step.items() if v % modulus]
-
-    if fast:
-        k_step = fast_k_step()
     while True:
         checked += 1
-        if fast and digits[last] < p - 1:
-            # the fast step: the last digit moves without a carry, and conj,
-            # conj_inv and k move by fixed amounts
-            digits[last] += 1
-            x[a_last][b_last] += pb
-            for i, j, val in fast_conj:
-                v = conj[i][j] = (conj[i][j] + val) % modulus
-                conj_inv[i][j] = (conj_inv[i][j] - val) % modulus
-                if (v % p == 0) if i == j else (i > j and v % pb):
-                    return failed(conj_left)
-            for i, j, val in k_step:
-                v = k[i][j] = (k[i][j] + val) % modulus
-                if (v % p == 0) if i == j else (i > j and v):
-                    return failed(k_left)
-            continue
-        # the general step: bump the last digit, carrying past each
-        # wrap, and note the entries of conj and k that it changes
-        conj_changed = []
-        k_changed = []
-        rework = False
-        r = last
-        while r >= 0:
-            if units[r] is None:
+        # bump the last digit, carrying past each wrap
+        for r in range(nroots - 1, -1, -1):
+            if moves[r] is None:
                 return failed("no connecting subgroup element for a representative")
-            rework = rework or moves_column[r]
-            for i, j, val in units[r]:
-                # k -= C_r x over the nonzero entries of row j of x, which is
-                # unit lower-triangular
-                x_row, k_row = x[j], k[i]
-                for c in range(j + 1):
-                    if x_row[c]:
-                        k_row[c] -= val * x_row[c]
-                        k_changed.append((i, c))
-                conj[i][j] = (conj[i][j] + val) % modulus
-                conj_inv[i][j] = (conj_inv[i][j] - val) % modulus
-                conj_changed.append((i, j))
+            image, k_move = moves[r]
+            for i, j, val in image:
+                v = conj[i][j] = (conj[i][j] + val) % modulus
+                if exact and ((v % p == 0) if i == j else v % pb):
+                    return failed(conj_left)
+            if exact:
+                for i, j, val in k_move:
+                    v = k[i][j] = (k[i][j] + val) % modulus
+                    # below the diagonal, depth beta+1 means 0 mod the modulus
+                    if (v % p == 0) if i == j else v:
+                        return failed(k_left)
             digits[r] = (digits[r] + 1) % p
-            a, b = lower_pos[r]
-            delta = pb * digits[r] - x[a][b]
-            x[a][b] += delta
-            for i in range(m):
-                if conj_inv[i][a]:
-                    k[i][b] += conj_inv[i][a] * delta
-                    k_changed.append((i, b))
             if digits[r]:
                 break
-            r -= 1
-        if r < 0:
-            break
-        if fast and rework:
-            k_step = fast_k_step()
-        for i, j in conj_changed:
-            v = conj[i][j]
-            if (v % p == 0) if i == j else (i > j and v % pb):
+        else:
+            return {"passed": True, "checked": checked,
+                    "detail": f"all {checked} representatives connected"}
+        if not exact:
+            if not iwahori_member(conj, p, beta, modulus):
                 return failed(conj_left)
-        for i, j in k_changed:
-            v = k[i][j] = k[i][j] % modulus
-            # below the diagonal, depth beta+1 means 0 mod the modulus
-            if (v % p == 0) if i == j else (i > j and v):
+            x = [[int(i == j) for j in range(m)] for i in range(m)]
+            for d, (a, b) in zip(digits, lower_pos):
+                x[a][b] = pb * d
+            k = _mod_mul([[2 * (i == j) - v for j, v in enumerate(row)]
+                          for i, row in enumerate(conj)], x, modulus)
+            if not iwahori_member(k, p, beta + 1, modulus):
                 return failed(k_left)
-    return {"passed": True, "checked": checked,
-            "detail": f"all {checked} representatives connected"}
 
 
 def residue_words(p: int, beta: int) -> int:
@@ -606,9 +557,7 @@ def orbit_stabilizer_uv(n: int, distinguished: bool = True) -> dict:
     if distinguished:
         u = u_element(n, True)
         # v in the subgroup: identity plus the column below the (n+1) slot
-        v = ExactMatrix.identity(m)
-        for i in range(1, n):
-            v.rows[n + i][n] = Fraction(1)
+        v = _identity_with(m, {(n + i, n): Fraction(1) for i in range(1, n)})
         hpairs = [(i, j) for i in range(m) for j in range(m)
                   if (i == 0 and j == 0)
                   or (1 <= i < n and 1 <= j < n)
@@ -683,12 +632,10 @@ def frobenius_twist_identity(n: int, p: int, beta_prime: int) -> dict:
     m = 2 * n
     gamma = gamma_element(n)
     pb = Fraction(p) ** beta_prime
-    xib = ExactMatrix.identity(m)  # xi^b = diag(p^-b, 1, ..., 1)
-    xib.rows[0][0] = 1 / pb
+    xib = _identity_with(m, {(0, 0): 1 / pb})  # xi^b = diag(p^-b, 1, ..., 1)
     symbolic = True
     for c in range(3):
-        xi_c, u_c = ExactMatrix.identity(m), ExactMatrix.identity(m)
-        xi_c.rows[0][0], u_c.rows[0][n] = c + pb, Fraction(c)
+        xi_c, u_c = _identity_with(m, {(0, 0): c + pb}), _identity_with(m, {(0, n): Fraction(c)})
         symbolic = symbolic and xib * xi_c * gamma == gamma * xib * u_c * xi_c
     return {"passed": symbolic}
 
@@ -705,10 +652,8 @@ def gammahat_coset_relation(n: int) -> dict:
     wn = antidiag(n)
     blockx = ExactMatrix.sparse(n, {(i, n - i if i else 0): Fraction(1)
                                     for i in range(n)}) * wn
-    zeta = ExactMatrix.identity(m)
-    for i in range(n):
-        for j in range(n):
-            zeta.rows[i][j] = blockx.rows[i][j]
+    zeta = _identity_with(m, {(i, j): x for i, row in enumerate(blockx.rows)
+                              for j, x in enumerate(row)})
     b = rational_inverse(zeta * u_element(n, False)) * gh
     ok = all(b.rows[i][j] == 0 for i in range(m) for j in range(i))
     ok = ok and all(b.rows[i][j].denominator == 1 for i in range(m) for j in range(m))

@@ -1,7 +1,7 @@
 """Exact rational scalars with p-adic valuation, and the coercion rules of the rings over Q.
 
 Everything in this package is computed over Q (or cyclotomic extensions);
-the prime p is a per-computation parameter, default 3.  Valuations are
+the prime p is a per-computation parameter.  Valuations are
 integers, with a +infinity sentinel for zero.  The rings over Q store int
 numerators over one positive denominator, made by `ratio` and
 `lowest_terms`, and derive their operators from `RingOps`.
@@ -16,8 +16,6 @@ from math import gcd, isqrt
 from . import work
 
 INF = float("inf")  # valuation of 0
-
-DEFAULT_PRIME = 3
 
 
 def integer(x, name: str) -> int:
@@ -144,7 +142,7 @@ def _strong_probable_prime(p: int, a: int) -> bool:
     return False
 
 
-def valuation(x, p: int = DEFAULT_PRIME):
+def valuation(x, p: int):
     """p-adic valuation of a rational: v_p(u * p^k) = k, v_p(0) = +inf."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -191,7 +189,7 @@ def _multiplicity(num: int, p: int) -> int:
     return v
 
 
-def unit_part(x, p: int = DEFAULT_PRIME) -> Fraction:
+def unit_part(x, p: int) -> Fraction:
     """Write x = u * p^v with u a p-unit and return u."""
     x = Fraction(x)
     if x == 0:

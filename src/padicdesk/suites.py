@@ -226,9 +226,8 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12) ->
     # perturbation decay, with the empirical congruence-depth threshold
     T = tate.shift_matrix(4, p) + tate.cyclic_shift_matrix(4, p ** 3)
     rep = tate.epsilon_action_bound(T, Fraction(1, 2), 12, p)
-    thr = tate.perturbation_threshold(tate.shift_matrix(4, p),
-                                      tate.cyclic_shift_matrix(4, 1),
-                                      Fraction(1, 2), 12, p, n_max=5)
+    thr = tate.perturbation_threshold(tate.shift_matrix(4, p), tate.cyclic_shift_matrix(4, 1),
+                                      Fraction(1, 2), 12, p)
     c = suite.check("tate.perturbation_decay",
                     "weighted exponents of the shifted operator eventually stay below 0",
                     from_index=rep["eventually_below_target_from"],
@@ -382,7 +381,7 @@ def run_rep_suite(p: int = 3, seed: int = 0) -> dict:
 
 def random_subgroup_point(n: int, d: int, rnd) -> branch_mod.MPoint:
     def rand_unimod(m):
-        mat = ExactMatrix.identity(m).rows
+        mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
         for _ in range(2 * m):
             i, j = rnd.randrange(m), rnd.randrange(m)
             if i != j:
@@ -391,23 +390,16 @@ def random_subgroup_point(n: int, d: int, rnd) -> branch_mod.MPoint:
                     mat[i][k] += c * mat[j][k]
         return mat
 
-    blk = ExactMatrix.identity(2 * n - 1)
-    m2, m3 = rand_unimod(n - 1), rand_unimod(n)
-    for i in range(n - 1):
-        for j in range(n - 1):
-            blk.rows[i][j] = m2[i][j]
-    for i in range(n):
-        for j in range(n):
-            blk.rows[n - 1 + i][n - 1 + j] = m3[i][j]
-    blocks = [blk]
-    for _ in range(d - 1):
-        big = ExactMatrix.identity(2 * n)
-        z1, z2 = rand_unimod(n), rand_unimod(n)
-        for i in range(n):
-            for j in range(n):
-                big.rows[i][j] = z1[i][j]
-                big.rows[n + i][n + j] = z2[i][j]
-        blocks.append(big)
+    def block_diagonal(first, second):
+        # diag(first, second), both square, as one matrix
+        k = len(first)
+        entries = {(i, j): x for i, row in enumerate(first) for j, x in enumerate(row)}
+        entries.update(((k + i, k + j), x) for i, row in enumerate(second)
+                       for j, x in enumerate(row))
+        return ExactMatrix.sparse(k + len(second), entries)
+
+    blocks = [block_diagonal(rand_unimod(n - 1), rand_unimod(n))]
+    blocks += [block_diagonal(rand_unimod(n), rand_unimod(n)) for _ in range(d - 1)]
     return branch_mod.MPoint(Fraction(rnd.choice([1, -1, 2])),
                              Fraction(rnd.choice([1, -1, 2, 3])), blocks)
 
@@ -415,10 +407,10 @@ def random_subgroup_point(n: int, d: int, rnd) -> branch_mod.MPoint:
 def random_congruence_unipotent(n: int, d: int, p: int, beta: int, M: int, rnd):
     """A Levi point with int entries: lower unitriangular at component 0, with
     entries below the diagonal in p^beta Z / p^M, and the identity elsewhere."""
-    blk = ExactMatrix.identity(2 * n - 1, 1, 0)
-    for i in range(blk.nrows):
-        for j in range(i):
-            blk.rows[i][j] = p ** beta * rnd.randrange(0, p ** (M - beta))
+    m = 2 * n - 1
+    depth, top = p ** beta, p ** (M - beta)
+    blk = ExactMatrix([[depth * rnd.randrange(0, top) if j < i else int(i == j) for j in range(m)]
+                       for i in range(m)])
     return branch_mod.MPoint(1, 1, [blk] +
                              [ExactMatrix.identity(2 * n, 1, 0) for _ in range(d - 1)])
 

@@ -454,16 +454,18 @@ def derivation_matrix(der: ShiftDerivation, ngens: int, dmax: int) -> tuple:
     return ExactMatrix(rows), basis
 
 
-def perturbation_threshold(T1: ExactMatrix, T2: ExactMatrix, eps, K: int, p: int,
-                           n_max: int = 8) -> dict:
+_MAX_PERTURBATION_DEPTH = 5  # the deepest congruence that the threshold scan tries
+
+
+def perturbation_threshold(T1: ExactMatrix, T2: ExactMatrix, eps, K: int, p: int) -> dict:
     """Empirical least congruence depth n with decaying weighted exponents.
 
-    Scans T1 + p^n T2 for n = 0, 1, ..., n_max and reports the first n
-    whose weighted exponent table eventually stays below zero (None if no
-    n does); no closed formula for the threshold is claimed, only the
-    per-instance scan.
+    Scans T1 + p^n T2 for n = 0, 1, ..., _MAX_PERTURBATION_DEPTH and reports
+    the first n whose weighted exponent table eventually stays below zero
+    (None if no n does); no closed formula for the threshold is claimed,
+    only the per-instance scan.
     """
-    for n in range(n_max + 1):
+    for n in range(_MAX_PERTURBATION_DEPTH + 1):
         if epsilon_action_bound(T1 + T2.scale(Fraction(p) ** n), eps, K, p)["passed"]:
             return {"first_passing_depth": n}
     return {"first_passing_depth": None}

@@ -171,18 +171,19 @@ def det_operator_full(n: int, comp: int = 0) -> UEAElement:
     return ExactMatrix(entries).det()
 
 
-def det_operator_skipping(n: int, k: int, comp: int = 0) -> UEAElement:
+def det_operator_skipping(n: int, k: int) -> UEAElement:
     """The signed (n-1) x (n-1) determinant skipping column k (1-based n+1 <= k <= 2n).
 
     Rows run over 1..n-1 (0-based, inside the lower GL_(2n-1) block of the
-    Levi); columns over n..2n-1 omitting k-1; the sign is (-1)^(k-(n+1)).
+    Levi, component 0); columns over n..2n-1 omitting k-1; the sign is
+    (-1)^(k-(n+1)).
     """
     if n == 1:
         raise ValueError("need n >= 2")
     if not (n + 1 <= k <= 2 * n):
         raise ValueError("need n+1 <= k <= 2n")
     cols = [c for c in range(n, 2 * n) if c != k - 1]
-    entries = [[UEAElement.generator(comp, i, c) for c in cols] for i in range(1, n)]
+    entries = [[UEAElement.generator(0, i, c) for c in cols] for i in range(1, n)]
     sign = -1 if (k - (n + 1)) % 2 else 1
     return ExactMatrix(entries).det().scale(sign)
 
@@ -235,10 +236,10 @@ def uea_act_at(elem: UEAElement, func, point: ExactMatrix):
             return ArtinianElement.constant(m, x)
 
         mat = point.map(lift)
+        diagonal = {(i, i): one for i in range(size)}
         for r, (comp, a, b) in enumerate(word):
-            factor = ExactMatrix.identity(size, one, zero)
-            factor.rows[a][b] = factor.rows[a][b] - ArtinianElement.gen(m, r)
-            mat = factor * mat
+            entry = diagonal.get((a, b), zero) - ArtinianElement.gen(m, r)
+            mat = ExactMatrix.sparse(size, {**diagonal, (a, b): entry}, zero) * mat
         # a rational value means every derivative vanished; lifted, its top
         # coefficient is 0
         total += coeff * (zero + func(mat)).top_coefficient()
@@ -276,11 +277,10 @@ def h_eigenfunctions(model: GLBlockModel, a: int, b: int, nu1: int, nu2: int) ->
 
 def open_orbit_point(a: int, b: int) -> ExactMatrix:
     """Block matrix with the antidiagonal-reversal pattern in the upper-right corner."""
-    u = ExactMatrix.identity(a + b)
-    for i in range(a):
-        # column a + (b - 1 - i) carries the 1 of row i: entries delta_(b+1-i, j)
-        u.rows[i][a + b - 1 - i] = Fraction(1)
-    return u
+    entries = {(i, i): Fraction(1) for i in range(a + b)}
+    # column a + (b - 1 - i) carries the 1 of row i: entries delta_(b+1-i, j)
+    entries.update(((i, a + b - 1 - i), Fraction(1)) for i in range(a))
+    return ExactMatrix.sparse(a + b, entries)
 
 
 def mu_sigma(a: int, b: int, sigma) -> UEAElement:
@@ -382,7 +382,7 @@ def branching_operator_constant(bm_j, bm_0) -> dict:
             mult //= factorial(cols.count(c))
         det_elem = UEAElement.one()
         for k in cols:
-            det_elem = det_elem * det_operator_skipping(n, k, comp=0)
+            det_elem = det_elem * det_operator_skipping(n, k)
         for t in range(1, d):
             det_elem = det_elem * det_operator_full(n, comp=t) ** wd.j[t]
         for q0, c0 in bm_0.coords.items():

@@ -235,7 +235,7 @@ def _per_representative_loop(n, p, beta):
             "detail": f"all {checked} representatives connected"}
 
 
-@pytest.mark.parametrize("n, p, beta", [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 2, 1)])
+@pytest.mark.parametrize("n, p, beta", [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 2, 1), (2, 2, 3)])
 def test_odometer_matches_per_representative_loop(n, p, beta):
     assert iw.double_coset_singleton(n, p, beta) == _per_representative_loop(n, p, beta)
 
@@ -355,18 +355,19 @@ def test_wrong_solution_for_the_slowest_digit_is_caught_after_a_carry(monkeypatc
 
 
 # sha256 of the JSON list of (passed, checked, detail) that the odometer
-# with a general step on every representative returned for the tampers of
-# `test_odometer_fast_step_matches_the_general_step_under_tampering`
+# returned for the tampers of the test below when it updated conj, 2I - conj
+# and k through the unit images on every representative, carries included
 _TAMPERED_IMAGE_OUTCOMES = "5679e57d68956c2b71ea96197f2505996babd3fed329c5b934fb05398addeb39"
 
 
 def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch):
     # every entry of every unit image mod p^(beta+1) is moved by +1, -1, p
     # and p^beta (at (2, 5, 1) only the fastest digit's): some moves break
-    # the premise C = 0 mod p^beta of the fast step, some keep it and some
-    # keep the representatives connected.  The per-representative loop is
-    # no oracle here: it tampers the exact unit h only, not the sums of
-    # unit images that the odometer adds up.
+    # the premise C = 0 mod p^beta of the fixed increments, which sends the
+    # enumeration to its recompute mode, some keep it and some keep the
+    # representatives connected.  The per-representative loop is no oracle
+    # here: it tampers the exact unit h only, not the sums of unit images
+    # that the odometer adds up; `_image_sum_oracle` below is one.
     true_conjugate = iw._conjugate
     outcomes = []
     for (n, p, beta), fastest_only in [((2, 3, 1), False), ((2, 3, 2), False),
@@ -395,7 +396,7 @@ def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch
     # a slower image moved by 2 or 3 on the diagonal entry (a, a) of the
     # fastest digit's position (a, b) keeps both diagonals units mod 5 at
     # its first digit, and moves p^beta times column a of 2I - conj, which
-    # the fast step adds to k: its amounts must be reworked after the carry
+    # each later move of the fastest digit adds to k
     y_basis, lower_pos, solve = iw._subgroup_solver(2, 5)
     a = lower_pos[-1][0]
     for r, checked in enumerate([3126, 626, 126, 25, 5]):
@@ -412,6 +413,95 @@ def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch
             monkeypatch.setattr(iw, "_conjugate", tampered)
             assert iw.double_coset_singleton(2, 5, 1) == \
                 {"passed": False, "checked": checked, "detail": _K_LEFT}, (r, delta)
+
+
+def _image_sum_oracle(n, p, beta, images):
+    """The enumeration read off the unit images alone, `images[r]` being
+    C_r = conj_r - I as int rows mod p^(beta+1), or None for a unit target
+    with no solution.  At representative t digit r has moved
+    t // p^(nroots-1-r) times, wraps included, so conj = I + the sum of
+    moves_r C_r, and k = (2I - conj) x is an explicit product; a missing
+    image fails once its digit has moved, before both membership tests."""
+    m, nroots = 2 * n, n * (2 * n - 1)
+    modulus, pb = p ** (beta + 1), p ** beta
+    lower_pos = [(i, j) for i in range(m) for j in range(m) if i > j]
+
+    def upper_unit(res, depth):
+        return (all(res[i][i] % p for i in range(m))
+                and all(res[i][j] % p ** depth == 0 for i in range(m) for j in range(i)))
+
+    for t in range(p ** nroots):
+        moves = [t // p ** (nroots - 1 - r) for r in range(nroots)]
+        detail = None
+        if any(c is None and mv for c, mv in zip(images, moves)):
+            detail = "no connecting subgroup element for a representative"
+        else:
+            conj = [[(int(i == j) + sum(mv * c[i][j] for mv, c in zip(moves, images) if mv))
+                     % modulus for j in range(m)] for i in range(m)]
+            x = [[int(i == j) for j in range(m)] for i in range(m)]
+            for mv, (i, j) in zip(moves, lower_pos):
+                x[i][j] = pb * (mv % p)
+            k = [[sum((2 * (i == s) - conj[i][s]) * x[s][j] for s in range(m)) % modulus
+                  for j in range(m)] for i in range(m)]
+            if not upper_unit(conj, beta):
+                detail = _CONJ_LEFT
+            elif not upper_unit(k, beta + 1):
+                detail = _K_LEFT
+        if detail:
+            return {"passed": False, "checked": t, "detail": detail}
+    return {"passed": True, "checked": p ** nroots,
+            "detail": f"all {p ** nroots} representatives connected"}
+
+
+def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch):
+    # seeded tampers of 1-3 entries across the unit images, by +-1, +-p,
+    # p^beta or a random residue, and now and then a unit target with no
+    # solution: the fixed increments (every image still 0 mod p^beta) and
+    # the recompute mode must both give the oracle's verdict, count and detail
+    true_solver, true_conjugate = iw._subgroup_solver, iw._conjugate
+    rnd = random.Random(34)
+    outcomes = {"increments": set(), "recompute": set()}
+    for case in range(160):
+        n, p, beta = [(2, 3, 1), (2, 3, 2), (2, 2, 2), (2, 2, 3)][case % 4]
+        m, nroots, modulus = 2 * n, n * (2 * n - 1), p ** (beta + 1)
+        y_basis, _, solve = true_solver(n, p)
+        tampered, images = {}, []
+        for r in range(nroots):
+            h = [[int(i == j) for j in range(m)] for i in range(m)]
+            for val, (yi, yj) in zip(solve([int(k == r) for k in range(nroots)]), y_basis):
+                h[yi][yj] += p ** beta * val
+            tampered[r] = (h, true_conjugate(h, n, modulus))
+        for _ in range(rnd.randint(1, 3)):
+            r, i, j = rnd.randrange(nroots), rnd.randrange(m), rnd.randrange(m)
+            delta = rnd.choice([1, -1, p, -p, p ** beta, rnd.randrange(modulus)])
+            conj = tampered[r][1]
+            conj[i][j] = (conj[i][j] + delta) % modulus
+        missing = rnd.randrange(nroots) if rnd.random() < 0.1 else None
+        for r, (_, conj) in tampered.items():
+            images.append(None if r == missing else
+                          [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(conj)])
+        unsolved = None if missing is None else [int(k == missing) for k in range(nroots)]
+
+        def solver(n_, p_):
+            y_basis_, lower_pos_, solve_ = true_solver(n_, p_)
+            return y_basis_, lower_pos_, lambda t: None if t == unsolved else solve_(t)
+
+        def conjugate(h, n_, modulus_):
+            for h_r, conj in tampered.values():
+                if modulus_ == modulus and h == h_r:
+                    return [row[:] for row in conj]
+            return true_conjugate(h, n_, modulus_)
+
+        monkeypatch.setattr(iw, "_subgroup_solver", solver)
+        monkeypatch.setattr(iw, "_conjugate", conjugate)
+        rep = iw.double_coset_singleton(n, p, beta)
+        assert rep == _image_sum_oracle(n, p, beta, images), (case, n, p, beta)
+        exact = all(v % p ** beta == 0 for c in images if c for row in c for v in row)
+        outcomes["increments" if exact else "recompute"].add(rep["detail"].split()[0])
+    # both modes reach a pass and a failure of each membership test, and a
+    # missing image is caught
+    assert outcomes["increments"] >= {"all", "residual", "no"}
+    assert outcomes["recompute"] >= {"all", "witness", "residual"}
 
 
 @pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])

@@ -1,14 +1,17 @@
 """The echelon over Q and its inverses and nullspaces, row_reduce mod m, det and the
 permutation helpers, against sympy."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicdesk
 from padicdesk.artinian import ArtinianElement
 from padicdesk.matrices import (ExactMatrix, SparseEchelon, cycles, modular_inverse,
                                 perm_sign, rational_inverse, row_reduce, signed_permutations)
@@ -289,3 +292,33 @@ def test_ring_zeros_are_falsy():
     for zero, nonzero in pairs:
         assert zero.is_zero() and not nonzero.is_zero()
         assert bool(zero) is False and bool(nonzero) is True
+
+
+def _writes_into_rows(tree) -> list:
+    """Line numbers of the assignments into `<expr>.rows[i][j]` in a module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Subscript)
+                        and isinstance(sub.value.value, ast.Attribute)
+                        and sub.value.value.attr == "rows"):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_only_matrices_writes_into_matrix_rows():
+    # every explicit matrix outside matrices.py is built from its entries
+    # (`ExactMatrix.sparse` or plain rows), never written into afterwards
+    assert _writes_into_rows(ast.parse("m.rows[0][1] = 1\na, m.rows[i][j] = 1, 2\n"
+                                       "m.rows[i][j] += 1\nx = m.rows[0][1]")) == [1, 2, 3]
+    writes = {path.name: _writes_into_rows(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(Path(padicdesk.__file__).resolve().parent.glob("*.py"))
+              if path.name != "matrices.py"}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
