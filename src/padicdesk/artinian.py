@@ -142,9 +142,6 @@ class ArtinianElement(RingOps):
     def constant_term(self) -> Fraction:
         return Fraction(self.nums.get(0, 0), self.den)
 
-    def is_unit(self) -> bool:
-        return 0 in self.nums
-
     def inverse(self) -> "ArtinianElement":
         """The geometric series against the nilpotent part, summed in integers;
         needs a unit constant term.

@@ -8,15 +8,13 @@ conjugation `_conjugate` by the simple open-orbit form.  The depth-beta
 Iwahori subgroup consists of matrices congruent to upper-triangular mod
 p^beta with unit diagonal.
 
-The double-coset enumeration solves and conjugates once per unit target,
-not once per representative: below depth (beta+1) the subgroup part and
-its conjugate are linear in the target, so the representatives run in
-odometer order.  The unit images C_r are 0 mod p^beta, so every move of a
-digit, a wrap included, adds fixed sparse increments to the conjugate and
-to the residual factor, and each representative is membership-tested on
-the entries its moves changed.  A wrong image, one that is not 0 mod
-p^beta, voids the increments; the enumeration then multiplies out the
-residual factor and runs both full tests per representative.
+The double-coset check solves and conjugates once per unit target, not
+once per representative: below depth (beta+1) the subgroup part and its
+conjugate are linear in the target.  The unit images C_r are 0 mod p^beta,
+so the residual factor is linear in the digits too, and one test per unit
+target settles all p^N representatives.  A wrong image, one that is not 0
+mod p^beta, voids that; the representatives then run in odometer order,
+each with its residual factor multiplied out and both full tests.
 """
 
 from __future__ import annotations
@@ -317,42 +315,37 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     block subgroup conjugated by the simple open-orbit matrix.
 
     Each representative x = I + p^beta N (N strictly lower mod p, its
-    entries the digits of a target t) must factor as (conjugated subgroup
-    element) * (depth beta+1 element).  For beta >= 1, (p^beta)^2 = 0 mod
-    p^(beta+1), so h = I + p^beta Y has inverse I - p^beta Y and its
-    conjugate conj = gh^-1 h gh = I + p^beta gh^-1 Y gh is affine in Y,
-    while Y = solve(t) is linear in t mod p.  So the F_p solve and the
-    explicit conjugation mod p^(beta+1) run once per unit target e_r, and
-    their images C_r = conj_r - I are added up: the targets run in odometer
-    order (itertools.product order, last digit fastest), and every move of
-    digit r adds C_r to conj, a wrap from p-1 to 0 included.  The residual
-    factor is k = gh^-1 h^-1 gh x = (2I - conj) x.
+    entries the N = n(2n-1) digits of a target t) must factor as
+    (conjugated subgroup element) * (depth beta+1 element).  For beta >= 1,
+    (p^beta)^2 = 0 mod p^(beta+1), so h = I + p^beta Y has inverse
+    I - p^beta Y and its conjugate conj = gh^-1 h gh = I + p^beta gh^-1 Y gh
+    is affine in Y, while Y = solve(t) is linear in t mod p.  So the F_p
+    solve and the explicit conjugation mod p^(beta+1) run once per unit
+    target e_r, and give the images C_r = conj_r - I.  The residual factor
+    is k = gh^-1 h^-1 gh x = (2I - conj) x.
 
-    The images are 0 mod p^beta, since gh is integral and h - I = p^beta Y;
-    this is checked once.  Mod p^(beta+1) it gives p C_r = 0, so a wrap's
-    p-th image vanishes, and C_r x = C_r, since x - I is 0 mod p^beta, so
-    k = x - (conj - I).  A move of digit r at position (a, b) therefore adds
-    C_r to conj and p^beta E_(a,b) - C_r to k, whether it wraps or not (a
-    wrap moves x by -(p-1) p^beta, which is p^beta mod p^(beta+1)).  The
-    entries each digit moves are checked right after it moves, conj in the
-    depth-beta Iwahori and then k in the depth-(beta+1) one; the entries
-    above the diagonal, which no check reads, are not kept.  A state in the
-    middle of a carry, its faster digits back at 0, is an earlier
-    representative, which passed; an entry that no move touched passed at
-    the representative before.  So this is the full check of every
-    representative, conj before k, with no product per representative.
-    With such images the conj entries stay 1 mod p on the diagonal and 0
-    mod p^beta below it, so the conj checks cannot fail; they stay as the
-    check's definition, which a wrong image breaks.
+    The images are 0 mod p^beta, since gh is integral and h - I =
+    p^beta Y; this is checked once.  Mod p^(beta+1) that gives p C_r = 0
+    and C_r x = C_r, so at the representative with digits d_r,
+    conj = I + sum d_r C_r stays in the depth-beta Iwahori, and
+    k = I + sum d_r K_r with K_r = p^beta E_(a_r,b_r) - C_r, (a_r, b_r) the
+    position of digit r, keeps its diagonal 1 mod p.  Each K_r is 0 mod
+    p^beta, so the strict lower part of k is linear in the digits mod p:
+    every representative passes iff every unit target is solved and the
+    strict lower part of every K_r is 0 mod p^(beta+1).  In odometer order
+    (itertools.product order, last digit fastest) the first representative
+    to fail is p^(N-1-r), for the largest digit r that fails; so the digits
+    are scanned down from the last, and `checked` counts the
+    representatives before that one, or all p^N.
 
     An image that is not 0 mod p^beta, which only a wrong solve or
-    conjugation gives, voids the increments.  Then conj is the sum of the
-    images added so far, k = (2I - conj) x is multiplied out, and both full
-    membership tests run at the end of each step.  The first representative
-    gets the full tests either way.  A unit target with no solution fails
-    at the first representative whose digit it is, as a per-representative
-    solve would.  Returns the verdict, the number of representatives that
-    passed and a detail line.
+    conjugation gives, voids this.  Then the representatives run in
+    odometer order: every move of digit r, a wrap included, adds C_r to
+    conj, k = (2I - conj) x is multiplied out, and both full membership
+    tests run per representative; a unit target with no solution fails
+    when its digit first moves.  The first representative gets both full
+    tests either way.  Returns the verdict, the number of representatives
+    that passed and a detail line.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -362,70 +355,58 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     pb = p ** beta
     y_basis, lower_pos, solve = _subgroup_solver(n, p)
 
-    # each digit's move: the nonzero entries of C_r, which it adds to conj,
-    # and of p^beta E_(a,b) - C_r, which it adds to k; None when e_r is not
-    # reached
-    moves = []
-    for r, (a, b) in enumerate(lower_pos):
+    # the image C_r of each unit target, None when e_r is not reached
+    images = []
+    for r in range(nroots):
         sol = solve([int(k == r) for k in range(nroots)])
         if sol is None:
-            moves.append(None)
+            images.append(None)
             continue
         h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
             h[yi][yj] += pb * val
-        image = [(i, j, (v - (i == j)) % modulus)
-                 for i, row in enumerate(_conjugate(h, n, modulus))
-                 for j, v in enumerate(row) if v != (i == j)]
-        k_move = {(i, j): -val for i, j, val in image}
-        k_move[a, b] = k_move.get((a, b), 0) + pb
-        moves.append((image, [(i, j, v % modulus) for (i, j), v in k_move.items() if v % modulus]))
-    # the increments are exact when every image is 0 mod p^beta
-    exact = all(val % pb == 0 for move in moves if move for _, _, val in move[0])
-    if exact:
-        # no check reads an entry above the diagonal, and no product runs,
-        # so the moves keep the entries on and below it
-        moves = [move and tuple([e for e in part if e[0] >= e[1]] for part in move)
-                 for move in moves]
+        images.append({(i, j): (v - (i == j)) % modulus
+                       for i, row in enumerate(_conjugate(h, n, modulus))
+                       for j, v in enumerate(row) if v != (i == j)})
 
-    digits = [0] * nroots
     conj = [[int(i == j) for j in range(m)] for i in range(m)]
-    k = [row[:] for row in conj]
     checked = 0
 
     def failed(detail):
         return {"passed": False, "checked": checked, "detail": detail}
 
+    no_solution = "no connecting subgroup element for a representative"
     conj_left = "witness conjugate left the depth-beta Iwahori"
     k_left = "residual factor left the depth-(beta+1) Iwahori"
+    # the first representative, x = I, has conj = k = I
     if not iwahori_member(conj, p, beta, modulus):
         return failed(conj_left)
-    if not iwahori_member(k, p, beta + 1, modulus):
+    if not iwahori_member(conj, p, beta + 1, modulus):
         return failed(k_left)
-    while True:
-        checked += 1
-        # bump the last digit, carrying past each wrap
+    if all(v % pb == 0 for c in images if c for v in c.values()):
         for r in range(nroots - 1, -1, -1):
-            if moves[r] is None:
-                return failed("no connecting subgroup element for a representative")
-            image, k_move = moves[r]
-            for i, j, val in image:
-                v = conj[i][j] = (conj[i][j] + val) % modulus
-                if exact and ((v % p == 0) if i == j else v % pb):
-                    return failed(conj_left)
-            if exact:
-                for i, j, val in k_move:
-                    v = k[i][j] = (k[i][j] + val) % modulus
-                    # below the diagonal, depth beta+1 means 0 mod the modulus
-                    if (v % p == 0) if i == j else v:
-                        return failed(k_left)
-            digits[r] = (digits[r] + 1) % p
-            if digits[r]:
+            checked = p ** (nroots - 1 - r)
+            if images[r] is None:
+                return failed(no_solution)
+            if any((pb * (pos == lower_pos[r]) - images[r].get(pos, 0)) % modulus
+                   for pos in lower_pos):
+                return failed(k_left)
+        checked = p ** nroots
+    else:
+        digits = [0] * nroots
+        while True:
+            checked += 1
+            # bump the last digit, carrying past each wrap
+            for r in range(nroots - 1, -1, -1):
+                if images[r] is None:
+                    return failed(no_solution)
+                for (i, j), val in images[r].items():
+                    conj[i][j] = (conj[i][j] + val) % modulus
+                digits[r] = (digits[r] + 1) % p
+                if digits[r]:
+                    break
+            else:
                 break
-        else:
-            return {"passed": True, "checked": checked,
-                    "detail": f"all {checked} representatives connected"}
-        if not exact:
             if not iwahori_member(conj, p, beta, modulus):
                 return failed(conj_left)
             x = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -435,6 +416,8 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
                           for i, row in enumerate(conj)], x, modulus)
             if not iwahori_member(k, p, beta + 1, modulus):
                 return failed(k_left)
+    return {"passed": True, "checked": checked,
+            "detail": f"all {checked} representatives connected"}
 
 
 def residue_words(p: int, beta: int) -> int:

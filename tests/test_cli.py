@@ -496,6 +496,16 @@ def test_iwahori_p7_report_pinned(capsys):
             == "1826e0197c3c3e944f3b44f6079156eae988edda7ad010b22234e3ab2d14c971")
 
 
+def test_iwahori_n3_report_pinned(capsys):
+    # 3^15 = 14,348,907 double-coset representatives of GL_6
+    assert main(["--n", "3", "--p", "3", "--budget", "100000000", "verify", "--suite", "iwahori"]) == 0
+    out = capsys.readouterr().out
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    assert checks["iwahori.double_coset_singleton"]["checked"] == 3 ** 15 == 14_348_907
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "260cc15169d429bb74caacd9a076e9f169150338a88957ceb3668cd288aa8cd9")
+
+
 # (n, d, kappa0, kappa, j) of the eleven acceptance weights, with the sha256 of
 # the `--seed 7 branch --weight-json` report for each
 _BRANCH_PINS = [

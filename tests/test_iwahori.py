@@ -266,9 +266,9 @@ def test_double_coset_solves_and_conjugates_once_per_unit_target(monkeypatch, n,
 
 
 def test_double_coset_work_does_not_grow_with_the_representatives(monkeypatch):
-    # the products and the full membership tests run per unit target and
-    # for the first representative; each later one updates and re-checks
-    # the entries its step changed
+    # the products run per unit target and the two full membership tests
+    # for the first representative only; the certificate settles the other
+    # representatives with one check per unit target
     true_mod_mul, true_member = iw._mod_mul, iw.iwahori_member
 
     def calls(p):
@@ -363,11 +363,11 @@ _TAMPERED_IMAGE_OUTCOMES = "5679e57d68956c2b71ea96197f2505996babd3fed329c5b934fb
 def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch):
     # every entry of every unit image mod p^(beta+1) is moved by +1, -1, p
     # and p^beta (at (2, 5, 1) only the fastest digit's): some moves break
-    # the premise C = 0 mod p^beta of the fixed increments, which sends the
+    # the premise C = 0 mod p^beta of the certificate, which sends the
     # enumeration to its recompute mode, some keep it and some keep the
     # representatives connected.  The per-representative loop is no oracle
     # here: it tampers the exact unit h only, not the sums of unit images
-    # that the odometer adds up; `_image_sum_oracle` below is one.
+    # that conj is made of; `_image_sum_oracle` below is one.
     true_conjugate = iw._conjugate
     outcomes = []
     for (n, p, beta), fastest_only in [((2, 3, 1), False), ((2, 3, 2), False),
@@ -456,35 +456,35 @@ def _image_sum_oracle(n, p, beta, images):
 def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch):
     # seeded tampers of 1-3 entries across the unit images, by +-1, +-p,
     # p^beta or a random residue, and now and then a unit target with no
-    # solution: the fixed increments (every image still 0 mod p^beta) and
-    # the recompute mode must both give the oracle's verdict, count and detail
+    # solution: the certificate (every image still 0 mod p^beta) and the
+    # recompute mode must both give the oracle's verdict, count and detail
     true_solver, true_conjugate = iw._subgroup_solver, iw._conjugate
-    rnd = random.Random(34)
-    outcomes = {"increments": set(), "recompute": set()}
-    for case in range(160):
-        n, p, beta = [(2, 3, 1), (2, 3, 2), (2, 2, 2), (2, 2, 3)][case % 4]
+    configs = [(2, 3, 1), (2, 3, 2), (2, 2, 2), (2, 2, 3)]
+
+    def enumerate_tampered(n, p, beta, tampers, missing):
+        # each (r, i, j, delta) moves entry (i, j) of the conjugate of unit
+        # target r, and the unit targets in `missing` get no solution;
+        # returns the result, which must be the oracle's, and whether every
+        # image stays 0 mod p^beta
         m, nroots, modulus = 2 * n, n * (2 * n - 1), p ** (beta + 1)
         y_basis, _, solve = true_solver(n, p)
-        tampered, images = {}, []
+        tampered = {}
         for r in range(nroots):
             h = [[int(i == j) for j in range(m)] for i in range(m)]
             for val, (yi, yj) in zip(solve([int(k == r) for k in range(nroots)]), y_basis):
                 h[yi][yj] += p ** beta * val
             tampered[r] = (h, true_conjugate(h, n, modulus))
-        for _ in range(rnd.randint(1, 3)):
-            r, i, j = rnd.randrange(nroots), rnd.randrange(m), rnd.randrange(m)
-            delta = rnd.choice([1, -1, p, -p, p ** beta, rnd.randrange(modulus)])
+        for r, i, j, delta in tampers:
             conj = tampered[r][1]
             conj[i][j] = (conj[i][j] + delta) % modulus
-        missing = rnd.randrange(nroots) if rnd.random() < 0.1 else None
-        for r, (_, conj) in tampered.items():
-            images.append(None if r == missing else
-                          [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(conj)])
-        unsolved = None if missing is None else [int(k == missing) for k in range(nroots)]
+        images = [None if r in missing else
+                  [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(conj)]
+                  for r, (_, conj) in tampered.items()]
+        unsolved = [[int(k == r) for k in range(nroots)] for r in missing]
 
         def solver(n_, p_):
             y_basis_, lower_pos_, solve_ = true_solver(n_, p_)
-            return y_basis_, lower_pos_, lambda t: None if t == unsolved else solve_(t)
+            return y_basis_, lower_pos_, lambda t: None if t in unsolved else solve_(t)
 
         def conjugate(h, n_, modulus_):
             for h_r, conj in tampered.values():
@@ -495,13 +495,43 @@ def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch)
         monkeypatch.setattr(iw, "_subgroup_solver", solver)
         monkeypatch.setattr(iw, "_conjugate", conjugate)
         rep = iw.double_coset_singleton(n, p, beta)
-        assert rep == _image_sum_oracle(n, p, beta, images), (case, n, p, beta)
-        exact = all(v % p ** beta == 0 for c in images if c for row in c for v in row)
-        outcomes["increments" if exact else "recompute"].add(rep["detail"].split()[0])
+        assert rep == _image_sum_oracle(n, p, beta, images), (n, p, beta, tampers, missing)
+        return rep, all(v % p ** beta == 0 for c in images if c for row in c for v in row)
+
+    rnd = random.Random(34)
+    outcomes = {"certificate": set(), "recompute": set()}
+    for case in range(160):
+        n, p, beta = configs[case % 4]
+        m, nroots, modulus = 2 * n, n * (2 * n - 1), p ** (beta + 1)
+        tampers = []
+        for _ in range(rnd.randint(1, 3)):
+            r, i, j = rnd.randrange(nroots), rnd.randrange(m), rnd.randrange(m)
+            delta = rnd.choice([1, -1, p, -p, p ** beta, rnd.randrange(modulus)])
+            tampers.append((r, i, j, delta))
+        missing = [rnd.randrange(nroots)] if rnd.random() < 0.1 else []
+        rep, exact = enumerate_tampered(n, p, beta, tampers, missing)
+        outcomes["certificate" if exact else "recompute"].add(rep["detail"].split()[0])
     # both modes reach a pass and a failure of each membership test, and a
     # missing image is caught
-    assert outcomes["increments"] >= {"all", "residual", "no"}
+    assert outcomes["certificate"] >= {"all", "residual", "no"}
     assert outcomes["recompute"] >= {"all", "witness", "residual"}
+
+    # a second draw keeps the premise: the deltas are multiples of p^beta and
+    # one or two unit targets have no solution, so the certificate fails each
+    # case, at representative p^(nroots-1-r) for the last failing digit r
+    rnd = random.Random(36)
+    failures = set()
+    for case in range(40):
+        n, p, beta = configs[case % 4]
+        m, nroots = 2 * n, n * (2 * n - 1)
+        tampers = [(rnd.randrange(nroots), rnd.randrange(m), rnd.randrange(m),
+                    p ** beta * rnd.randrange(1, p)) for _ in range(rnd.randint(1, 3))]
+        missing = rnd.sample(range(nroots), rnd.randint(1, 2))
+        rep, exact = enumerate_tampered(n, p, beta, tampers, missing)
+        assert exact and not rep["passed"]
+        failures.add((rep["checked"], rep["detail"].split()[0]))
+    assert len({checked for checked, _ in failures}) >= 3
+    assert {detail for _, detail in failures} == {"residual", "no"}
 
 
 @pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])

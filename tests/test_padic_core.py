@@ -139,7 +139,7 @@ def test_artinian_invert_singular_residue():
     # a matrix whose residue (all T_i -> 0) is singular has a non-unit det
     T1 = ArtinianElement.gen(1, 0)
     X = ExactMatrix([[T1]])
-    assert not X.det().is_unit()
+    assert X.det().constant_term() == 0
     with pytest.raises(ZeroDivisionError, match="not a unit"):
         X.det().inverse()
 
