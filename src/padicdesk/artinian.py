@@ -7,7 +7,8 @@ with bit i standing for T_(i+1), and 0 is the constant term.  This form is
 canonical, so `==` compares it directly; a constant hashes like its
 Fraction, which it equals.  The product of two monomials is their bitwise
 or, and it vanishes (T_i^2 = 0) when they share a bit.  The operators
-derived from +, -x, * and `inverse` come from `rationals.RingOps`.
+derived from +, -x, * and `inverse` come from `rationals.RingOps`, except
+`-` and the truth value, which read the numerators directly.
 
 The interface speaks in frozensets of generator indices and `Fraction`
 coefficients: the constructor takes {frozenset: coeff}, and `terms` is a
@@ -35,6 +36,9 @@ def from_numerators(ngens: int, nums: dict, den: int) -> "ArtinianElement":
         nums = {m: c for m, c in nums.items() if c}
     out.nums, out.den = lowest_terms(nums, den)
     return out
+
+
+_ONE = {0: 1}  # the numerators of 1, over den 1
 
 
 def _product(xs, ys) -> dict:
@@ -95,21 +99,28 @@ class ArtinianElement(RingOps):
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign * other, in one pass over the integer numerators."""
         if type(other) is not ArtinianElement or other.ngens != self.ngens:
             other = self._coerce(other)
         d1, d2 = self.den, other.den
         if d1 == d2:
             out = dict(self.nums)
             for m, c in other.nums.items():
-                out[m] = out.get(m, 0) + c
+                out[m] = out.get(m, 0) + sign * c
             return from_numerators(self.ngens, out, d1)
         g = gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
+        f1, f2 = d2 // g, sign * d1 // g
         out = {m: c * f1 for m, c in self.nums.items()}
         for m, c in other.nums.items():
             out[m] = out.get(m, 0) + c * f2
         return from_numerators(self.ngens, out, d1 * f1)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
 
     def __neg__(self):
         return from_numerators(self.ngens, {m: -c for m, c in self.nums.items()}, self.den)
@@ -121,20 +132,29 @@ class ArtinianElement(RingOps):
                                    self.den * den)
         if other.ngens != self.ngens:
             other = self._coerce(other)  # raises
+        # no code writes to `nums`, so a factor 1 can hand back the other operand
+        if other.den == 1 and other.nums == _ONE:
+            return self
+        if self.den == 1 and self.nums == _ONE:
+            return other
         return from_numerators(self.ngens, _product(self.nums.items(), other.nums.items()),
                                self.den * other.den)
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except (ValueError, TypeError):
-            return NotImplemented
+        if type(other) is not ArtinianElement or other.ngens != self.ngens:
+            try:
+                other = self._coerce(other)
+            except (ValueError, TypeError):
+                return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         if self.nums.keys() <= {0}:
             return hash(self.constant_term())
         return hash((self.den, frozenset(self.nums.items())))
+
+    def __bool__(self):
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
         return not self.nums

@@ -7,8 +7,8 @@ mathematical check failed, 2 a resource budget was exceeded, 3 bad input
 (an unwritable --out or stdout included), 4 an internal error: any other
 exception, reported as {"error": "internal error", "type": ..., "message":
 ...} on stdout with no traceback.  `--budget` is set once per call, for
-`work.charge`.  Several suites on several cores run in forked children
-(`_forked`), and the parent writes exactly what the serial loop would.
+`work.charge`.  Several suites on several cores run here and in forked
+children (`_forked`); only this process writes, exactly as the serial loop.
 """
 
 from __future__ import annotations
@@ -237,17 +237,17 @@ class _ChildError(Exception):
         return self.args[1]
 
 
-# the order children start in: the longest suites first, so none is left to run alone
+# the order suites start in: the longest first, so none is left to run alone
 _HEAVIEST_FIRST = ("tate", "interp", "iwahori", "rep", "uea", "mahler")
 
 
 def _workers(names) -> int:
-    """How many child processes run the suites; 1 runs them here, one after another.
+    """How many processes run the suites, this one included; 1 runs them here, in turn.
 
-    Several suites on several usable cores run in children, unless fork is
-    missing, another thread is alive, or something observes the run: a
-    profiler, a tracer, or a wrapper on a SUITES entry (the benchmark tracer
-    wraps them), whose counts a child could not bring back.
+    Several suites on several usable cores run here and in children, unless
+    fork is missing, another thread is alive, or something observes the run:
+    a profiler, a tracer, or a wrapper on a SUITES entry (the benchmark
+    tracer wraps them), whose counts a child could not bring back.
     """
     if len(names) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -256,6 +256,14 @@ def _workers(names) -> int:
             or any(hasattr(SUITES[name], "__wrapped__") for name in names):
         return 1
     return min(len(os.sched_getaffinity(0)), len(names))
+
+
+def _outcome(name: str, args):
+    """(report, None), or (None, the exception suite `name` raised)."""
+    try:
+        return _run_suite(name, args), None
+    except Exception as err:  # raised at the suite's turn, as the serial loop would
+        return None, err
 
 
 def _child(name: str, args, write_fd: int) -> None:
@@ -270,28 +278,25 @@ def _child(name: str, args, write_fd: int) -> None:
     try:
         import pickle
 
-        try:
-            outcome = (_run_suite(name, args), None)
-        except work.BudgetExceeded as err:
-            outcome = (None, err)
-        except Exception as err:
-            outcome = (None, _ChildError(type(err).__name__, str(err)))
+        report, err = _outcome(name, args)
+        if err is not None and not isinstance(err, work.BudgetExceeded):
+            err = _ChildError(type(err).__name__, str(err))
         with open(write_fd, "wb") as fh:
-            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((report, err), fh, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
 def _forked(names, args, workers: int):
-    """The suites' reports in the order of `names`, each suite run in a forked child.
+    """The suites' reports in the order of `names`, run here and in forked children.
 
-    At most `workers` children are alive at once.  When a suite's turn comes,
-    its budget exit or exception is raised here as the serial loop would
-    raise it, and the children still running are killed: they would not be
-    run serially.  Every child is reaped before this generator ends, however
-    it ends.  Each pipe is read as its data comes, so no child blocks on a
-    full pipe.
+    At most `workers - 1` children are alive at once; while all are, this
+    process runs the next suite itself.  A suite's budget exit or exception
+    is raised at its turn, as the serial loop would raise it, and the
+    children still running are killed: they would not be run serially.
+    Every child is reaped before this generator ends, however it ends.  The
+    pipes are read between this process's own suites and while it waits.
     """
     import pickle
     import selectors
@@ -303,7 +308,7 @@ def _forked(names, args, workers: int):
     try:
         for name in names:
             while name not in done:
-                while queue and len(live) < workers:
+                while queue and len(live) < workers - 1:
                     read_fd, write_fd = os.pipe()
                     pid = os.fork()
                     if pid == 0:
@@ -311,7 +316,10 @@ def _forked(names, args, workers: int):
                     live[read_fd] = [queue.pop(0), pid, []]
                     os.close(write_fd)
                     selector.register(read_fd, selectors.EVENT_READ)
-                for key, _ in selector.select():
+                own = queue.pop(0) if queue else None  # every child slot is busy
+                if own:
+                    done[own] = _outcome(own, args)
+                for key, _ in selector.select(0 if own else None):
                     suite, pid, chunks = live[key.fd]
                     chunk = os.read(key.fd, 1 << 16)
                     if chunk:

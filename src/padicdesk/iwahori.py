@@ -20,11 +20,12 @@ each with its residual factor multiplied out and both full tests.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .artinian import ArtinianElement
+from .artinian import ArtinianElement, from_numerators
 from .matrices import ExactMatrix, cycles, rational_inverse, row_reduce
 from .polynomials import nullspace
 from .rationals import valuation
@@ -105,6 +106,12 @@ def iwahori_factor(mat: ExactMatrix):
     """Factor X = X_plus * X_minus with X_plus upper-triangular and X_minus
     lower-unipotent, by Schur complements from the bottom-right.
 
+    Step k clears row k of the working upper factor U left of its pivot by
+    the column operations col_j -= f_j col_k, f_j = U_kj / U_kk: right
+    multiplications by lower-unipotent factors, whose inverses X_minus
+    collects.  The steps run downward, so row j < k of X_minus is still e_j
+    at step k, and each inverse is the single write X_minus[k][j] = f_j.
+
     Requires the trailing principal minors to be units (which the Iwahori /
     Artinian hypotheses guarantee); works over any coefficient ring with
     exact division by those pivots.
@@ -114,25 +121,20 @@ def iwahori_factor(mat: ExactMatrix):
     one = zero + 1
     lower = [[one if i == j else zero for j in range(m)] for i in range(m)]
     upper = [list(r) for r in mat.rows]
+    unit = Fraction(1)
     for k in range(m - 1, -1, -1):  # k = 0 only tests the last pivot
         try:
-            piv_inv = Fraction(1) / upper[k][k]
+            piv_inv = unit / upper[k][k]
         except ZeroDivisionError:
             raise ZeroDivisionError("non-unit pivot in the factorization") from None
-        # clear the entries of row k left of the pivot by column operations
-        # (right multiplication by lower-unipotent factors)
-        factors = [upper[k][j] * piv_inv for j in range(k)]
         for j in range(k):
-            f = factors[j]
-            if not f:
+            if not upper[k][j]:
                 continue
+            f = upper[k][j] * piv_inv
             for i in range(m):
                 if upper[i][k]:
                     upper[i][j] = upper[i][j] - upper[i][k] * f
-            # record the inverse column operation in the lower-unipotent factor
-            for col in range(m):
-                if lower[j][col]:
-                    lower[k][col] = lower[k][col] + f * lower[j][col]
+            lower[k][j] = f
     return ExactMatrix(upper), ExactMatrix(lower)
 
 
@@ -141,21 +143,13 @@ def iwahori_diagonal_closed_form(sigma, ngens: int):
 
     For the matrix with entry t_i in position (i, sigma(i)) plus the
     identity, the diagonal of the upper factor is 1 except at each cycle
-    minimum, where it is 1 + sgn(cycle) * prod of the cycle's t's.
+    minimum, where it is 1 + sgn(cycle) * prod of the cycle's t's (a fixed
+    point is a cycle of length 1: its entry t sits on the diagonal itself).
     """
-    diag = [ArtinianElement.constant(ngens, 1) for _ in sigma]
+    nums = [{0: 1} for _ in sigma]
     for cyc in cycles([s - 1 for s in sigma]):
-        if len(cyc) == 1:
-            # fixed point: entry t on the diagonal itself
-            diag[cyc[0]] = diag[cyc[0]] + ArtinianElement.gen(ngens, cyc[0])
-            continue
-        sign = -1 if len(cyc) % 2 == 0 else 1
-        prod = ArtinianElement.constant(ngens, sign)
-        for k in cyc:
-            prod = prod * ArtinianElement.gen(ngens, k)
-        mpos = min(cyc)
-        diag[mpos] = diag[mpos] + prod
-    return diag
+        nums[min(cyc)][sum(1 << k for k in cyc)] = -1 if len(cyc) % 2 == 0 else 1
+    return [from_numerators(ngens, d, 1) for d in nums]
 
 
 def permuted_dual_matrix(sigma, ngens: int) -> ExactMatrix:
@@ -166,7 +160,7 @@ def permuted_dual_matrix(sigma, ngens: int) -> ExactMatrix:
     rows = [[one if i == j else zero for j in range(a)] for i in range(a)]
     for i in range(a):
         j = sigma[i] - 1
-        rows[i][j] = rows[i][j] + ArtinianElement.gen(ngens, i)
+        rows[i][j] = from_numerators(ngens, {0: 1, 1 << i: 1} if i == j else {1 << i: 1}, 1)
     return ExactMatrix(rows)
 
 
@@ -230,16 +224,18 @@ def gl2_index_enumeration(p: int, e: int, beta: int) -> int:
 
     A tuple with c not divisible by p^e, or with a or d not a unit, adds to
     neither count, so c runs over the multiples of p^e and a and d over the
-    units only: ((p - 1) p^(beta - 1))^2 p^(2 beta - e) tuples, each still
-    given its determinant test.
+    units only.  The determinant test reads ad and bc mod p alone, so the
+    tuples are counted by class: the pairs (a, d) by ad mod p once, and b
+    by bc mod p for each c, and the tuples with ad - bc a unit number
+    sum over s != r of #{ad = s} * #{bc = r}.
     """
     modulus = p ** beta
-    residues = range(modulus)
-    units = [u for u in residues if u % p]
+    units = [u for u in range(modulus) if u % p]
+    ad = Counter(a * d % p for a, d in iproduct(units, units))
     count_e = count_beta = 0
     for c in range(0, modulus, p ** e):
-        # the tuples (a, b, c, d) with a unit determinant
-        found = sum(1 for a, b, d in iproduct(units, residues, units) if (a * d - b * c) % p)
+        bc = Counter(b * c % p for b in range(modulus))
+        found = sum(ad[s] * bc[r] for s in ad for r in bc if s != r)
         count_e += found
         if c == 0:
             count_beta = found
@@ -433,14 +429,14 @@ def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> list:
     Elements are diag(A, B) with A congruent to a diagonal unit mod p^beta
     and B to its antidiagonal reversal.
     """
-    modulus = p ** M
+    modulus, pb, spread = p ** M, p ** beta, p ** (M - beta)
     w = list(range(n - 1, -1, -1))
     dvals = [rnd.randrange(1, modulus) for _ in range(n)]
     while any(d % p == 0 for d in dvals):
         dvals = [rnd.randrange(1, modulus) for _ in range(n)]
-    a = [[(dvals[i] if i == j else 0) + p ** beta * rnd.randrange(0, p ** (M - beta))
+    a = [[(dvals[i] if i == j else 0) + pb * rnd.randrange(spread)
           for j in range(n)] for i in range(n)]
-    b = [[(dvals[w[i]] if i == j else 0) + p ** beta * rnd.randrange(0, p ** (M - beta))
+    b = [[(dvals[w[i]] if i == j else 0) + pb * rnd.randrange(spread)
           for j in range(n)] for i in range(n)]
     return ([[x % modulus for x in row] + [0] * n for row in a]
             + [[0] * n + [x % modulus for x in row] for row in b])
@@ -487,7 +483,11 @@ def intersection_check(n: int, p: int, beta: int, samples: int, seed: int) -> di
 
 
 def similitude_congruence_check(n: int, p: int, beta: int, samples: int, seed: int) -> dict:
-    """det(B)/det(A) lies in 1 + p^beta Z_p on subgroup samples."""
+    """det(B)/det(A) lies in 1 + p^beta Z_p on subgroup samples.
+
+    The valuation of det B / det A - 1 is read in integers, as
+    v(det B - det A) - v(det A); det A is a p-unit by construction.
+    """
     rnd = random.Random(seed)
     M = beta + 2
     ok = 0
@@ -495,8 +495,8 @@ def similitude_congruence_check(n: int, p: int, beta: int, samples: int, seed: i
         h = sample_block_subgroup(n, p, beta, M, rnd)
         a = ExactMatrix([row[:n] for row in h[:n]])
         b = ExactMatrix([row[n:] for row in h[n:]])
-        ratio = Fraction(b.det(), a.det())
-        if valuation(ratio - 1, p) < beta:
+        det_a = a.det()
+        if valuation(b.det() - det_a, p) - valuation(det_a, p) < beta:
             return {"passed": False, "samples": ok}
         ok += 1
     return {"passed": True, "samples": ok}

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdesk.artinian import ArtinianElement, derivation_from_images
@@ -39,8 +39,21 @@ def _truncated(expr, gens) -> dict:
     return out
 
 
+_ONE = {frozenset(): Fraction(1)}
+_DEN6 = {frozenset(): Fraction(1, 6), frozenset([0]): Fraction(5, 6)}
+
+
 @given(_operands())
 @settings(max_examples=150, deadline=None)
+# an operand that is exactly 1, on either side of *
+@example((2, _ONE, {frozenset([0]): Fraction(3, 2), frozenset([1]): -2}, Fraction(1)))
+@example((3, {frozenset(): 2, frozenset([0, 2]): Fraction(5, 6)}, _ONE, Fraction(-1, 2)))
+@example((1, _ONE, _ONE, Fraction(1)))
+# equal denominators for -, and x - x
+@example((2, _DEN6, {frozenset(): Fraction(7, 6), frozenset([1]): Fraction(-1, 6)}, Fraction(2)))
+@example((2, _DEN6, {frozenset(): Fraction(1, 6), frozenset([1]): Fraction(5, 6)}, Fraction(3)))
+@example((3, {frozenset(): Fraction(2, 3), frozenset([0, 2]): Fraction(-1, 3)},
+          {frozenset(): Fraction(2, 3), frozenset([0, 2]): Fraction(-1, 3)}, Fraction(0)))
 def test_ring_operations_match_truncated_sympy_polynomials(operands):
     ngens, xt, yt, c = operands
     gens = sympy.symbols(f"T0:{ngens}")
@@ -111,6 +124,27 @@ def test_constants_hash_like_their_rationals():
         assert x == c and hash(x) == hash(c) and len({x, c}) == 1
     T0 = ArtinianElement.gen(2, 0)
     assert (T0 + 3) - T0 == 3 and hash((T0 + 3) - T0) == hash(3)
+
+
+def test_equality_with_scalars_and_across_rings():
+    for ngens in (0, 2):
+        for c in (3, 0, -1, Fraction(-5, 6)):
+            x = ArtinianElement.constant(ngens, c)
+            assert x == c and c == x and x == Fraction(c) and not x != c
+            assert (not x) == (c == 0)
+    T0 = ArtinianElement.gen(2, 0)
+    assert T0 and T0 != 0 and T0 != 1 and (T0 + 1) != 1
+    assert ArtinianElement.constant(2, Fraction(1, 2)) != 1
+    assert T0 != None and T0 != object()  # noqa: E711
+    # elements of different rings compare unequal without raising, but mix in no operator
+    one2, one3 = ArtinianElement.constant(2, 1), ArtinianElement.constant(3, 1)
+    assert one2 != one3 and not one2 == one3
+    assert T0 != ArtinianElement.gen(3, 0)
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="mixed Artinian rings"):
+            op(one2, one3)
+        with pytest.raises(ValueError, match="mixed Artinian rings"):
+            op(T0, one3)
 
 
 def _form(x):

@@ -91,6 +91,102 @@ def test_iwahori_factor_rational_and_error():
             iw.iwahori_factor(singular)
 
 
+def _row_operation_factor(mat):
+    """UL factors by the loop that records each inverse column operation as
+    a row operation over all m columns of the lower factor: the oracle for
+    the single write of `iwahori_factor`."""
+    m = mat.nrows
+    zero = mat.rows[0][0] - mat.rows[0][0]
+    one = zero + 1
+    lower = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    upper = [list(r) for r in mat.rows]
+    for k in range(m - 1, -1, -1):
+        piv_inv = Fraction(1) / upper[k][k]
+        factors = [upper[k][j] * piv_inv for j in range(k)]
+        for j in range(k):
+            f = factors[j]
+            if not f:
+                continue
+            for i in range(m):
+                if upper[i][k]:
+                    upper[i][j] = upper[i][j] - upper[i][k] * f
+            for col in range(m):
+                if lower[j][col]:
+                    lower[k][col] = lower[k][col] + f * lower[j][col]
+    return ExactMatrix(upper), ExactMatrix(lower)
+
+
+def _dense_fraction_matrices(rnd, count):
+    """Seeded dense Fraction matrices, 1 to 5 square, whose trailing principal minors are nonzero."""
+    out = []
+    while len(out) < count:
+        m = rnd.randint(1, 5)
+        mat = ExactMatrix([[Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for _ in range(m)]
+                           for _ in range(m)])
+        if all(ExactMatrix([r[k:] for r in mat.rows[k:]]).det() for k in range(m)):
+            out.append(mat)
+    return out
+
+
+def _unipotent_artinian_matrices(rnd, ngens, count):
+    """Seeded I + N over Q[T_1..T_a]/(T_i^2), every entry of N in the nilpotent ideal."""
+    monos = [frozenset(i for i in range(ngens) if mask >> i & 1) for mask in range(1, 1 << ngens)]
+    out = []
+    for _ in range(count):
+        m = rnd.randint(2, 4)
+        rows = []
+        for i in range(m):
+            row = []
+            for j in range(m):
+                terms = {mono: Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                         for mono in rnd.sample(monos, rnd.randint(0, 3))}
+                terms[frozenset()] = int(i == j)
+                row.append(ArtinianElement(ngens, terms))
+            rows.append(row)
+        out.append(ExactMatrix(rows))
+    return out
+
+
+def test_iwahori_factor_on_dense_and_nilpotent_matrices():
+    rnd = random.Random(37)
+    mats = (_dense_fraction_matrices(rnd, 40) + _unipotent_artinian_matrices(rnd, 3, 30)
+            + _unipotent_artinian_matrices(rnd, 4, 30))
+    reached = 0
+    for X in mats:
+        xp, xm = iw.iwahori_factor(X)
+        m = X.nrows
+        assert all(not xp.rows[i][j] for i in range(m) for j in range(i))
+        assert all(xm.rows[i][i] == 1 for i in range(m))
+        assert all(not xm.rows[i][j] for i in range(m) for j in range(i + 1, m))
+        assert xp * xm == X
+        assert (xp, xm) == _row_operation_factor(X)
+        reached += any(xm.rows[i][j] for i in range(m) for j in range(i))
+    # most draws give the lower factor a nonzero entry below its diagonal
+    assert reached > 60
+
+
+def test_factorization_check_work_is_bounded(monkeypatch):
+    # the suite's factorization loop at a_max = 5 makes 4,024 products and
+    # 533 sums; recording each inverse column operation across all columns
+    # of the lower factor makes 4,404 and 913, and the loop before the fast
+    # paths 5,954 and 2,884
+    from padicdesk.suites import run_iwahori_suite
+
+    counts = {"__mul__": 0, "__add__": 0}
+    for name in counts:
+        real = getattr(ArtinianElement, name)
+
+        def counting(self, other, real=real, name=name):
+            counts[name] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(ArtinianElement, name, counting)
+    report = run_iwahori_suite(2, 3, 1)
+    fact = next(c for c in report["checks"] if c["id"] == "iwahori.factorization_diagonal")
+    assert fact["passed"] and fact["a_max"] == 5
+    assert counts["__mul__"] <= 4200 and counts["__add__"] <= 700, counts
+
+
 def test_index_formula_and_enumeration():
     assert iw.iwahori_index_exponent(2, 2, 2) == 0
     assert iw.iwahori_index_exponent(2, 1, 2) == 6
@@ -114,7 +210,7 @@ def _old_gl2_counts(p, e, beta):
     return count_e, count_beta
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_gl2_enumeration_over_multiples_of_p_e_matches_the_full_loop(p):
     for e, beta in ((1, 1), (1, 2), (2, 2)):
         count_e, count_beta = _old_gl2_counts(p, e, beta)

@@ -65,6 +65,21 @@ def _iwahori(monkeypatch):
     return "iwahori.hecke_diagonal", {"nn": 3, "e": 1}
 
 
+def _iwahori_factor(monkeypatch):
+    # the lower factor loses its (1, 0) entry: nonzero from perm (2, 1) on,
+    # where X_10 = T_2
+    real = iwahori.iwahori_factor
+
+    def fault(mat):
+        xp, xm = real(mat)
+        if xm.nrows > 1:
+            xm.rows[1][0] = xm.rows[1][0] * 0
+        return xp, xm
+
+    monkeypatch.setattr(iwahori, "iwahori_factor", fault)
+    return "iwahori.factorization_diagonal", {"perm": [2, 1]}
+
+
 def _interp(monkeypatch):
     # every grid instance with n = 3
     real = suites.cpr_identity_check
@@ -79,8 +94,8 @@ def _interp(monkeypatch):
 
 @pytest.mark.parametrize("suite, fault", [
     ("mahler", _mahler), ("tate", _tate), ("rep", _rep),
-    ("uea", _uea), ("iwahori", _iwahori), ("interp", _interp),
-], ids=["mahler", "tate", "rep", "uea", "iwahori", "interp"])
+    ("uea", _uea), ("iwahori", _iwahori), ("iwahori", _iwahori_factor), ("interp", _interp),
+], ids=["mahler", "tate", "rep", "uea", "iwahori", "iwahori-factor", "interp"])
 def test_failing_check_names_its_first_failing_instance(suite, fault, monkeypatch, capsys):
     argv = ["--seed", "7", "verify", "--suite", suite]
     assert main(argv) == 0

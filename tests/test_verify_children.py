@@ -1,10 +1,10 @@
-"""`verify` with several suites runs them in forked children: same bytes as serial.
+"""`verify` with several suites runs them here and in forked children: same bytes as serial.
 
 Each case runs the same command twice in process: with two usable cores
-(`os.sched_getaffinity` patched to {0, 1}), so the suites run in children,
-and with one ({0}), which takes the serial loop.  stdout, the exit code and
-the --out/--csv files must be the same bytes, and no child may be left
-behind.  Faults are planted in a suite's mathematics before the fork, so the
+(`os.sched_getaffinity` patched to {0, 1}), so the suites run in this
+process and one child, and with one ({0}), which takes the serial loop.
+stdout, the exit code and the --out/--csv files must be the same bytes,
+and no child may be left behind.  Faults are planted in a suite's mathematics before the fork, so the
 children inherit them.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import padicdesk.cli as cli
-from padicdesk import mahler, suites
+from padicdesk import mahler, suites, tate
 from padicdesk.cli import main
 
 _SEED7 = "24dc05c9119254ea2ae9f9f618c87ca7c3ce96791b5c6205c443ae7192db51be"
@@ -109,16 +109,59 @@ def test_forked_internal_error_exits_4_with_its_type_and_message(capfd, monkeypa
 
 
 def test_child_killed_by_a_signal_exits_4_without_traceback(capfd, monkeypatch):
-    def killed(values, p, K=None):
+    parent = os.getpid()
+
+    def killed(k, f, deriv):  # tate, the heaviest suite, is the first child's first
+        if os.getpid() == parent:
+            raise AssertionError("tate ran in the parent process")
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(mahler, "mahler_coefficients", killed)
+    monkeypatch.setattr(tate, "binomial_of_derivation_direct", killed)
     code, out, err, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
                                     monkeypatch, 2)
     assert code == 4 and forks > 0 and err == ""
     assert json.loads(out) == {
         "error": "internal error", "type": "ChildProcessError",
-        "message": "suite mahler: its child process was killed by SIGKILL before reporting"}
+        "message": "suite tate: its child process was killed by SIGKILL before reporting"}
+
+
+def test_exception_in_the_parents_own_suite_keeps_its_type(capfd, monkeypatch):
+    def broken(*args):  # interp, the second heaviest, is this process's first suite
+        raise KeyError("planted in the interp suite")
+
+    monkeypatch.setattr(suites, "cpr_identity_check", broken)
+    code, out = _same_as_serial(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                monkeypatch)
+    assert code == 4
+    assert json.loads(out) == {"error": "internal error", "type": "KeyError",
+                               "message": "'planted in the interp suite'"}
+
+
+def test_each_suite_runs_once_and_this_process_takes_a_share(capfd, monkeypatch, tmp_path):
+    log, parent, real = tmp_path / "ran.txt", os.getpid(), cli._run_suite
+
+    def logged(name, args):
+        with open(log, "a") as fh:  # one short append per suite, from any process
+            fh.write(f"{name} {'here' if os.getpid() == parent else 'child'}\n")
+        return real(name, args)
+
+    monkeypatch.setattr(cli, "_run_suite", logged)
+    code, out, _, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                  monkeypatch, 2)
+    assert code == 0 and 0 < forks < 6
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEED7
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for name, _ in ran) == sorted(cli.SUITES)
+    here = [name for name, where in ran if where == "here"]
+    assert here[0] == "interp" and "tate" not in here  # the child starts with tate
+
+
+@pytest.mark.parametrize("cores", [3, 6, 8])
+def test_this_process_runs_a_suite_at_any_core_count(cores, capfd, monkeypatch):
+    code, out, _, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                  monkeypatch, cores)
+    assert code == 0 and 0 < forks < 6
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEED7
 
 
 def test_forked_report_larger_than_a_pipe_buffer(capfd, monkeypatch):
