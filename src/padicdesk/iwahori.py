@@ -8,13 +8,11 @@ conjugation `_conjugate` by the simple open-orbit form.  The depth-beta
 Iwahori subgroup consists of matrices congruent to upper-triangular mod
 p^beta with unit diagonal.
 
-The double-coset check solves and conjugates once per unit target, not
-once per representative: below depth (beta+1) the subgroup part and its
-conjugate are linear in the target.  The unit images C_r are 0 mod p^beta,
-so the residual factor is linear in the digits too, and one test per unit
-target settles all p^N representatives.  A wrong image, one that is not 0
-mod p^beta, voids that; the representatives then run in odometer order,
-each with its residual factor multiplied out and both full tests.
+The double-coset check is one scan over the unit targets, not over the
+representatives: below depth (beta+1) the subgroup part and its conjugate
+are linear in the target, the unit images C_r are 0 mod p^beta, so the
+residual factor is linear in the digits too, and one test per unit target
+settles all p^N representatives.
 """
 
 from __future__ import annotations
@@ -320,28 +318,22 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     target e_r, and give the images C_r = conj_r - I.  The residual factor
     is k = gh^-1 h^-1 gh x = (2I - conj) x.
 
-    The images are 0 mod p^beta, since gh is integral and h - I =
-    p^beta Y; this is checked once.  Mod p^(beta+1) that gives p C_r = 0
-    and C_r x = C_r, so at the representative with digits d_r,
-    conj = I + sum d_r C_r stays in the depth-beta Iwahori, and
-    k = I + sum d_r K_r with K_r = p^beta E_(a_r,b_r) - C_r, (a_r, b_r) the
-    position of digit r, keeps its diagonal 1 mod p.  Each K_r is 0 mod
-    p^beta, so the strict lower part of k is linear in the digits mod p:
-    every representative passes iff every unit target is solved and the
-    strict lower part of every K_r is 0 mod p^(beta+1).  In odometer order
-    (itertools.product order, last digit fastest) the first representative
-    to fail is p^(N-1-r), for the largest digit r that fails; so the digits
-    are scanned down from the last, and `checked` counts the
-    representatives before that one, or all p^N.
-
-    An image that is not 0 mod p^beta, which only a wrong solve or
-    conjugation gives, voids this.  Then the representatives run in
-    odometer order: every move of digit r, a wrap included, adds C_r to
-    conj, k = (2I - conj) x is multiplied out, and both full membership
-    tests run per representative; a unit target with no solution fails
-    when its digit first moves.  The first representative gets both full
-    tests either way.  Returns the verdict, the number of representatives
-    that passed and a detail line.
+    Since gh is integral and h - I = p^beta Y, every image is 0 mod p^beta.
+    Mod p^(beta+1) that gives p C_r = 0 and C_r x = C_r, so at the
+    representative with digits d_r, conj = I + sum d_r C_r stays in the
+    depth-beta Iwahori, and k = I + sum d_r K_r with
+    K_r = p^beta E_(a_r,b_r) - C_r, (a_r, b_r) the position of digit r,
+    keeps its diagonal 1 mod p.  Each K_r is 0 mod p^beta, so the strict
+    lower part of k is linear in the digits mod p: every representative
+    passes iff every unit target is solved, its image is 0 mod p^beta and
+    the strict lower part of its K_r is 0 mod p^(beta+1).  In odometer
+    order (itertools.product order, last digit fastest) digit r first
+    moves at representative p^(N-1-r), so the unit targets are scanned
+    down from the last, and the first that fails gives `checked`, the
+    number of representatives before that one; a pass counts all p^N.  An
+    image that is not 0 mod p^beta, which only a wrong solve or conjugation
+    gives, fails its digit with a detail of its own.  Returns the verdict,
+    the number of representatives that passed and a detail line.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1 for the closed-form inverse I - p^beta Y")
@@ -350,68 +342,21 @@ def double_coset_singleton(n: int, p: int, beta: int) -> dict:
     modulus = p ** (beta + 1)
     pb = p ** beta
     y_basis, lower_pos, solve = _subgroup_solver(n, p)
-
-    # the image C_r of each unit target, None when e_r is not reached
-    images = []
-    for r in range(nroots):
+    for r in range(nroots - 1, -1, -1):
+        failed = {"passed": False, "checked": p ** (nroots - 1 - r)}
         sol = solve([int(k == r) for k in range(nroots)])
         if sol is None:
-            images.append(None)
-            continue
+            return {**failed, "detail": "no connecting subgroup element for a representative"}
         h = [[int(i == j) for j in range(m)] for i in range(m)]
         for val, (yi, yj) in zip(sol, y_basis):
             h[yi][yj] += pb * val
-        images.append({(i, j): (v - (i == j)) % modulus
-                       for i, row in enumerate(_conjugate(h, n, modulus))
-                       for j, v in enumerate(row) if v != (i == j)})
-
-    conj = [[int(i == j) for j in range(m)] for i in range(m)]
-    checked = 0
-
-    def failed(detail):
-        return {"passed": False, "checked": checked, "detail": detail}
-
-    no_solution = "no connecting subgroup element for a representative"
-    conj_left = "witness conjugate left the depth-beta Iwahori"
-    k_left = "residual factor left the depth-(beta+1) Iwahori"
-    # the first representative, x = I, has conj = k = I
-    if not iwahori_member(conj, p, beta, modulus):
-        return failed(conj_left)
-    if not iwahori_member(conj, p, beta + 1, modulus):
-        return failed(k_left)
-    if all(v % pb == 0 for c in images if c for v in c.values()):
-        for r in range(nroots - 1, -1, -1):
-            checked = p ** (nroots - 1 - r)
-            if images[r] is None:
-                return failed(no_solution)
-            if any((pb * (pos == lower_pos[r]) - images[r].get(pos, 0)) % modulus
-                   for pos in lower_pos):
-                return failed(k_left)
-        checked = p ** nroots
-    else:
-        digits = [0] * nroots
-        while True:
-            checked += 1
-            # bump the last digit, carrying past each wrap
-            for r in range(nroots - 1, -1, -1):
-                if images[r] is None:
-                    return failed(no_solution)
-                for (i, j), val in images[r].items():
-                    conj[i][j] = (conj[i][j] + val) % modulus
-                digits[r] = (digits[r] + 1) % p
-                if digits[r]:
-                    break
-            else:
-                break
-            if not iwahori_member(conj, p, beta, modulus):
-                return failed(conj_left)
-            x = [[int(i == j) for j in range(m)] for i in range(m)]
-            for d, (a, b) in zip(digits, lower_pos):
-                x[a][b] = pb * d
-            k = _mod_mul([[2 * (i == j) - v for j, v in enumerate(row)]
-                          for i, row in enumerate(conj)], x, modulus)
-            if not iwahori_member(k, p, beta + 1, modulus):
-                return failed(k_left)
+        image = [[v - (i == j) for j, v in enumerate(row)]
+                 for i, row in enumerate(_conjugate(h, n, modulus))]
+        if any(v % pb for row in image for v in row):
+            return {**failed, "detail": "witness conjugate is not I mod p^beta"}
+        if any((pb * ((i, j) == lower_pos[r]) - image[i][j]) % modulus for i, j in lower_pos):
+            return {**failed, "detail": "residual factor left the depth-(beta+1) Iwahori"}
+    checked = p ** nroots
     return {"passed": True, "checked": checked,
             "detail": f"all {checked} representatives connected"}
 

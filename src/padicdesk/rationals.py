@@ -84,7 +84,7 @@ class RingOps:
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse() if other == 1 else self.inverse() * other
 
     def __pow__(self, k: int):
         """Square and multiply; a negative k raises the inverse, and k = 0 gives 1."""

@@ -593,7 +593,7 @@ def run_iwahori_suite(n: int = 2, p: int = 3, beta: int = 1, seed: int = 0) -> d
                     (p, n * (2 * n - 1)), "representatives")
     c.charge(p ** (n * (2 * n - 1)) * words ** 2, "word-products")
     rep = iw.double_coset_singleton(n, p, beta)
-    c.expect(rep["passed"])
+    c.expect(rep["passed"], detail=rep["detail"])
     c.note(checked=rep["checked"])
 
     ri = iw.intersection_check(n, p, beta, 200, seed)

@@ -166,10 +166,11 @@ def test_iwahori_factor_on_dense_and_nilpotent_matrices():
 
 
 def test_factorization_check_work_is_bounded(monkeypatch):
-    # the suite's factorization loop at a_max = 5 makes 4,024 products and
-    # 533 sums; recording each inverse column operation across all columns
-    # of the lower factor makes 4,404 and 913, and the loop before the fast
-    # paths 5,954 and 2,884
+    # the suite's factorization loop at a_max = 5 makes 3,305 products and
+    # 533 sums; a pivot inverse multiplied by the 1 it divides makes 4,024
+    # and 533, recording each inverse column operation across all columns
+    # of the lower factor 4,404 and 913, and the loop before the fast paths
+    # 5,954 and 2,884
     from padicdesk.suites import run_iwahori_suite
 
     counts = {"__mul__": 0, "__add__": 0}
@@ -184,7 +185,7 @@ def test_factorization_check_work_is_bounded(monkeypatch):
     report = run_iwahori_suite(2, 3, 1)
     fact = next(c for c in report["checks"] if c["id"] == "iwahori.factorization_diagonal")
     assert fact["passed"] and fact["a_max"] == 5
-    assert counts["__mul__"] <= 4200 and counts["__add__"] <= 700, counts
+    assert counts["__mul__"] <= 3500 and counts["__add__"] <= 700, counts
 
 
 def test_index_formula_and_enumeration():
@@ -362,9 +363,9 @@ def test_double_coset_solves_and_conjugates_once_per_unit_target(monkeypatch, n,
 
 
 def test_double_coset_work_does_not_grow_with_the_representatives(monkeypatch):
-    # the products run per unit target and the two full membership tests
-    # for the first representative only; the certificate settles the other
-    # representatives with one check per unit target
+    # the products run per unit target, and no full membership test runs:
+    # the certificate settles every representative with one check per unit
+    # target
     true_mod_mul, true_member = iw._mod_mul, iw.iwahori_member
 
     def calls(p):
@@ -385,11 +386,12 @@ def test_double_coset_work_does_not_grow_with_the_representatives(monkeypatch):
 
     at_3 = calls(3)
     assert at_3 == calls(5)
-    assert at_3["iwahori_member"] == 2
+    assert at_3["iwahori_member"] == 0
 
 
 _CONJ_LEFT = "witness conjugate left the depth-beta Iwahori"
 _K_LEFT = "residual factor left the depth-(beta+1) Iwahori"
+_NOT_I = "witness conjugate is not I mod p^beta"
 
 # (checked, detail) for each unit target r, as the enumeration with one
 # explicit product (2I - conj) x and two full membership tests per
@@ -411,12 +413,16 @@ def test_wrong_solution_for_the_slowest_digit_is_caught_after_a_carry(monkeypatc
     # coordinate ("solve"), or its conjugate mod p^(beta+1) off by one below
     # the diagonal ("conjugate") or on it ("diagonal").  e_r is first reached
     # at p^(nroots-1-r), after every faster digit has wrapped, and the
-    # failures there cover each branch of both membership tests.
+    # failures there cover each branch of both membership tests.  The
+    # certificate reads a moved conjugate as an image that is not 0 mod
+    # p^beta, and names that in place of the membership test it breaks.
     true_solver, true_conjugate = iw._subgroup_solver, iw._conjugate
     for (n, p, beta), modes in _TAMPERED_UNIT_PINS.items():
         m, nroots = 2 * n, n * (2 * n - 1)
         y_basis, _, solve = true_solver(n, p)
         for mode, (pinned_checked, detail) in modes.items():
+            if enumerate_ is iw.double_coset_singleton and mode != "solve":
+                detail = _NOT_I
             for r, checked in enumerate(pinned_checked):
                 unit = [int(k == r) for k in range(nroots)]
                 unit_h = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -450,20 +456,22 @@ def test_wrong_solution_for_the_slowest_digit_is_caught_after_a_carry(monkeypatc
                     (n, p, beta, mode, r)
 
 
-# sha256 of the JSON list of (passed, checked, detail) that the odometer
-# returned for the tampers of the test below when it updated conj, 2I - conj
-# and k through the unit images on every representative, carries included
-_TAMPERED_IMAGE_OUTCOMES = "5679e57d68956c2b71ea96197f2505996babd3fed329c5b934fb05398addeb39"
+# sha256 of the JSON list of (passed, checked, detail) for the tampers of
+# the test below.  A tamper that keeps its image 0 mod p^beta gives what the
+# odometer gave when it updated conj, 2I - conj and k through the unit
+# images on every representative, carries included; one that does not fails
+# at the first representative its digit moves, no later than the odometer.
+_TAMPERED_IMAGE_OUTCOMES = "a875d7bf662521d0d333d3549530466fcbb688387b866522c006fe957e13e918"
 
 
 def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch):
     # every entry of every unit image mod p^(beta+1) is moved by +1, -1, p
     # and p^beta (at (2, 5, 1) only the fastest digit's): some moves break
-    # the premise C = 0 mod p^beta of the certificate, which sends the
-    # enumeration to its recompute mode, some keep it and some keep the
-    # representatives connected.  The per-representative loop is no oracle
-    # here: it tampers the exact unit h only, not the sums of unit images
-    # that conj is made of; `_image_sum_oracle` below is one.
+    # the premise C = 0 mod p^beta of the certificate, which fails the
+    # check at that digit, some keep it and some keep the representatives
+    # connected.  The per-representative loop is no oracle here: it tampers
+    # the exact unit h only, not the sums of unit images that conj is made
+    # of; `_image_sum_oracle` below is one.
     true_conjugate = iw._conjugate
     outcomes = []
     for (n, p, beta), fastest_only in [((2, 3, 1), False), ((2, 3, 2), False),
@@ -490,12 +498,12 @@ def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch
     assert digest == _TAMPERED_IMAGE_OUTCOMES
 
     # a slower image moved by 2 or 3 on the diagonal entry (a, a) of the
-    # fastest digit's position (a, b) keeps both diagonals units mod 5 at
-    # its first digit, and moves p^beta times column a of 2I - conj, which
-    # each later move of the fastest digit adds to k
+    # fastest digit's position (a, b) keeps both diagonals units mod 5, so
+    # no membership test fails at its digit's first representative; the
+    # image is not 0 mod p^beta, which fails the digit there
     y_basis, lower_pos, solve = iw._subgroup_solver(2, 5)
     a = lower_pos[-1][0]
-    for r, checked in enumerate([3126, 626, 126, 25, 5]):
+    for r, checked in enumerate([3125, 625, 125, 25, 5]):
         unit_h = [[int(i == j) for j in range(4)] for i in range(4)]
         for val, (yi, yj) in zip(solve([int(k == r) for k in range(6)]), y_basis):
             unit_h[yi][yj] += 5 * val
@@ -508,7 +516,7 @@ def test_odometer_fast_step_matches_the_general_step_under_tampering(monkeypatch
 
             monkeypatch.setattr(iw, "_conjugate", tampered)
             assert iw.double_coset_singleton(2, 5, 1) == \
-                {"passed": False, "checked": checked, "detail": _K_LEFT}, (r, delta)
+                {"passed": False, "checked": checked, "detail": _NOT_I}, (r, delta)
 
 
 def _image_sum_oracle(n, p, beta, images):
@@ -552,16 +560,17 @@ def _image_sum_oracle(n, p, beta, images):
 def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch):
     # seeded tampers of 1-3 entries across the unit images, by +-1, +-p,
     # p^beta or a random residue, and now and then a unit target with no
-    # solution: the certificate (every image still 0 mod p^beta) and the
-    # recompute mode must both give the oracle's verdict, count and detail
+    # solution.  While every image is still 0 mod p^beta the certificate
+    # must give the oracle's verdict, count and detail.  An image that is
+    # not fails the check at the first representative its digit moves, or
+    # earlier, where the oracle fails: never later than the oracle
     true_solver, true_conjugate = iw._subgroup_solver, iw._conjugate
     configs = [(2, 3, 1), (2, 3, 2), (2, 2, 2), (2, 2, 3)]
 
     def enumerate_tampered(n, p, beta, tampers, missing):
         # each (r, i, j, delta) moves entry (i, j) of the conjugate of unit
         # target r, and the unit targets in `missing` get no solution;
-        # returns the result, which must be the oracle's, and whether every
-        # image stays 0 mod p^beta
+        # returns the result and whether every image stays 0 mod p^beta
         m, nroots, modulus = 2 * n, n * (2 * n - 1), p ** (beta + 1)
         y_basis, _, solve = true_solver(n, p)
         tampered = {}
@@ -591,11 +600,24 @@ def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch)
         monkeypatch.setattr(iw, "_subgroup_solver", solver)
         monkeypatch.setattr(iw, "_conjugate", conjugate)
         rep = iw.double_coset_singleton(n, p, beta)
-        assert rep == _image_sum_oracle(n, p, beta, images), (n, p, beta, tampers, missing)
-        return rep, all(v % p ** beta == 0 for c in images if c for row in c for v in row)
+        oracle = _image_sum_oracle(n, p, beta, images)
+        broken = [r for r, c in enumerate(images)
+                  if c and any(v % p ** beta for row in c for v in row)]
+        if broken:
+            # the largest digit whose image breaks the premise first moves at
+            # representative p^(nroots-1-r); the oracle fails before that
+            # only where a faster digit fails for another reason
+            first = p ** (nroots - 1 - broken[-1])
+            expected = oracle if oracle["checked"] < first else \
+                {"passed": False, "checked": first, "detail": _NOT_I}
+            assert rep["checked"] <= oracle["checked"]
+        else:
+            expected = oracle
+        assert rep == expected, (n, p, beta, tampers, missing)
+        return rep, not broken
 
     rnd = random.Random(34)
-    outcomes = {"certificate": set(), "recompute": set()}
+    outcomes = {"certificate": set(), "broken": set()}
     for case in range(160):
         n, p, beta = configs[case % 4]
         m, nroots, modulus = 2 * n, n * (2 * n - 1), p ** (beta + 1)
@@ -606,11 +628,13 @@ def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch)
             tampers.append((r, i, j, delta))
         missing = [rnd.randrange(nroots)] if rnd.random() < 0.1 else []
         rep, exact = enumerate_tampered(n, p, beta, tampers, missing)
-        outcomes["certificate" if exact else "recompute"].add(rep["detail"].split()[0])
-    # both modes reach a pass and a failure of each membership test, and a
-    # missing image is caught
-    assert outcomes["certificate"] >= {"all", "residual", "no"}
-    assert outcomes["recompute"] >= {"all", "witness", "residual"}
+        outcomes["certificate" if exact else "broken"].add(rep["detail"])
+    # the certificate reaches a pass, a residual factor that fails and a
+    # missing image; a broken premise never passes, and is named itself
+    # unless a faster digit fails first
+    assert {d.split()[0] for d in outcomes["certificate"]} >= {"all", "residual", "no"}
+    assert outcomes["broken"] == {_NOT_I, _K_LEFT,
+                                  "no connecting subgroup element for a representative"}
 
     # a second draw keeps the premise: the deltas are multiples of p^beta and
     # one or two unit targets have no solution, so the certificate fails each
@@ -633,7 +657,9 @@ def test_odometer_matches_the_image_sum_oracle_under_random_tampers(monkeypatch)
 @pytest.mark.parametrize("enumerate_", [iw.double_coset_singleton, _per_representative_loop])
 def test_wrong_conjugate_is_caught(monkeypatch, enumerate_):
     # a conjugation mod p^(beta+1) off by one below the diagonal for every
-    # h but the identity; the solver's conjugations mod p are left alone
+    # h but the identity; the solver's conjugations mod p are left alone.
+    # The certificate names the image that is not 0 mod p^beta, the
+    # per-representative loop the membership test that the conjugate fails
     true_conjugate = iw._conjugate
 
     def tampered(h, n, modulus):
@@ -647,7 +673,7 @@ def test_wrong_conjugate_is_caught(monkeypatch, enumerate_):
     rep = enumerate_(2, 3, 1)
     assert rep["passed"] is False
     assert rep["checked"] == 1
-    assert rep["detail"] == "witness conjugate left the depth-beta Iwahori"
+    assert rep["detail"] == (_NOT_I if enumerate_ is iw.double_coset_singleton else _CONJ_LEFT)
 
 
 def test_double_coset_wrong_solution_is_caught(monkeypatch):

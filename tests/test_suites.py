@@ -3,7 +3,8 @@
 Each case puts a fault into one check of a suite, one that hits at least two
 of its instances, and compares the `--seed 7` report with the passing one.
 Every other entry must be unchanged: a check never stops at a failure, so
-the random draws of the checks after it stay where they were.
+the random draws of the checks after it stay where they were.  A case may
+name note fields of its check, with the values the fault gives them.
 """
 
 import json
@@ -80,6 +81,27 @@ def _iwahori_factor(monkeypatch):
     return "iwahori.factorization_diagonal", {"perm": [2, 1]}
 
 
+def _iwahori_double_coset(monkeypatch):
+    # the image of unit target r = 3 moves by 1 at (1, 0) mod p^(beta+1), at
+    # the seed's p = 3, n = 2, beta = 1: digit 3 first moves at
+    # representative 3^(6-1-3) = 9, and every later one uses the image
+    real = iwahori._conjugate
+    y_basis, _, solve = iwahori._subgroup_solver(2, 3)
+    unit_h = [[int(i == j) for j in range(4)] for i in range(4)]
+    for val, (yi, yj) in zip(solve([int(k == 3) for k in range(6)]), y_basis):
+        unit_h[yi][yj] += 3 * val
+
+    def fault(h, n, modulus):
+        conj = real(h, n, modulus)
+        if modulus == 9 and h == unit_h:
+            conj[1][0] = (conj[1][0] + 1) % 9
+        return conj
+
+    monkeypatch.setattr(iwahori, "_conjugate", fault)
+    return ("iwahori.double_coset_singleton",
+            {"detail": "witness conjugate is not I mod p^beta"}, {"checked": 9})
+
+
 def _interp(monkeypatch):
     # every grid instance with n = 3
     real = suites.cpr_identity_check
@@ -93,14 +115,17 @@ def _interp(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, fault", [
-    ("mahler", _mahler), ("tate", _tate), ("rep", _rep),
-    ("uea", _uea), ("iwahori", _iwahori), ("iwahori", _iwahori_factor), ("interp", _interp),
-], ids=["mahler", "tate", "rep", "uea", "iwahori", "iwahori-factor", "interp"])
+    ("mahler", _mahler), ("tate", _tate), ("rep", _rep), ("uea", _uea),
+    ("iwahori", _iwahori), ("iwahori", _iwahori_factor), ("iwahori", _iwahori_double_coset),
+    ("interp", _interp),
+], ids=["mahler", "tate", "rep", "uea", "iwahori", "iwahori-factor", "iwahori-double-coset",
+        "interp"])
 def test_failing_check_names_its_first_failing_instance(suite, fault, monkeypatch, capsys):
     argv = ["--seed", "7", "verify", "--suite", suite]
     assert main(argv) == 0
     passing = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
-    cid, first = fault(monkeypatch)
+    cid, first, *notes = fault(monkeypatch)
+    notes = notes[0] if notes else {}
     assert main(argv) == 1
     failing = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
     assert [c["id"] for c in failing] == [c["id"] for c in passing]
@@ -108,6 +133,7 @@ def test_failing_check_names_its_first_failing_instance(suite, fault, monkeypatc
         if after["id"] == cid:
             witness = after.pop("first_failure")
             assert {key: witness.get(key) for key in first} == first
-            assert after == {**before, "passed": False}
+            assert all(before[key] != value for key, value in notes.items())
+            assert after == {**before, "passed": False, **notes}
         else:
             assert after == before
