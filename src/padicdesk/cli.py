@@ -8,7 +8,8 @@ mathematical check failed, 2 a resource budget was exceeded, 3 bad input
 exception, reported as {"error": "internal error", "type": ..., "message":
 ...} on stdout with no traceback.  `--budget` is set once per call, for
 `work.charge`.  Several suites on several cores run here and in forked
-children (`_forked`); only this process writes, exactly as the serial loop.
+children, each process taking its next suite from one shared queue
+(`_forked`); only this process writes, exactly as the serial loop.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ class _ChildError(Exception):
 
 
 # the order suites start in: the longest first, so none is left to run alone
-_HEAVIEST_FIRST = ("tate", "interp", "iwahori", "rep", "uea", "mahler")
+_HEAVIEST_FIRST = ("tate", "interp", "rep", "uea", "iwahori", "mahler")
 
 
 def _workers(names) -> int:
@@ -266,23 +267,33 @@ def _outcome(name: str, args):
         return None, err
 
 
-def _child(name: str, args, write_fd: int) -> None:
-    """In a forked child: run suite `name`, send its outcome down `write_fd`, exit.
+def _child(queue, first: int, tasks: int, args, write_fd: int) -> None:
+    """In a forked child: run suite `queue[first]`, then each suite whose index it
+    reads from the task pipe `tasks`, until that is empty; then exit.
 
-    The outcome is (report, None), or (None, the exception to raise in the
-    parent): the BudgetExceeded itself, or any other exception as a
-    `_ChildError`.  `os._exit` runs no atexit hook and flushes no stdio
-    inherited from the parent.
+    Down `write_fd` it sends each suite's index (one byte) before running it,
+    so that the parent can name the suite a death cuts short, and then its
+    outcome as an 8-byte length and a pickle: (report, None), or (None, the
+    exception to raise in the parent): the BudgetExceeded itself, or any other
+    exception as a `_ChildError`.  `os._exit` runs no atexit hook and flushes
+    no stdio inherited from the parent.
     """
     status = 1
     try:
         import pickle
 
-        report, err = _outcome(name, args)
-        if err is not None and not isinstance(err, work.BudgetExceeded):
-            err = _ChildError(type(err).__name__, str(err))
+        index = bytes([first])
         with open(write_fd, "wb") as fh:
-            pickle.dump((report, err), fh, pickle.HIGHEST_PROTOCOL)
+            while index:
+                fh.write(index)
+                fh.flush()
+                report, err = _outcome(queue[index[0]], args)
+                if err is not None and not isinstance(err, work.BudgetExceeded):
+                    err = _ChildError(type(err).__name__, str(err))
+                data = pickle.dumps((report, err), pickle.HIGHEST_PROTOCOL)
+                fh.write(len(data).to_bytes(8, "big") + data)
+                fh.flush()
+                index = os.read(tasks, 1)  # one byte: atomic, no suite is taken twice
         status = 0
     finally:
         os._exit(status)
@@ -291,61 +302,79 @@ def _child(name: str, args, write_fd: int) -> None:
 def _forked(names, args, workers: int):
     """The suites' reports in the order of `names`, run here and in forked children.
 
-    At most `workers - 1` children are alive at once; while all are, this
-    process runs the next suite itself.  A suite's budget exit or exception
-    is raised at its turn, as the serial loop would raise it, and the
-    children still running are killed: they would not be run serially.
-    Every child is reaped before this generator ends, however it ends.  The
-    pipes are read between this process's own suites and while it waits.
+    The suites form one queue, the heaviest first.  Each of the `workers - 1`
+    children is forked once with its first suite; the rest wait in a task
+    pipe, one byte each, from which every process, this one included, takes
+    its next suite as soon as it is free.  Between its own suites this
+    process reads the children's pipes, and it waits on them only when the
+    queue is empty.  A suite's budget exit or exception is raised at its
+    turn, as the serial loop would raise it, and the children still running
+    are killed: they would not be run serially.  Every child is reaped
+    before this generator ends, however it ends.
     """
     import pickle
     import selectors
     import signal
 
     queue = sorted(names, key=_HEAVIEST_FIRST.index)
-    live, done = {}, {}  # read fd -> [name, pid, chunks]; name -> outcome
+    tasks, task_end = os.pipe()
+    os.write(task_end, bytes(range(workers - 1, len(queue))))
+    os.close(task_end)  # so a read from the empty queue returns b"" at once
+    live, done = {}, {}  # read fd -> [pid, unread bytes]; name -> outcome
+    how = ""  # how the last child to die abnormally died
     selector = selectors.DefaultSelector()
+
+    def died(suite):
+        return None, _ChildError("ChildProcessError",
+                                 f"suite {suite}: its child process {how} before reporting")
+
     try:
+        for first in range(workers - 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(queue, first, tasks, args, write_fd)
+            live[read_fd] = [pid, bytearray()]
+            os.close(write_fd)
+            selector.register(read_fd, selectors.EVENT_READ)
         for name in names:
             while name not in done:
-                while queue and len(live) < workers - 1:
-                    read_fd, write_fd = os.pipe()
-                    pid = os.fork()
-                    if pid == 0:
-                        _child(queue[0], args, write_fd)
-                    live[read_fd] = [queue.pop(0), pid, []]
-                    os.close(write_fd)
-                    selector.register(read_fd, selectors.EVENT_READ)
-                own = queue.pop(0) if queue else None  # every child slot is busy
+                own = os.read(tasks, 1)
                 if own:
-                    done[own] = _outcome(own, args)
+                    done[queue[own[0]]] = _outcome(queue[own[0]], args)
+                elif not live:  # its child died between taking it and naming it
+                    done[name] = died(name)
+                    continue
                 for key, _ in selector.select(0 if own else None):
-                    suite, pid, chunks = live[key.fd]
+                    pid, unread = live[key.fd]
                     chunk = os.read(key.fd, 1 << 16)
+                    unread += chunk
+                    while len(unread) > 8 and len(unread) >= (
+                            end := 9 + int.from_bytes(unread[1:9], "big")):
+                        done[queue[unread[0]]] = pickle.loads(unread[9:end])
+                        del unread[:end]
                     if chunk:
-                        chunks.append(chunk)
                         continue
                     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     del live[key.fd]
                     selector.unregister(key.fd)
                     os.close(key.fd)
                     if status == 0:
-                        done[suite] = pickle.loads(b"".join(chunks))
                         continue
                     how = (f"was killed by {signal.Signals(-status).name}" if status < 0
                            else f"exited with status {status}")
-                    done[suite] = (None, _ChildError(
-                        "ChildProcessError", f"suite {suite}: its child process {how} before"
-                        " reporting"))
+                    if unread:  # the index of the suite it died in
+                        done[queue[unread[0]]] = died(queue[unread[0]])
             report, err = done[name]
             if err is not None:
                 raise err
             yield report
     finally:
-        for read_fd, (_, pid, _) in live.items():
+        for read_fd, (pid, _) in live.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_fd)
+        os.close(tasks)
         selector.close()
 
 

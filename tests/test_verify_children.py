@@ -16,6 +16,8 @@ import signal
 import subprocess
 import sys
 import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -148,7 +150,7 @@ def test_each_suite_runs_once_and_this_process_takes_a_share(capfd, monkeypatch,
     monkeypatch.setattr(cli, "_run_suite", logged)
     code, out, _, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
                                   monkeypatch, 2)
-    assert code == 0 and 0 < forks < 6
+    assert code == 0 and forks == 1
     assert hashlib.sha256(out.encode()).hexdigest() == _SEED7
     ran = [line.split() for line in log.read_text().splitlines()]
     assert sorted(name for name, _ in ran) == sorted(cli.SUITES)
@@ -156,12 +158,124 @@ def test_each_suite_runs_once_and_this_process_takes_a_share(capfd, monkeypatch,
     assert here[0] == "interp" and "tate" not in here  # the child starts with tate
 
 
+def test_the_start_order_names_every_suite_once():
+    assert sorted(cli._HEAVIEST_FIRST) == sorted(cli.SUITES)
+
+
+def _children_starts(log, parent):
+    """How many suites each child has started, by process id, from the lines of `log`."""
+    lines = log.read_text().split() if log.exists() else []
+    return Counter(pid for pid in lines[1::2] if pid != str(parent))
+
+
+def _interp_waits(monkeypatch, log, until=None, kill_second=False):
+    """Patch `cli._run_suite` to append "<suite> <pid>" to `log` as any process starts a
+    suite.  This process's first suite, interp, first waits up to 5 s for `until()`,
+    by default for a child to start its second suite; the returned list gets whether
+    it came.  With `kill_second` a child kills itself by SIGKILL as it starts its
+    second suite."""
+    parent, real, waits = os.getpid(), cli._run_suite, []
+    until = until or (lambda: max(_children_starts(log, parent).values(), default=0) > 1)
+
+    def logged(name, args):
+        with open(log, "a") as fh:  # one short append per suite, from any process
+            fh.write(f"{name} {os.getpid()}\n")
+        if os.getpid() == parent and name == "interp":
+            deadline = time.monotonic() + 5
+            while not until() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            waits.append(until())
+        elif kill_second and _children_starts(log, parent)[str(os.getpid())] == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(name, args)
+
+    monkeypatch.setattr(cli, "_run_suite", logged)
+    return waits
+
+
+def test_a_child_that_finishes_a_suite_takes_the_next(capfd, monkeypatch, tmp_path):
+    waits = _interp_waits(monkeypatch, tmp_path / "ran.txt")
+    code, out, _, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                  monkeypatch, 2)
+    assert waits == [True]  # the child started its second suite while interp ran here
+    assert code == 0 and forks == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == _SEED7
+
+
+def test_child_killed_in_its_second_suite_names_that_suite(capfd, monkeypatch, tmp_path):
+    log, parent = tmp_path / "ran.txt", os.getpid()
+    waits = _interp_waits(monkeypatch, log, kill_second=True)
+    code, out, err, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                    monkeypatch, 2)
+    ran = [line.split() for line in log.read_text().splitlines()]
+    child = [name for name, pid in ran if pid != str(parent)]
+    assert waits == [True] and child[0] == "tate" and len(child) == 2
+    assert code == 4 and forks == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "internal error", "type": "ChildProcessError",
+        "message": f"suite {child[1]}: its child process was killed by SIGKILL before"
+                   " reporting"}
+
+
+def test_child_killed_before_naming_the_suite_it_took(capfd, monkeypatch, tmp_path):
+    log, taken, parent, real_read = tmp_path / "ran.txt", tmp_path / "taken", os.getpid(), \
+        os.read
+
+    def read(fd, n):
+        data = real_read(fd, n)
+        if n == 1 and data and os.getpid() != parent:  # a child takes a suite from the queue
+            taken.write_bytes(data)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return data
+
+    monkeypatch.setattr(os, "read", read)
+    waits = _interp_waits(monkeypatch, log, taken.exists)
+    code, out, err, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                    monkeypatch, 2)
+    lost = cli._HEAVIEST_FIRST[taken.read_bytes()[0]]  # the queue is in this order
+    assert waits == [True] and lost != "tate"
+    assert lost not in [line.split()[0] for line in log.read_text().splitlines()]
+    assert code == 4 and forks == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "internal error", "type": "ChildProcessError",
+        "message": f"suite {lost}: its child process was killed by SIGKILL before reporting"}
+
+
+def test_a_death_is_named_at_its_turn_while_other_children_run(capfd, monkeypatch):
+    parent, real = os.getpid(), cli._run_suite
+
+    def planted(name, args):  # three cores: tate and interp start in the two children
+        if os.getpid() != parent and name == "tate":
+            time.sleep(20)  # killed with the run long before this ends
+        elif os.getpid() != parent and name == "interp":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(name, args)
+
+    monkeypatch.setattr(cli, "_run_suite", planted)
+    start = time.monotonic()
+    code, out, err, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
+                                    monkeypatch, 3)
+    assert time.monotonic() - start < 10  # the index interp's child sent names it at once
+    assert code == 4 and forks == 2 and err == ""
+    assert json.loads(out)["message"] == ("suite interp: its child process was killed by"
+                                          " SIGKILL before reporting")
+
+
 @pytest.mark.parametrize("cores", [3, 6, 8])
-def test_this_process_runs_a_suite_at_any_core_count(cores, capfd, monkeypatch):
+def test_this_process_runs_a_suite_at_any_core_count(cores, capfd, monkeypatch, tmp_path):
+    log, real = tmp_path / "ran.txt", cli._run_suite
+
+    def logged(name, args):
+        with open(log, "a") as fh:  # one short append per suite, from any process
+            fh.write(f"{name}\n")
+        return real(name, args)
+
+    monkeypatch.setattr(cli, "_run_suite", logged)
     code, out, _, _, forks = _run(["--seed", "7", "verify", "--suite", "all"], capfd,
                                   monkeypatch, cores)
-    assert code == 0 and 0 < forks < 6
+    assert code == 0 and forks == min(cores, 6) - 1  # each child is forked once
     assert hashlib.sha256(out.encode()).hexdigest() == _SEED7
+    assert sorted(log.read_text().split()) == sorted(cli.SUITES)  # none taken twice
 
 
 def test_forked_report_larger_than_a_pipe_buffer(capfd, monkeypatch):
