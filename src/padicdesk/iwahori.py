@@ -367,24 +367,41 @@ def residue_words(p: int, beta: int) -> int:
     return -(-(beta + 2) * (p ** 16).bit_length() // 16) // 64 + 1
 
 
+def _nth_unit(r: int, p: int) -> int:
+    """The r-th positive integer prime to p, from r = 0: below p^M these
+    are the units mod p^M, one for each r < p^M - p^(M-1)."""
+    return r + r // (p - 1) + 1
+
+
 def sample_block_subgroup(n: int, p: int, beta: int, M: int, rnd) -> list:
     """A random element of the conjugated-subgroup intersection with the blocks,
     as int rows mod p^M.
 
-    Elements are diag(A, B) with A congruent to a diagonal unit mod p^beta
-    and B to its antidiagonal reversal.
+    Elements are diag(A, B) with A = diag(d) + p^beta X and B = W diag(d) W
+    + p^beta Y mod p^M, W the n x n antidiagonal: d uniform over n-tuples
+    of units mod p^M and the 2n^2 entries of X, Y uniform mod p^(M-beta),
+    all independent.  One `rnd.randrange` draw below phi^n s^(2n^2), with
+    phi = p^M - p^(M-1) and s = p^(M-beta), gives them all: its n lowest
+    base-phi digits r give the units `_nth_unit(r, p)`, and the next 2n^2
+    base-s digits are the entries of X and then of Y, row by row.
     """
     modulus, pb, spread = p ** M, p ** beta, p ** (M - beta)
-    w = list(range(n - 1, -1, -1))
-    dvals = [rnd.randrange(1, modulus) for _ in range(n)]
-    while any(d % p == 0 for d in dvals):
-        dvals = [rnd.randrange(1, modulus) for _ in range(n)]
-    a = [[(dvals[i] if i == j else 0) + pb * rnd.randrange(spread)
-          for j in range(n)] for i in range(n)]
-    b = [[(dvals[w[i]] if i == j else 0) + pb * rnd.randrange(spread)
-          for j in range(n)] for i in range(n)]
-    return ([[x % modulus for x in row] + [0] * n for row in a]
-            + [[0] * n + [x % modulus for x in row] for row in b])
+    phi = modulus - modulus // p
+    x = rnd.randrange(phi ** n * spread ** (2 * n * n))
+    dvals = []
+    for _ in range(n):
+        x, r = divmod(x, phi)
+        dvals.append(_nth_unit(r, p))
+    rows = []
+    for i in range(2 * n):
+        row = []
+        for _ in range(n):
+            x, off = divmod(x, spread)
+            row.append(pb * off)
+        d = dvals[i] if i < n else dvals[2 * n - 1 - i]
+        row[i % n] = (row[i % n] + d) % modulus
+        rows.append(row + [0] * n if i < n else [0] * n + row)
+    return rows
 
 
 def intrinsic_subgroup_member(h: list, n: int, p: int, depth: int) -> bool:

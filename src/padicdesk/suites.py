@@ -25,7 +25,7 @@ from . import iwahori as iw
 from . import mahler
 from . import tate
 from . import work
-from .artinian import ArtinianElement, derivation_from_images
+from .artinian import ArtinianElement, derivation_from_images, from_numerators
 from .characters import PCharacter, gauss_sum
 from .cyclotomic import CyclotomicElement
 from .glrep import (GLBlockModel, WeightData, cone_decompose, cone_reconstruct,
@@ -163,6 +163,12 @@ def run_mahler_suite(p: int = 3, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _random_unit(ngens: int, rnd) -> ArtinianElement:
+    """1 + sum of c_t T_t, each c_t drawn from -2..2 in the order of t."""
+    return from_numerators(ngens, {0: 1, **{1 << t: rnd.randrange(-2, 3)
+                                            for t in range(ngens)}}, 1)
+
+
 def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12) -> dict:
     suite = Suite("tate")
     rnd = random.Random(seed)
@@ -187,9 +193,7 @@ def run_tate_suite(p: int = 3, seed: int = 0, k_max: int = 8, dmax: int = 12) ->
         for lam in lam_values:
             der = tate.ShiftDerivation(base, lam)
             for k, a, b in closed_calls:
-                s = ArtinianElement.constant(ngens, 1)
-                for t in range(ngens):
-                    s = s + ArtinianElement.gen(ngens, t) * rnd.randrange(-2, 3)
+                s = _random_unit(ngens, rnd)
                 closed = tate.binomial_of_derivation_closed(k, s, a, b, der, dmax)
                 f = tate.TateSeries.monomial(ngens, dmax, s, a, b)
                 direct = tate.binomial_of_derivation_direct(k, f, der)

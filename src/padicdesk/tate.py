@@ -6,8 +6,9 @@ the derivation are computed two ways: by direct iteration, and by the
 closed combinatorial formula over subset patterns; the two must agree
 exactly on the truncation, both run on integers over one denominator.  The
 epsilon-analytic bounds run the binomial recurrence of a matrix operator
-over sparse rows {col: Fraction}: the derivation matrices are almost all
-zeros (70 nonzeros of 3,136 at 56x56).
+over sparse integer rows {col: int}, its numerators over the powers of the
+operator's common denominator: the derivation matrices are almost all zeros
+(70 nonzeros of 3,136 at 56x56).
 
 Norms are exact exponents (p^e with e rational, -inf for zero).
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .artinian import ArtinianElement, from_numerators
 from .matrices import ExactMatrix
@@ -250,13 +251,15 @@ def binomial_operator_recursion_check(k: int, f: TateSeries, deriv: ShiftDerivat
 # epsilon-analytic bounds for matrix operators
 
 
-def matrix_min_valuation(rows, p: int):
-    """Least p-adic valuation over the entries of sparse rows {col: value}."""
-    return min((valuation(c, p) for row in rows for c in row.values()), default=INF)
-
-
 def _sparse_rows(T: ExactMatrix) -> list:
     return [{j: e for j, e in enumerate(row) if e} for row in T.rows]
+
+
+def _integer_rows(T: ExactMatrix) -> tuple:
+    """(N, D) with T = N / D, D the common denominator of T and N as sparse int rows."""
+    t_rows = _sparse_rows(T)
+    den = lcm(*(ratio(x)[1] for row in t_rows for x in row.values()))
+    return [{j: int(x * den) for j, x in row.items()} for row in t_rows], den
 
 
 def epsilon_action_work(T: ExactMatrix, K: int) -> int:
@@ -286,12 +289,11 @@ def epsilon_action_words(T: ExactMatrix, K: int) -> int:
 
     With D the common denominator of T and R the largest absolute row sum of
     D T, an entry of binom(T, k) is an integer of absolute value at most
-    prod_(i<k) (R + i D) over D^k k!, so k (bitlen(R + k D) + bitlen(D) +
-    bitlen(k)) bits hold it.  This sums over the K steps: charge `epsilon_action_work` first.
+    prod_(i<k) (R + i D) (the recurrence's F_k) over D^k k!, so
+    k (bitlen(R + k D) + bitlen(D) + bitlen(k)) bits hold it.  This sums over the K steps: charge `epsilon_action_work` first.
     """
-    t_rows = _sparse_rows(T)
-    den = lcm(*(ratio(x)[1] for row in t_rows for x in row.values()))
-    rows = int(max((sum(abs(x) for x in row.values()) for row in t_rows), default=0) * den)
+    n_rows, den = _integer_rows(T)
+    rows = max((sum(map(abs, row.values())) for row in n_rows), default=0)
     return epsilon_action_work(T, 1) * sum(
         k * ((rows + k * den).bit_length() + den.bit_length() + k.bit_length()) // 64 + 1
         for k in range(1, K + 1))
@@ -302,27 +304,34 @@ def epsilon_action_bound(T: ExactMatrix, eps, K: int, p: int) -> dict:
 
     ||.|| is the sup norm on matrix entries (p-adic); reports whether the
     weighted exponents eventually stay strictly below 0 and the first index
-    from which they do.  The binomials are kept as sparse rows
-    {col: Fraction}, so the work follows the nonzero entries of T.
+    from which they do.  With T = N / D, D the common denominator of T,
+    binom(T, k) = F_k / (D^k k!) for the integer matrices
+    F_k = F_(k-1) (N - (k-1) D), F_0 = I, so e_k = -k eps - (v_p(F_k)
+    - k v_p(D) - v_p(k!)), with v_p(F_k) the valuation of the gcd of its
+    entries.  F_k is kept as sparse integer rows {col: int}, so the work
+    follows the nonzero entries of T.
     """
     eps = Fraction(eps)
-    t_rows = _sparse_rows(T)
-    fk = [{i: Fraction(1)} for i in range(T.nrows)]
+    n_rows, den = _integer_rows(T)
+    v_den = valuation(den, p)
+    fk = [{i: 1} for i in range(T.nrows)]
     exps = []
+    v_fact = 0  # v_p(k!)
     for k in range(K + 1):
         if k:
-            # binom(T, k) = binom(T, k-1) (T - (k-1)) / k, one row at a time
+            shift = (k - 1) * den
             nxt = []
             for row in fk:
                 out = {}
                 for j, c in row.items():
-                    for col, t in t_rows[j].items():
+                    for col, t in n_rows[j].items():
                         out[col] = out.get(col, 0) + c * t
-                    out[j] = out.get(j, 0) - (k - 1) * c
-                nxt.append({col: x / k for col, x in out.items() if x})
+                    out[j] = out.get(j, 0) - shift * c
+                nxt.append({col: x for col, x in out.items() if x})
             fk = nxt
-        v = matrix_min_valuation(fk, p)
-        exps.append(-INF if v == INF else -k * eps - v)
+            v_fact += valuation(k, p)
+        g = gcd(*(c for row in fk for c in row.values()))
+        exps.append(-INF if g == 0 else -k * eps - (valuation(g, p) - k * v_den - v_fact))
     tail_start = None
     for k in range(K + 1):
         if all(e == -INF or e < 0 for e in exps[k:]):

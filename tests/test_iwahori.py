@@ -800,6 +800,63 @@ def test_intrinsic_description_matches_conjugated_membership(p):
     assert seen == {False, True}
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nth_unit_is_a_bijection_onto_the_units(p):
+    for M in (1, 2, 3):
+        phi = p ** M - p ** (M - 1)
+        units = [iw._nth_unit(r, p) for r in range(phi)]
+        assert units == [u for u in range(p ** M) if u % p]
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sample_block_subgroup_lies_in_its_subgroup(p):
+    # A = diag(d) and B = W diag(d) W mod p^beta, d units, nothing off the
+    # blocks, every entry reduced; one randrange call per sample
+    rnd = _CountingRandom(p)
+    for n in (2, 3):
+        w = list(range(n - 1, -1, -1))
+        for beta in (1, 2):
+            M = beta + 2
+            pb = p ** beta
+            for k in range(60):
+                calls = rnd.calls
+                h = iw.sample_block_subgroup(n, p, beta, M, rnd)
+                assert rnd.calls == calls + 1
+                assert all(0 <= x < p ** M for row in h for x in row)
+                assert all(h[i][j] == 0 for i in range(2 * n) for j in range(2 * n)
+                           if (i < n) != (j < n))
+                d = [h[i][i] for i in range(n)]
+                assert all(x % p for x in d)
+                for i in range(n):
+                    for j in range(n):
+                        assert (h[i][j] - (d[i] if i == j else 0)) % pb == 0
+                        assert (h[n + i][n + j] - (d[w[i]] if i == j else 0)) % pb == 0
+
+
+@pytest.mark.parametrize("p, n, beta, M", [(2, 2, 1, 3), (3, 2, 1, 2), (3, 2, 1, 3), (5, 2, 1, 2)])
+def test_sample_block_subgroup_reaches_every_unit_and_offset(p, n, beta, M):
+    rnd = random.Random(p * M)
+    modulus, pb = p ** M, p ** beta
+    units, offsets = set(), set()
+    for _ in range(400):
+        h = iw.sample_block_subgroup(n, p, beta, M, rnd)
+        units.update(h[i][i] for i in range(2 * n))
+        offsets.update(h[i][j] // pb for i in range(n) for j in range(n) if i != j)
+        offsets.update(h[n + i][n + j] // pb for i in range(n) for j in range(n) if i != j)
+    assert units == {u for u in range(modulus) if u % p}
+    assert offsets == set(range(p ** (M - beta)))
+
+
 def test_intersection_check_fails_with_a_false_intrinsic_description(monkeypatch):
     # the check compares two independent predicates, so a wrong one is caught
     monkeypatch.setattr(iw, "intrinsic_subgroup_member", lambda h, n, p, depth: True)

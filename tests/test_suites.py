@@ -13,6 +13,7 @@ import pytest
 
 from padicdesk import iwahori, mahler, suites, tate
 from padicdesk.cli import main
+from padicdesk.matrices import ExactMatrix
 
 
 def _mahler(monkeypatch):
@@ -40,6 +41,21 @@ def _tate(monkeypatch):
 
     monkeypatch.setattr(tate, "binomial_of_derivation_direct", fault)
     return "tate.closed_equals_direct", {"ring": 1, "lam": "3", "k": 2, "a": 0, "b": 0}
+
+
+def _tate_norm_bound(monkeypatch):
+    # the certificate of the 56 x 56 derivation matrix reads one lower; the
+    # 4 x 4 and 1 x 1 operators of the other tate checks keep their tables
+    real = tate.epsilon_action_bound
+
+    def fault(T, eps, K, p):
+        rep = real(T, eps, K, p)
+        if T.nrows == 56:
+            rep["exponents"] = [e - 1 for e in rep["exponents"]]
+        return rep
+
+    monkeypatch.setattr(tate, "epsilon_action_bound", fault)
+    return "tate.weighted_norm_bound", {"k": 0, "a": 0}, {"certified_exponent": "-1"}
 
 
 def _rep(monkeypatch):
@@ -102,6 +118,20 @@ def _iwahori_double_coset(monkeypatch):
             {"detail": "witness conjugate is not I mod p^beta"}, {"checked": 9})
 
 
+def _iwahori_similitude(monkeypatch):
+    # an integer determinant one too high: at seed 7 the fifth sample's
+    # det A + 1 is a multiple of p while det B - det A is not a multiple of
+    # p^2, so four samples pass; the intersection check reads no determinant
+    real = ExactMatrix.det
+
+    def fault(self):
+        out = real(self)
+        return out + 1 if type(out) is int else out
+
+    monkeypatch.setattr(ExactMatrix, "det", fault)
+    return "iwahori.similitude_congruence", {}, {"samples": 4}
+
+
 def _interp(monkeypatch):
     # every grid instance with n = 3
     real = suites.cpr_identity_check
@@ -115,11 +145,11 @@ def _interp(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, fault", [
-    ("mahler", _mahler), ("tate", _tate), ("rep", _rep), ("uea", _uea),
-    ("iwahori", _iwahori), ("iwahori", _iwahori_factor), ("iwahori", _iwahori_double_coset),
-    ("interp", _interp),
-], ids=["mahler", "tate", "rep", "uea", "iwahori", "iwahori-factor", "iwahori-double-coset",
-        "interp"])
+    ("mahler", _mahler), ("tate", _tate), ("tate", _tate_norm_bound), ("rep", _rep),
+    ("uea", _uea), ("iwahori", _iwahori), ("iwahori", _iwahori_factor),
+    ("iwahori", _iwahori_double_coset), ("iwahori", _iwahori_similitude), ("interp", _interp),
+], ids=["mahler", "tate", "tate-norm-bound", "rep", "uea", "iwahori", "iwahori-factor",
+        "iwahori-double-coset", "iwahori-similitude", "interp"])
 def test_failing_check_names_its_first_failing_instance(suite, fault, monkeypatch, capsys):
     argv = ["--seed", "7", "verify", "--suite", suite]
     assert main(argv) == 0

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 
-from padicdesk import tate
+from padicdesk import suites, tate
 from padicdesk.artinian import ArtinianElement, derivation_from_images, from_numerators
 from padicdesk.matrices import ExactMatrix
 from padicdesk.rationals import INF
@@ -472,3 +472,37 @@ def test_annihilator_scan_runs_once_per_chain(p, monkeypatch):
     chain.stage_for_delta(Fraction(1, 3))
     assert chain.annihilator_exponent() == want
     assert len(calls) == chain.scan_size()
+
+
+class _Draws:
+    """A stand-in for `random.Random` whose randrange hands out fixed values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, start, stop):
+        value = next(self.values)
+        assert start <= value < stop
+        return value
+
+
+def _unit_by_ring_arithmetic(ngens, coeffs):
+    s = ArtinianElement.constant(ngens, 1)
+    for t, c in enumerate(coeffs):
+        s = s + ArtinianElement.gen(ngens, t) * c
+    return s
+
+
+@pytest.mark.parametrize("ngens", [1, 2])
+def test_random_unit_equals_ring_arithmetic(ngens):
+    for coeffs in product(range(-2, 3), repeat=ngens):
+        s = suites._random_unit(ngens, _Draws(coeffs))
+        ring = _unit_by_ring_arithmetic(ngens, coeffs)
+        assert (s.ngens, s.den, list(s.nums.items())) == (ring.ngens, ring.den,
+                                                         list(ring.nums.items()))
+        assert s == ring and hash(s) == hash(ring) and repr(s) == repr(ring)
+    # the same draws in the same order as one randrange(-2, 3) per generator
+    rnd, ref = random.Random(ngens), random.Random(ngens)
+    for _ in range(50):
+        coeffs = [ref.randrange(-2, 3) for _ in range(ngens)]
+        assert suites._random_unit(ngens, rnd) == _unit_by_ring_arithmetic(ngens, coeffs)
